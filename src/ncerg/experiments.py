@@ -7,19 +7,13 @@ function of the configuration (including the seed): reports contain no
 timestamps, no absolute paths and no wall times, so identical configurations
 produce byte-identical output trees.  Wall time is kept on the in-memory
 report only.
-
-``NCERG_THREADS`` caps the thread pool used to materialize operator families;
-results are collected in submission order, so the file contents do not depend
-on the worker count.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -262,14 +256,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _pmap(fn: Callable, items: Sequence):
-    workers = int(os.environ.get("NCERG_THREADS", "1") or "1")
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 class _Env:
     """Per-run context shared by suite implementations."""
 
@@ -398,10 +384,9 @@ def _suite_maximal(env: _Env) -> None:
     xs = [random_self_adjoint(alg, rng, norm=1.0) for _ in range(cfg.n_random)]
     T_grid = np.geomspace(cfg.T_lo, cfg.T_hi, cfg.T_n)
 
-    def materialize(x):
-        return {float(T): cesaro_average(sg, x, T, quad) for T in T_grid}
-
-    families = _pmap(materialize, xs)
+    families = [
+        {float(T): cesaro_average(sg, x, T, quad) for T in T_grid} for x in xs
+    ]
     rows = []
     bound_ok = True
     per_eps_c = {}

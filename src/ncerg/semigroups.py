@@ -12,6 +12,12 @@ tau(a(x)) <= tau(x) for positive x.  Five constructions are shipped:
 * ``GeneratorExp``  -- a_t = exp(tL) for a matrix L acting on the vectorized
   algebra; its contraction properties are checked after the fact.
 
+The first four share one evaluation core: block by block they act as
+a_t(x) = V (exp(t Lambda) o V* x V) V* for a fixed unitary V and an entrywise
+rate matrix Lambda (``o`` is the entrywise product).  Identity has Lambda = 0,
+ScalarDecay Lambda = -rate, SchurDecay Lambda = -c, all with V = 1, and
+UnitaryFlow takes V from the eigenbasis of H, with Lambda_jk = i (w_j - w_k).
+
 ``validate_absolute_contraction`` produces a :class:`ValidationReport` that
 records positivity, subunitality, trace non-increase, the semigroup law and a
 continuity table.  Complete positivity is certified through Choi matrices of
@@ -20,7 +26,6 @@ positivity checks and are flagged as "sampled only".
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -60,17 +65,36 @@ __all__ = [
 
 
 class Semigroup:
-    """Base class: subclasses implement ``_stack`` and are immutable."""
+    """Base class: an immutable semigroup a_t(x) = V (exp(t Lambda) o V* x V) V*.
+
+    ``modes`` holds one ``(V, Lambda)`` pair per block: V unitary, or ``None``
+    for the standard basis, and Lambda an entrywise rate matrix or a scalar.
+    ``_stack`` evaluates that form for a whole time grid at once; a subclass
+    without such a form (``GeneratorExp``) overrides it.
+    """
 
     variant: str = "abstract"
     cp_by_construction: bool = False
 
-    def __init__(self, algebra: TracialAlgebra):
+    def __init__(
+        self,
+        algebra: TracialAlgebra,
+        modes: Sequence[tuple[np.ndarray | None, np.ndarray | float]] = (),
+    ):
         self.algebra = algebra
+        self.modes = tuple(modes)
 
-    # subclasses: list over blocks of arrays with shape (len(ts), n, n)
+    # list over blocks of arrays with shape (len(ts), n, n)
     def _stack(self, ts: np.ndarray, x: Operator) -> list[np.ndarray]:
-        raise NotImplementedError
+        out = []
+        for (v, lam), a in zip(self.modes, x.blocks):
+            e = np.exp(ts[:, None, None] * lam)
+            if v is None:
+                out.append(e * a)
+            else:
+                vh = v.conj().T
+                out.append(v @ (e * (vh @ a @ v)) @ vh)
+        return out
 
     def propagate_stack(self, ts: np.ndarray, x: Operator) -> list[np.ndarray]:
         """Evaluate a_t(x) for every t in ``ts``, stacked per block."""
@@ -92,20 +116,13 @@ class Semigroup:
         stacks = self.propagate_stack(np.array([float(t)]), x)
         return Operator(self.algebra, [s[0] for s in stacks])
 
-    def apply_many(self, ts: Sequence[float], x: Operator) -> list[Operator]:
-        stacks = self.propagate_stack(np.asarray(ts, dtype=float), x)
-        return [
-            Operator(self.algebra, [s[i] for s in stacks])
-            for i in range(len(np.atleast_1d(ts)))
-        ]
-
 
 class Identity(Semigroup):
     variant = "identity"
     cp_by_construction = True
 
-    def _stack(self, ts, x):
-        return [np.broadcast_to(a, (len(ts),) + a.shape).copy() for a in x.blocks]
+    def __init__(self, algebra: TracialAlgebra):
+        super().__init__(algebra, [(None, 0.0)] * algebra.n_blocks)
 
 
 class ScalarDecay(Semigroup):
@@ -115,39 +132,32 @@ class ScalarDecay(Semigroup):
     cp_by_construction = True
 
     def __init__(self, algebra: TracialAlgebra, rate: float):
-        super().__init__(algebra)
         if rate < 0:
             raise ValueError("decay rate must be >= 0")
         self.rate = float(rate)
-
-    def _stack(self, ts, x):
-        factors = np.exp(-self.rate * ts)
-        return [factors[:, None, None] * a[None, :, :] for a in x.blocks]
+        super().__init__(algebra, [(None, -self.rate)] * algebra.n_blocks)
 
 
 class UnitaryFlow(Semigroup):
-    """Conjugation by the unitary group of a self-adjoint generator."""
+    """Conjugation by the unitary group of a self-adjoint generator.
+
+    With H = V diag(w) V* per block, Lambda_jk = i (w_j - w_k).
+    """
 
     variant = "unitary_flow"
     cp_by_construction = True
 
     def __init__(self, algebra: TracialAlgebra, hamiltonian: Operator):
-        super().__init__(algebra)
         if hamiltonian.algebra != algebra:
             raise AlgebraMismatchError("hamiltonian lives in a different algebra")
         if not hamiltonian.is_self_adjoint():
             raise ValueError("hamiltonian must be self-adjoint")
         self.hamiltonian = hamiltonian.herm()
-        self._eig = [np.linalg.eigh(h) for h in self.hamiltonian.blocks]
-
-    def _stack(self, ts, x):
-        out = []
-        for (w, v), a in zip(self._eig, x.blocks):
-            xt = v.conj().T @ a @ v
-            gaps = w[:, None] - w[None, :]
-            phases = np.exp(1j * ts[:, None, None] * gaps[None, :, :])
-            out.append(np.einsum("ab,tbc,cd->tad", v, phases * xt[None], v.conj().T))
-        return out
+        modes = []
+        for h in self.hamiltonian.blocks:
+            w, v = np.linalg.eigh(h)
+            modes.append((v, 1j * (w[:, None] - w[None, :])))
+        super().__init__(algebra, modes)
 
 
 class SchurDecay(Semigroup):
@@ -162,7 +172,6 @@ class SchurDecay(Semigroup):
     cp_by_construction = True
 
     def __init__(self, algebra: TracialAlgebra, rates: Sequence[np.ndarray]):
-        super().__init__(algebra)
         if len(rates) != algebra.n_blocks:
             raise AlgebraMismatchError("one rate matrix per block required")
         mats = []
@@ -177,30 +186,20 @@ class SchurDecay(Semigroup):
             arr.setflags(write=False)
             mats.append(arr)
         self.rates = tuple(mats)
-
-    def multiplier(self, t: float, i: int) -> np.ndarray:
-        return np.exp(-t * self.rates[i])
-
-    def _stack(self, ts, x):
-        out = []
-        for c, a in zip(self.rates, x.blocks):
-            s = np.exp(-ts[:, None, None] * c[None, :, :])
-            out.append(s * a[None, :, :])
-        return out
+        super().__init__(algebra, [(None, -c) for c in self.rates])
 
 
 class GeneratorExp(Semigroup):
     """a_t = exp(tL) for L given as a matrix on the vectorized algebra.
 
     Vectorization is row-major within each block, blocks concatenated in
-    order.  Propagators exp(tL) are cached per time point; the cache is
-    guarded by a lock so concurrent callers see identical results.
+    order.  Propagators exp(tL) are cached per time point.
     """
 
     variant = "generator_exp"
     cp_by_construction = False
 
-    def __init__(self, algebra: TracialAlgebra, matrix: np.ndarray, cache: bool = True):
+    def __init__(self, algebra: TracialAlgebra, matrix: np.ndarray):
         super().__init__(algebra)
         arr = np.array(matrix, dtype=complex)
         d = algebra.vec_dim
@@ -210,22 +209,14 @@ class GeneratorExp(Semigroup):
             )
         arr.setflags(write=False)
         self.matrix = arr
-        self._cache_enabled = bool(cache)
         self._cache: dict[float, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def propagator(self, t: float) -> np.ndarray:
         t = float(t)
-        if self._cache_enabled:
-            with self._lock:
-                hit = self._cache.get(t)
-            if hit is not None:
-                return hit
-        prop = scipy.linalg.expm(t * self.matrix)
-        if self._cache_enabled:
-            with self._lock:
-                prop = self._cache.setdefault(t, prop)
-        return prop
+        hit = self._cache.get(t)
+        if hit is not None:
+            return hit
+        return self._cache.setdefault(t, scipy.linalg.expm(t * self.matrix))
 
     def _stack(self, ts, x):
         v = vec(x)

@@ -27,7 +27,12 @@ from ncerg import (
     weighted_average,
 )
 from ncerg.algebra import min_eig, random_operator
-from ncerg.averaging import residual_from_config, weight_from_config
+from ncerg.averaging import (
+    DEFAULT_QUAD,
+    integrate_scalar,
+    residual_from_config,
+    weight_from_config,
+)
 from ncerg.semigroups import lindblad_generator, GeneratorExp
 
 
@@ -64,6 +69,19 @@ def test_cesaro_unitary_against_riemann(alg, rng):
     riemann = Operator(alg, [s.mean(axis=0) for s in stacks])
     got = cesaro_average(sg, x, T)
     assert (got - riemann).norm_inf() / got.norm_inf() < 1e-7
+
+
+def test_cesaro_unitary_on_eigen_matrix_unit(alg):
+    # a_t(E_01) = exp(-i g t) E_01 for H = diag(0, g); g = 2 pi makes the
+    # average over whole periods exactly zero
+    g = 2.0 * math.pi
+    h = Operator(alg, [np.diag([0.0, g]), np.diag([0.0, g])])
+    e01 = Operator(alg, [np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))])
+    sg = UnitaryFlow(alg, h)
+    for T in (0.5, 1.0, 2.0):
+        z = -1j * g * T
+        expected = ((cmath.exp(z) - 1.0) / z) * e01
+        assert (cesaro_average(sg, e01, T) - expected).norm_inf() < 1e-12
 
 
 def test_cesaro_rejects_zero_length(alg, rng):
@@ -116,18 +134,22 @@ def test_weighted_single_tone_identity_flow(alg, rng):
 def test_weighted_two_tone_scalar_decay_closed_form(alg, rng):
     # independent closed form: sum_j kappa_j (exp((2 pi i theta_j - g) T) - 1)
     # / ((2 pi i theta_j - g) T)
-    gamma = 1.3
-    sg = ScalarDecay(alg, gamma)
-    terms = (TrigTerm(0.7 + 0.2j, 0.25), TrigTerm(-0.3j, -0.4))
-    b = BesicovitchWeight(terms)
+    two_tone = (TrigTerm(0.7 + 0.2j, 0.25), TrigTerm(-0.3j, -0.4))
+    cos_2pi = (TrigTerm(0.5, 1.0), TrigTerm(0.5, -1.0))
+    cases = [
+        (ScalarDecay(alg, 1.3), 1.3, two_tone, 0.8),
+        # cos(2 pi t) over one period: the averages are exactly zero
+        (ScalarDecay(alg, 0.0), 0.0, cos_2pi, 1.0),
+        (Identity(alg), 0.0, cos_2pi, 1.0),
+    ]
     x = random_operator(alg, rng)
-    T = 0.8
-    coeff = 0.0
-    for term in terms:
-        z = 2j * math.pi * term.theta - gamma
-        coeff += term.kappa * (cmath.exp(z * T) - 1.0) / (z * T)
-    got = weighted_average(sg, b, x, T)
-    assert (got - coeff * x).norm_inf() < 1e-9
+    for sg, gamma, terms, T in cases:
+        coeff = 0.0
+        for term in terms:
+            z = 2j * math.pi * term.theta - gamma
+            coeff += term.kappa * (cmath.exp(z * T) - 1.0) / (z * T)
+        got = weighted_average(sg, BesicovitchWeight(terms), x, T)
+        assert (got - coeff * x).norm_inf() < 1e-9
 
 
 def test_oscillatory_matches_cesaro_at_one(alg, rng):
@@ -261,6 +283,12 @@ def test_besicovitch_error_zero_for_pure_polynomial():
     table = besicovitch_error(b, np.geomspace(1.0, 1e-4, 12))
     assert table.tail_sup < 1e-12
     assert all(v < 1e-12 for _, v in table.rows)
+
+
+def test_integrate_scalar_converges_on_zero_integral():
+    value, err = integrate_scalar(lambda ts: np.cos(2.0 * math.pi * ts), 0.0, 1.0)
+    assert abs(value) < 1e-15
+    assert err <= DEFAULT_QUAD.rtol
 
 
 def test_besicovitch_error_linear_residual_analytic():

@@ -7,6 +7,7 @@ import scipy.linalg
 from ncerg import (
     GeneratorExp,
     Identity,
+    Operator,
     ScalarDecay,
     SchurDecay,
     TracialAlgebra,
@@ -22,7 +23,7 @@ from ncerg import (
     validate_absolute_contraction,
 )
 from ncerg.algebra import min_eig, random_operator
-from ncerg.semigroups import choi_min_eig
+from ncerg.semigroups import choi_min_eig, generator_from_map
 
 
 def distance_rates(alg, scale=1.0):
@@ -165,6 +166,38 @@ def test_generator_exp_against_independent_exponential(alg, rng):
     for t in (0.3, 1.7):
         direct = unvec(alg, scipy.linalg.expm(t * np.asarray(lind)) @ vec(x))
         assert (sg.apply(t, x) - direct).norm_inf() < 1e-12
+
+
+def test_propagate_stack_matches_expm_of_generator(alg, rng):
+    # oracle: exp(tL) on the vectorized algebra, with L built from the
+    # generator of each variant independently of its propagation core
+    from ncerg.algebra import unvec, vec
+
+    variants = make_variants(alg, rng)
+    hs = variants["unitary_flow"].hamiltonian
+    generators = {
+        "identity": generator_from_map(alg, lambda x: 0.0 * x),
+        "scalar_decay": generator_from_map(
+            alg, lambda x: -variants["scalar_decay"].rate * x
+        ),
+        "unitary_flow": generator_from_map(alg, lambda x: 1j * (hs @ x - x @ hs)),
+        "schur_decay": generator_from_map(
+            alg,
+            lambda x: Operator(
+                alg,
+                [-c * a for c, a in zip(variants["schur_decay"].rates, x.blocks)],
+            ),
+        ),
+        "generator_exp": variants["generator_exp"].matrix,
+    }
+    ts = np.array([0.0, 1e-4, 0.3, 2.5, 10.0])
+    x = random_operator(alg, rng)
+    for name, sg in variants.items():
+        stacks = sg.propagate_stack(ts, x)
+        for k, t in enumerate(ts):
+            got = Operator(alg, [s[k] for s in stacks])
+            want = unvec(alg, scipy.linalg.expm(t * generators[name]) @ vec(x))
+            assert (got - want).norm_inf() <= 1e-12 * want.norm_inf(), (name, t)
 
 
 # ---------------------------------------------------------------------------
