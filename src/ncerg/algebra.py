@@ -30,6 +30,7 @@ __all__ = [
     "spectral_projection",
     "proj_meet",
     "meet_all",
+    "meet_complements",
     "min_eig",
     "random_operator",
     "random_self_adjoint",
@@ -408,44 +409,47 @@ def proj_meet(
     q: Projection,
     sv_tol: float = DEFAULT_TOLS.meet_rank,
 ) -> Projection:
-    """Lattice meet: projection onto ``range(p) & range(q)``.
-
-    Computed per block as an orthonormal basis of the null space of the
-    stacked complements ``[(1-p); (1-q)]``.  Singular values below
-    ``sv_tol * block_dim`` count as zero; the cutoff separates the numerical
-    null space from roundoff and can be widened for ill-conditioned inputs.
-    """
-    if p.algebra != q.algebra:
-        raise AlgebraMismatchError("projections live in different algebras")
-    alg = p.algebra
-    blocks = []
-    cotrace = 0.0
-    for n, c, a, b in zip(alg.blocks, alg.weights, p.op.blocks, q.op.blocks):
-        eye = np.eye(n, dtype=complex)
-        stacked = np.vstack([eye - a, eye - b])
-        _, s, vh = np.linalg.svd(stacked)
-        cut = sv_tol * n
-        keep = s <= cut
-        basis = vh[keep].conj().T
-        if basis.shape[1] == 0:
-            blocks.append(np.zeros((n, n), dtype=complex))
-            cotrace += c * n
-        else:
-            blocks.append(basis @ basis.conj().T)
-            cotrace += c * float(n - basis.shape[1])
-    return Projection(Operator(alg, blocks), cotrace=cotrace)
+    """Lattice meet: projection onto ``range(p) & range(q)``; see :func:`meet_all`."""
+    return meet_all([p, q], sv_tol=sv_tol)
 
 
 def meet_all(projections: Iterable[Projection], sv_tol: float = DEFAULT_TOLS.meet_rank) -> Projection:
-    """Fold :func:`proj_meet` over a nonempty iterable."""
-    it = iter(projections)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("meet of an empty family is undefined") from None
-    for p in it:
-        acc = proj_meet(acc, p, sv_tol=sv_tol)
-    return acc
+    """Lattice meet of a nonempty family: projection onto the common range.
+
+    One SVD per block of the stacked complements ``[(1-p_1); ...; (1-p_m)]``
+    (:func:`meet_complements`), validated as one :class:`Projection`.
+    """
+    ps = list(projections)
+    if not ps:
+        raise ValueError("meet of an empty family is undefined")
+    alg = ps[0].algebra
+    if any(p.algebra != alg for p in ps):
+        raise AlgebraMismatchError("projections live in different algebras")
+    stacks = [
+        np.eye(n) - np.stack([p.op.blocks[i] for p in ps]) for i, n in enumerate(alg.blocks)
+    ]
+    return meet_complements(alg, stacks, sv_tol)
+
+
+def meet_complements(
+    alg: TracialAlgebra,
+    stacks: Sequence[np.ndarray],
+    sv_tol: float = DEFAULT_TOLS.meet_rank,
+) -> Projection:
+    """Meet of projections given per block as complement stacks ``(m, n, n)``.
+
+    The meet is the null space of one SVD of the ``(m n, n)`` stack (Bjorck
+    and Golub 1973); singular values below ``sv_tol * n`` count as zero, a
+    cutoff that separates it from roundoff and can widen for ill-conditioning.
+    """
+    blocks = []
+    cotrace = 0.0
+    for n, c, comp in zip(alg.blocks, alg.weights, stacks):
+        _, s, vh = np.linalg.svd(comp.reshape(-1, n), full_matrices=False)
+        basis = vh[s <= sv_tol * n].conj().T
+        blocks.append(basis @ basis.conj().T)
+        cotrace += c * float(n - basis.shape[1])
+    return Projection(Operator(alg, blocks), cotrace=cotrace)
 
 
 # ---------------------------------------------------------------------------

@@ -390,10 +390,12 @@ class BesicovitchWeight:
 
 @dataclass(frozen=True)
 class BesicovitchErrorTable:
-    """Local mean errors (1/T) integral_0^T |b - P| dt over a shrinking grid."""
+    """Local mean errors (1/T) integral_0^T |b - P| dt over a shrinking grid;
+    ``errors`` holds the relative error the quadrature achieved on each row."""
 
     rows: tuple[tuple[float, float], ...]
     tail_sup: float
+    errors: tuple[float, ...]
 
 
 def besicovitch_error(
@@ -416,12 +418,13 @@ def besicovitch_error(
     def gap(ts: np.ndarray) -> np.ndarray:
         return np.abs(b.value(ts) - trig_value(terms, ts))
 
-    rows = []
+    rows, errors = [], []
     for T in grid:
-        val, _ = integrate_scalar(gap, 0.0, T, quad)
+        val, err = integrate_scalar(gap, 0.0, T, quad)
         rows.append((T, val / T))
+        errors.append(err)
     tail = rows[-max(1, len(rows) // 4):]
-    return BesicovitchErrorTable(tuple(rows), max(v for _, v in tail))
+    return BesicovitchErrorTable(tuple(rows), max(v for _, v in tail), tuple(errors))
 
 
 def substitution_bound_check(

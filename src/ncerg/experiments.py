@@ -508,7 +508,8 @@ def _suite_besicovitch(env: _Env) -> None:
     cfg = env.cfg
     grid = np.geomspace(1.0, cfg.T_lo, cfg.T_n)
     table = besicovitch_error(env.weight, grid, env.quadrature)
-    env.write_table("besicovitch", ["T", "local_mean_gap"], table.rows)
+    rows = [(T, v, err) for (T, v), err in zip(table.rows, table.errors)]
+    env.write_table("besicovitch", ["T", "local_mean_gap", "quad_error"], rows)
     env.passed["besicovitch:tail_sup_below_bound"] = (
         table.tail_sup < cfg.besicovitch_tail_bound
     )
@@ -613,7 +614,8 @@ def run(config: ExperimentConfig, suite: str, outdir: str | Path) -> RunReport:
 _PLOT_SCHEMA = {
     "plot_decay.csv": {
         "columns": ["table", "T", "value"],
-        "meaning": "decay curves: second column of every two-column table",
+        "meaning": "decay curves: second column of every two-column table "
+        "and of every table whose only other column is quad_error",
     },
     "plot_bounds.csv": {
         "columns": ["table", "T", "achieved", "bound", "slack"],
@@ -644,7 +646,7 @@ def emit_plot_data(report: RunReport) -> dict[str, str]:
             for row in rows:
                 bound_rows.append((name, row[0], row[1], row[2], row[3]))
                 decay_rows.append((name, row[0], row[1]))
-        elif len(header) == 2:
+        elif len(header) == 2 or header[2:] == ["quad_error"]:
             for row in rows:
                 decay_rows.append((name, row[0], row[1]))
     written = {}
@@ -705,7 +707,7 @@ def build_schemas() -> dict:
                 "empirical_C",
             ],
             "weighted_avg": ["T", "norm_p", "bound", "slack"],
-            "besicovitch": ["T", "local_mean_gap"],
+            "besicovitch": ["T", "local_mean_gap", "quad_error"],
             "banach_steps": ["step", "witness", "claimed", "achieved"],
         },
         "certificate_json": {

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ncerg import (
     Projection,
     TracialAlgebra,
     abs_value,
+    meet_all,
     operator_from_dict,
     operator_to_dict,
     pnorm,
@@ -270,6 +272,55 @@ def test_proj_meet_against_rank_oracle(rng):
         # lattice inequalities
         assert m.leq(p) and m.leq(q)
         assert m.cotrace <= p.cotrace + q.cotrace + 1e-9
+    # nearly equal subspaces: span(s, u) and span(s, u') with u, u' 1e-6 rad
+    # apart; the angle is above the sv cutoff, so the meet is span(s) alone
+    q_basis = _random_unitary(6, rng)
+    s, u, u2 = q_basis[:, :2], q_basis[:, 2], q_basis[:, 3]
+    v = math.cos(1e-6) * u + math.sin(1e-6) * u2
+    p = _range_projection(alg, [np.column_stack([s, u])])
+    q = _range_projection(alg, [np.column_stack([s, v])])
+    m = proj_meet(p, q)
+    assert m.ranks() == (2,)
+    # the null space is fixed only to roundoff / angle, about 1e-10 here
+    np.testing.assert_allclose(m.op.blocks[0], s @ s.conj().T, atol=1e-8)
+    assert np.linalg.norm(m.op.blocks[0] @ u) < 1e-8
+
+
+def _random_unitary(n, rng):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(a)[0]
+
+
+def _range_projection(alg, bases):
+    """Projection onto the column span of one basis matrix per block."""
+    return Projection(Operator(alg, [b @ np.linalg.pinv(b) for b in bases]))
+
+
+def test_meet_all_recovers_planted_intersection(rng):
+    alg = TracialAlgebra((4, 6), (1.0, 0.5))
+    for _ in range(8):
+        m_proj = int(rng.integers(3, 6))
+        ranks = [int(rng.integers(0, n - 1)) for n in alg.blocks]
+        planted, members = [], [[] for _ in range(m_proj)]
+        for n, r in zip(alg.blocks, ranks):
+            q = _random_unitary(n, rng)
+            planted.append(q[:, :r] @ q[:, :r].conj().T)
+            for k in range(m_proj):
+                # a random extra span in the complement of the planted one;
+                # two of them already meet only in zero
+                d = int(rng.integers(0, (n - r) // 2 + 1))
+                g = rng.standard_normal((n - r, d)) + 1j * rng.standard_normal((n - r, d))
+                members[k].append(np.column_stack([q[:, :r], q[:, r:] @ g]))
+        ps = [_range_projection(alg, bases) for bases in members]
+        m = meet_all(ps)
+        assert m.ranks() == tuple(ranks)
+        assert (m.op - Operator(alg, planted)).norm_inf() < 1e-10
+        assert m.cotrace == pytest.approx(
+            sum(c * (n - r) for n, c, r in zip(alg.blocks, alg.weights, ranks)), abs=1e-12
+        )
+        fold = reduce(proj_meet, ps)
+        assert fold.cotrace == m.cotrace
+        assert (m.op - fold.op).norm_inf() < 1e-10
 
 
 def test_proj_meet_cotrace_subadditive(alg, rng):

@@ -313,6 +313,26 @@ def test_besicovitch_error_oscillatory_residual(rng):
     assert got == pytest.approx(oracle, abs=2e-3)
 
 
+def test_besicovitch_error_reports_quadrature_error():
+    rtol = DEFAULT_QUAD.rtol
+    # |sin(1/t)| oscillates without bound at 0: the quadrature runs out of
+    # refinements and each row carries its achieved error
+    res, sup = residual_from_config({"name": "sin_inv_t", "amplitude": 0.1})
+    b = BesicovitchWeight((TrigTerm(0.4, 0.15),), res, sup)
+    table = besicovitch_error(b, [0.5, 0.05, 1e-3])
+    assert len(table.errors) == len(table.rows)
+    assert all(err > rtol for err in table.errors)
+    # |cos t| has no kink below pi/2, so every row converges
+    res, sup = residual_from_config({"name": "cos", "amplitude": 0.05, "frequency": 1.0})
+    b = BesicovitchWeight((TrigTerm(0.4, 0.15),), res, sup)
+    table = besicovitch_error(b, np.geomspace(1.0, 1e-3, 8))
+    assert all(err <= rtol for err in table.errors)
+    # the kink of |cos 7t| at pi/14 lies inside T = 0.5
+    res, sup = residual_from_config({"name": "cos", "amplitude": 0.04, "frequency": 7.0})
+    table = besicovitch_error(BesicovitchWeight((), res, sup), [0.5, 0.1])
+    assert table.errors[0] > rtol >= table.errors[1]
+
+
 def test_weight_from_config_roundtrip():
     spec = {
         "trig": [{"kappa_re": 0.5, "kappa_im": -0.1, "theta": 0.3}],

@@ -1,13 +1,16 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from ncerg import (
+    GeneratorExp,
     Identity,
     MaximalParams,
     Operator,
     ScalarDecay,
+    SchurDecay,
     TracialAlgebra,
     UnitaryFlow,
     bau_cauchy_certify,
@@ -19,15 +22,24 @@ from ncerg import (
     operator_from_dict,
     perturbation_transfer,
     random_positive,
+    random_projection,
     random_self_adjoint,
     trace,
 )
-from ncerg.algebra import random_operator
+from ncerg.algebra import (
+    abs_value,
+    pnorm,
+    proj_meet,
+    random_operator,
+    spectral_projection,
+    spectral_resolution,
+)
 from ncerg.bau import (
     ScheduleExhaustedError,
     TransferPremiseError,
     first_index_below,
 )
+from ncerg.semigroups import lindblad_generator
 
 
 def phi(gamma, T):
@@ -143,6 +155,91 @@ def test_maximal_bound_and_self_verification(alg, rng):
     assert cert.cotrace == pytest.approx(
         (trace(alg, alg.identity()) - trace(alg, cert.projection.op)).real, abs=1e-12
     )
+
+
+def _assert_maximal_matches_reference(sg, x, params, family):
+    """Batched maximal_projection against per-T cuts and a pairwise meet fold.
+
+    The reference takes |y_T| by abs_value, cuts its spectral resolution at
+    eps per T, folds proj_meet over the cuts and recomputes every compressed
+    norm with Operator.norm_inf.
+    """
+    grid = sorted(family, reverse=True)
+    cert = maximal_projection(sg, x, params, grid, family=family)
+    ys = [family[T].herm() for T in grid]
+    eps, p = params.epsilon, params.p
+    cuts = [spectral_projection(spectral_resolution(abs_value(y)), eps) for y in ys]
+    e = reduce(proj_meet, cuts)
+    assert cert.cotrace == e.cotrace
+    assert (cert.projection.op - e.op).norm_inf() <= 1e-12
+    achieved = max((e.op @ y @ e.op).norm_inf() for y in ys)
+    assert cert.achieved_bound == pytest.approx(achieved, rel=1e-12, abs=0.0)
+    for (T, cot, bound), y, cut in zip(cert.params["chebyshev"], ys, cuts):
+        assert cot == cut.cotrace
+        ref = eps ** (-p) * pnorm(sg.algebra, y, p) ** p
+        assert bound == pytest.approx(ref, rel=1e-12, abs=0.0)
+    return cert
+
+
+def test_maximal_matches_per_T_reference(alg6, rng):
+    rates = [
+        np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+        for n in alg6.blocks
+    ]
+    lind = lindblad_generator(
+        alg6,
+        random_self_adjoint(alg6, rng, norm=0.5),
+        [random_self_adjoint(alg6, rng, norm=0.5)],
+    )
+    sgs = [
+        UnitaryFlow(alg6, random_self_adjoint(alg6, rng, norm=1.0)),
+        SchurDecay(alg6, rates),
+        GeneratorExp(alg6, lind),
+    ]
+    partial = 0
+    for sg in sgs:
+        # a long grid meets to 0; a rank-one spike on three grid points
+        # leaves part of the 4-block
+        cases = ((0.2, 1.0, np.geomspace(1e-3, 5.0, 10)), (0.5, 2.0, [2.0, 0.5, 0.05]))
+        for eps, p, grid in cases:
+            x = random_self_adjoint(alg6, rng, norm=0.1)
+            x = x + random_projection(alg6, rng, ranks=(1, 1)).op
+            family = {float(T): cesaro_average(sg, x, float(T)) for T in grid}
+            cert = _assert_maximal_matches_reference(sg, x, MaximalParams(1.0, p, eps), family)
+            partial += any(0 < r < n for r, n in zip(cert.projection.ranks(), alg6.blocks))
+    assert partial >= 3
+
+
+def test_maximal_reference_edge_families(alg6, rng):
+    eps = 0.25
+    params = MaximalParams(1.0, 1.0, eps)
+    sg = Identity(alg6)
+    u = [
+        np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        for n in alg6.blocks
+    ]
+
+    def rotated(*diags):
+        return Operator(alg6, [q @ np.diag(d) @ q.conj().T for q, d in zip(u, diags)])
+
+    # eigenvalues +-eps tie with the level and are kept
+    y = rotated([eps, -eps], [0.1, eps, 2 * eps, -3 * eps])
+    cert = _assert_maximal_matches_reference(sg, y, params, {1.0: y, 0.5: 0.5 * y})
+    assert cert.projection.ranks() == (2, 2)
+    assert cert.cotrace == 0.5 * 2
+    assert cert.achieved_bound <= eps + 1e-12
+    # every eigenvector of block 0 is dropped: the meet is 0 there and the
+    # block's full weight counts in the co-trace
+    y = rotated([2 * eps, -3 * eps], [0.0, 0.0, 0.0, 0.0])
+    cert = _assert_maximal_matches_reference(sg, y, params, {1.0: y, 0.5: 0.9 * y})
+    assert cert.projection.ranks() == (0, 4)
+    assert cert.cotrace == 1.0 * 2
+    assert cert.achieved_bound == 0.0
+    # the zero family keeps everything
+    z = alg6.zero()
+    cert = _assert_maximal_matches_reference(sg, z, params, {1.0: z, 0.5: z})
+    assert cert.cotrace == 0.0 and cert.achieved_bound == 0.0
+    assert cert.params["chebyshev"] == [[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]]
 
 
 def test_maximal_requires_self_adjoint(alg, rng):
