@@ -1,13 +1,17 @@
-"""Quadrature engine for flow averages and almost-periodic weights.
+"""Flow averages, almost-periodic weights and the quadrature kept for residuals.
 
 The central object is the time average ``(1/T) * integral_0^T w(t) a_t(x) dt``
 for a semigroup ``a_t``, an operator ``x`` and a bounded scalar weight ``w``.
-Integrals use composite Gauss-Legendre panels whose count doubles until the
-difference between successive refinements drops below a relative tolerance,
-measured in the operator norm.  Smooth integrands (matrix exponentials times
-trigonometric weights) converge spectrally, so a couple of refinements
-normally suffice; weight values are taken exactly at the quadrature nodes,
-never interpolated.
+Cesaro averages and every trigonometric term exp(2 pi i theta t) are exact:
+each is one closed-form :meth:`Semigroup.mean` at shift s = 2 pi i theta, so
+``cesaro_average``, ``trig_average``, ``oscillatory_average``,
+``dense_approximant`` and ``sandwich_check`` take no quadrature settings.
+Only a weight's non-trigonometric residual, and the scalar local mean gap,
+are integrated numerically: composite Gauss-Legendre panels whose count
+doubles until the difference between successive refinements drops below a
+relative tolerance, measured in the operator norm.  Weight values are taken
+exactly at the quadrature nodes, never interpolated.  ``integrate_flow``
+also serves as the independent oracle for the closed forms in the tests.
 """
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ __all__ = [
     "trig_average",
     "oscillatory_average",
     "dense_approximant",
+    "sandwich_windows",
     "sandwich_check",
     "TrigTerm",
     "trig_value",
@@ -188,18 +193,9 @@ def integrate_scalar(
 # averages
 # ---------------------------------------------------------------------------
 
-def cesaro_average(
-    sg: Semigroup,
-    x: Operator,
-    T: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-    strict: bool = True,
-) -> Operator:
-    """Time average (1/T) integral_0^T a_t(x) dt, T > 0."""
-    if not T > 0:
-        raise ValueError("averaging length T must be > 0")
-    res = integrate_flow(sg, x, 0.0, T, quad, strict=strict)
-    return res.value / T
+def cesaro_average(sg: Semigroup, x: Operator, T: float) -> Operator:
+    """Time average (1/T) integral_0^T a_t(x) dt, T > 0, in closed form."""
+    return sg.mean(T, x)
 
 
 def weighted_average(
@@ -210,35 +206,31 @@ def weighted_average(
     quad: QuadratureConfig = DEFAULT_QUAD,
     strict: bool = True,
 ) -> Operator:
-    """(1/T) integral_0^T b(t) a_t(x) dt for a bounded weight b."""
-    if not T > 0:
-        raise ValueError("averaging length T must be > 0")
-    res = integrate_flow(sg, x, 0.0, T, quad, weight=b.value, strict=strict)
-    return res.value / T
+    """(1/T) integral_0^T b(t) a_t(x) dt for a bounded weight b.
+
+    The trigonometric part is exact (:func:`trig_average`); only a residual,
+    if the weight has one, goes through :func:`integrate_flow`.
+    """
+    avg = trig_average(sg, b.terms, x, T)
+    if b.residual is None:
+        return avg
+    res = integrate_flow(sg, x, 0.0, T, quad, weight=b.residual, strict=strict)
+    return avg + res.value / T
 
 
 def trig_average(
-    sg: Semigroup,
-    terms: Sequence["TrigTerm"],
-    x: Operator,
-    T: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-    strict: bool = True,
+    sg: Semigroup, terms: Sequence["TrigTerm"], x: Operator, T: float
 ) -> Operator:
-    """Average weighted by the trigonometric polynomial alone."""
-    terms = tuple(terms)
-    return weighted_average(sg, BesicovitchWeight(terms), x, T, quad, strict=strict)
+    """Average weighted by a trigonometric polynomial alone, in closed form:
+    sum_j kappa_j (1/T) integral_0^T exp(2 pi i theta_j t) a_t(x) dt."""
+    return sum(
+        (t.kappa * sg.mean(T, x, 2j * math.pi * t.theta) for t in terms),
+        sg.algebra.zero(),
+    )
 
 
-def oscillatory_average(
-    sg: Semigroup,
-    lam: complex,
-    x: Operator,
-    T: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-    strict: bool = True,
-) -> Operator:
-    """(1/T) integral_0^T lam^t a_t(x) dt for unit-modulus lam.
+def oscillatory_average(sg: Semigroup, lam: complex, x: Operator, T: float) -> Operator:
+    """(1/T) integral_0^T lam^t a_t(x) dt for unit-modulus lam, in closed form.
 
     ``lam^t`` uses the principal logarithm; lam = -1 runs along exp(i pi t).
     Any fixed branch gives a valid unit-modulus weight, this one is pinned for
@@ -246,27 +238,25 @@ def oscillatory_average(
     """
     if abs(abs(lam) - 1.0) > 1e-12:
         raise ValueError("oscillation parameter must have modulus one")
-    log_lam = cmath.log(lam)
-
-    def weight(ts: np.ndarray) -> np.ndarray:
-        return np.exp(ts * log_lam)
-
-    if not T > 0:
-        raise ValueError("averaging length T must be > 0")
-    res = integrate_flow(sg, x, 0.0, T, quad, weight=weight, strict=strict)
-    return res.value / T
+    return sg.mean(T, x, cmath.log(lam))
 
 
-def dense_approximant(
-    sg: Semigroup,
-    x: Operator,
-    k: int,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> Operator:
+def dense_approximant(sg: Semigroup, x: Operator, k: int) -> Operator:
     """k * integral_0^{1/k} a_s(x) ds, the mollified copy of x at scale 1/k."""
     if int(k) != k or k < 1:
         raise ValueError("approximant index k must be a positive integer")
-    return cesaro_average(sg, x, 1.0 / int(k), quad)
+    return cesaro_average(sg, x, 1.0 / int(k))
+
+
+def sandwich_windows(
+    sg: Semigroup, x: Operator, a: float, b: float
+) -> tuple[Operator, Operator]:
+    """Head (1/b) integral_0^a a_s(x) ds and tail (1/b) integral_b^{b+a} a_s(x) ds.
+
+    The head is (a/b) beta_a(x); the tail is a_b(head) by the semigroup law.
+    """
+    head = cesaro_average(sg, x, a) * (a / b)
+    return head, sg.apply(b, head)
 
 
 def sandwich_check(
@@ -274,24 +264,22 @@ def sandwich_check(
     x: Operator,
     a: float,
     b: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
     tol: float = DEFAULT_TOLS.positivity,
 ) -> tuple[float, float]:
     """Two-sided bound on the double average of a positive operator.
 
     For positive x the difference D = beta_a(beta_b(x)) - beta_b(x) sits
-    between -(1/b) integral_0^a a_s(x) ds and (1/b) integral_b^{b+a} a_s(x) ds.
-    Returns (min eig of D - lower, min eig of upper - D); both should be
-    >= -tol up to quadrature error.
+    between minus the head and the tail of :func:`sandwich_windows`.  Returns
+    (min eig of D + head, min eig of tail - D); both should be >= -tol up to
+    roundoff.
     """
     if not (a > 0 and b > 0):
         raise ValueError("window lengths must be positive")
     if not x.is_positive(tol=max(tol, 1e-8)):
         raise ValueError("sandwich check needs a positive operator")
-    beta_b = cesaro_average(sg, x, b, quad)
-    delta = cesaro_average(sg, beta_b, a, quad) - beta_b
-    head = integrate_flow(sg, x, 0.0, a, quad).value / b
-    tail = integrate_flow(sg, x, b, b + a, quad).value / b
+    beta_b = cesaro_average(sg, x, b)
+    delta = cesaro_average(sg, beta_b, a) - beta_b
+    head, tail = sandwich_windows(sg, x, a, b)
     lower_slack = min_eig((delta + head).herm())
     upper_slack = min_eig((tail - delta).herm())
     return lower_slack, upper_slack
@@ -435,27 +423,28 @@ def substitution_bound_check(
     quad: QuadratureConfig = DEFAULT_QUAD,
     trig_terms: Sequence[TrigTerm] | None = None,
     positivity_tol: float = 1e-8,
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Compare the weighted average against its trigonometric substitute.
 
-    Returns (lhs, rhs) where lhs is the operator-norm distance between the
-    b-weighted and P-weighted averages of a positive bounded x, and
-    rhs = 2 * ((1/T) integral_0^T |P - b|) * ||x||.  The factor two absorbs
-    the norm growth of the extended flow on non-self-adjoint parts; the
-    contract is lhs <= rhs up to quadrature error.
+    Returns (lhs, rhs, quad_error) where lhs is the operator-norm distance
+    between the b-weighted and P-weighted averages of a positive bounded x,
+    rhs = 2 * ((1/T) integral_0^T |P - b|) * ||x||, and quad_error is the
+    relative error :func:`integrate_scalar` achieved on that mean gap.  The
+    factor two absorbs the norm growth of the extended flow on
+    non-self-adjoint parts; the contract is lhs <= rhs up to quadrature error.
     """
     if not x.is_positive(tol=positivity_tol):
         raise ValueError("substitution bound needs a positive operator")
     terms = tuple(trig_terms) if trig_terms is not None else b.terms
-    lhs_op = weighted_average(sg, b, x, T, quad) - trig_average(sg, terms, x, T, quad)
+    lhs_op = weighted_average(sg, b, x, T, quad) - trig_average(sg, terms, x, T)
     lhs = lhs_op.norm_inf()
 
     def gap(ts: np.ndarray) -> np.ndarray:
         return np.abs(trig_value(terms, ts) - b.value(ts))
 
-    mean_gap, _ = integrate_scalar(gap, 0.0, T, quad)
+    mean_gap, quad_error = integrate_scalar(gap, 0.0, T, quad)
     rhs = 2.0 * (mean_gap / T) * x.norm_inf()
-    return lhs, rhs
+    return lhs, rhs, quad_error
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import Operator, Projection, meet_all, pnorm, proj_meet
-from .averaging import DEFAULT_QUAD, QuadratureConfig, cesaro_average, dense_approximant
+from .averaging import cesaro_average, dense_approximant
 from .bau import (
     ProjectionCertificate,
     bau_cauchy_certify,
@@ -100,10 +100,8 @@ class MapFamily:
         return [self.func(t, x) for t in self.labels]
 
 
-def cesaro_map_family(
-    sg: Semigroup, T_list: Sequence[float], quad: QuadratureConfig = DEFAULT_QUAD
-) -> MapFamily:
-    return MapFamily(tuple(T_list), lambda T, y: cesaro_average(sg, y, T, quad))
+def cesaro_map_family(sg: Semigroup, T_list: Sequence[float]) -> MapFamily:
+    return MapFamily(tuple(T_list), lambda T, y: cesaro_average(sg, y, T))
 
 
 @dataclass(frozen=True)
@@ -163,13 +161,12 @@ def make_maximal_oracle(
     p: float,
     C: float,
     alpha: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
 ) -> ConditionOneOracle:
     """Condition-one oracle backed by the maximal projection over a T grid."""
 
     def build(y: Operator, eps: float) -> ProjectionCertificate:
         return maximal_projection(
-            sg, y.herm(), MaximalParams(C=C, p=p, epsilon=eps), T_grid, quad
+            sg, y.herm(), MaximalParams(C=C, p=p, epsilon=eps), T_grid
         )
 
     alg = sg.algebra
@@ -448,7 +445,6 @@ def scheme_from_semigroup(
     sg: Semigroup,
     p: float,
     alpha: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
     k_cap: int = 2**40,
 ) -> ApproximationScheme:
     """Approximation scheme built from shrinking-window flow averages.
@@ -472,7 +468,7 @@ def scheme_from_semigroup(
             k = math.ceil(1.0 / probe[-1])
         gap = math.inf
         while k <= k_cap:
-            x_k = dense_approximant(sg, x, k, quad)
+            x_k = dense_approximant(sg, x, k)
             gap = pnorm(alg, x_k - x, p)
             if gap < target:
                 return x_k

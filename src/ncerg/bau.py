@@ -28,7 +28,7 @@ from .algebra import (
     spectral_resolution,
     trace,
 )
-from .averaging import DEFAULT_QUAD, QuadratureConfig, cesaro_average, integrate_flow
+from .averaging import cesaro_average, sandwich_windows
 from .config import DEFAULT_TOLS
 from .semigroups import Semigroup
 
@@ -205,7 +205,6 @@ def maximal_projection(
     x: Operator,
     params: MaximalParams,
     T_grid: Sequence[float],
-    quad: QuadratureConfig = DEFAULT_QUAD,
     family: dict[float, Operator] | None = None,
     tol: float = DEFAULT_TOLS.spectral_include,
 ) -> ProjectionCertificate:
@@ -227,7 +226,7 @@ def maximal_projection(
         raise ValueError("T grid must be positive")
     alg = sg.algebra
     if family is None:
-        family = {T: cesaro_average(sg, x, T, quad) for T in grid}
+        family = {T: cesaro_average(sg, x, T) for T in grid}
     ys = [family[T].herm() for T in grid]
 
     eps = params.epsilon
@@ -322,14 +321,14 @@ def double_average_certificate(
     p: float,
     epsilon: float,
     a_schedule: Sequence[float],
-    quad: QuadratureConfig = DEFAULT_QUAD,
     levels: int = 5,
     tol: float = DEFAULT_TOLS.spectral_include,
 ) -> ProjectionCertificate:
     """Certify that averaging over a shrinking window fixes beta_b(x).
 
     For positive x set h(a) = (1/b) integral_0^a a_s(x) ds and
-    g(a) = (1/b) integral_b^{b+a} a_s(x) ds.  Window lengths a_k are chosen
+    g(a) = (1/b) integral_b^{b+a} a_s(x) ds, both in closed form
+    (:func:`sandwich_windows`).  Window lengths a_k are chosen
     from the schedule with tau(h(a_k)^p) < eps^2 / 4^k, the spectral cut of
     h(a_k)^p at level eps/2^{k+1} gives p_k, the same construction on g gives
     q, and e is the meet.  The certificate checks tau(1-e) < eps and reports
@@ -348,14 +347,12 @@ def double_average_certificate(
         raise ValueError("a_schedule must be positive and strictly decreasing")
     alg = sg.algebra
 
-    def h_op(a: float) -> Operator:
-        return integrate_flow(sg, x, 0.0, a, quad).value / b
-
-    def g_op(a: float) -> Operator:
-        return integrate_flow(sg, x, b, b + a, quad).value / b
-
-    h_picks = _select_windows(h_op, schedule, p, epsilon, levels, alg)
-    g_picks = _select_windows(g_op, schedule, p, epsilon, levels, alg)
+    h_picks = _select_windows(
+        lambda a: sandwich_windows(sg, x, a, b)[0], schedule, p, epsilon, levels, alg
+    )
+    g_picks = _select_windows(
+        lambda a: sandwich_windows(sg, x, a, b)[1], schedule, p, epsilon, levels, alg
+    )
 
     level_rows = []
     flags = []
@@ -378,11 +375,11 @@ def double_average_certificate(
     if e.cotrace >= epsilon:
         flags.append("cotrace budget exceeded")
 
-    beta_b = cesaro_average(sg, x, b, quad)
+    beta_b = cesaro_average(sg, x, b)
     diffs = []
     decay = []
     for a in schedule:
-        d_op = cesaro_average(sg, beta_b, a, quad) - beta_b
+        d_op = cesaro_average(sg, beta_b, a) - beta_b
         diffs.append(d_op)
         decay.append((a, compressed_norm(e, d_op)))
 

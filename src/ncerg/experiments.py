@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (
+    Operator,
     TracialAlgebra,
     min_eig,
     pnorm,
@@ -313,11 +314,17 @@ def _suite_validate(env: _Env) -> None:
 
 
 def _suite_local_avg(env: _Env) -> None:
-    cfg, alg, sg, quad = env.cfg, env.alg, env.sg, env.quadrature
+    cfg, alg, sg = env.cfg, env.alg, env.sg
     rng = env.rng(2)
     x = random_self_adjoint(alg, rng, norm=1.0)
     Ts = [2.0**-k for k in range(cfg.dyadic_exp_max + 1)]
-    family = [(T, cesaro_average(sg, x, T, quad)) for T in Ts]
+    family = [(T, cesaro_average(sg, x, T)) for T in Ts]
+    # a_s(x) - x at 16 sample times s in (0, T], shared by both p
+    shifts = []
+    for T in Ts:
+        stacks = sg.propagate_stack(T * np.linspace(1.0 / 16.0, 1.0, 16), x)
+        diffs = [st - a for st, a in zip(stacks, x.blocks)]
+        shifts.append([Operator(alg, [d[k] for d in diffs]) for k in range(16)])
 
     for p in (1.0, 2.0):
         rows = []
@@ -325,10 +332,9 @@ def _suite_local_avg(env: _Env) -> None:
         monotone = True
         bounds_ok = True
         x_norm = pnorm(alg, x, p)
-        for T, y in family:
+        for (T, y), diffs in zip(family, shifts):
             err = pnorm(alg, y - x, p)
-            samples = T * np.linspace(1.0 / 16.0, 1.0, 16)
-            bound = max(pnorm(alg, sg.apply(s, x) - x, p) for s in samples)
+            bound = max(pnorm(alg, d, p) for d in diffs)
             slack = bound - err
             rows.append((T, err, bound, slack))
             monotone &= err <= prev * (1 + 1e-9) + 1e-15
@@ -350,7 +356,7 @@ def _suite_local_avg(env: _Env) -> None:
     x_pos = random_positive(alg, rng, norm=1.0)
     schedule = np.geomspace(0.25, 1e-7, 22)
     window_cert = double_average_certificate(
-        sg, x_pos, b=1.0, p=cfg.p, epsilon=cfg.epsilon, a_schedule=schedule, quad=quad
+        sg, x_pos, b=1.0, p=cfg.p, epsilon=cfg.epsilon, a_schedule=schedule
     )
     env.write_cert("local_avg_window", window_cert.to_json_dict())
     env.passed["local-avg:window_certificate"] = (
@@ -369,7 +375,7 @@ def _suite_sandwich(env: _Env) -> None:
     for case, x in enumerate(xs):
         for a in cfg.sandwich_grid:
             for b in cfg.sandwich_grid:
-                lo, up = sandwich_check(env.sg, x, a, b, env.quadrature)
+                lo, up = sandwich_check(env.sg, x, a, b)
                 rows.append((case, a, b, lo, up))
                 ok &= lo >= -1e-8 and up >= -1e-8
     env.write_table(
@@ -379,13 +385,13 @@ def _suite_sandwich(env: _Env) -> None:
 
 
 def _suite_maximal(env: _Env) -> None:
-    cfg, alg, sg, quad = env.cfg, env.alg, env.sg, env.quadrature
+    cfg, alg, sg = env.cfg, env.alg, env.sg
     rng = env.rng(4)
     xs = [random_self_adjoint(alg, rng, norm=1.0) for _ in range(cfg.n_random)]
     T_grid = np.geomspace(cfg.T_lo, cfg.T_hi, cfg.T_n)
 
     families = [
-        {float(T): cesaro_average(sg, x, T, quad) for T in T_grid} for x in xs
+        {float(T): cesaro_average(sg, x, T) for T in T_grid} for x in xs
     ]
     rows = []
     bound_ok = True
@@ -398,7 +404,6 @@ def _suite_maximal(env: _Env) -> None:
                 x,
                 MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps),
                 T_grid,
-                quad,
                 family=fam,
             )
             rows.append(
@@ -456,10 +461,12 @@ def _suite_weighted(env: _Env) -> None:
         b = _random_weight(rng)
         x = random_positive(alg, rng, norm=1.0)
         T = float(T_list[case % len(T_list)])
-        lhs, rhs = substitution_bound_check(sg, b, x, T, quad)
+        lhs, rhs, quad_error = substitution_bound_check(sg, b, x, T, quad)
         sub_ok &= lhs <= rhs + 1e-8
-        rows.append((T, lhs, rhs, rhs - lhs))
-    env.write_table("weighted_avg", ["T", "norm_p", "bound", "slack"], rows)
+        rows.append((T, lhs, rhs, rhs - lhs, quad_error))
+    env.write_table(
+        "weighted_avg", ["T", "norm_p", "bound", "slack", "quad_error"], rows
+    )
     env.passed["weighted-avg:substitution_bound"] = sub_ok
 
     # structural identities of the weighted average on the configured weight
@@ -472,7 +479,7 @@ def _suite_weighted(env: _Env) -> None:
     real_av = weighted_average(sg, b.real_part(), x, T, quad)
     imag_av = weighted_average(sg, b.imag_part(), x, T, quad)
     decomp_gap = (wav - (real_av + 1j * imag_av)).norm_inf()
-    beta = cesaro_average(sg, x, T, quad)
+    beta = cesaro_average(sg, x, T)
     domination = min_eig((beta - real_av).herm())
     norm_ok = all(
         pnorm(alg, wav, p) <= 2.0 * b.sup_bound * pnorm(alg, x, p) + 1e-8
@@ -485,7 +492,7 @@ def _suite_weighted(env: _Env) -> None:
 
     # transfer from the trig-only averages to the full weighted averages
     Ts = [2.0**-k for k in range(11)]
-    base = [(T, trig_average(sg, b.terms, x, T, quad)) for T in Ts]
+    base = [(T, trig_average(sg, b.terms, x, T)) for T in Ts]
     tilde = [(T, weighted_average(sg, b, x, T, quad)) for T in Ts]
     base_cert = bau_cauchy_certify(
         base, epsilon=0.1 * alg.trace_of_identity, tol=1e-3 * x.norm_inf()
@@ -516,23 +523,23 @@ def _suite_besicovitch(env: _Env) -> None:
 
 
 def _suite_banach(env: _Env) -> None:
-    cfg, alg, sg, quad = env.cfg, env.alg, env.sg, env.quadrature
+    cfg, alg, sg = env.cfg, env.alg, env.sg
     rng = env.rng(7)
     x = random_self_adjoint(alg, rng, norm=1.0)
     T_maps = [2.0**-k for k in cfg.banach_map_exps]
-    maps = cesaro_map_family(sg, T_maps, quad)
+    maps = cesaro_map_family(sg, T_maps)
 
     emp = []
     for eps in cfg.maximal_epsilons:
         cert = maximal_projection(
-            sg, x, MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps), T_maps, quad
+            sg, x, MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps), T_maps
         )
         emp.append(cert.params["empirical_C"])
     c_use = max(max(emp), 1e-6)
 
     eps = cfg.banach_epsilon
-    oracle = make_maximal_oracle(sg, T_maps, cfg.p, c_use, cfg.alpha, quad)
-    scheme = scheme_from_semigroup(sg, cfg.p, cfg.alpha, quad)
+    oracle = make_maximal_oracle(sg, T_maps, cfg.p, c_use, cfg.alpha)
+    scheme = scheme_from_semigroup(sg, cfg.p, cfg.alpha)
     certifier = make_dense_certifier(maps, tol=eps / 3.0)
     try:
         asm = assemble_certificate(
@@ -706,7 +713,7 @@ def build_schemas() -> dict:
                 "cotrace_cap",
                 "empirical_C",
             ],
-            "weighted_avg": ["T", "norm_p", "bound", "slack"],
+            "weighted_avg": ["T", "norm_p", "bound", "slack", "quad_error"],
             "besicovitch": ["T", "local_mean_gap", "quad_error"],
             "banach_steps": ["step", "witness", "claimed", "achieved"],
         },

@@ -18,6 +18,11 @@ rate matrix Lambda (``o`` is the entrywise product).  Identity has Lambda = 0,
 ScalarDecay Lambda = -rate, SchurDecay Lambda = -c, all with V = 1, and
 UnitaryFlow takes V from the eigenbasis of H, with Lambda_jk = i (w_j - w_k).
 
+Every semigroup also has the closed-form mean (1/T) integral_0^T e^{st} a_t(x)
+dt (:meth:`Semigroup.mean`).  The same core gives it with the multiplier
+phi1(T (Lambda + s)) in place of exp(t Lambda), where phi1(z) = (e^z - 1)/z;
+GeneratorExp reads it off one augmented matrix exponential (Van Loan 1978).
+
 ``validate_absolute_contraction`` produces a :class:`ValidationReport` that
 records positivity, subunitality, trace non-increase, the semigroup law and a
 continuity table.  Complete positivity is certified through Choi matrices of
@@ -64,13 +69,28 @@ __all__ = [
 ]
 
 
+def phi1(z: np.ndarray | complex) -> np.ndarray:
+    """(e^z - 1) / z entrywise; expm1 keeps small |z| exact.
+
+    Below |z| = 1e-8 the series 1 + z/2 is exact to rounding (phi1(0) = 1),
+    and it avoids dividing by a subnormal z, which overflows.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.asarray(1.0 + z / 2.0)
+    big = np.abs(z) >= 1e-8
+    out[big] = np.expm1(z[big]) / z[big]
+    return out
+
+
 class Semigroup:
     """Base class: an immutable semigroup a_t(x) = V (exp(t Lambda) o V* x V) V*.
 
     ``modes`` holds one ``(V, Lambda)`` pair per block: V unitary, or ``None``
     for the standard basis, and Lambda an entrywise rate matrix or a scalar.
-    ``_stack`` evaluates that form for a whole time grid at once; a subclass
-    without such a form (``GeneratorExp``) overrides it.
+    ``_modal`` evaluates V (M o V* x V) V* for an entrywise multiplier M built
+    from Lambda: ``_stack`` uses exp(t Lambda) for a whole time grid at once,
+    ``_mean`` uses phi1(T (Lambda + s)).  A subclass without such a form
+    (``GeneratorExp``) overrides both.
     """
 
     variant: str = "abstract"
@@ -84,17 +104,25 @@ class Semigroup:
         self.algebra = algebra
         self.modes = tuple(modes)
 
-    # list over blocks of arrays with shape (len(ts), n, n)
-    def _stack(self, ts: np.ndarray, x: Operator) -> list[np.ndarray]:
+    def _modal(
+        self, x: Operator, multiplier: Callable[[np.ndarray | float], np.ndarray]
+    ) -> list[np.ndarray]:
         out = []
         for (v, lam), a in zip(self.modes, x.blocks):
-            e = np.exp(ts[:, None, None] * lam)
+            m = multiplier(lam)
             if v is None:
-                out.append(e * a)
+                out.append(m * a)
             else:
                 vh = v.conj().T
-                out.append(v @ (e * (vh @ a @ v)) @ vh)
+                out.append(v @ (m * (vh @ a @ v)) @ vh)
         return out
+
+    # list over blocks of arrays with shape (len(ts), n, n)
+    def _stack(self, ts: np.ndarray, x: Operator) -> list[np.ndarray]:
+        return self._modal(x, lambda lam: np.exp(ts[:, None, None] * lam))
+
+    def _mean(self, T: float, s: complex, x: Operator) -> Operator:
+        return Operator(self.algebra, self._modal(x, lambda lam: phi1(T * (lam + s))))
 
     def propagate_stack(self, ts: np.ndarray, x: Operator) -> list[np.ndarray]:
         """Evaluate a_t(x) for every t in ``ts``, stacked per block."""
@@ -106,6 +134,14 @@ class Semigroup:
         if np.any(ts < 0):
             raise ValueError("negative times are not in the semigroup domain")
         return self._stack(ts, x)
+
+    def mean(self, T: float, x: Operator, s: complex = 0.0) -> Operator:
+        """(1/T) integral_0^T e^{st} a_t(x) dt in closed form, T > 0."""
+        if x.algebra != self.algebra:
+            raise AlgebraMismatchError("operator does not belong to this algebra")
+        if not T > 0:
+            raise ValueError("averaging length T must be > 0")
+        return self._mean(float(T), complex(s), x)
 
     def apply(self, t: float, x: Operator) -> Operator:
         """a_t(x).  Rejects t < 0; t = 0 returns x itself."""
@@ -193,7 +229,9 @@ class GeneratorExp(Semigroup):
     """a_t = exp(tL) for L given as a matrix on the vectorized algebra.
 
     Vectorization is row-major within each block, blocks concatenated in
-    order.  Propagators exp(tL) are cached per time point.
+    order.  Propagators exp(tL) are cached per time point.  The mean is the
+    top-right column of expm([[T (L + s), vec x], [0, 0]]), which is
+    phi1(T (L + s)) vec x (Van Loan 1978; Higham, Functions of Matrices, 2008).
     """
 
     variant = "generator_exp"
@@ -229,6 +267,13 @@ class GeneratorExp(Semigroup):
             for i, n in enumerate(self.algebra.blocks):
                 outs[i][k] = w[offsets[i] : offsets[i + 1]].reshape(n, n)
         return outs
+
+    def _mean(self, T, s, x):
+        d = self.algebra.vec_dim
+        aug = np.zeros((d + 1, d + 1), dtype=complex)
+        aug[:d, :d] = T * (self.matrix + s * np.eye(d))
+        aug[:d, d] = vec(x)
+        return unvec(self.algebra, scipy.linalg.expm(aug)[:d, d])
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def test_c6_substitution_bound_sweep():
         assert b.sup_bound <= 1.0
         x = random_positive(ALG, rng, norm=1.0)
         T = float(T_list[case % len(T_list)])
-        lhs, rhs = substitution_bound_check(sg, b, x, T)
+        lhs, rhs, _ = substitution_bound_check(sg, b, x, T)
         worst = max(worst, lhs - rhs)
     _report("C6 substitution-bound", worst <= 1e-8, f"worst lhs-rhs {worst:.2e}")
 

@@ -100,7 +100,10 @@ def test_quadrature_error_reports_achieved(alg, rng):
     sg = Identity(alg)
     x = random_operator(alg, rng)
     quad = QuadratureConfig(rtol=1e-14, max_refinements=1)
-    weight = BesicovitchWeight((TrigTerm(1.0, 400.0),))
+    # trigonometric terms are exact, so the e^{2 pi i 400 t} oscillation sits
+    # in the residual, the part that still goes through integrate_flow
+    tone = lambda ts: np.exp(2j * math.pi * 400.0 * np.asarray(ts))
+    weight = BesicovitchWeight((), tone, 1.0)
     with pytest.raises(QuadratureError) as err:
         weighted_average(sg, weight, x, 1.0, quad)
     assert err.value.achieved > 1e-14
@@ -353,7 +356,7 @@ def test_weight_from_config_roundtrip():
 def test_substitution_bound_trivial_when_equal(alg, rng):
     b = BesicovitchWeight((TrigTerm(0.6, 0.2),))
     x = random_positive(alg, rng)
-    lhs, rhs = substitution_bound_check(ScalarDecay(alg, 1.0), b, x, 0.5)
+    lhs, rhs, _ = substitution_bound_check(ScalarDecay(alg, 1.0), b, x, 0.5)
     assert lhs < 1e-12 and rhs < 1e-12
 
 
@@ -367,7 +370,7 @@ def test_substitution_bound_constant_offset(alg, rng):
     sg = ScalarDecay(alg, 1.0)
     x = random_positive(alg, rng, norm=1.0)
     T = 0.9
-    lhs, rhs = substitution_bound_check(sg, b, x, T)
+    lhs, rhs, _ = substitution_bound_check(sg, b, x, T)
     beta = cesaro_average(sg, x, T)
     assert lhs == pytest.approx(delta * beta.norm_inf(), rel=1e-9)
     assert rhs == pytest.approx(2.0 * delta * x.norm_inf(), rel=1e-9)
@@ -383,8 +386,22 @@ def test_substitution_bound_random_schur(rng):
     for _ in range(5):
         x = random_positive(alg, rng, norm=1.0)
         T = float(rng.uniform(0.05, 1.5))
-        lhs, rhs = substitution_bound_check(sg, b, x, T)
+        lhs, rhs, _ = substitution_bound_check(sg, b, x, T)
         assert lhs <= rhs + 1e-8
+
+
+def test_substitution_bound_reports_quadrature_error(alg, rng):
+    # the mean gap |0.04 cos 7t| has a kink at pi/14: inside T = 0.5 the
+    # scalar quadrature stops short of rtol, below it every row converges
+    rtol = DEFAULT_QUAD.rtol
+    sg = ScalarDecay(alg, 1.0)
+    x = random_positive(alg, rng, norm=1.0)
+    res, sup = residual_from_config({"name": "cos", "amplitude": 0.04, "frequency": 7.0})
+    b = BesicovitchWeight((TrigTerm(0.4, 0.15),), res, sup)
+    for T, converges in ((0.5, False), (0.1, True), (1e-3, True)):
+        lhs, rhs, err = substitution_bound_check(sg, b, x, T)
+        assert (err <= rtol) == converges
+        assert lhs <= rhs
 
 
 def test_substitution_bound_needs_positive(alg, rng):
