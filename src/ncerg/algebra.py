@@ -25,6 +25,7 @@ __all__ = [
     "SpectralResolution",
     "trace",
     "pnorm",
+    "pnorms",
     "abs_value",
     "spectral_resolution",
     "spectral_projection",
@@ -238,10 +239,6 @@ def trace(alg: TracialAlgebra, x: Operator) -> complex:
     return complex(sum(c * np.trace(a) for c, a in zip(alg.weights, x.blocks)))
 
 
-def _singular_values(x: Operator) -> list[np.ndarray]:
-    return [np.linalg.svd(a, compute_uv=False) for a in x.blocks]
-
-
 def pnorm(alg: TracialAlgebra, x: Operator, p: float) -> float:
     """p-norm ``tau(|x|^p)^(1/p)``; ``p = inf`` gives the operator norm.
 
@@ -250,13 +247,23 @@ def pnorm(alg: TracialAlgebra, x: Operator, p: float) -> float:
     """
     if x.algebra != alg:
         raise AlgebraMismatchError("operator does not belong to this algebra")
+    svals = [np.linalg.svd(a, compute_uv=False)[None] for a in x.blocks]
+    return pnorms(alg, svals, p)[0]
+
+
+def pnorms(alg: TracialAlgebra, svals: Sequence[np.ndarray], p: float) -> list[float]:
+    """p-norms of m operators from their singular values.
+
+    ``svals`` holds one array per block with shape (m, n), the descending
+    rows ``np.linalg.svd`` returns for a stack of m block matrices; entry k
+    of the result is :func:`pnorm` of operator k.
+    """
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1 or inf")
-    svals = _singular_values(x)
     if p == math.inf:
-        return max(float(s[0]) if s.size else 0.0 for s in svals)
-    total = sum(c * float(np.sum(s**p)) for c, s in zip(alg.weights, svals))
-    return float(total ** (1.0 / p))
+        return np.max([s[:, 0] for s in svals], axis=0).tolist()
+    total = sum(c * np.sum(s**p, axis=1) for c, s in zip(alg.weights, svals))
+    return [v ** (1.0 / p) for v in total.tolist()]
 
 
 def abs_value(x: Operator) -> Operator:

@@ -106,7 +106,6 @@ class QuadratureResult:
     value: Operator
     error: float
     refinements: int
-    converged: bool
 
 
 @lru_cache(maxsize=None)
@@ -132,9 +131,13 @@ def integrate_flow(
     hi: float,
     quad: QuadratureConfig = DEFAULT_QUAD,
     weight: Callable[[np.ndarray], np.ndarray] | None = None,
-    strict: bool = True,
 ) -> QuadratureResult:
-    """integral_lo^hi w(t) a_t(x) dt with doubling Gauss-Legendre panels."""
+    """integral_lo^hi w(t) a_t(x) dt with doubling Gauss-Legendre panels.
+
+    Raises :class:`QuadratureError` when ``max_refinements`` runs out.  The
+    norms ||cur - prev|| and ||cur|| of a refinement come from one batched
+    SVD per block.
+    """
     if not hi > lo:
         raise ValueError("integration interval must have hi > lo")
     panels = max(1, math.ceil(quad.panels_per_unit * (hi - lo)))
@@ -148,19 +151,20 @@ def integrate_flow(
         else:
             cw = ws * np.asarray(weight(ts), dtype=complex)
         stacks = sg.propagate_stack(ts, x)
-        blocks = [np.einsum("t,tij->ij", cw, s) for s in stacks]
-        cur = Operator(sg.algebra, blocks)
+        cur = [np.einsum("t,tij->ij", cw, s) for s in stacks]
         if prev is not None:
             size = max(float(np.linalg.norm(s, axis=(1, 2)).max()) for s in stacks)
             floor = _ROUNDOFF * float(np.abs(cw).sum()) * size / quad.rtol
-            err = (cur - prev).norm_inf() / max(cur.norm_inf(), floor, 1e-300)
+            pairs = [np.stack([c - p, c]) for c, p in zip(cur, prev)]
+            change, scale = np.max(
+                [np.linalg.norm(d, 2, axis=(1, 2)) for d in pairs], axis=0
+            ).tolist()
+            err = change / max(scale, floor, 1e-300)
             if err <= quad.rtol:
-                return QuadratureResult(cur, err, level, True)
+                return QuadratureResult(Operator(sg.algebra, cur), err, level)
         prev = cur
         panels *= quad.refine_factor
-    if strict:
-        raise QuadratureError(err, quad.rtol, level)
-    return QuadratureResult(prev, err, level, False)
+    raise QuadratureError(err, quad.rtol, level)
 
 
 def integrate_scalar(
@@ -204,7 +208,6 @@ def weighted_average(
     x: Operator,
     T: float,
     quad: QuadratureConfig = DEFAULT_QUAD,
-    strict: bool = True,
 ) -> Operator:
     """(1/T) integral_0^T b(t) a_t(x) dt for a bounded weight b.
 
@@ -214,7 +217,7 @@ def weighted_average(
     avg = trig_average(sg, b.terms, x, T)
     if b.residual is None:
         return avg
-    res = integrate_flow(sg, x, 0.0, T, quad, weight=b.residual, strict=strict)
+    res = integrate_flow(sg, x, 0.0, T, quad, weight=b.residual)
     return avg + res.value / T
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "ScheduleExhaustedError",
     "TransferPremiseError",
     "compressed_norm",
+    "compressed_pair_norms",
     "compressed_sup",
     "measure_nbhd_witness",
     "maximal_projection",
@@ -140,6 +141,23 @@ class TransferPremiseError(RuntimeError):
 
 def compressed_norm(e: Projection, y: Operator) -> float:
     return (e.op @ y @ e.op).norm_inf()
+
+
+def compressed_pair_norms(e: Projection, ops: Sequence[Operator]) -> np.ndarray:
+    """(m, m) table holding ||e (y_i - y_j) e|| at i < j and 0 elsewhere.
+
+    One batched SVD norm per block over all pairs of the family.
+    """
+    m = len(ops)
+    table = np.zeros((m, m))
+    if m < 2:
+        return table
+    rows, cols = np.triu_indices(m, 1)
+    for i, E in enumerate(e.op.blocks):
+        ys = np.stack([y.blocks[i] for y in ops])
+        norms = np.linalg.norm(E @ (ys[rows] - ys[cols]) @ E, 2, axis=(1, 2))
+        table[rows, cols] = np.maximum(table[rows, cols], norms)
+    return table
 
 
 def compressed_sup(e: Projection, ops: Sequence[Operator]) -> float:
@@ -470,18 +488,7 @@ def bau_cauchy_certify(
     else:
         e = Projection(alg.identity(), cotrace=0.0)
 
-    comp = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            comp[(i, j)] = compressed_norm(e, ops[i] - ops[j])
-    decay = []
-    suffix = 0.0
-    for j in range(m - 2, -1, -1):
-        suffix = max(
-            suffix, max(comp[(j, l)] for l in range(j + 1, m))
-        )
-        decay.append((grid[j], suffix))
-    decay.reverse()
+    decay = _suffix_decay(grid, compressed_pair_norms(e, ops))
 
     final = decay[-1][1]
     flags = []
@@ -510,6 +517,19 @@ def bau_cauchy_certify(
         decay=tuple(decay),
         family_ops=diffs,
     )
+
+
+def _suffix_decay(
+    grid: Sequence[float], pairs: np.ndarray
+) -> list[tuple[float, float]]:
+    """(T_j, max over j <= i < l of the pair table) for every j but the last."""
+    decay = []
+    suffix = 0.0
+    for j in range(len(grid) - 2, -1, -1):
+        suffix = max(suffix, float(pairs[j, j + 1 :].max()))
+        decay.append((grid[j], suffix))
+    decay.reverse()
+    return decay
 
 
 def first_index_below(cert: ProjectionCertificate, target: float) -> int | None:
@@ -568,19 +588,10 @@ def perturbation_transfer(
     b_ops = [y for _, y in base_family]
     m = len(t_ops)
 
-    def tail_pair_max(ops):
-        return max(
-            (
-                compressed_norm(e, ops[i] - ops[j])
-                for i in range(start, m)
-                for j in range(i + 1, m)
-            ),
-            default=0.0,
-        )
-
-    base_tail = tail_pair_max(b_ops)
+    t_pairs = compressed_pair_norms(e, t_ops)
+    base_tail = float(compressed_pair_norms(e, b_ops[start:]).max())
     predicted = base_tail + 2.0 * eps_last
-    achieved = tail_pair_max(t_ops)
+    achieved = float(t_pairs[start:, start:].max())
     base_sup = compressed_sup(e, b_ops[start:])
     tilde_sup = compressed_sup(e, t_ops[start:])
     flags = []
@@ -589,15 +600,7 @@ def perturbation_transfer(
     if tilde_sup > base_sup + eps_last + tol:
         flags.append("compressed sup grew beyond the premise gap")
 
-    decay = []
-    suffix = 0.0
-    for j in range(m - 2, -1, -1):
-        suffix = max(
-            suffix,
-            max(compressed_norm(e, t_ops[j] - t_ops[l]) for l in range(j + 1, m)),
-        )
-        decay.append((t_grid[j], suffix))
-    decay.reverse()
+    decay = _suffix_decay(t_grid, t_pairs)
 
     return ProjectionCertificate(
         projection=e,

@@ -1,0 +1,364 @@
+"""Batched inputs through the propagator core, held to per-input oracles.
+
+``Semigroup.propagate_batch`` pushes a stack of inputs through the core in
+one call; ``choi_blocks``, ``validate_absolute_contraction``, the law and
+continuity checks, local-avg and the certificate pair tables use it.  Each
+oracle here is built one input at a time from ``apply``, ``min_eig``,
+``trace``, ``pnorm`` and ``compressed_norm``.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from ncerg import (
+    GeneratorExp,
+    Identity,
+    Operator,
+    ScalarDecay,
+    SchurDecay,
+    TracialAlgebra,
+    UnitaryFlow,
+    bau_cauchy_certify,
+    continuity_modulus,
+    lindblad_generator,
+    perturbation_transfer,
+    pnorm,
+    random_positive,
+    random_projection,
+    random_self_adjoint,
+    semigroup_law_residual,
+    trace,
+    validate_absolute_contraction,
+)
+from ncerg.algebra import AlgebraMismatchError, min_eig, pnorms, random_operator
+from ncerg.bau import compressed_norm, compressed_pair_norms
+from ncerg.semigroups import choi_blocks, generator_from_map
+
+# unequal blocks, so a swapped block index or a transposed Choi layout shows
+ALG = TracialAlgebra((2, 3), (1.0, 0.5))
+
+
+def coupled_generator(alg, rng, scale=0.4):
+    """A dense generator that couples every pair of blocks (not a contraction)."""
+    d = alg.vec_dim
+    mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return scale * mat / math.sqrt(d)
+
+
+def all_variants(alg, rng):
+    lind = lindblad_generator(
+        alg,
+        random_self_adjoint(alg, rng, norm=0.5),
+        [random_self_adjoint(alg, rng, norm=0.5)],
+    )
+    rates = [np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float) for n in alg.blocks]
+    return {
+        "identity": Identity(alg),
+        "scalar_decay": ScalarDecay(alg, 0.7),
+        "unitary_flow": UnitaryFlow(alg, random_self_adjoint(alg, rng, norm=1.0)),
+        "schur_decay": SchurDecay(alg, rates),
+        "generator_exp": GeneratorExp(alg, lind),
+        "coupled": GeneratorExp(alg, coupled_generator(alg, rng)),
+    }
+
+
+def stacked(ops):
+    return [np.stack([x.blocks[i] for x in ops]) for i in range(ops[0].algebra.n_blocks)]
+
+
+def close(got: Operator, want: Operator, rtol: float = 1e-14) -> bool:
+    return (got - want).norm_inf() <= rtol * max(want.norm_inf(), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the core
+# ---------------------------------------------------------------------------
+
+def test_propagate_batch_matches_per_input_apply():
+    rng = np.random.default_rng(11)
+    ts = np.array([0.0, 1e-3, 0.4, 2.5])
+    xs = [random_operator(ALG, rng) for _ in range(4)]
+    for name, sg in all_variants(ALG, rng).items():
+        out = sg.propagate_batch(ts, stacked(xs))
+        assert [o.shape for o in out] == [(len(ts), len(xs), n, n) for n in ALG.blocks]
+        for q, t in enumerate(ts):
+            for c, x in enumerate(xs):
+                got = Operator(ALG, [o[q, c] for o in out])
+                assert close(got, sg.apply(t, x)), (name, t, c)
+        # a_0 is the identity to the last bit, and propagate_stack is k = 1
+        for o, a in zip(out, stacked(xs)):
+            assert np.array_equal(o[0], a), name
+        one = sg.propagate_stack(ts, xs[2])
+        for o, s in zip(out, one):
+            assert s.shape == (len(ts),) + o.shape[2:]
+            assert np.allclose(s, o[:, 2], rtol=0, atol=1e-14), name
+
+
+def test_coupled_generator_moves_mass_between_blocks():
+    # the oracle cases below only pin the block order if a_t mixes blocks
+    rng = np.random.default_rng(12)
+    sg = GeneratorExp(ALG, coupled_generator(ALG, rng))
+    x = Operator(ALG, [np.eye(2), np.zeros((3, 3))])
+    assert np.abs(sg.apply(0.5, x).blocks[1]).max() > 1e-2
+
+
+def test_propagate_batch_rejects_bad_stacks():
+    sg = ScalarDecay(ALG, 1.0)
+    good = [np.zeros((2, 2, 2)), np.zeros((2, 3, 3))]
+    with pytest.raises(ValueError):
+        sg.propagate_batch([-0.1], good)
+    with pytest.raises(ValueError):
+        sg.propagate_batch([[0.1]], good)
+    with pytest.raises(AlgebraMismatchError):
+        sg.propagate_batch([0.1], good[:1])
+    with pytest.raises(AlgebraMismatchError):
+        sg.propagate_batch([0.1], [np.zeros((2, 2, 2)), np.zeros((3, 3, 3))])
+    with pytest.raises(AlgebraMismatchError):
+        sg.propagate_batch([0.1], [np.zeros((0, 2, 2)), np.zeros((0, 3, 3))])
+    with pytest.raises(AlgebraMismatchError):
+        sg.propagate_batch([0.1], [np.zeros((2, 2)), np.zeros((3, 3))])
+
+
+# ---------------------------------------------------------------------------
+# Choi matrices
+# ---------------------------------------------------------------------------
+
+def reference_choi(sg, t):
+    """Choi matrix sum_kl E_kl (x) a_t(E_kl)_j of each (output j, input i) pair."""
+    alg = sg.algebra
+    out = []
+    for i, ni in enumerate(alg.blocks):
+        for j, nj in enumerate(alg.blocks):
+            choi = np.zeros((ni * nj, ni * nj), dtype=complex)
+            for k in range(ni):
+                for l in range(ni):
+                    unit = [np.zeros((n, n)) for n in alg.blocks]
+                    unit[i][k, l] = 1.0
+                    image = sg.apply(t, Operator(alg, unit)).blocks[j]
+                    choi += np.kron(unit[i], image)
+            out.append((j, i, choi))
+    return out
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.7])
+def test_choi_blocks_match_matrix_unit_reference(t):
+    rng = np.random.default_rng(13)
+    for name, sg in all_variants(ALG, rng).items():
+        got = choi_blocks(sg, t)
+        want = reference_choi(sg, t)
+        assert [(j, i) for j, i, _ in got] == [(j, i) for j, i, _ in want], name
+        for (j, i, a), (_, _, b) in zip(got, want):
+            assert a.shape == b.shape, (name, j, i)
+            assert np.abs(a - b).max() <= 1e-14 * max(np.abs(b).max(), 1.0), (name, j, i)
+    # with the coupled generator every component is nonzero, so the
+    # (output, input) orientation is pinned, not only the diagonal blocks
+    coupled = all_variants(ALG, rng)["coupled"]
+    assert min(np.abs(c).max() for _, _, c in choi_blocks(coupled, 0.3)) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# validation
+# ---------------------------------------------------------------------------
+
+def reference_validation(sg, t_samples, tol=1e-8, law_tol=1e-9, rng=None):
+    """The validation contract evaluated one input and one probe at a time."""
+    ts = [float(t) for t in t_samples]
+    alg = sg.algebra
+    one = alg.identity()
+    positives = [random_positive(alg, rng) for _ in range(20)]
+    worst, per_t = {}, []
+    max_pos = max_unital = max_trace = 0.0
+    for t in ts:
+        yt = sg.apply(t, one)
+        top = max(
+            max(float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[-1]) for a in (yt - one).blocks),
+            0.0,
+        )
+        excess = top + yt.self_adjoint_defect()
+        if excess > max_unital:
+            max_unital = excess
+            worst["unitality_t"] = t
+        t_pos = t_trace = 0.0
+        for k, x in enumerate(positives):
+            image = sg.apply(t, x)
+            scale = max(x.norm_inf(), 1e-300)
+            viol = max(0.0, -min_eig(image) / scale, image.self_adjoint_defect() / scale)
+            t_pos = max(t_pos, viol)
+            if viol > max_pos:
+                max_pos = viol
+                worst["positivity_t"], worst["positivity_sample"] = t, k
+            texc = max(0.0, trace(alg, image).real - trace(alg, x).real)
+            t_trace = max(t_trace, texc)
+            if texc > max_trace:
+                max_trace = texc
+                worst["trace_t"], worst["trace_sample"] = t, k
+        per_t.append((t, t_pos, excess, t_trace))
+    choi_ts = [t for t in ts if t > 0][:6]
+    choi_min = min(
+        float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
+        for t in choi_ts
+        for _, _, c in reference_choi(sg, t)
+    )
+    sub = ts[:5]
+    probes = [random_self_adjoint(alg, rng) for _ in range(3)]
+    law = max(
+        (sg.apply(t, sg.apply(s, x)) - sg.apply(t + s, x)).norm_inf() / x.norm_inf()
+        for i, t in enumerate(sub)
+        for s in sub[i:]
+        for x in probes
+    )
+    probe = random_self_adjoint(alg, rng)
+    cont = [(s, pnorm(alg, sg.apply(s, probe) - probe, 2.0)) for s in ts]
+    choi_ok = choi_min >= -tol
+    sampled_only = not choi_ok and not sg.cp_by_construction
+    passed = max(max_pos, max_unital, max_trace) <= tol and law <= law_tol
+    passed = passed and (choi_ok or sampled_only)
+    if sg.cp_by_construction and not choi_ok:
+        passed = False
+        worst["choi_min"] = choi_min
+    return {
+        "max_positivity_violation": max_pos,
+        "max_unitality_excess": max_unital,
+        "max_trace_excess": max_trace,
+        "law_residual": law,
+        "continuity": cont,
+        "choi_min": choi_min,
+        "sampled_only": sampled_only,
+        "passed": passed,
+        "per_t": per_t,
+        "worst": worst,
+    }
+
+
+def non_cp_schur(alg):
+    # S(t) = exp(-t c) has a negative determinant on the 3x3 block for t > 0
+    c3 = np.zeros((3, 3))
+    c3[0, 2] = c3[2, 0] = 3.0
+    return SchurDecay(alg, [np.zeros((2, 2)), c3])
+
+
+def transpose_flow(alg):
+    # exp(t(T - 1)) with T the blockwise transpose: positive, unital and
+    # trace preserving, but not completely positive
+    return GeneratorExp(
+        alg, generator_from_map(alg, lambda x: Operator(alg, [a.T - a for a in x.blocks]))
+    )
+
+
+def coupled_flow(alg):
+    # maps self-adjoint inputs to non-self-adjoint images: every defect counts
+    return GeneratorExp(alg, coupled_generator(alg, np.random.default_rng(26)))
+
+
+@pytest.mark.parametrize(
+    "make, passed, sampled_only",
+    [(non_cp_schur, False, False), (transpose_flow, True, True), (coupled_flow, False, True)],
+)
+def test_validation_report_matches_per_input_reference(make, passed, sampled_only):
+    sg = make(ALG)
+    ts = [0.0, 1e-3, 0.2, 1.0, 3.0, 7.5]
+    got = validate_absolute_contraction(sg, ts, rng=np.random.default_rng(21))
+    want = reference_validation(sg, ts, rng=np.random.default_rng(21))
+    assert got.passed is want["passed"] is passed
+    assert got.sampled_only is want["sampled_only"] is sampled_only
+    for key in (
+        "max_positivity_violation",
+        "max_unitality_excess",
+        "max_trace_excess",
+        "law_residual",
+        "choi_min",
+    ):
+        assert abs(getattr(got, key) - want[key]) <= 1e-14 * max(1.0, abs(want[key])), key
+    for rows, ref in ((got.per_t, want["per_t"]), (got.continuity, want["continuity"])):
+        assert len(rows) == len(ref)
+        for row, r in zip(rows, ref):
+            assert row[0] == r[0]
+            gap = np.abs(np.subtract(row[1:], r[1:]))
+            assert np.all(gap <= 1e-14 * np.maximum(1.0, np.abs(r[1:]))), (row, r)
+    assert sorted(got.worst) == sorted(want["worst"])
+    if make is not transpose_flow:
+        # the violations are real here, so the witnesses are unique
+        assert got.worst == pytest.approx(want["worst"], rel=1e-14, abs=1e-14)
+        assert got.max_positivity_violation > 1e-3
+
+
+def test_law_and_continuity_match_per_probe_loops():
+    rng = np.random.default_rng(22)
+    probes = [random_operator(ALG, rng) for _ in range(3)]
+    for name, sg in all_variants(ALG, rng).items():
+        for t, s in ((0.0, 0.5), (0.3, 0.0), (0.4, 1.1)):
+            want = max(
+                (sg.apply(t, sg.apply(s, x)) - sg.apply(t + s, x)).norm_inf() / x.norm_inf()
+                for x in probes
+            )
+            assert abs(semigroup_law_residual(sg, t, s, probes) - want) <= 1e-14, name
+        grid = [0.0, 0.05, 0.0, 1.3]
+        for p in (1.0, 2.0, math.inf):
+            rows = continuity_modulus(sg, probes[0], p, grid)
+            assert [s for s, _ in rows] == grid
+            for s, v in rows:
+                want = pnorm(ALG, sg.apply(s, probes[0]) - probes[0], p)
+                assert abs(v - want) <= 1e-14 * max(want, 1.0), (name, s, p)
+    assert semigroup_law_residual(Identity(ALG), 0.1, 0.2, []) == 0.0
+    assert continuity_modulus(Identity(ALG), probes[0], 2.0, []) == ()
+
+
+def test_pnorms_match_pnorm():
+    rng = np.random.default_rng(23)
+    xs = [random_operator(ALG, rng) for _ in range(5)] + [ALG.zero()]
+    svals = [np.linalg.svd(a, compute_uv=False) for a in stacked(xs)]
+    for p in (1.0, 2.0, 3.5, math.inf):
+        assert pnorms(ALG, svals, p) == [pnorm(ALG, x, p) for x in xs]
+    with pytest.raises(ValueError):
+        pnorms(ALG, svals, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# certificate pair tables
+# ---------------------------------------------------------------------------
+
+def test_pair_table_matches_compressed_norm_loop():
+    rng = np.random.default_rng(24)
+    e = random_projection(ALG, rng, ranks=(1, 2))
+    ops = [random_operator(ALG, rng) for _ in range(6)]
+    table = compressed_pair_norms(e, ops)
+    assert table.shape == (6, 6)
+    for i in range(6):
+        for j in range(6):
+            want = compressed_norm(e, ops[i] - ops[j]) if i < j else 0.0
+            assert abs(table[i, j] - want) <= 1e-14 * max(want, 1.0), (i, j)
+    assert compressed_pair_norms(e, ops[:1]).tolist() == [[0.0]]
+    assert compressed_pair_norms(e, []).shape == (0, 0)
+
+
+def test_certificate_decay_matches_pair_loops():
+    rng = np.random.default_rng(25)
+    sg = UnitaryFlow(ALG, random_self_adjoint(ALG, rng, norm=1.0))
+    x = random_self_adjoint(ALG, rng)
+    Ts = [2.0**-k for k in range(7)]
+    base = [(T, sg.mean(T, x)) for T in Ts]
+    tilde = [(T, y + 1e-3 * T * x) for T, y in base]
+    cert = bau_cauchy_certify(base, epsilon=0.5, tol=1e-2)
+    # premise gaps are 1e-3 T, so the transfer starts at T = 1/2
+    moved = perturbation_transfer(tilde, base, cert, [6e-4])
+    e, m = cert.projection, len(Ts)
+    start = moved.params["chain"][-1][1]
+    assert start == 1
+    for c, fam in ((cert, base), (moved, tilde)):
+        ops = [y for _, y in fam]
+        for j, (T, d) in enumerate(c.decay):
+            want = max(
+                compressed_norm(e, ops[i] - ops[l]) for i in range(j, m) for l in range(i + 1, m)
+            )
+            assert T == Ts[j] and abs(d - want) <= 1e-14, (c.family, j)
+
+    def tail_max(fam):
+        ops = [y for _, y in fam]
+        return max(
+            (compressed_norm(e, ops[i] - ops[j]) for i in range(start, m) for j in range(i + 1, m)),
+            default=0.0,
+        )
+
+    assert abs(moved.achieved_bound - tail_max(tilde)) <= 1e-14
+    assert abs(moved.params["base_tail_bound"] - tail_max(base)) <= 1e-14
