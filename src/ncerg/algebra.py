@@ -32,6 +32,8 @@ __all__ = [
     "proj_meet",
     "meet_all",
     "meet_complements",
+    "stack_blocks",
+    "op_norms",
     "min_eig",
     "random_operator",
     "random_self_adjoint",
@@ -82,16 +84,8 @@ class TracialAlgebra:
         return len(self.blocks)
 
     @property
-    def total_dim(self) -> int:
-        return sum(self.blocks)
-
-    @property
     def trace_of_identity(self) -> float:
         return float(sum(c * n for c, n in zip(self.weights, self.blocks)))
-
-    @property
-    def min_weight(self) -> float:
-        return min(self.weights)
 
     @cached_property
     def vec_dim(self) -> int:
@@ -201,19 +195,20 @@ class Operator:
             return False
         return min_eig(self) >= -tol * scale
 
-    def to_dense(self) -> np.ndarray:
-        """Single block-diagonal matrix, mainly for cross-checks in tests."""
-        n = self.algebra.total_dim
-        out = np.zeros((n, n), dtype=complex)
-        k = 0
-        for a in self.blocks:
-            m = a.shape[0]
-            out[k : k + m, k : k + m] = a
-            k += m
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Operator(blocks={self.algebra.blocks}, norm={self.norm_inf():.3g})"
+
+
+def stack_blocks(ops: Sequence[Operator]) -> list[np.ndarray]:
+    """Per-block stacks (m, n, n) of m operators, in order: the one form a
+    family takes inside the package (empty for no operators)."""
+    return [np.stack(blocks) for blocks in zip(*(x.blocks for x in ops))]
+
+
+def op_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Operator norm of every member of a per-block stacked family, one
+    batched SVD norm per block."""
+    return np.max([np.linalg.norm(a, 2, axis=(1, 2)) for a in stacks], axis=0)
 
 
 def min_eig(x: Operator) -> float:
@@ -307,9 +302,6 @@ class SpectralResolution:
             float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]), 2))
             for v in self.eigenvectors
         )
-
-    def all_eigenvalues(self) -> np.ndarray:
-        return np.concatenate([w for w in self.eigenvalues])
 
 
 def spectral_resolution(
@@ -432,10 +424,8 @@ def meet_all(projections: Iterable[Projection], sv_tol: float = DEFAULT_TOLS.mee
     alg = ps[0].algebra
     if any(p.algebra != alg for p in ps):
         raise AlgebraMismatchError("projections live in different algebras")
-    stacks = [
-        np.eye(n) - np.stack([p.op.blocks[i] for p in ps]) for i, n in enumerate(alg.blocks)
-    ]
-    return meet_complements(alg, stacks, sv_tol)
+    stacks = stack_blocks([p.op for p in ps])
+    return meet_complements(alg, [np.eye(n) - a for n, a in zip(alg.blocks, stacks)], sv_tol)
 
 
 def meet_complements(

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Operator, min_eig
+from .algebra import Operator, min_eig, op_norms
 from .config import DEFAULT_TOLS
 from .semigroups import Semigroup
 
@@ -155,10 +155,7 @@ def integrate_flow(
         if prev is not None:
             size = max(float(np.linalg.norm(s, axis=(1, 2)).max()) for s in stacks)
             floor = _ROUNDOFF * float(np.abs(cw).sum()) * size / quad.rtol
-            pairs = [np.stack([c - p, c]) for c, p in zip(cur, prev)]
-            change, scale = np.max(
-                [np.linalg.norm(d, 2, axis=(1, 2)) for d in pairs], axis=0
-            ).tolist()
+            change, scale = op_norms([np.stack([c - p, c]) for c, p in zip(cur, prev)]).tolist()
             err = change / max(scale, floor, 1e-300)
             if err <= quad.rtol:
                 return QuadratureResult(Operator(sg.algebra, cur), err, level)

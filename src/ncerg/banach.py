@@ -8,6 +8,11 @@ approximant, a meet p, a dense-set Cauchy certificate q for a well-chosen
 approximant, and f = p ^ q with a three-way bound split.  Every intermediate
 bound is recorded and can be replayed; the engine only ever touches pairwise
 differences a_m(x) - a_n(x), never a limit object.
+
+A map family evaluated on one operator is a per-block stack (m, n, n) over
+its labels (:meth:`MapFamily.evaluate_all`).  The assembly and its replay
+build every compressed-norm row of the ledger from such stacks through one
+function, ``_norm_rows``.
 """
 from __future__ import annotations
 
@@ -17,15 +22,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Operator, Projection, meet_all, pnorm, proj_meet
+from .algebra import Operator, Projection, meet_all, pnorm, proj_meet, stack_blocks
 from .averaging import cesaro_average, dense_approximant
 from .bau import (
     ProjectionCertificate,
     bau_cauchy_certify,
-    compressed_norm,
+    compressed_norms,
     first_index_below,
     maximal_projection,
     MaximalParams,
+    pair_differences,
 )
 from .config import DEFAULT_TOLS
 from .semigroups import Semigroup, continuity_modulus
@@ -82,7 +88,7 @@ class AssemblyError(RuntimeError):
 
 @dataclass(frozen=True)
 class MapFamily:
-    """Indexed family of linear maps, label -> (label, operator) evaluation."""
+    """Indexed family of linear maps a_m, evaluated as ``func(label, x)``."""
 
     labels: tuple[float, ...]
     func: Callable[[float, Operator], Operator]
@@ -90,14 +96,9 @@ class MapFamily:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(float(t) for t in self.labels))
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def at(self, i: int, x: Operator) -> Operator:
-        return self.func(self.labels[i], x)
-
-    def evaluate_all(self, x: Operator) -> list[Operator]:
-        return [self.func(t, x) for t in self.labels]
+    def evaluate_all(self, x: Operator) -> list[np.ndarray]:
+        """a_m(x) over the labels, stacked per block as (m, n, n)."""
+        return stack_blocks([self.func(t, x) for t in self.labels])
 
 
 def cesaro_map_family(sg: Semigroup, T_list: Sequence[float]) -> MapFamily:
@@ -181,9 +182,8 @@ def make_dense_certifier(
     """Cauchy certifier for the map family evaluated on a dense-set element."""
 
     def certify(y: Operator, eps_budget: float) -> ProjectionCertificate:
-        values = maps.evaluate_all(y)
         return bau_cauchy_certify(
-            list(zip(maps.labels, values)), eps_budget, tol=tol
+            [(t, maps.func(t, y)) for t in maps.labels], eps_budget, tol=tol
         )
 
     return certify
@@ -239,79 +239,56 @@ class AssemblyCertificate:
 
     def replay(self, maps: MapFamily, x: Operator) -> dict[str, float]:
         """Recompute every recorded bound; returns the deviations by step."""
-        recomputed = _assemble_records(
-            maps,
-            x,
-            self.epsilon,
-            self.approximants,
-            self.approximant_projs,
-            self.meet_proj,
-            self.dense_cert,
-            self.projection,
-            self.n0,
-            self.N0_index,
-        )
-        fresh = {(s.name, s.witness): s.achieved for s in recomputed}
-        devs = {}
-        for s in self.steps:
-            key = (s.name, s.witness)
-            if key in fresh:
-                devs[f"{s.name}{s.witness or ''}"] = abs(fresh[key] - s.achieved)
-        return devs
+        eps, N0, x_n0 = self.epsilon, self.N0_index, self.approximants[self.n0 - 1]
+        checks = [
+            ("uniform_control", eps / 2.0 ** (n + 1), p_n, x_n - x, n, 0)
+            for n, (x_n, p_n) in enumerate(zip(self.approximants, self.approximant_projs), 1)
+        ]
+        checks += [
+            ("approximant_choice", eps / 3.0, self.meet_proj, x_n0 - x, self.n0, 0),
+            ("dense_cauchy", eps / 3.0, self.dense_cert.projection, x_n0, None, N0),
+            ("final_bound", eps, self.projection, x, None, N0),
+        ]
+        fresh = {
+            (r.name, r.witness): r.achieved
+            for name, claimed, e, y, n, start in checks
+            for r in _norm_rows(name, claimed, e, maps.evaluate_all(y), n, start)
+        }
+        return {
+            f"{s.name}{s.witness or ''}": abs(fresh[s.name, s.witness] - s.achieved)
+            for s in self.steps
+            if (s.name, s.witness) in fresh
+        }
 
 
-def _assemble_records(
-    maps: MapFamily,
-    x: Operator,
-    eps: float,
-    approximants: Sequence[Operator],
-    projs: Sequence[Projection],
-    p_meet: Projection,
-    dense_cert: ProjectionCertificate,
-    f: Projection,
-    n0: int,
-    N0: int,
+def _norm_rows(
+    step: str,
+    claimed: float,
+    e: Projection,
+    values: Sequence[np.ndarray],
+    n: int | None = None,
+    start: int = 0,
+    check: bool = False,
 ) -> list[StepRecord]:
-    """Recompute the compressed bounds appearing in the assembly steps."""
+    """Ledger rows of one compressed-norm step over a stacked family a_m(y).
+
+    With ``n`` given, one row per map: ||e a_m(y) e|| with witness (n, m).
+    Otherwise one row per pair start <= i < j: ||e (a_i(y) - a_j(y)) e||
+    with witness (i, j).  The norms come from one stacked table; with
+    ``check`` the first row above ``claimed`` raises :class:`AssemblyError`.
+    """
+    if n is None:
+        values = [a[start:] for a in values]
+        rows, cols = np.triu_indices(len(values[0]), 1)
+        witnesses = list(zip((rows + start).tolist(), (cols + start).tolist()))
+        values = pair_differences(values)
+    else:
+        witnesses = [(n, m) for m in range(len(values[0]))]
     records = []
-    m_count = len(maps)
-    for n, (x_n, p_n) in enumerate(zip(approximants, projs), start=1):
-        claimed = eps / 2.0 ** (n + 1)
-        for m in range(m_count):
-            val = compressed_norm(p_n, maps.at(m, x_n - x))
-            records.append(StepRecord("uniform_control", claimed, val, (n, m)))
-    x_n0 = approximants[n0 - 1]
-    for m in range(m_count):
-        records.append(
-            StepRecord(
-                "approximant_choice",
-                eps / 3.0,
-                compressed_norm(p_meet, maps.at(m, x_n0 - x)),
-                (n0, m),
-            )
-        )
-    dense_vals = maps.evaluate_all(x_n0)
-    for i in range(N0, m_count):
-        for j in range(i + 1, m_count):
-            records.append(
-                StepRecord(
-                    "dense_cauchy",
-                    eps / 3.0,
-                    compressed_norm(dense_cert.projection, dense_vals[i] - dense_vals[j]),
-                    (i, j),
-                )
-            )
-    final_vals = maps.evaluate_all(x)
-    for i in range(N0, m_count):
-        for j in range(i + 1, m_count):
-            records.append(
-                StepRecord(
-                    "final_bound",
-                    eps,
-                    compressed_norm(f, final_vals[i] - final_vals[j]),
-                    (i, j),
-                )
-            )
+    for witness, value in zip(witnesses, compressed_norms(e, values).tolist()):
+        records.append(StepRecord(step, claimed, value, witness))
+        if check and not records[-1].ok:
+            raise AssemblyError(step, witness, value, claimed)
     return records
 
 
@@ -345,11 +322,11 @@ def assemble_certificate(
     if n_approx < 1:
         raise ValueError("need at least one approximant")
     steps: list[StepRecord] = []
-    m_count = len(maps)
 
     approximants: list[Operator] = []
     projs: list[Projection] = []
     certs: list[ProjectionCertificate] = []
+    images: list[list[np.ndarray]] = []  # a_m(x_n - x), stacked, per approximant
     for n in range(1, n_approx + 1):
         x_n, gap = scheme.make(x, n, eps)
         approximants.append(x_n)
@@ -357,13 +334,9 @@ def assemble_certificate(
         cert_n = oracle(x_n - x, eps / 2.0 ** (n + 1))
         projs.append(cert_n.projection)
         certs.append(cert_n)
+        images.append(maps.evaluate_all(x_n - x))
         claimed = eps / 2.0 ** (n + 1)
-        for m in range(m_count):
-            val = compressed_norm(cert_n.projection, maps.at(m, x_n - x))
-            rec = StepRecord("uniform_control", claimed, val, (n, m))
-            steps.append(rec)
-            if not rec.ok:
-                raise AssemblyError("uniform_control", (n, m), val, claimed)
+        steps += _norm_rows("uniform_control", claimed, projs[-1], images[-1], n, check=True)
 
     p_meet = meet_all(projs)
     p_budget = oracle.C * eps / 2.0
@@ -372,23 +345,14 @@ def assemble_certificate(
         raise AssemblyError("meet_budget", None, p_meet.cotrace, p_budget)
 
     n0 = None
-    for n, x_n in enumerate(approximants, start=1):
-        worst = max(
-            compressed_norm(p_meet, maps.at(m, x_n - x)) for m in range(m_count)
-        )
-        if worst <= eps / 3.0:
+    for n, values in enumerate(images, start=1):
+        rows = _norm_rows("approximant_choice", eps / 3.0, p_meet, values, n)
+        if all(r.ok for r in rows):
             n0 = n
-            for m in range(m_count):
-                steps.append(
-                    StepRecord(
-                        "approximant_choice",
-                        eps / 3.0,
-                        compressed_norm(p_meet, maps.at(m, x_n - x)),
-                        (n0, m),
-                    )
-                )
+            steps += rows
             break
     if n0 is None:
+        worst = max(r.achieved for r in rows)
         raise AssemblyError("approximant_choice", None, worst, eps / 3.0)
 
     x_n0 = approximants[n0 - 1]
@@ -400,14 +364,10 @@ def assemble_certificate(
     if N0 is None:
         worst = dense_cert.decay[0][1] if dense_cert.decay else math.inf
         raise AssemblyError("dense_cauchy", None, worst, eps / 3.0)
-    dense_vals = maps.evaluate_all(x_n0)
-    for i in range(N0, m_count):
-        for j in range(i + 1, m_count):
-            val = compressed_norm(dense_cert.projection, dense_vals[i] - dense_vals[j])
-            rec = StepRecord("dense_cauchy", eps / 3.0, val, (i, j))
-            steps.append(rec)
-            if not rec.ok:
-                raise AssemblyError("dense_cauchy", (i, j), val, eps / 3.0)
+    dense = maps.evaluate_all(x_n0)
+    steps += _norm_rows(
+        "dense_cauchy", eps / 3.0, dense_cert.projection, dense, start=N0, check=True
+    )
 
     f = proj_meet(p_meet, dense_cert.projection)
     f_budget = eps * (oracle.C + 1.0) / 2.0
@@ -415,14 +375,7 @@ def assemble_certificate(
     if f.cotrace > f_budget:
         raise AssemblyError("final_budget", None, f.cotrace, f_budget)
 
-    final_vals = maps.evaluate_all(x)
-    for i in range(N0, m_count):
-        for j in range(i + 1, m_count):
-            val = compressed_norm(f, final_vals[i] - final_vals[j])
-            rec = StepRecord("final_bound", eps, val, (i, j))
-            steps.append(rec)
-            if not rec.ok:
-                raise AssemblyError("final_bound", (i, j), val, eps)
+    steps += _norm_rows("final_bound", eps, f, maps.evaluate_all(x), start=N0, check=True)
 
     budget_spent = sum(c.cotrace for c in certs) + dense_cert.cotrace
     return AssemblyCertificate(

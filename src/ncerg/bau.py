@@ -6,29 +6,37 @@ here as a :class:`ProjectionCertificate`: the projection itself, its co-trace,
 the bound it achieves over a named family, and the parameters of the run.
 Certificates are self-verifying; recomputing the achieved bound from the
 stored projection and family must reproduce the stored value.
+
+A T-indexed family is a per-block stack here: one (m, n, n) array per
+block in grid order; the public signatures stack their lists and dicts of
+operators once (``algebra.stack_blocks``).  Each certificate cuts all its
+members after one batched ``eigh`` per block and meets the cuts with one SVD
+per block (``_cut_meet``); compressed norms are batched SVD norms.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import (
     Operator,
     Projection,
+    TracialAlgebra,
     abs_value,
-    meet_all,
     meet_complements,
+    op_norms,
     operator_to_dict,
     pnorm,
+    pnorms,
     proj_meet,
     spectral_projection,
     spectral_resolution,
-    trace,
+    stack_blocks,
 )
-from .averaging import cesaro_average, sandwich_windows
+from .averaging import cesaro_average
 from .config import DEFAULT_TOLS
 from .semigroups import Semigroup
 
@@ -39,8 +47,9 @@ __all__ = [
     "ScheduleExhaustedError",
     "TransferPremiseError",
     "compressed_norm",
+    "compressed_norms",
     "compressed_pair_norms",
-    "compressed_sup",
+    "pair_differences",
     "measure_nbhd_witness",
     "maximal_projection",
     "double_average_certificate",
@@ -58,8 +67,9 @@ class ProjectionCertificate:
 
     ``family`` names the checked family; ``grid`` the sweep parameters;
     ``decay`` an optional table of (parameter, compressed norm) rows.  The
-    operators behind the bound are kept in memory on ``family_ops`` so the
-    bound can be recomputed, but are never serialized.
+    operators behind the bound are kept in memory on ``family_ops``, one
+    (m, n, n) stack per block, so the bound can be recomputed, but are never
+    serialized.
     """
 
     projection: Projection
@@ -71,7 +81,7 @@ class ProjectionCertificate:
     params: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
     decay: tuple[tuple[float, float], ...] | None = None
-    family_ops: tuple[Operator, ...] | None = field(
+    family_ops: list[np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -82,7 +92,7 @@ class ProjectionCertificate:
     def recompute_bound(self) -> float:
         if self.family_ops is None:
             raise ValueError("certificate does not carry its family operators")
-        return compressed_sup(self.projection, self.family_ops)
+        return float(compressed_norms(self.projection, self.family_ops).max(initial=0.0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,30 +153,60 @@ def compressed_norm(e: Projection, y: Operator) -> float:
     return (e.op @ y @ e.op).norm_inf()
 
 
+def compressed_norms(e: Projection, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """||e y e|| for every member y of a stacked family, one batched SVD norm
+    per block."""
+    return op_norms([E @ Y @ E for E, Y in zip(e.op.blocks, stacks)])
+
+
+def pair_differences(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Stacked y_i - y_j over the pairs i < j of a stacked family, in the
+    row-major order of ``np.triu_indices``."""
+    rows, cols = np.triu_indices(len(stacks[0]), 1)
+    return [a[rows] - a[cols] for a in stacks]
+
+
+def _pair_table(e: Projection, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    m = len(stacks[0])
+    table = np.zeros((m, m))
+    table[np.triu_indices(m, 1)] = compressed_norms(e, pair_differences(stacks))
+    return table
+
+
 def compressed_pair_norms(e: Projection, ops: Sequence[Operator]) -> np.ndarray:
     """(m, m) table holding ||e (y_i - y_j) e|| at i < j and 0 elsewhere.
 
     One batched SVD norm per block over all pairs of the family.
     """
-    m = len(ops)
-    table = np.zeros((m, m))
-    if m < 2:
-        return table
-    rows, cols = np.triu_indices(m, 1)
-    for i, E in enumerate(e.op.blocks):
-        ys = np.stack([y.blocks[i] for y in ops])
-        norms = np.linalg.norm(E @ (ys[rows] - ys[cols]) @ E, 2, axis=(1, 2))
-        table[rows, cols] = np.maximum(table[rows, cols], norms)
-    return table
+    return _pair_table(e, stack_blocks(ops)) if ops else np.zeros((0, 0))
 
 
-def compressed_sup(e: Projection, ops: Sequence[Operator]) -> float:
-    """Largest ||e y e|| over ``ops`` (0 if empty), one batched SVD norm per block."""
-    norms = (
-        np.linalg.norm(E @ np.stack([y.blocks[i] for y in ops]) @ E, 2, axis=(1, 2)).max()
-        for i, E in enumerate(e.op.blocks)
-    )
-    return float(max(norms)) if ops else 0.0
+def _cut_meet(
+    alg: TracialAlgebra,
+    spectra: Sequence[tuple[np.ndarray, np.ndarray]],
+    levels: Sequence[float],
+    tol: float,
+) -> tuple[np.ndarray, Projection]:
+    """Cut every member of a stacked family at its own level and meet the cuts.
+
+    ``spectra`` holds per block the magnitudes (m, n) and eigenvectors
+    (m, n, n) of one batched ``eigh`` over the family.  Member i drops the
+    eigenvectors whose magnitude exceeds levels[i] + tol, so ties are kept.
+    Returns the weighted co-trace of every cut and the meet of the cuts, one
+    :func:`meet_complements` of the dropped spans.  A cut of co-trace 0 is 1
+    and stays out of the meet; a meet of no cut is 1.
+    """
+    top = np.asarray(levels, dtype=float)[:, None] + tol
+    drops = [mag > top for mag, _ in spectra]
+    cotrace = sum(c * d.sum(axis=1) for c, d in zip(alg.weights, drops))
+    keep = cotrace > 0
+    if not keep.any():
+        return cotrace, Projection(alg.identity(), cotrace=0.0)
+    complements = [
+        (v[keep] * d[keep][:, None, :]) @ v[keep].conj().swapaxes(1, 2)
+        for (_, v), d in zip(spectra, drops)
+    ]
+    return cotrace, meet_complements(alg, complements)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +249,7 @@ def measure_nbhd_witness(
             family="right compression ||x e||",
             grid=(delta,),
             params={"delta": delta},
-            family_ops=(abs_value(x),),
+            family_ops=stack_blocks([abs_value(x)]),
         )
     return MeasureWitness(ok=ok, certificate=cert, min_achievable_cotrace=e.cotrace)
 
@@ -244,23 +284,19 @@ def maximal_projection(
         raise ValueError("T grid must be positive")
     alg = sg.algebra
     if family is None:
-        family = {T: cesaro_average(sg, x, T) for T in grid}
-    ys = [family[T].herm() for T in grid]
+        ys = [y[:, 0] for y in sg.mean_batch(grid, stack_blocks([x]))]
+    else:
+        ys = stack_blocks([family[T] for T in grid])
+    ys = [(y + y.conj().swapaxes(1, 2)) / 2.0 for y in ys]
 
     eps = params.epsilon
-    cut_cotrace = np.zeros(len(grid))
-    power_trace = np.zeros(len(grid))
-    complements = []
-    for i, c in enumerate(alg.weights):
-        w, v = np.linalg.eigh(np.stack([y.blocks[i] for y in ys]))
-        mag = np.abs(w)
-        drop = mag > eps + tol
-        cut_cotrace += c * drop.sum(axis=1)
-        power_trace += c * np.sum(mag**params.p, axis=1)
-        complements.append((v * drop[:, None, :]) @ v.conj().swapaxes(1, 2))
-    e = meet_complements(alg, complements)
+    spectra = [(np.abs(w), v) for w, v in map(np.linalg.eigh, ys)]
+    cut_cotrace, e = _cut_meet(alg, spectra, [eps] * len(grid), tol)
+    power_trace = sum(
+        c * np.sum(mag**params.p, axis=1) for c, (mag, _) in zip(alg.weights, spectra)
+    )
     chebyshev = eps ** (-params.p) * power_trace
-    achieved = compressed_sup(e, ys)
+    achieved = float(compressed_norms(e, ys).max())
     xnorm = pnorm(alg, x, params.p)
     cap = params.C * (xnorm / eps) ** params.p if xnorm > 0 else 0.0
     empirical_c = (
@@ -287,50 +323,13 @@ def maximal_projection(
             "chebyshev": np.column_stack([grid, cut_cotrace, chebyshev]).tolist(),
         },
         flags=tuple(flags),
-        family_ops=tuple(ys),
+        family_ops=ys,
     )
 
 
 # ---------------------------------------------------------------------------
 # shrinking-window construction for the double average
 # ---------------------------------------------------------------------------
-
-def _trace_power(alg, y: Operator, p: float) -> float:
-    res = spectral_resolution(y.herm())
-    total = 0.0
-    for c, w in zip(alg.weights, res.eigenvalues):
-        total += c * float(np.sum(np.clip(w, 0.0, None) ** p))
-    return total
-
-
-def _select_windows(
-    make_op: Callable[[float], Operator],
-    schedule: Sequence[float],
-    p: float,
-    eps: float,
-    levels: int,
-    alg,
-) -> list[tuple[int, float, Operator, float]]:
-    """Walk a decreasing schedule picking a_k with tau(h(a_k)^p) < eps^2/4^k."""
-    picks = []
-    idx = 0
-    cache: dict[int, tuple[Operator, float]] = {}
-    for k in range(1, levels + 1):
-        target = eps * eps / (4.0**k)
-        while idx < len(schedule):
-            if idx not in cache:
-                op = make_op(schedule[idx])
-                cache[idx] = (op, _trace_power(alg, op, p))
-            op, tr = cache[idx]
-            if tr < target:
-                picks.append((k, schedule[idx], op, tr))
-                break
-            idx += 1
-        else:
-            smallest = min((v for _, v in cache.values()), default=math.inf)
-            raise ScheduleExhaustedError(k, smallest, target)
-    return picks
-
 
 def double_average_certificate(
     sg: Semigroup,
@@ -344,13 +343,14 @@ def double_average_certificate(
 ) -> ProjectionCertificate:
     """Certify that averaging over a shrinking window fixes beta_b(x).
 
-    For positive x set h(a) = (1/b) integral_0^a a_s(x) ds and
-    g(a) = (1/b) integral_b^{b+a} a_s(x) ds, both in closed form
-    (:func:`sandwich_windows`).  Window lengths a_k are chosen
-    from the schedule with tau(h(a_k)^p) < eps^2 / 4^k, the spectral cut of
-    h(a_k)^p at level eps/2^{k+1} gives p_k, the same construction on g gives
-    q, and e is the meet.  The certificate checks tau(1-e) < eps and reports
-    the decay of ||e (beta_a(beta_b(x)) - beta_b(x)) e|| over the schedule.
+    For positive x set h(a) = (1/b) integral_0^a a_s(x) ds = (a/b) beta_a(x)
+    and g(a) = (1/b) integral_b^{b+a} a_s(x) ds = a_b(h(a)), both in closed
+    form for the whole schedule (one :meth:`Semigroup.mean_batch` and one
+    core call).  Walking the schedule in order, window lengths a_k are
+    chosen with tau(h(a_k)^p) < eps^2 / 4^k, the spectral cut of h(a_k)^p at
+    level eps/2^{k+1} gives p_k, the same construction on g gives q, and e is
+    the meet.  The certificate checks tau(1-e) < eps and reports the decay of
+    ||e (beta_a(beta_b(x)) - beta_b(x)) e|| over the schedule.
     """
     if not b > 0:
         raise ValueError("window length b must be positive")
@@ -364,42 +364,48 @@ def double_average_certificate(
     ):
         raise ValueError("a_schedule must be positive and strictly decreasing")
     alg = sg.algebra
-
-    h_picks = _select_windows(
-        lambda a: sandwich_windows(sg, x, a, b)[0], schedule, p, epsilon, levels, alg
-    )
-    g_picks = _select_windows(
-        lambda a: sandwich_windows(sg, x, a, b)[1], schedule, p, epsilon, levels, alg
-    )
-
+    grid = np.array(schedule)
+    heads = [
+        y[:, 0] * (grid / b)[:, None, None]
+        for y in sg.mean_batch(grid, stack_blocks([x]))
+    ]
+    budgets = [epsilon / (2.0 ** (k + 1)) for k in range(1, levels + 1)]
     level_rows = []
     flags = []
 
-    def cuts_for(picks, tag):
-        cuts = []
-        for k, a_k, op, tr in picks:
-            level = epsilon / (2.0 ** (k + 1))
-            res = spectral_resolution(op.herm())
-            cut = spectral_projection(res, level ** (1.0 / p), tol)
-            if cut.cotrace > level + 1e-12:
+    def cut_windows(windows, tag):
+        spectra = [np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2.0) for h in windows]
+        powers = sum(
+            c * np.sum(np.clip(w, 0.0, None) ** p, axis=1)
+            for c, (w, _) in zip(alg.weights, spectra)
+        )
+        picks, idx = [], 0
+        for k in range(1, levels + 1):
+            target = epsilon * epsilon / (4.0**k)
+            while idx < len(schedule) and not powers[idx] < target:
+                idx += 1
+            if idx == len(schedule):
+                raise ScheduleExhaustedError(k, min(powers, default=math.inf), target)
+            picks.append(idx)
+        picked = [(w[picks], v[picks]) for w, v in spectra]
+        cotraces, meet = _cut_meet(alg, picked, [lv ** (1.0 / p) for lv in budgets], tol)
+        for k, (i, level, cot) in enumerate(zip(picks, budgets, cotraces), start=1):
+            if cot > level + 1e-12:
                 flags.append(f"{tag} level {k} cotrace above geometric budget")
-            level_rows.append([tag, k, a_k, tr, level, cut.cotrace])
-            cuts.append(cut)
-        return cuts
+            level_rows.append([tag, k, schedule[i], float(powers[i]), level, float(cot)])
+        return meet
 
-    p_meet = meet_all(cuts_for(h_picks, "head"))
-    q_meet = meet_all(cuts_for(g_picks, "tail"))
+    p_meet = cut_windows(heads, "head")
+    q_meet = cut_windows([y[0] for y in sg.propagate_batch([b], heads)], "tail")
     e = proj_meet(p_meet, q_meet)
     if e.cotrace >= epsilon:
         flags.append("cotrace budget exceeded")
 
     beta_b = cesaro_average(sg, x, b)
-    diffs = []
-    decay = []
-    for a in schedule:
-        d_op = cesaro_average(sg, beta_b, a) - beta_b
-        diffs.append(d_op)
-        decay.append((a, compressed_norm(e, d_op)))
+    diffs = [
+        y[:, 0] - c for y, c in zip(sg.mean_batch(grid, stack_blocks([beta_b])), beta_b.blocks)
+    ]
+    decay = [(a, float(d)) for a, d in zip(schedule, compressed_norms(e, diffs))]
 
     return ProjectionCertificate(
         projection=e,
@@ -418,28 +424,13 @@ def double_average_certificate(
         },
         flags=tuple(flags),
         decay=tuple(decay),
-        family_ops=tuple(diffs),
+        family_ops=diffs,
     )
 
 
 # ---------------------------------------------------------------------------
 # Cauchy certification of operator families
 # ---------------------------------------------------------------------------
-
-def _budget_cut(z: Operator, budget: float, tol: float) -> Projection:
-    """Spectral cut of |z| whose excluded weight fits the co-trace budget.
-
-    The level is tau(|z|) / budget; excluding only eigenvalues above it keeps
-    the cut's co-trace below the budget by the Chebyshev count.
-    """
-    alg = z.algebra
-    mag = abs_value(z)
-    total = trace(alg, mag).real
-    res = spectral_resolution(mag)
-    if total <= 0 or budget <= 0:
-        return spectral_projection(res, mag.norm_inf(), tol)
-    return spectral_projection(res, total / budget, tol)
-
 
 def bau_cauchy_certify(
     family: Sequence[tuple[float, Operator]],
@@ -451,44 +442,46 @@ def bau_cauchy_certify(
     """Certify that a T-indexed family is Cauchy after one compression.
 
     ``family`` is a list of (T, y_T) with strictly decreasing T.  Pairwise
-    differences on the grid tail are compressed through spectral cuts whose
-    excluded weights follow the geometric budget eps/2^{k+1}, so the meet e
-    always satisfies tau(1-e) <= eps/2.  The decay table lists
+    differences z on the grid tail are compressed through spectral cuts of
+    |z| whose excluded weights follow the geometric budget eps/2^{k+1}: the
+    k-th pair is cut at level tau(|z|) / budget, which keeps its co-trace
+    below the budget by the Chebyshev count.  So the meet e always satisfies
+    tau(1-e) <= eps/2.  Exactly zero pairs are skipped but still advance k,
+    and cuts of co-trace 0 stay out of the meet.  The decay table lists
     d(delta) = max over pairs below delta of ||e (y_T - y_S) e||; the family
     certifies when the final entry drops below ``tol``.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     grid = [float(T) for T, _ in family]
-    ops = [y for _, y in family]
     if len(grid) < 2:
         raise ValueError("need at least two family members")
     if any(t2 >= t1 for t1, t2 in zip(grid, grid[1:])):
         raise ValueError("family grid must be strictly decreasing")
+    alg = family[0][1].algebra
+    ys = stack_blocks([y for _, y in family])
 
     m = len(grid)
     tail_start = max(0, m - max(2, math.ceil(tail_fraction * m)))
-    cuts = []
-    levels = []
-    k = 0
-    for i in range(tail_start, m):
-        for j in range(i + 1, m):
-            k += 1
-            budget = epsilon / (2.0 ** (k + 1))
-            z = ops[i] - ops[j]
-            if z.norm_inf() == 0.0:
-                continue
-            cut = _budget_cut(z, budget, include_tol)
-            if cut.cotrace > 0:
-                cuts.append(cut)
-            levels.append([grid[i], grid[j], budget, cut.cotrace])
-    alg = ops[0].algebra
-    if cuts:
-        e = meet_all(cuts)
-    else:
-        e = Projection(alg.identity(), cotrace=0.0)
+    diffs = pair_differences([a[tail_start:] for a in ys])
+    rows, cols = np.triu_indices(m - tail_start, 1)
+    budgets = np.array([epsilon / (2.0 ** (k + 1)) for k in range(1, len(rows) + 1)])
+    nonzero = np.any([np.any(z, axis=(1, 2)) for z in diffs], axis=0)
+    rows, cols, budgets = rows[nonzero], cols[nonzero], budgets[nonzero]
+    zs = [z[nonzero] for z in diffs]
+    # |z| has the eigenvectors of z* z and the square roots of its eigenvalues
+    spectra = [
+        (np.sqrt(np.clip(w, 0.0, None)), v)
+        for w, v in (np.linalg.eigh(z.conj().swapaxes(1, 2) @ z) for z in zs)
+    ]
+    total = sum(c * mag.sum(axis=1) for c, (mag, _) in zip(alg.weights, spectra))
+    cotraces, e = _cut_meet(alg, spectra, total / budgets, include_tol)
+    levels = [
+        [grid[tail_start + i], grid[tail_start + j], float(budget), float(cot)]
+        for i, j, budget, cot in zip(rows, cols, budgets, cotraces)
+    ]
 
-    decay = _suffix_decay(grid, compressed_pair_norms(e, ops))
+    decay = _suffix_decay(grid, _pair_table(e, ys))
 
     final = decay[-1][1]
     flags = []
@@ -497,9 +490,6 @@ def bau_cauchy_certify(
     if e.cotrace > epsilon:
         flags.append("cotrace budget exceeded")
     # the certified family is the tail pair set; the achieved bound is its sup
-    diffs = tuple(
-        ops[i] - ops[j] for i in range(tail_start, m) for j in range(i + 1, m)
-    )
     return ProjectionCertificate(
         projection=e,
         cotrace=e.cotrace,
@@ -523,13 +513,8 @@ def _suffix_decay(
     grid: Sequence[float], pairs: np.ndarray
 ) -> list[tuple[float, float]]:
     """(T_j, max over j <= i < l of the pair table) for every j but the last."""
-    decay = []
-    suffix = 0.0
-    for j in range(len(grid) - 2, -1, -1):
-        suffix = max(suffix, float(pairs[j, j + 1 :].max()))
-        decay.append((grid[j], suffix))
-    decay.reverse()
-    return decay
+    suffix = np.maximum.accumulate(pairs[:-1].max(axis=1)[::-1])[::-1]
+    return list(zip(grid[:-1], suffix.tolist()))
 
 
 def first_index_below(cert: ProjectionCertificate, target: float) -> int | None:
@@ -566,34 +551,31 @@ def perturbation_transfer(
     b_grid = [float(T) for T, _ in base_family]
     if t_grid != b_grid:
         raise ValueError("families must share the same grid")
-    gaps = [
-        (t, (ty - by).norm_inf())
-        for (t, ty), (_, by) in zip(tilde_family, base_family)
-    ]
+    if len(eps_seq) == 0:
+        raise ValueError("eps_seq must hold at least one premise gap")
+    t_ys = stack_blocks([y for _, y in tilde_family])
+    b_ys = stack_blocks([y for _, y in base_family])
+    gaps = op_norms([t - b for t, b in zip(t_ys, b_ys)])
+    # the premise holds from index i on when the suffix maximum there is < eps
+    suffix = np.maximum.accumulate(gaps[::-1])[::-1]
     chain = []
     for eps in eps_seq:
-        thr = None
-        for i in range(len(gaps)):
-            if all(g < eps for _, g in gaps[i:]):
-                thr = i
-                break
-        if thr is None:
-            worst_t, worst_gap = max(gaps, key=lambda tg: tg[1])
-            raise TransferPremiseError(worst_t, worst_gap, eps)
-        chain.append((float(eps), thr))
+        if not suffix[-1] < eps:
+            worst = int(np.argmax(gaps))
+            raise TransferPremiseError(t_grid[worst], float(gaps[worst]), eps)
+        chain.append((float(eps), int(np.argmax(suffix < eps))))
     eps_last, start = chain[-1]
 
     e = base_cert.projection
-    t_ops = [y for _, y in tilde_family]
-    b_ops = [y for _, y in base_family]
-    m = len(t_ops)
+    t_tail = [a[start:] for a in t_ys]
+    b_tail = [a[start:] for a in b_ys]
 
-    t_pairs = compressed_pair_norms(e, t_ops)
-    base_tail = float(compressed_pair_norms(e, b_ops[start:]).max())
+    t_pairs = _pair_table(e, t_ys)
+    base_tail = float(_pair_table(e, b_tail).max())
     predicted = base_tail + 2.0 * eps_last
     achieved = float(t_pairs[start:, start:].max())
-    base_sup = compressed_sup(e, b_ops[start:])
-    tilde_sup = compressed_sup(e, t_ops[start:])
+    base_sup = float(compressed_norms(e, b_tail).max())
+    tilde_sup = float(compressed_norms(e, t_tail).max())
     flags = []
     if achieved > predicted + tol:
         flags.append("transferred bound exceeded")
@@ -615,13 +597,11 @@ def perturbation_transfer(
             "base_tail_bound": base_tail,
             "base_sup": base_sup,
             "tilde_sup": tilde_sup,
-            "max_gap": max(g for _, g in gaps),
+            "max_gap": float(gaps.max()),
         },
         flags=tuple(flags),
         decay=tuple(decay),
-        family_ops=tuple(
-            t_ops[i] - t_ops[j] for i in range(start, m) for j in range(i + 1, m)
-        ),
+        family_ops=pair_differences(t_tail),
     )
 
 
@@ -653,7 +633,8 @@ def lp_limit_check(
     if any(t2 >= t1 for t1, t2 in zip(grid, grid[1:])):
         raise ValueError("family grid must be strictly decreasing")
     alg = limit.algebra
-    table = tuple((t, pnorm(alg, y, p)) for t, y in family)
+    svals = [np.linalg.svd(a, compute_uv=False) for a in stack_blocks([y for _, y in family])]
+    table = tuple(zip(grid, pnorms(alg, svals, p)))
     tail = table[-max(1, math.ceil(tail_fraction * len(table))):]
     liminf = min(v for _, v in tail)
     limit_norm = pnorm(alg, limit, p)

@@ -20,12 +20,16 @@ UnitaryFlow takes V from the eigenbasis of H, with Lambda_jk = i (w_j - w_k).
 
 The core takes stacks of inputs: :meth:`Semigroup.propagate_batch` maps one
 (k, n, n) input stack per block to images of shape (len(ts), k, n, n), and
-``propagate_stack`` and ``apply`` are its one-input case.
+``propagate_stack`` and ``apply`` are its one-input case.  A T-indexed family
+is such a per-block stack in grid order (``algebra.stack_blocks`` builds one
+from a list of operators).
 
 Every semigroup also has the closed-form mean (1/T) integral_0^T e^{st} a_t(x)
-dt (:meth:`Semigroup.mean`).  The same core gives it with the multiplier
-phi1(T (Lambda + s)) in place of exp(t Lambda), where phi1(z) = (e^z - 1)/z;
-GeneratorExp reads it off one augmented matrix exponential (Van Loan 1978).
+dt.  :meth:`Semigroup.mean_batch` evaluates it for a whole T grid and input
+stack on the same core, with the multiplier phi1(T (Lambda + s)) in place of
+exp(t Lambda), where phi1(z) = (e^z - 1)/z; GeneratorExp reads it off one
+augmented matrix exponential per T (Van Loan 1978).  :meth:`Semigroup.mean`
+is its one-T, one-input case.
 
 ``validate_absolute_contraction`` produces a :class:`ValidationReport` that
 records positivity, subunitality, trace non-increase, the semigroup law and a
@@ -41,15 +45,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     AlgebraMismatchError,
     Operator,
     TracialAlgebra,
+    op_norms,
     pnorms,
     random_positive,
     random_self_adjoint,
+    stack_blocks,
     unvec,
     vec,
     operator_from_dict,
@@ -92,12 +97,12 @@ class Semigroup:
     ``modes`` holds one ``(V, Lambda)`` pair per block: V unitary, or ``None``
     for the standard basis, and Lambda an entrywise rate matrix or a scalar.
     ``_modal`` evaluates V (M o V* x V) V* for an entrywise multiplier M built
-    from Lambda, on block arrays with any leading axes.  ``_stack(ts, xs)``
+    from Lambda, on block arrays with any leading axes.  ``_stack(ts, xs, s)``
     takes per-block input stacks of shape (k, n, n) and returns arrays of
-    shape (len(ts), k, n, n): its multiplier exp(t Lambda) has shape
-    (len(ts), 1, n, n) and broadcasts against V* X V.  ``_mean`` uses
-    phi1(T (Lambda + s)).  A subclass without such a form (``GeneratorExp``)
-    overrides both.
+    shape (len(ts), k, n, n): its multiplier exp(t Lambda), or phi1(t (Lambda
+    + s)) for the mean when a shift s is given, has shape (len(ts), 1, n, n)
+    and broadcasts against V* X V.  A subclass without such a form
+    (``GeneratorExp``) overrides ``_stack``.
     """
 
     variant: str = "abstract"
@@ -126,13 +131,22 @@ class Semigroup:
                 out.append(v @ (m * (vh @ a @ v)) @ vh)
         return out
 
-    def _stack(self, ts: np.ndarray, xs: list[np.ndarray]) -> list[np.ndarray]:
-        return self._modal(xs, lambda lam: np.exp(ts[:, None, None, None] * lam))
+    def _stack(
+        self, ts: np.ndarray, xs: list[np.ndarray], s: complex | None = None
+    ) -> list[np.ndarray]:
+        tt = ts[:, None, None, None]
+        if s is None:
+            return self._modal(xs, lambda lam: np.exp(tt * lam))
+        return self._modal(xs, lambda lam: phi1(tt * (lam + s)))
 
-    def _mean(self, T: float, s: complex, x: Operator) -> Operator:
-        return Operator(
-            self.algebra, self._modal(x.blocks, lambda lam: phi1(T * (lam + s)))
-        )
+    def _inputs(self, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
+        xs = [np.asarray(a, dtype=complex) for a in xs]
+        if len(xs) != self.algebra.n_blocks or xs[0].ndim != 3:
+            raise AlgebraMismatchError("expected one (k, n, n) input stack per block")
+        k = xs[0].shape[0]
+        if k < 1 or any(a.shape != (k, n, n) for n, a in zip(self.algebra.blocks, xs)):
+            raise AlgebraMismatchError("input stacks do not match the algebra blocks")
+        return xs
 
     def propagate_batch(
         self, ts: np.ndarray, xs: Sequence[np.ndarray]
@@ -148,12 +162,7 @@ class Semigroup:
             raise ValueError("ts must be one-dimensional")
         if np.any(ts < 0):
             raise ValueError("negative times are not in the semigroup domain")
-        xs = [np.asarray(a, dtype=complex) for a in xs]
-        if len(xs) != self.algebra.n_blocks or xs[0].ndim != 3:
-            raise AlgebraMismatchError("expected one (k, n, n) input stack per block")
-        k = xs[0].shape[0]
-        if k < 1 or any(a.shape != (k, n, n) for n, a in zip(self.algebra.blocks, xs)):
-            raise AlgebraMismatchError("input stacks do not match the algebra blocks")
+        xs = self._inputs(xs)
         out = self._stack(ts, xs)
         at_zero = ts == 0
         if at_zero.any():
@@ -168,13 +177,23 @@ class Semigroup:
             raise AlgebraMismatchError("operator does not belong to this algebra")
         return [s[:, 0] for s in self.propagate_batch(ts, [a[None] for a in x.blocks])]
 
+    def mean_batch(
+        self, Ts: np.ndarray, xs: Sequence[np.ndarray], s: complex = 0.0
+    ) -> list[np.ndarray]:
+        """(1/T) integral_0^T e^{st} a_t(x) dt in closed form for every T > 0
+        in ``Ts`` and every input of a stack; shapes as :meth:`propagate_batch`."""
+        Ts = np.asarray(Ts, dtype=float)
+        if Ts.ndim != 1 or not np.all(Ts > 0):
+            raise ValueError("averaging lengths T must be one-dimensional and > 0")
+        return self._stack(Ts, self._inputs(xs), complex(s))
+
     def mean(self, T: float, x: Operator, s: complex = 0.0) -> Operator:
-        """(1/T) integral_0^T e^{st} a_t(x) dt in closed form, T > 0."""
+        """(1/T) integral_0^T e^{st} a_t(x) dt in closed form, T > 0: the
+        one-T, one-input case of :meth:`mean_batch`."""
         if x.algebra != self.algebra:
             raise AlgebraMismatchError("operator does not belong to this algebra")
-        if not T > 0:
-            raise ValueError("averaging length T must be > 0")
-        return self._mean(float(T), complex(s), x)
+        out = self.mean_batch([T], [a[None] for a in x.blocks], s)
+        return Operator(self.algebra, [y[0, 0] for y in out])
 
     def apply(self, t: float, x: Operator) -> Operator:
         """a_t(x).  Rejects t < 0; t = 0 returns x itself."""
@@ -263,10 +282,10 @@ class GeneratorExp(Semigroup):
 
     Vectorization is row-major within each block, blocks concatenated in
     order.  Propagators exp(tL) are cached per time point; a stack of k
-    inputs is one product of exp(tL) with the (d, k) matrix of their vecs.
-    The mean is the top-right column of expm([[T (L + s), vec x], [0, 0]]),
-    which is phi1(T (L + s)) vec x (Van Loan 1978; Higham, Functions of
-    Matrices, 2008).
+    inputs is one product of exp(tL) with the (d, k) matrix X of their vecs.
+    The means of the stack at one T are the top-right (d, k) block of
+    expm([[T (L + s), X], [0, 0]]), which is phi1(T (L + s)) X (Van Loan
+    1978; Higham, Functions of Matrices, 2008).
     """
 
     variant = "generator_exp"
@@ -289,28 +308,33 @@ class GeneratorExp(Semigroup):
         hit = self._cache.get(t)
         if hit is not None:
             return hit
-        return self._cache.setdefault(t, scipy.linalg.expm(t * self.matrix))
+        return self._cache.setdefault(t, self._expm(t * self.matrix))
 
-    def _stack(self, ts, xs):
+    @staticmethod
+    def _expm(a: np.ndarray) -> np.ndarray:
+        import scipy.linalg  # deferred: most of the package's import time
+
+        return scipy.linalg.expm(a)
+
+    def _stack(self, ts, xs, s=None):
         # column c of the (d, k) input matrix is vec of input c
-        k = xs[0].shape[0]
+        k, d = xs[0].shape[0], self.algebra.vec_dim
         cols = np.concatenate([a.reshape(k, -1) for a in xs], axis=1).T
         outs = [
             np.empty((len(ts), k, n, n), dtype=complex) for n in self.algebra.blocks
         ]
         offsets = self.algebra.vec_offsets
         for q, t in enumerate(ts):
-            w = self.propagator(t) @ cols
+            if s is None:
+                w = self.propagator(t) @ cols
+            else:
+                aug = np.zeros((d + k, d + k), dtype=complex)
+                aug[:d, :d] = t * (self.matrix + s * np.eye(d))
+                aug[:d, d:] = cols
+                w = self._expm(aug)[:d, d:]
             for i, n in enumerate(self.algebra.blocks):
                 outs[i][q] = w[offsets[i] : offsets[i + 1]].T.reshape(k, n, n)
         return outs
-
-    def _mean(self, T, s, x):
-        d = self.algebra.vec_dim
-        aug = np.zeros((d + 1, d + 1), dtype=complex)
-        aug[:d, :d] = T * (self.matrix + s * np.eye(d))
-        aug[:d, d] = vec(x)
-        return unvec(self.algebra, scipy.linalg.expm(aug)[:d, d])
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +455,6 @@ class ValidationReport:
         }
 
 
-def _stacked(ops: Sequence[Operator]) -> list[np.ndarray]:
-    """Per-block input stacks (k, n, n) of a list of operators."""
-    return [np.stack(blocks) for blocks in zip(*(x.blocks for x in ops))]
-
-
-def _op_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """Operator norm of each of k operators given as per-block (k, n, n) stacks."""
-    return np.max([np.linalg.norm(a, 2, axis=(1, 2)) for a in stacks], axis=0)
-
-
 def _traces(alg: TracialAlgebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Weighted trace of each of k operators given as per-block stacks."""
     return sum(c * np.trace(a, axis1=1, axis2=2) for c, a in zip(alg.weights, stacks))
@@ -468,12 +482,12 @@ def semigroup_law_residual(
         raise ValueError("law residual needs t, s >= 0")
     if not probes:
         return 0.0
-    xs = _stacked(probes)
+    xs = stack_blocks(probes)
     both = sg.propagate_batch(np.array([s, t + s], dtype=float), xs)
     lhs = sg.propagate_batch(np.array([float(t)]), [y[0] for y in both])
-    gaps = _op_norms([a[0] - y[1] for a, y in zip(lhs, both)])
+    gaps = op_norms([a[0] - y[1] for a, y in zip(lhs, both)])
     worst = 0.0
-    for gap, scale in zip(gaps.tolist(), _op_norms(xs).tolist()):
+    for gap, scale in zip(gaps.tolist(), op_norms(xs).tolist()):
         worst = max(worst, gap / max(scale, 1e-300))
     return worst
 
@@ -503,9 +517,9 @@ def validate_absolute_contraction(
     alg = sg.algebra
     positives = [random_positive(alg, rng) for _ in range(20)]
     # input 0 is the identity, input k + 1 the k-th positive
-    inputs = _stacked([alg.identity(), *positives])
+    inputs = stack_blocks([alg.identity(), *positives])
     eyes = [a[0] for a in inputs]
-    scales = np.maximum(_op_norms([a[1:] for a in inputs]), 1e-300).tolist()
+    scales = np.maximum(op_norms([a[1:] for a in inputs]), 1e-300).tolist()
     traces_in = _traces(alg, [a[1:] for a in inputs]).real
 
     worst: dict[str, float | str] = {}
@@ -516,7 +530,7 @@ def validate_absolute_contraction(
 
     for t in ts:
         images = [y[0] for y in sg.propagate_batch(np.array([t]), inputs)]
-        defects = _op_norms([y - y.conj().swapaxes(1, 2) for y in images]).tolist()
+        defects = op_norms([y - y.conj().swapaxes(1, 2) for y in images]).tolist()
         # one eigvalsh per block: herm(a_t(1) - 1) at 0, herm(a_t(x_k)) after
         shifted = [y.copy() for y in images]
         for y, e in zip(shifted, eyes):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,6 +119,39 @@ def test_cli_bad_config_exit_two(tmp_path):
         ["run", "--config", str(cfg_path), "--suite", "local-avg", "--out", str(tmp_path / "o")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"sandwich_grid": [0.0]},
+        {"sandwich_grid": []},
+        {"maximal_epsilons": [0.0]},
+        {"banach_map_exps": []},
+        {"banach_map_exps": [3]},
+        {"banach_map_exps": [2, 1]},
+        {"semigroup": {"variant": "nope"}},
+        {"weight": {"residual": {"name": "nope"}}},
+    ],
+)
+def test_cli_bad_config_values_exit_two(tmp_path, capsys, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    code = main(
+        ["run", "--config", str(cfg_path), "--suite", "full", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, ncerg.cli; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_schema_prints_json(capsys):
