@@ -261,14 +261,15 @@ def pnorms(alg: TracialAlgebra, svals: Sequence[np.ndarray], p: float) -> list[f
     return [v ** (1.0 / p) for v in total.tolist()]
 
 
-def abs_value(x: Operator) -> Operator:
-    """Positive square root of ``x* x``."""
+def abs_value(x: Operator | Sequence[np.ndarray]) -> Operator | list[np.ndarray]:
+    """Positive square root of ``x* x``: of an operator, or of every member
+    of a per-block stacked family (one batched ``eigh`` per block)."""
     blocks = []
-    for a in x.blocks:
-        w, v = np.linalg.eigh(a.conj().T @ a)
+    for a in x.blocks if isinstance(x, Operator) else x:
+        w, v = np.linalg.eigh(a.conj().swapaxes(-1, -2) @ a)
         w = np.sqrt(np.clip(w, 0.0, None))
-        blocks.append((v * w) @ v.conj().T)
-    return Operator(x.algebra, blocks)
+        blocks.append((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    return Operator(x.algebra, blocks) if isinstance(x, Operator) else blocks
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +278,11 @@ def abs_value(x: Operator) -> Operator:
 
 @dataclass(frozen=True)
 class SpectralResolution:
-    """Eigendecomposition of a self-adjoint operator.
+    """Eigendecomposition of a self-adjoint operator, or of a stacked family.
 
     ``eigenvalues[i]`` is the ascending spectrum of block ``i`` and
-    ``eigenvectors[i]`` the matching orthonormal eigenvector columns.
+    ``eigenvectors[i]`` the matching orthonormal eigenvector columns, with a
+    leading member axis for a stacked family ((m, n) and (m, n, n) per block).
     """
 
     algebra: TracialAlgebra
@@ -303,28 +305,48 @@ class SpectralResolution:
             for v in self.eigenvectors
         )
 
+    def cut_cotrace(
+        self, level: float | Sequence[float], tol: float = DEFAULT_TOLS.spectral_include
+    ) -> float | np.ndarray:
+        """Co-trace of :func:`spectral_projection` at ``level``, one per member
+        of a stacked resolution."""
+        drops = self._drops(level, tol)
+        return sum(c * d.sum(axis=-1) for c, d in zip(self.algebra.weights, drops))
+
+    def _drops(self, level: float | Sequence[float], tol: float) -> list[np.ndarray]:
+        top = np.asarray(level, dtype=float)[..., None] + tol
+        return [w > top for w in self.eigenvalues]
+
 
 def spectral_resolution(
-    x: Operator, tol: float = DEFAULT_TOLS.self_adjoint
+    x: Operator | Sequence[np.ndarray],
+    tol: float = DEFAULT_TOLS.self_adjoint,
+    alg: TracialAlgebra | None = None,
 ) -> SpectralResolution:
-    """Eigendecomposition of a (numerically) self-adjoint operator.
+    """Eigendecomposition of a (numerically) self-adjoint operator, or of
+    every member of a per-block stacked family of ``alg``.
 
     The input may carry roundoff; it is symmetrized before decomposition, but
-    a defect beyond ``tol * ||x||`` is rejected.
+    a member whose defect exceeds ``tol * ||x||`` is rejected.  A stacked
+    family runs one batched ``eigh`` per block and gives a stacked resolution.
     """
-    scale = max(x.norm_inf(), 1e-14)
-    if x.self_adjoint_defect() > tol * scale:
-        raise ValueError(
-            f"operator is not self-adjoint within tolerance "
-            f"({x.self_adjoint_defect():.3e} > {tol * scale:.3e})"
-        )
-    ws, vs = [], []
-    for a in x.blocks:
-        h = (a + a.conj().T) / 2.0
-        w, v = np.linalg.eigh(h)
-        ws.append(w)
-        vs.append(v)
-    return SpectralResolution(x.algebra, tuple(ws), tuple(vs))
+    one = isinstance(x, Operator)
+    if not one and alg is None:
+        raise ValueError("a stacked family needs its algebra")
+    stacks = [a[None] for a in x.blocks] if one else list(x)
+    skew = [a - a.conj().swapaxes(1, 2) for a in stacks]
+    if any(d.any() for d in skew):  # exactly self-adjoint input needs no norms
+        defect, bound = op_norms(skew), tol * np.maximum(op_norms(stacks), 1e-14)
+        if np.any(defect > bound):
+            i = int(np.argmax(defect > bound))
+            raise ValueError(
+                f"operator is not self-adjoint within tolerance "
+                f"({defect[i]:.3e} > {bound[i]:.3e})"
+            )
+    ws, vs = zip(*(np.linalg.eigh((a + a.conj().swapaxes(1, 2)) / 2.0) for a in stacks))
+    if one:
+        ws, vs = [w[0] for w in ws], [v[0] for v in vs]
+    return SpectralResolution(x.algebra if one else alg, tuple(ws), tuple(vs))
 
 
 class Projection:
@@ -383,24 +405,28 @@ class Projection:
 
 def spectral_projection(
     res: SpectralResolution,
-    level: float,
+    level: float | Sequence[float],
     tol: float = DEFAULT_TOLS.spectral_include,
 ) -> Projection:
     """Projection onto eigenvectors with eigenvalue <= ``level + tol``.
 
     Ties at the threshold are included, so the co-trace never exceeds the
-    weighted count of eigenvalues strictly above the level.
+    weighted count of eigenvalues strictly above the level.  On a stacked
+    resolution member i is cut at ``level[i]`` (or a shared level), and the
+    result is the meet of the cuts of co-trace > 0 (:func:`meet_complements`).
     """
-    blocks = []
-    cotrace = 0.0
-    for n, c, w, v in zip(
-        res.algebra.blocks, res.algebra.weights, res.eigenvalues, res.eigenvectors
-    ):
-        mask = w <= level + tol
-        cols = v[:, mask]
-        blocks.append(cols @ cols.conj().T)
-        cotrace += c * float(n - int(mask.sum()))
-    return Projection(Operator(res.algebra, blocks), cotrace=cotrace)
+    alg, drops = res.algebra, res._drops(level, tol)
+    cotrace = res.cut_cotrace(level, tol)
+    if drops[0].ndim == 1:
+        blocks = [v[:, ~d] @ v[:, ~d].conj().T for v, d in zip(res.eigenvectors, drops)]
+        return Projection(Operator(alg, blocks), cotrace=float(cotrace))
+    cut = cotrace > 0
+    if not cut.any():
+        return Projection(alg.identity(), cotrace=0.0)
+    return meet_complements(alg, [
+        (v[cut] * d[cut][:, None, :]) @ v[cut].conj().swapaxes(1, 2)
+        for v, d in zip(res.eigenvectors, drops)
+    ])
 
 
 def proj_meet(

@@ -9,10 +9,9 @@ approximant, and f = p ^ q with a three-way bound split.  Every intermediate
 bound is recorded and can be replayed; the engine only ever touches pairwise
 differences a_m(x) - a_n(x), never a limit object.
 
-A map family evaluated on one operator is a per-block stack (m, n, n) over
-its labels (:meth:`MapFamily.evaluate_all`).  The assembly and its replay
-build every compressed-norm row of the ledger from such stacks through one
-function, ``_norm_rows``.
+The assembly and its replay hold a map family evaluated on one operator as a
+per-block stack (m, n, n) over its labels, and build every compressed-norm
+row of the ledger from such stacks through one function, ``_norm_rows``.
 """
 from __future__ import annotations
 
@@ -96,9 +95,8 @@ class MapFamily:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(float(t) for t in self.labels))
 
-    def evaluate_all(self, x: Operator) -> list[np.ndarray]:
-        """a_m(x) over the labels, stacked per block as (m, n, n)."""
-        return stack_blocks([self.func(t, x) for t in self.labels])
+    def evaluate_all(self, x: Operator) -> list[Operator]:
+        return [self.func(t, x) for t in self.labels]
 
 
 def cesaro_map_family(sg: Semigroup, T_list: Sequence[float]) -> MapFamily:
@@ -182,8 +180,9 @@ def make_dense_certifier(
     """Cauchy certifier for the map family evaluated on a dense-set element."""
 
     def certify(y: Operator, eps_budget: float) -> ProjectionCertificate:
+        values = maps.evaluate_all(y)
         return bau_cauchy_certify(
-            [(t, maps.func(t, y)) for t in maps.labels], eps_budget, tol=tol
+            list(zip(maps.labels, values)), eps_budget, tol=tol
         )
 
     return certify
@@ -252,7 +251,7 @@ class AssemblyCertificate:
         fresh = {
             (r.name, r.witness): r.achieved
             for name, claimed, e, y, n, start in checks
-            for r in _norm_rows(name, claimed, e, maps.evaluate_all(y), n, start)
+            for r in _norm_rows(name, claimed, e, stack_blocks(maps.evaluate_all(y)), n, start)
         }
         return {
             f"{s.name}{s.witness or ''}": abs(fresh[s.name, s.witness] - s.achieved)
@@ -334,7 +333,7 @@ def assemble_certificate(
         cert_n = oracle(x_n - x, eps / 2.0 ** (n + 1))
         projs.append(cert_n.projection)
         certs.append(cert_n)
-        images.append(maps.evaluate_all(x_n - x))
+        images.append(stack_blocks(maps.evaluate_all(x_n - x)))
         claimed = eps / 2.0 ** (n + 1)
         steps += _norm_rows("uniform_control", claimed, projs[-1], images[-1], n, check=True)
 
@@ -364,7 +363,7 @@ def assemble_certificate(
     if N0 is None:
         worst = dense_cert.decay[0][1] if dense_cert.decay else math.inf
         raise AssemblyError("dense_cauchy", None, worst, eps / 3.0)
-    dense = maps.evaluate_all(x_n0)
+    dense = stack_blocks(maps.evaluate_all(x_n0))
     steps += _norm_rows(
         "dense_cauchy", eps / 3.0, dense_cert.projection, dense, start=N0, check=True
     )
@@ -375,7 +374,9 @@ def assemble_certificate(
     if f.cotrace > f_budget:
         raise AssemblyError("final_budget", None, f.cotrace, f_budget)
 
-    steps += _norm_rows("final_bound", eps, f, maps.evaluate_all(x), start=N0, check=True)
+    steps += _norm_rows(
+        "final_bound", eps, f, stack_blocks(maps.evaluate_all(x)), start=N0, check=True
+    )
 
     budget_spent = sum(c.cotrace for c in certs) + dense_cert.cotrace
     return AssemblyCertificate(

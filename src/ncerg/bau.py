@@ -10,8 +10,9 @@ stored projection and family must reproduce the stored value.
 A T-indexed family is a per-block stack here: one (m, n, n) array per
 block in grid order; the public signatures stack their lists and dicts of
 operators once (``algebra.stack_blocks``).  Each certificate cuts all its
-members after one batched ``eigh`` per block and meets the cuts with one SVD
-per block (``_cut_meet``); compressed norms are batched SVD norms.
+members through one stacked ``spectral_resolution`` (one batched ``eigh`` per
+block) and meets the cuts in one stacked ``spectral_projection`` (one SVD per
+block); compressed norms are batched SVD norms.
 """
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ import numpy as np
 from .algebra import (
     Operator,
     Projection,
+    SpectralResolution,
     TracialAlgebra,
     abs_value,
-    meet_complements,
     op_norms,
     operator_to_dict,
     pnorm,
@@ -181,34 +182,6 @@ def compressed_pair_norms(e: Projection, ops: Sequence[Operator]) -> np.ndarray:
     return _pair_table(e, stack_blocks(ops)) if ops else np.zeros((0, 0))
 
 
-def _cut_meet(
-    alg: TracialAlgebra,
-    spectra: Sequence[tuple[np.ndarray, np.ndarray]],
-    levels: Sequence[float],
-    tol: float,
-) -> tuple[np.ndarray, Projection]:
-    """Cut every member of a stacked family at its own level and meet the cuts.
-
-    ``spectra`` holds per block the magnitudes (m, n) and eigenvectors
-    (m, n, n) of one batched ``eigh`` over the family.  Member i drops the
-    eigenvectors whose magnitude exceeds levels[i] + tol, so ties are kept.
-    Returns the weighted co-trace of every cut and the meet of the cuts, one
-    :func:`meet_complements` of the dropped spans.  A cut of co-trace 0 is 1
-    and stays out of the meet; a meet of no cut is 1.
-    """
-    top = np.asarray(levels, dtype=float)[:, None] + tol
-    drops = [mag > top for mag, _ in spectra]
-    cotrace = sum(c * d.sum(axis=1) for c, d in zip(alg.weights, drops))
-    keep = cotrace > 0
-    if not keep.any():
-        return cotrace, Projection(alg.identity(), cotrace=0.0)
-    complements = [
-        (v[keep] * d[keep][:, None, :]) @ v[keep].conj().swapaxes(1, 2)
-        for (_, v), d in zip(spectra, drops)
-    ]
-    return cotrace, meet_complements(alg, complements)
-
-
 # ---------------------------------------------------------------------------
 # measure-topology witness
 # ---------------------------------------------------------------------------
@@ -263,16 +236,18 @@ def maximal_projection(
     x: Operator,
     params: MaximalParams,
     T_grid: Sequence[float],
-    family: dict[float, Operator] | None = None,
+    family: dict[float, Operator] | Sequence[np.ndarray] | None = None,
     tol: float = DEFAULT_TOLS.spectral_include,
 ) -> ProjectionCertificate:
     """One projection controlling ||e beta_T(x) e|| <= eps over a whole T grid.
 
-    One batched ``eigh`` per block diagonalizes every average y_T.  |y_T| has
-    eigenvalues |w| on the same eigenvectors, so each cut drops those with
-    |w| > eps + tol (ties are kept), and the cut co-trace and the Chebyshev
-    bound eps^-p tau(|y_T|^p) come from the same |w|.  One meet of the cuts
-    (:func:`meet_complements`) compresses every average at once.  Its
+    ``family`` holds the averages y_T, if already computed, keyed by T or as
+    per-block (m, n, n) stacks in grid order.  One stacked spectral
+    resolution diagonalizes every y_T.  |y_T| has eigenvalues |w| on the same
+    eigenvectors, so each cut drops those with |w| > eps + tol (ties are
+    kept), and the cut co-trace and the Chebyshev bound eps^-p tau(|y_T|^p)
+    come from the same |w|.  One meet of the cuts (the stacked
+    :func:`spectral_projection`) compresses every average at once.  Its
     co-trace is compared against C (eps^-1 ||x||_p)^p; exceeding the cap only
     flags the certificate, and the empirical C realized by the run is
     reported either way.
@@ -286,15 +261,17 @@ def maximal_projection(
     if family is None:
         ys = [y[:, 0] for y in sg.mean_batch(grid, stack_blocks([x]))]
     else:
-        ys = stack_blocks([family[T] for T in grid])
+        ys = stack_blocks([family[T] for T in grid]) if isinstance(family, dict) else family
     ys = [(y + y.conj().swapaxes(1, 2)) / 2.0 for y in ys]
 
     eps = params.epsilon
-    spectra = [(np.abs(w), v) for w, v in map(np.linalg.eigh, ys)]
-    cut_cotrace, e = _cut_meet(alg, spectra, [eps] * len(grid), tol)
-    power_trace = sum(
-        c * np.sum(mag**params.p, axis=1) for c, (mag, _) in zip(alg.weights, spectra)
-    )
+    res = spectral_resolution(ys, alg=alg)
+    # |y_T| has the eigenvalues |w| of y_T on the same eigenvectors
+    mags = SpectralResolution(alg, tuple(map(np.abs, res.eigenvalues)), res.eigenvectors)
+    cut_cotrace = mags.cut_cotrace(eps, tol)
+    e = spectral_projection(mags, eps, tol)
+    weighted = zip(alg.weights, mags.eigenvalues)
+    power_trace = sum(c * np.sum(w**params.p, axis=1) for c, w in weighted)
     chebyshev = eps ** (-params.p) * power_trace
     achieved = float(compressed_norms(e, ys).max())
     xnorm = pnorm(alg, x, params.p)
@@ -374,10 +351,11 @@ def double_average_certificate(
     flags = []
 
     def cut_windows(windows, tag):
-        spectra = [np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2.0) for h in windows]
+        sym = [(h + h.conj().swapaxes(1, 2)) / 2.0 for h in windows]
+        res = spectral_resolution(sym, alg=alg)
         powers = sum(
             c * np.sum(np.clip(w, 0.0, None) ** p, axis=1)
-            for c, (w, _) in zip(alg.weights, spectra)
+            for c, w in zip(alg.weights, res.eigenvalues)
         )
         picks, idx = [], 0
         for k in range(1, levels + 1):
@@ -387,8 +365,9 @@ def double_average_certificate(
             if idx == len(schedule):
                 raise ScheduleExhaustedError(k, min(powers, default=math.inf), target)
             picks.append(idx)
-        picked = [(w[picks], v[picks]) for w, v in spectra]
-        cotraces, meet = _cut_meet(alg, picked, [lv ** (1.0 / p) for lv in budgets], tol)
+        picked = spectral_resolution([h[picks] for h in sym], alg=alg)
+        cuts = [lv ** (1.0 / p) for lv in budgets]
+        cotraces, meet = picked.cut_cotrace(cuts, tol), spectral_projection(picked, cuts, tol)
         for k, (i, level, cot) in enumerate(zip(picks, budgets, cotraces), start=1):
             if cot > level + 1e-12:
                 flags.append(f"{tag} level {k} cotrace above geometric budget")
@@ -451,16 +430,24 @@ def bau_cauchy_certify(
     d(delta) = max over pairs below delta of ||e (y_T - y_S) e||; the family
     certifies when the final entry drops below ``tol``.
     """
+    grid, ops = [T for T, _ in family], [y for _, y in family]
+    alg = ops[0].algebra if ops else None
+    return _cauchy_certify(alg, grid, stack_blocks(ops), epsilon, tol, tail_fraction, include_tol)
+
+
+def _cauchy_certify(
+    alg, grid, ys, epsilon, tol=DEFAULT_TOLS.decay, tail_fraction=0.5,
+    include_tol=DEFAULT_TOLS.spectral_include,
+) -> ProjectionCertificate:
+    """:func:`bau_cauchy_certify` of a family held as per-block stacks ``ys``
+    over ``grid``."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    grid = [float(T) for T, _ in family]
+    grid = [float(T) for T in grid]
     if len(grid) < 2:
         raise ValueError("need at least two family members")
     if any(t2 >= t1 for t1, t2 in zip(grid, grid[1:])):
         raise ValueError("family grid must be strictly decreasing")
-    alg = family[0][1].algebra
-    ys = stack_blocks([y for _, y in family])
-
     m = len(grid)
     tail_start = max(0, m - max(2, math.ceil(tail_fraction * m)))
     diffs = pair_differences([a[tail_start:] for a in ys])
@@ -468,14 +455,10 @@ def bau_cauchy_certify(
     budgets = np.array([epsilon / (2.0 ** (k + 1)) for k in range(1, len(rows) + 1)])
     nonzero = np.any([np.any(z, axis=(1, 2)) for z in diffs], axis=0)
     rows, cols, budgets = rows[nonzero], cols[nonzero], budgets[nonzero]
-    zs = [z[nonzero] for z in diffs]
-    # |z| has the eigenvectors of z* z and the square roots of its eigenvalues
-    spectra = [
-        (np.sqrt(np.clip(w, 0.0, None)), v)
-        for w, v in (np.linalg.eigh(z.conj().swapaxes(1, 2) @ z) for z in zs)
-    ]
-    total = sum(c * mag.sum(axis=1) for c, (mag, _) in zip(alg.weights, spectra))
-    cotraces, e = _cut_meet(alg, spectra, total / budgets, include_tol)
+    mags = abs_value([z[nonzero] for z in diffs])
+    res = spectral_resolution(mags, alg=alg)
+    cuts = sum(c * np.trace(a, axis1=1, axis2=2).real for c, a in zip(alg.weights, mags)) / budgets
+    cotraces, e = res.cut_cotrace(cuts, include_tol), spectral_projection(res, cuts, include_tol)
     levels = [
         [grid[tail_start + i], grid[tail_start + j], float(budget), float(cot)]
         for i, j, budget, cot in zip(rows, cols, budgets, cotraces)
@@ -521,10 +504,7 @@ def first_index_below(cert: ProjectionCertificate, target: float) -> int | None:
     """First grid index whose suffix decay is <= target, from a decay table."""
     if cert.decay is None:
         return None
-    for idx, (_, value) in enumerate(cert.decay):
-        if value <= target:
-            return idx
-    return None
+    return next((i for i, (_, value) in enumerate(cert.decay) if value <= target), None)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (
-    Operator,
     TracialAlgebra,
     min_eig,
     pnorm,
@@ -56,6 +55,7 @@ from .bau import (
     MaximalParams,
     ScheduleExhaustedError,
     TransferPremiseError,
+    _cauchy_certify,
     bau_cauchy_certify,
     double_average_certificate,
     lp_limit_check,
@@ -333,7 +333,6 @@ def _suite_local_avg(env: _Env) -> None:
     x = random_self_adjoint(alg, rng, norm=1.0)
     Ts = [2.0**-k for k in range(cfg.dyadic_exp_max + 1)]
     means = [y[:, 0] for y in sg.mean_batch(Ts, stack_blocks([x]))]
-    family = [(T, Operator(alg, [y[q] for y in means])) for q, T in enumerate(Ts)]
     # singular values of y_T - x, and of a_s(x) - x at 16 sample times s in
     # (0, T] for every T from one core call, shared by both p
     errs = [np.linalg.svd(y - a, compute_uv=False) for y, a in zip(means, x.blocks)]
@@ -352,8 +351,8 @@ def _suite_local_avg(env: _Env) -> None:
         env.passed[f"local-avg:final_below_{tag}"] = rows[-1][1] < 1e-3 * pnorm(alg, x, p)
         env.passed[f"local-avg:bounds_hold_{tag}"] = bool(np.all(slack >= -1e-8))
 
-    cert = bau_cauchy_certify(
-        family, epsilon=0.1 * alg.trace_of_identity, tol=1e-3 * x.norm_inf()
+    cert = _cauchy_certify(
+        alg, Ts, means, epsilon=0.1 * alg.trace_of_identity, tol=1e-3 * x.norm_inf()
     )
     env.write_cert("local_avg_cauchy", cert.to_json_dict())
     env.passed["local-avg:cauchy_certificate"] = cert.ok
@@ -397,22 +396,18 @@ def _suite_maximal(env: _Env) -> None:
     T_grid = np.geomspace(cfg.T_lo, cfg.T_hi, cfg.T_n)
 
     means = sg.mean_batch(T_grid, stack_blocks(xs))
-    families = [
-        {float(T): Operator(alg, [y[q, c] for y in means]) for q, T in enumerate(T_grid)}
-        for c in range(len(xs))
-    ]
     rows = []
     bound_ok = True
     per_eps_c = {}
     for eps in cfg.maximal_epsilons:
         cs = []
-        for case, (x, fam) in enumerate(zip(xs, families)):
+        for case, x in enumerate(xs):
             cert = maximal_projection(
                 sg,
                 x,
                 MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps),
                 T_grid,
-                family=fam,
+                family=[y[:, case] for y in means],
             )
             rows.append(
                 (

@@ -486,10 +486,7 @@ def semigroup_law_residual(
     both = sg.propagate_batch(np.array([s, t + s], dtype=float), xs)
     lhs = sg.propagate_batch(np.array([float(t)]), [y[0] for y in both])
     gaps = op_norms([a[0] - y[1] for a, y in zip(lhs, both)])
-    worst = 0.0
-    for gap, scale in zip(gaps.tolist(), op_norms(xs).tolist()):
-        worst = max(worst, gap / max(scale, 1e-300))
-    return worst
+    return float(np.max(gaps / np.maximum(op_norms(xs), 1e-300), initial=0.0))
 
 
 def validate_absolute_contraction(

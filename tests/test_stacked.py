@@ -1,8 +1,11 @@
 """Stacked T-indexed families, held to per-member references.
 
 ``Semigroup.mean_batch`` evaluates a whole T grid for a stack of inputs;
+``abs_value``, ``spectral_resolution`` and ``spectral_projection`` take a
+stacked family (one batched eigh per block; the projection of a stacked
+resolution is the meet of the member cuts); ``maximal_projection``,
 ``bau_cauchy_certify`` and ``double_average_certificate`` cut every member of
-a stacked family after one batched eigh per block and meet the cuts at once;
+a stacked family through them and meet the cuts at once;
 ``assemble_certificate`` and its replay take their compressed-norm rows from
 stacked tables.  Each reference here is built one operator at a time from
 ``mean``, ``abs_value``, ``spectral_resolution``, ``spectral_projection``,
@@ -31,6 +34,8 @@ from ncerg import (
     lindblad_generator,
     make_dense_certifier,
     make_maximal_oracle,
+    maximal_projection,
+    meet_all,
     perturbation_transfer,
     proj_meet,
     random_positive,
@@ -44,7 +49,13 @@ from ncerg import (
 from ncerg.algebra import Projection, random_operator, stack_blocks
 from ncerg.averaging import sandwich_windows
 from ncerg.banach import ApproximationScheme, AssemblyError, ConditionOneOracle
-from ncerg.bau import ProjectionCertificate, ScheduleExhaustedError, compressed_norm
+from ncerg.bau import (
+    MaximalParams,
+    ProjectionCertificate,
+    ScheduleExhaustedError,
+    _cauchy_certify,
+    compressed_norm,
+)
 
 # unequal blocks, so a swapped block index shows
 ALG = TracialAlgebra((2, 3), (1.0, 0.5))
@@ -106,6 +117,86 @@ def test_mean_batch_couples_blocks_and_validates():
             sg.mean_batch(Ts, good)
     with pytest.raises(ValueError):
         sg.mean_batch([0.5], good[:1])
+
+
+# ---------------------------------------------------------------------------
+# the spectral layer on stacked families
+# ---------------------------------------------------------------------------
+
+def test_stacked_spectral_layer_matches_per_member():
+    rng = np.random.default_rng(35)
+    ops = [random_self_adjoint(ALG, rng, norm=1.0) for _ in range(5)]
+    ops[2] = ALG.zero()
+    stacks = stack_blocks(ops)
+    # member 2 is 0 and member 4 sits above its spectrum: both cut nothing
+    levels = [0.3, -0.2, 0.0, 0.5, 2.0]
+
+    mags = abs_value(stacks)
+    for i, x in enumerate(ops):
+        want = abs_value(x)
+        assert close(Operator(ALG, [a[i] for a in mags]), want, 1e-14)
+
+    res = spectral_resolution(stacks, alg=ALG)
+    assert [w.shape for w in res.eigenvalues] == [(5, n) for n in ALG.blocks]
+    assert [v.shape for v in res.eigenvectors] == [(5, n, n) for n in ALG.blocks]
+    cuts = []
+    for i, (x, level) in enumerate(zip(ops, levels)):
+        one = spectral_resolution(x)
+        for w, w1 in zip(res.eigenvalues, one.eigenvalues):
+            assert np.allclose(w[i], w1, rtol=0, atol=1e-14)
+        cut = spectral_projection(one, level)
+        assert res.cut_cotrace(levels)[i] == cut.cotrace == one.cut_cotrace(level)
+        if cut.cotrace > 0:
+            cuts.append(cut)
+    assert len(cuts) == 3
+    e = spectral_projection(res, levels)
+    want = meet_all(cuts)
+    assert e.cotrace == want.cotrace
+    assert (e.op - want.op).norm_inf() <= 1e-10
+    # one shared level is broadcast over the members
+    assert list(res.cut_cotrace(0.1)) == [
+        spectral_projection(spectral_resolution(x), 0.1).cotrace for x in ops
+    ]
+    # a stacked cut that drops nothing is the identity
+    top = spectral_projection(res, [2.0] * 5)
+    assert top.cotrace == 0.0 and (top.op - ALG.identity()).norm_inf() == 0.0
+
+
+def test_stacked_spectral_resolution_rejects_bad_input():
+    rng = np.random.default_rng(36)
+    ops = [random_self_adjoint(ALG, rng) for _ in range(3)]
+    ops[1] = ops[1] + 0.5j * ALG.identity()
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        spectral_resolution(stack_blocks(ops), alg=ALG)
+    with pytest.raises(ValueError, match="needs its algebra"):
+        spectral_resolution(stack_blocks(ops[:1]))
+
+
+def test_maximal_projection_takes_a_stacked_family():
+    rng = np.random.default_rng(37)
+    sg = variants(ALG, rng)["unitary_flow"]
+    x = random_self_adjoint(ALG, rng, norm=1.0)
+    grid = np.geomspace(1e-3, 5.0, 9)
+    params = MaximalParams(C=1.0, p=1.0, epsilon=0.2)
+    means = [y[:, 0] for y in sg.mean_batch(grid, stack_blocks([x]))]
+    by_T = {float(T): Operator(ALG, [y[q] for y in means]) for q, T in enumerate(grid)}
+    got = maximal_projection(sg, x, params, grid, family=means)
+    for want in (
+        maximal_projection(sg, x, params, grid, family=by_T),
+        maximal_projection(sg, x, params, grid),
+    ):
+        assert got.cotrace == want.cotrace > 0
+        assert got.params["chebyshev"] == want.params["chebyshev"]
+        assert got.achieved_bound == want.achieved_bound
+        assert (got.projection.op - want.projection.op).norm_inf() == 0.0
+
+
+def test_cauchy_core_takes_a_stacked_family():
+    family = spiky_family(ALG, np.random.default_rng(38), 6)
+    grid, ops = [T for T, _ in family], [y for _, y in family]
+    got = _cauchy_certify(ALG, grid, stack_blocks(ops), 20.0, tol=1e-3)
+    want = bau_cauchy_certify(family, 20.0, tol=1e-3)
+    assert got.to_json_dict() == want.to_json_dict()
 
 
 # ---------------------------------------------------------------------------
