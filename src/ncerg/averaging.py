@@ -6,12 +6,15 @@ Cesaro averages and every trigonometric term exp(2 pi i theta t) are exact:
 each is one closed-form :meth:`Semigroup.mean` at shift s = 2 pi i theta, so
 ``cesaro_average``, ``trig_average``, ``oscillatory_average``,
 ``dense_approximant`` and ``sandwich_check`` take no quadrature settings.
-Only a weight's non-trigonometric residual, and the scalar local mean gap,
-are integrated numerically: composite Gauss-Legendre panels whose count
-doubles until the difference between successive refinements drops below a
-relative tolerance, measured in the operator norm.  Weight values are taken
-exactly at the quadrature nodes, never interpolated.  ``integrate_flow``
-also serves as the independent oracle for the closed forms in the tests.
+A Besicovitch weight b = P + r is integrated numerically only through its
+residual r: the weighted average is the exact P-average plus the quadrature
+of r, and the local mean gap (1/T) integral |b - P| and the substitution
+bound read r alone.  One doubling core serves both integrators: composite
+Gauss-Legendre panels whose count doubles until the difference between
+successive refinements drops below a relative tolerance (in the operator norm
+for ``integrate_flow``).  Weight values are taken exactly at the quadrature
+nodes, never interpolated.  ``integrate_flow`` also serves as the independent
+oracle for the closed forms in the tests.
 """
 from __future__ import annotations
 
@@ -124,6 +127,31 @@ def _panel_points(lo: float, hi: float, panels: int, order: int):
     return ts, ws
 
 
+def _refine(lo: float, hi: float, quad: QuadratureConfig, evaluate, distance):
+    """The doubling Gauss-Legendre loop behind both integrators.
+
+    ``evaluate(ts, ws)`` returns a pass's sum and its roundoff scale
+    sum_k |w_k f(t_k)| (or a bound on it); ``distance(cur, prev)`` returns
+    ||cur - prev|| and ||cur||.  Returns (value, error, refinements,
+    converged), the last pass when the budget runs out.
+    """
+    if not hi > lo:
+        raise ValueError("integration interval must have hi > lo")
+    panels = max(1, math.ceil(quad.panels_per_unit * (hi - lo)))
+    prev = None
+    err = math.inf
+    for level in range(quad.max_refinements + 1):
+        cur, roundoff = evaluate(*_panel_points(lo, hi, panels, quad.nodes_per_panel))
+        if prev is not None:
+            change, scale = distance(cur, prev)
+            err = change / max(scale, _ROUNDOFF * roundoff / quad.rtol, 1e-300)
+            if err <= quad.rtol:
+                return cur, err, level, True
+        prev = cur
+        panels *= quad.refine_factor
+    return cur, err, level, False
+
+
 def integrate_flow(
     sg: Semigroup,
     x: Operator,
@@ -138,30 +166,20 @@ def integrate_flow(
     norms ||cur - prev|| and ||cur|| of a refinement come from one batched
     SVD per block.
     """
-    if not hi > lo:
-        raise ValueError("integration interval must have hi > lo")
-    panels = max(1, math.ceil(quad.panels_per_unit * (hi - lo)))
-    prev = None
-    err = math.inf
-    level = 0
-    for level in range(quad.max_refinements + 1):
-        ts, ws = _panel_points(lo, hi, panels, quad.nodes_per_panel)
-        if weight is None:
-            cw = ws.astype(complex)
-        else:
-            cw = ws * np.asarray(weight(ts), dtype=complex)
+
+    def evaluate(ts, ws):
+        cw = ws.astype(complex) if weight is None else ws * np.asarray(weight(ts), dtype=complex)
         stacks = sg.propagate_stack(ts, x)
-        cur = [np.einsum("t,tij->ij", cw, s) for s in stacks]
-        if prev is not None:
-            size = max(float(np.linalg.norm(s, axis=(1, 2)).max()) for s in stacks)
-            floor = _ROUNDOFF * float(np.abs(cw).sum()) * size / quad.rtol
-            change, scale = op_norms([np.stack([c - p, c]) for c, p in zip(cur, prev)]).tolist()
-            err = change / max(scale, floor, 1e-300)
-            if err <= quad.rtol:
-                return QuadratureResult(Operator(sg.algebra, cur), err, level)
-        prev = cur
-        panels *= quad.refine_factor
-    raise QuadratureError(err, quad.rtol, level)
+        size = max(float(np.linalg.norm(s, axis=(1, 2)).max()) for s in stacks)
+        return [np.einsum("t,tij->ij", cw, s) for s in stacks], float(np.abs(cw).sum()) * size
+
+    def distance(cur, prev):
+        return op_norms([np.stack([c - p, c]) for c, p in zip(cur, prev)]).tolist()
+
+    cur, err, level, converged = _refine(lo, hi, quad, evaluate, distance)
+    if not converged:
+        raise QuadratureError(err, quad.rtol, level)
+    return QuadratureResult(Operator(sg.algebra, cur), err, level)
 
 
 def integrate_scalar(
@@ -171,23 +189,13 @@ def integrate_scalar(
     quad: QuadratureConfig = DEFAULT_QUAD,
 ) -> tuple[float, float]:
     """Best-effort scalar integral; returns (value, error estimate)."""
-    if not hi > lo:
-        raise ValueError("integration interval must have hi > lo")
-    panels = max(1, math.ceil(quad.panels_per_unit * (hi - lo)))
-    prev = None
-    err = math.inf
-    for _ in range(quad.max_refinements + 1):
-        ts, ws = _panel_points(lo, hi, panels, quad.nodes_per_panel)
+
+    def evaluate(ts, ws):
         fs = np.asarray(f(ts))
-        cur = float(np.real_if_close(np.dot(ws, fs)).real)
-        if prev is not None:
-            floor = _ROUNDOFF * float(np.dot(ws, np.abs(fs))) / quad.rtol
-            err = abs(cur - prev) / max(abs(cur), floor, 1e-300)
-            if err <= quad.rtol:
-                return cur, err
-        prev = cur
-        panels *= quad.refine_factor
-    return prev, err
+        return float(np.real_if_close(np.dot(ws, fs)).real), float(np.dot(ws, np.abs(fs)))
+
+    cur, err, _, _ = _refine(lo, hi, quad, evaluate, lambda cur, prev: (abs(cur - prev), abs(cur)))
+    return cur, err
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +219,14 @@ def weighted_average(
     The trigonometric part is exact (:func:`trig_average`); only a residual,
     if the weight has one, goes through :func:`integrate_flow`.
     """
-    avg = trig_average(sg, b.terms, x, T)
+    return trig_average(sg, b.terms, x, T) + _residual_average(sg, b, x, T, quad)
+
+
+def _residual_average(sg: Semigroup, b: "BesicovitchWeight", x: Operator, T: float, quad):
+    """(1/T) integral_0^T r(t) a_t(x) dt for the residual r of b (zero without one)."""
     if b.residual is None:
-        return avg
-    res = integrate_flow(sg, x, 0.0, T, quad, weight=b.residual)
-    return avg + res.value / T
+        return sg.algebra.zero()
+    return integrate_flow(sg, x, 0.0, T, quad, weight=b.residual).value / T
 
 
 def trig_average(
@@ -332,11 +343,8 @@ class BesicovitchWeight:
     def constant(cls, value: complex) -> "BesicovitchWeight":
         return cls((TrigTerm(complex(value), 0.0),))
 
-    def trig_part(self, ts: np.ndarray) -> np.ndarray:
-        return trig_value(self.terms, ts)
-
     def value(self, ts: np.ndarray) -> np.ndarray:
-        out = self.trig_part(ts)
+        out = trig_value(self.terms, ts)
         if self.residual is not None:
             out = out + np.asarray(self.residual(np.asarray(ts, dtype=float)), dtype=complex)
         return out
@@ -345,35 +353,30 @@ class BesicovitchWeight:
         """max sampled |b(t)| minus the declared bound (negative when fine)."""
         return float(np.max(np.abs(self.value(ts))) - self.sup_bound)
 
-    def conjugated(self) -> "BesicovitchWeight":
-        terms = tuple(TrigTerm(t.kappa.conjugate(), -t.theta) for t in self.terms)
+    def _mapped(self, term_map, residual_map) -> "BesicovitchWeight":
+        """The weight with terms ``term_map(term)`` (each a tuple of terms) and
+        residual ``residual_map(r)``, under the same sup bounds."""
+        terms = tuple(new for t in self.terms for new in term_map(t))
         res = None
         if self.residual is not None:
             orig = self.residual
-            res = lambda ts: np.conj(orig(ts))
+            res = lambda ts: residual_map(np.asarray(orig(ts))).astype(complex)
         return BesicovitchWeight(terms, res, self.residual_sup, self.sup_bound)
 
+    def conjugated(self) -> "BesicovitchWeight":
+        return self._mapped(lambda t: (TrigTerm(t.kappa.conjugate(), -t.theta),), np.conj)
+
     def real_part(self) -> "BesicovitchWeight":
-        terms = []
-        for t in self.terms:
-            terms.append(TrigTerm(0.5 * t.kappa, t.theta))
-            terms.append(TrigTerm(0.5 * t.kappa.conjugate(), -t.theta))
-        res = None
-        if self.residual is not None:
-            orig = self.residual
-            res = lambda ts: np.asarray(orig(ts)).real.astype(complex)
-        return BesicovitchWeight(tuple(terms), res, self.residual_sup, self.sup_bound)
+        return self._mapped(lambda t: _real_terms(t.kappa, t.theta), np.real)
 
     def imag_part(self) -> "BesicovitchWeight":
-        terms = []
-        for t in self.terms:
-            terms.append(TrigTerm(-0.5j * t.kappa, t.theta))
-            terms.append(TrigTerm((-0.5j * t.kappa).conjugate(), -t.theta))
-        res = None
-        if self.residual is not None:
-            orig = self.residual
-            res = lambda ts: np.asarray(orig(ts)).imag.astype(complex)
-        return BesicovitchWeight(tuple(terms), res, self.residual_sup, self.sup_bound)
+        # Im(kappa e) = Re(-i kappa e)
+        return self._mapped(lambda t: _real_terms(-1j * t.kappa, t.theta), np.imag)
+
+
+def _real_terms(kappa: complex, theta: float) -> tuple[TrigTerm, TrigTerm]:
+    """Re(kappa exp(2 pi i theta t)) as two terms."""
+    return TrigTerm(0.5 * kappa, theta), TrigTerm((0.5 * kappa).conjugate(), -theta)
 
 
 @dataclass(frozen=True)
@@ -386,13 +389,22 @@ class BesicovitchErrorTable:
     errors: tuple[float, ...]
 
 
+def _mean_abs_residual(b: BesicovitchWeight, T: float, quad) -> tuple[float, float]:
+    """(1/T) integral_0^T |r(t)| dt for the residual r = b - P, with the
+    relative error :func:`integrate_scalar` achieved; (0, 0) without one."""
+    if b.residual is None:
+        return 0.0, 0.0
+    val, err = integrate_scalar(lambda ts: np.abs(b.residual(ts)), 0.0, T, quad)
+    return val / T, err
+
+
 def besicovitch_error(
     b: BesicovitchWeight,
     T_grid: Sequence[float],
     quad: QuadratureConfig = DEFAULT_QUAD,
-    trig_terms: Sequence[TrigTerm] | None = None,
 ) -> BesicovitchErrorTable:
-    """Local mean gap between a weight and a trigonometric polynomial.
+    """Local mean gap (1/T) integral_0^T |b - P| dt between a weight and its
+    trigonometric polynomial P, which is the mean of the residual's modulus.
 
     ``T_grid`` must decrease toward zero; the tail supremum over the final
     quarter of the grid stands in for the limit superior at zero and is
@@ -401,18 +413,10 @@ def besicovitch_error(
     grid = [float(T) for T in T_grid]
     if any(t2 >= t1 for t1, t2 in zip(grid, grid[1:])) or any(t <= 0 for t in grid):
         raise ValueError("T_grid must be positive and strictly decreasing")
-    terms = tuple(trig_terms) if trig_terms is not None else b.terms
-
-    def gap(ts: np.ndarray) -> np.ndarray:
-        return np.abs(b.value(ts) - trig_value(terms, ts))
-
-    rows, errors = [], []
-    for T in grid:
-        val, err = integrate_scalar(gap, 0.0, T, quad)
-        rows.append((T, val / T))
-        errors.append(err)
+    means = [_mean_abs_residual(b, T, quad) for T in grid]
+    rows = tuple((T, v) for T, (v, _) in zip(grid, means))
     tail = rows[-max(1, len(rows) // 4):]
-    return BesicovitchErrorTable(tuple(rows), max(v for _, v in tail), tuple(errors))
+    return BesicovitchErrorTable(rows, max(v for _, v in tail), tuple(e for _, e in means))
 
 
 def substitution_bound_check(
@@ -421,30 +425,23 @@ def substitution_bound_check(
     x: Operator,
     T: float,
     quad: QuadratureConfig = DEFAULT_QUAD,
-    trig_terms: Sequence[TrigTerm] | None = None,
     positivity_tol: float = 1e-8,
 ) -> tuple[float, float, float]:
     """Compare the weighted average against its trigonometric substitute.
 
-    Returns (lhs, rhs, quad_error) where lhs is the operator-norm distance
-    between the b-weighted and P-weighted averages of a positive bounded x,
-    rhs = 2 * ((1/T) integral_0^T |P - b|) * ||x||, and quad_error is the
-    relative error :func:`integrate_scalar` achieved on that mean gap.  The
-    factor two absorbs the norm growth of the extended flow on
-    non-self-adjoint parts; the contract is lhs <= rhs up to quadrature error.
+    Returns (lhs, rhs, quad_error).  The b- and P-weighted averages of a
+    positive bounded x differ by the residual's average, so lhs is the
+    operator norm of (1/T) integral_0^T r(t) a_t(x) dt; rhs =
+    2 * ((1/T) integral_0^T |r|) * ||x||, and quad_error is the relative
+    error :func:`integrate_scalar` achieved on that mean gap.  The factor two
+    absorbs the norm growth of the extended flow on non-self-adjoint parts;
+    the contract is lhs <= rhs up to quadrature error.
     """
     if not x.is_positive(tol=positivity_tol):
         raise ValueError("substitution bound needs a positive operator")
-    terms = tuple(trig_terms) if trig_terms is not None else b.terms
-    lhs_op = weighted_average(sg, b, x, T, quad) - trig_average(sg, terms, x, T)
-    lhs = lhs_op.norm_inf()
-
-    def gap(ts: np.ndarray) -> np.ndarray:
-        return np.abs(trig_value(terms, ts) - b.value(ts))
-
-    mean_gap, quad_error = integrate_scalar(gap, 0.0, T, quad)
-    rhs = 2.0 * (mean_gap / T) * x.norm_inf()
-    return lhs, rhs, quad_error
+    lhs = _residual_average(sg, b, x, T, quad).norm_inf()
+    mean_gap, quad_error = _mean_abs_residual(b, T, quad)
+    return lhs, 2.0 * mean_gap * x.norm_inf(), quad_error
 
 
 # ---------------------------------------------------------------------------

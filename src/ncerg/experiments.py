@@ -35,6 +35,7 @@ from .averaging import (
     TrigTerm,
     besicovitch_error,
     cesaro_average,
+    residual_from_config,
     sandwich_check,
     substitution_bound_check,
     trig_average,
@@ -141,17 +142,15 @@ class ExperimentConfig:
     seed: int = 20240810
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(int(n) for n in self.blocks))
-        object.__setattr__(self, "weights", tuple(float(c) for c in self.weights))
-        object.__setattr__(
-            self, "maximal_epsilons", tuple(float(e) for e in self.maximal_epsilons)
-        )
-        object.__setattr__(
-            self, "sandwich_grid", tuple(float(a) for a in self.sandwich_grid)
-        )
-        object.__setattr__(
-            self, "banach_map_exps", tuple(int(k) for k in self.banach_map_exps)
-        )
+        for name in ("blocks", "weights", "maximal_epsilons", "sandwich_grid", "banach_map_exps"):
+            kind = int if name in ("blocks", "banach_map_exps") else float
+            try:
+                object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+        for name in ("semigroup", "weight"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a JSON object")
         total = sum(self.blocks)
         if not 1 <= total <= 64:
             raise ConfigError(f"total algebra dimension {total} outside [1, 64]")
@@ -280,8 +279,8 @@ class _Env:
         try:
             self.sg: Semigroup = semigroup_from_config(self.alg, cfg.semigroup, rng0)
             self.weight: BesicovitchWeight = weight_from_config(cfg.weight)
-        except ValueError as exc:
-            raise ConfigError(f"bad semigroup or weight config: {exc}") from exc
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise ConfigError(f"bad semigroup or weight config: {exc!r}") from exc
         self.passed: dict[str, bool] = {}
         self.tables: dict[str, str] = {}
         self.certs: dict[str, str] = {}
@@ -450,8 +449,8 @@ def _random_weight(rng: np.random.Generator) -> BesicovitchWeight:
     )
     amp = float(rng.uniform(0.0, 0.1))
     freq = float(rng.uniform(0.5, 9.0))
-    residual = (lambda ts: amp * np.cos(freq * np.asarray(ts))) if amp > 0 else None
-    return BesicovitchWeight(terms, residual, amp if amp > 0 else 0.0)
+    spec = {"name": "cos", "amplitude": amp, "frequency": freq} if amp > 0 else None
+    return BesicovitchWeight(terms, *residual_from_config(spec))
 
 
 def _suite_weighted(env: _Env) -> None:

@@ -132,6 +132,9 @@ def test_cli_bad_config_exit_two(tmp_path):
         {"banach_map_exps": [2, 1]},
         {"semigroup": {"variant": "nope"}},
         {"weight": {"residual": {"name": "nope"}}},
+        {"sandwich_grid": ["a"]},
+        {"semigroup": "x"},
+        {"weight": {"trig": [{"kappa_re": 1}]}},
     ],
 )
 def test_cli_bad_config_values_exit_two(tmp_path, capsys, bad):

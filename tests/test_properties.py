@@ -30,10 +30,23 @@ from ncerg import (
 )
 from ncerg.algebra import min_eig, random_operator
 from ncerg.bau import compressed_norm
-from ncerg.averaging import integrate_flow
+from ncerg.averaging import integrate_flow, residual_from_config
 from ncerg.semigroups import GeneratorExp, lindblad_generator
 
 P_VALUES = (1.0, 1.5, 2.0, 3.0, math.inf)
+
+# Residuals of the weight identities: none, a complex constant (whose real and
+# imaginary parts are both nonzero) and the cos residual the suites use.
+RESIDUALS = (
+    None,
+    {"name": "constant", "value": 0.04 - 0.03j},
+    {"name": "cos", "amplitude": 0.05, "frequency": 7.0},
+)
+
+
+def with_residuals(terms):
+    """The weight with the given terms and each of RESIDUALS."""
+    return [BesicovitchWeight(terms, *residual_from_config(spec)) for spec in RESIDUALS]
 
 
 def make_variants(alg, rng):
@@ -188,38 +201,41 @@ def test_weighted_average_norm_bound(alg):
 
 def test_weighted_average_conjugation_identity(alg):
     rng = np.random.default_rng(19)
-    b = BesicovitchWeight((TrigTerm(0.5 + 0.2j, 0.3), TrigTerm(0.2, -0.4)))
+    weights = with_residuals((TrigTerm(0.5 + 0.2j, 0.3), TrigTerm(0.2, -0.4)))
     for sg in make_variants(alg, rng):
         x = random_self_adjoint(alg, rng)
-        w = weighted_average(sg, b, x, 0.8)
-        w_conj = weighted_average(sg, b.conjugated(), x, 0.8)
-        assert (w.H - w_conj).norm_inf() <= 1e-10 * max(1.0, x.norm_inf())
+        for b in weights:
+            w = weighted_average(sg, b, x, 0.8)
+            w_conj = weighted_average(sg, b.conjugated(), x, 0.8)
+            assert (w.H - w_conj).norm_inf() <= 1e-10 * max(1.0, x.norm_inf())
 
 
 def test_weighted_average_real_imag_decomposition(alg):
     rng = np.random.default_rng(21)
-    b = BesicovitchWeight((TrigTerm(0.4 + 0.3j, 0.25),))
+    weights = with_residuals((TrigTerm(0.4 + 0.3j, 0.25),))
     for sg in make_variants(alg, rng):
         x = random_self_adjoint(alg, rng)
-        whole = weighted_average(sg, b, x, 0.6)
-        re_part = weighted_average(sg, b.real_part(), x, 0.6)
-        im_part = weighted_average(sg, b.imag_part(), x, 0.6)
-        assert (whole - (re_part + 1j * im_part)).norm_inf() <= 1e-12 * max(
-            1.0, x.norm_inf()
-        )
+        for b in weights:
+            whole = weighted_average(sg, b, x, 0.6)
+            re_part = weighted_average(sg, b.real_part(), x, 0.6)
+            im_part = weighted_average(sg, b.imag_part(), x, 0.6)
+            assert (whole - (re_part + 1j * im_part)).norm_inf() <= 1e-12 * max(
+                1.0, x.norm_inf()
+            )
 
 
 def test_weighted_average_domination_by_plain_average(alg):
     # |b| <= 1 makes the real-weight average dominated by the plain average
     rng = np.random.default_rng(23)
-    b = BesicovitchWeight((TrigTerm(0.55, 0.3), TrigTerm(0.3j, -0.2)))
-    assert b.sup_bound <= 1.0
+    weights = with_residuals((TrigTerm(0.55, 0.3), TrigTerm(0.3j, -0.2)))
+    assert all(b.sup_bound <= 1.0 for b in weights)
     for sg in make_variants(alg, rng):
         x = random_positive(alg, rng)
         beta = cesaro_average(sg, x, 0.7)
-        re_avg = weighted_average(sg, b.real_part(), x, 0.7)
-        assert min_eig((beta - re_avg).herm()) >= -1e-8
-        assert min_eig((beta + re_avg).herm()) >= -1e-8
+        for b in weights:
+            re_avg = weighted_average(sg, b.real_part(), x, 0.7)
+            assert min_eig((beta - re_avg).herm()) >= -1e-8
+            assert min_eig((beta + re_avg).herm()) >= -1e-8
 
 
 def test_local_convergence_dyadic_decay(alg):
