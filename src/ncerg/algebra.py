@@ -211,13 +211,12 @@ def op_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return np.max([np.linalg.norm(a, 2, axis=(1, 2)) for a in stacks], axis=0)
 
 
-def min_eig(x: Operator) -> float:
-    """Minimum eigenvalue of the hermitian part of ``x`` over all blocks."""
-    vals = []
-    for a in x.blocks:
-        h = (a + a.conj().T) / 2.0
-        vals.append(float(np.linalg.eigvalsh(h)[0]))
-    return min(vals)
+def min_eig(x: Operator | Sequence[np.ndarray]) -> float | np.ndarray:
+    """Minimum eigenvalue of the hermitian part over all blocks: of ``x``, or of
+    every member of a per-block stacked family (one batched eigvalsh per block)."""
+    herm = [(a + a.conj().swapaxes(-1, -2)) / 2.0 for a in getattr(x, "blocks", x)]
+    low = np.min([np.linalg.eigvalsh(h)[..., 0] for h in herm], axis=0)
+    return float(low) if isinstance(x, Operator) else low
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ The central object is the time average ``(1/T) * integral_0^T w(t) a_t(x) dt``
 for a semigroup ``a_t``, an operator ``x`` and a bounded scalar weight ``w``.
 Cesaro averages and every trigonometric term exp(2 pi i theta t) are exact:
 each is one closed-form :meth:`Semigroup.mean` at shift s = 2 pi i theta, so
-``cesaro_average``, ``trig_average``, ``oscillatory_average``,
-``dense_approximant`` and ``sandwich_check`` take no quadrature settings.
+``cesaro_average``, ``trig_average``, ``oscillatory_average`` and
+``dense_approximant`` take no quadrature settings.  One stacked builder,
+``double_average_windows``, gives the heads, tails and gaps of the double
+average beta_a(beta_b(x)) - beta_b(x) to its two users, the sandwich check
+(``sandwich_slacks``) and the window certificate of :mod:`ncerg.bau`.
 A Besicovitch weight b = P + r is integrated numerically only through its
 residual r: the weighted average is the exact P-average plus the quadrature
 of r, and the local mean gap (1/T) integral |b - P| and the substitution
@@ -20,13 +23,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Operator, min_eig, op_norms
+from .algebra import Operator, min_eig, op_norms, stack_blocks
 from .config import DEFAULT_TOLS
 from .semigroups import Semigroup
 
@@ -42,6 +46,8 @@ __all__ = [
     "trig_average",
     "oscillatory_average",
     "dense_approximant",
+    "double_average_windows",
+    "sandwich_slacks",
     "sandwich_windows",
     "sandwich_check",
     "TrigTerm",
@@ -56,30 +62,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Composite Gauss-Legendre settings.
+    """Settings of the doubling Gauss-Legendre core: refinement stops once the
+    change between passes, relative to the larger of the result and the
+    integrand's roundoff level over ``rtol`` (so an exactly zero average
+    converges), is below ``rtol``, or after ``max_refinements`` doublings."""
 
-    ``panels_per_unit`` fixes the starting panel count per unit length (at
-    least one panel is always used), ``refine_factor`` multiplies the panel
-    count per refinement, and refinement stops once the change between
-    passes is below ``rtol`` or ``max_refinements`` is exhausted.  The change
-    is taken relative to the larger of the result and the integrand's
-    roundoff level divided by ``rtol``, so an average at roundoff (an exactly
-    zero one, say) converges, and any larger one meets ``rtol`` itself.
-    """
-
-    panels_per_unit: float = 1.0
-    nodes_per_panel: int = 8
-    refine_factor: int = 2
     rtol: float = 1e-10
     max_refinements: int = 12
 
     def __post_init__(self) -> None:
-        if self.rtol <= 0:
-            raise ValueError("quadrature tolerance must be > 0")
-        if self.nodes_per_panel < 2 or self.panels_per_unit <= 0:
-            raise ValueError("need >= 2 nodes per panel and > 0 panels per unit")
-        if self.refine_factor < 2:
-            raise ValueError("refine factor must be >= 2")
+        if not 0 < self.rtol < math.inf:
+            raise ValueError("quadrature tolerance must be finite and > 0")
+        if not (isinstance(self.max_refinements, numbers.Integral) and self.max_refinements >= 0):
+            raise ValueError("max_refinements must be an integer >= 0")
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -128,7 +123,8 @@ def _panel_points(lo: float, hi: float, panels: int, order: int):
 
 
 def _refine(lo: float, hi: float, quad: QuadratureConfig, evaluate, distance):
-    """The doubling Gauss-Legendre loop behind both integrators.
+    """The doubling Gauss-Legendre loop behind both integrators: one panel per
+    unit length (at least one) of 8 nodes each to start, doubled per pass.
 
     ``evaluate(ts, ws)`` returns a pass's sum and its roundoff scale
     sum_k |w_k f(t_k)| (or a bound on it); ``distance(cur, prev)`` returns
@@ -137,18 +133,18 @@ def _refine(lo: float, hi: float, quad: QuadratureConfig, evaluate, distance):
     """
     if not hi > lo:
         raise ValueError("integration interval must have hi > lo")
-    panels = max(1, math.ceil(quad.panels_per_unit * (hi - lo)))
+    panels = max(1, math.ceil(hi - lo))
     prev = None
     err = math.inf
     for level in range(quad.max_refinements + 1):
-        cur, roundoff = evaluate(*_panel_points(lo, hi, panels, quad.nodes_per_panel))
+        cur, roundoff = evaluate(*_panel_points(lo, hi, panels, 8))
         if prev is not None:
             change, scale = distance(cur, prev)
             err = change / max(scale, _ROUNDOFF * roundoff / quad.rtol, 1e-300)
             if err <= quad.rtol:
                 return cur, err, level, True
         prev = cur
-        panels *= quad.refine_factor
+        panels *= 2
     return cur, err, level, False
 
 
@@ -259,41 +255,48 @@ def dense_approximant(sg: Semigroup, x: Operator, k: int) -> Operator:
     return cesaro_average(sg, x, 1.0 / int(k))
 
 
-def sandwich_windows(
-    sg: Semigroup, x: Operator, a: float, b: float
-) -> tuple[Operator, Operator]:
-    """Head (1/b) integral_0^a a_s(x) ds and tail (1/b) integral_b^{b+a} a_s(x) ds.
+def double_average_windows(
+    sg: Semigroup, xs: Sequence[np.ndarray], a_grid: Sequence[float], b: float
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Heads (1/b) integral_0^a a_s(x) ds = (a/b) beta_a(x), tails a_b(head) and
+    gaps beta_a(beta_b(x)) - beta_b(x), each (len(a_grid), k, n, n) per block,
+    for every a and every input of a (k, n, n) stack: four core calls."""
+    grid = np.asarray(a_grid, dtype=float)
+    if not (np.all(grid > 0) and b > 0):
+        raise ValueError("window lengths must be positive")
+    heads = [y * (grid / b)[:, None, None, None] for y in sg.mean_batch(grid, xs)]
+    flat = sg.propagate_batch([b], [h.reshape(-1, *h.shape[2:]) for h in heads])
+    beta_b = [y[0] for y in sg.mean_batch([b], xs)]
+    gaps = [y - c for y, c in zip(sg.mean_batch(grid, beta_b), beta_b)]
+    return heads, [y.reshape(h.shape) for y, h in zip(flat, heads)], gaps
 
-    The head is (a/b) beta_a(x); the tail is a_b(head) by the semigroup law.
-    """
-    head = cesaro_average(sg, x, a) * (a / b)
-    return head, sg.apply(b, head)
+
+def sandwich_slacks(
+    sg: Semigroup, xs: Sequence[np.ndarray], a_grid: Sequence[float], b: float,
+    tol: float = DEFAULT_TOLS.positivity,
+) -> np.ndarray:
+    """(min eig of D + head, min eig of tail - D), each (len(a_grid), k), for the
+    windows of :func:`double_average_windows`.  For a positive stack the gap D
+    sits between minus the head and the tail: both are >= -tol up to roundoff."""
+    scale = np.maximum(op_norms(xs), 1e-14) * max(tol, 1e-8)
+    skew = op_norms([a - a.conj().swapaxes(1, 2) for a in xs])
+    if np.any(skew > scale) or np.any(min_eig(xs) < -scale):
+        raise ValueError("sandwich check needs a positive operator")
+    heads, tails, gaps = double_average_windows(sg, xs, a_grid, b)
+    return min_eig([np.stack([g + h, t - g]) for h, t, g in zip(heads, tails, gaps)])
+
+
+def sandwich_windows(sg: Semigroup, x: Operator, a: float, b: float) -> tuple[Operator, Operator]:
+    """Head and tail of :func:`double_average_windows` for one a and one x."""
+    heads, tails, _ = double_average_windows(sg, stack_blocks([x]), [a], b)
+    return tuple(Operator(sg.algebra, [y[0, 0] for y in w]) for w in (heads, tails))
 
 
 def sandwich_check(
-    sg: Semigroup,
-    x: Operator,
-    a: float,
-    b: float,
-    tol: float = DEFAULT_TOLS.positivity,
+    sg: Semigroup, x: Operator, a: float, b: float, tol: float = DEFAULT_TOLS.positivity
 ) -> tuple[float, float]:
-    """Two-sided bound on the double average of a positive operator.
-
-    For positive x the difference D = beta_a(beta_b(x)) - beta_b(x) sits
-    between minus the head and the tail of :func:`sandwich_windows`.  Returns
-    (min eig of D + head, min eig of tail - D); both should be >= -tol up to
-    roundoff.
-    """
-    if not (a > 0 and b > 0):
-        raise ValueError("window lengths must be positive")
-    if not x.is_positive(tol=max(tol, 1e-8)):
-        raise ValueError("sandwich check needs a positive operator")
-    beta_b = cesaro_average(sg, x, b)
-    delta = cesaro_average(sg, beta_b, a) - beta_b
-    head, tail = sandwich_windows(sg, x, a, b)
-    lower_slack = min_eig((delta + head).herm())
-    upper_slack = min_eig((tail - delta).herm())
-    return lower_slack, upper_slack
+    """(lower, upper) slacks of :func:`sandwich_slacks` for one a and one x."""
+    return tuple(float(s[0, 0]) for s in sandwich_slacks(sg, stack_blocks([x]), [a], b, tol))
 
 
 # ---------------------------------------------------------------------------

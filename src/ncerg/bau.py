@@ -37,7 +37,7 @@ from .algebra import (
     spectral_resolution,
     stack_blocks,
 )
-from .averaging import cesaro_average
+from .averaging import double_average_windows
 from .config import DEFAULT_TOLS
 from .semigroups import Semigroup
 
@@ -322,8 +322,8 @@ def double_average_certificate(
 
     For positive x set h(a) = (1/b) integral_0^a a_s(x) ds = (a/b) beta_a(x)
     and g(a) = (1/b) integral_b^{b+a} a_s(x) ds = a_b(h(a)), both in closed
-    form for the whole schedule (one :meth:`Semigroup.mean_batch` and one
-    core call).  Walking the schedule in order, window lengths a_k are
+    form for the whole schedule from :func:`averaging.double_average_windows`
+    with the gaps below.  Walking the schedule in order, window lengths a_k are
     chosen with tau(h(a_k)^p) < eps^2 / 4^k, the spectral cut of h(a_k)^p at
     level eps/2^{k+1} gives p_k, the same construction on g gives q, and e is
     the meet.  The certificate checks tau(1-e) < eps and reports the decay of
@@ -340,12 +340,10 @@ def double_average_certificate(
         a <= 0 for a in schedule
     ):
         raise ValueError("a_schedule must be positive and strictly decreasing")
+    if not schedule:
+        raise ScheduleExhaustedError(1, math.inf, epsilon * epsilon / 4.0)
     alg = sg.algebra
-    grid = np.array(schedule)
-    heads = [
-        y[:, 0] * (grid / b)[:, None, None]
-        for y in sg.mean_batch(grid, stack_blocks([x]))
-    ]
+    heads, tails, gaps = double_average_windows(sg, stack_blocks([x]), schedule, b)
     budgets = [epsilon / (2.0 ** (k + 1)) for k in range(1, levels + 1)]
     level_rows = []
     flags = []
@@ -374,16 +372,13 @@ def double_average_certificate(
             level_rows.append([tag, k, schedule[i], float(powers[i]), level, float(cot)])
         return meet
 
-    p_meet = cut_windows(heads, "head")
-    q_meet = cut_windows([y[0] for y in sg.propagate_batch([b], heads)], "tail")
+    p_meet = cut_windows([h[:, 0] for h in heads], "head")
+    q_meet = cut_windows([t[:, 0] for t in tails], "tail")
     e = proj_meet(p_meet, q_meet)
     if e.cotrace >= epsilon:
         flags.append("cotrace budget exceeded")
 
-    beta_b = cesaro_average(sg, x, b)
-    diffs = [
-        y[:, 0] - c for y, c in zip(sg.mean_batch(grid, stack_blocks([beta_b])), beta_b.blocks)
-    ]
+    diffs = [g[:, 0] for g in gaps]
     decay = [(a, float(d)) for a, d in zip(schedule, compressed_norms(e, diffs))]
 
     return ProjectionCertificate(

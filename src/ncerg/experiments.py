@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -36,7 +37,7 @@ from .averaging import (
     besicovitch_error,
     cesaro_average,
     residual_from_config,
-    sandwich_check,
+    sandwich_slacks,
     substitution_bound_check,
     trig_average,
     weight_from_config,
@@ -109,11 +110,11 @@ def _default_weight_spec() -> dict:
 class ExperimentConfig:
     """All knobs of a run.  The seed fixes every random draw.
 
-    Documented ranges: total algebra dimension in [1, 64]; epsilon,
-    banach_epsilon in (0, 100]; p >= 1; C, alpha > 0; quadrature tolerance
-    > 0; grid sizes in [2, 512]; counts in [1, 1000]; maximal_epsilons and
-    sandwich_grid non-empty and positive; banach_map_exps at least two
-    increasing positive exponents.
+    Documented ranges, every number finite and every count an integer: total
+    algebra dimension in [1, 64]; epsilon, banach_epsilon in (0, 100]; p >= 1;
+    C, alpha > 0; quadrature tolerance > 0; grid sizes in [2, 512]; counts in
+    [1, 1000]; maximal_epsilons and sandwich_grid non-empty and positive;
+    banach_map_exps at least two increasing positive exponents.
     """
 
     blocks: tuple[int, ...] = (2, 4)
@@ -144,10 +145,19 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("blocks", "weights", "maximal_epsilons", "sandwich_grid", "banach_map_exps"):
             kind = int if name in ("blocks", "banach_map_exps") else float
+            given = getattr(self, name)
             try:
-                object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
-            except (TypeError, ValueError) as exc:
+                vals = tuple(kind(v) for v in given)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
+            if not all(math.isfinite(v) and v == w for v, w in zip(vals, given)):
+                raise ConfigError(f"{name}={list(given)} must hold finite {kind.__name__}s")
+            object.__setattr__(self, name, vals)
+        scalars = {"int": numbers.Integral, "float": numbers.Real}
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.type in scalars and not (isinstance(val, scalars[f.type]) and math.isfinite(val)):
+                raise ConfigError(f"{f.name}={val!r} must be a finite {f.type}")
         for name in ("semigroup", "weight"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a JSON object")
@@ -169,20 +179,18 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}={val} outside ({lo}, {hi}]")
         if self.p < 1:
             raise ConfigError("p must be >= 1")
-        if not 2 <= self.T_n <= 512:
-            raise ConfigError("T_n outside [2, 512]")
         if not (0 < self.T_lo < self.T_hi):
             raise ConfigError("need 0 < T_lo < T_hi")
-        if not 1 <= self.dyadic_exp_max <= 40:
-            raise ConfigError("dyadic_exp_max outside [1, 40]")
-        for name, val in (
-            ("n_random", self.n_random),
-            ("weighted_cases", self.weighted_cases),
-            ("banach_n_approx", self.banach_n_approx),
+        for name, lo, hi in (
+            ("T_n", 2, 512),
+            ("dyadic_exp_max", 1, 40),
+            ("n_random", 1, 1000),
+            ("weighted_cases", 1, 1000),
+            ("banach_n_approx", 1, 1000),
         ):
-            if not 1 <= val <= 1000:
-                raise ConfigError(f"{name}={val} outside [1, 1000]")
-        if int(self.seed) < 0:
+            if not lo <= getattr(self, name) <= hi:
+                raise ConfigError(f"{name}={getattr(self, name)} outside [{lo}, {hi}]")
+        if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         for name in ("maximal_epsilons", "sandwich_grid", "banach_map_exps"):
             vals = getattr(self, name)
@@ -371,21 +379,16 @@ def _suite_local_avg(env: _Env) -> None:
 
 
 def _suite_sandwich(env: _Env) -> None:
-    cfg = env.cfg
-    rng = env.rng(3)
-    xs = [random_positive(env.alg, rng, norm=1.0) for _ in range(cfg.n_random)]
-    rows = []
-    ok = True
-    for case, x in enumerate(xs):
-        for a in cfg.sandwich_grid:
-            for b in cfg.sandwich_grid:
-                lo, up = sandwich_check(env.sg, x, a, b)
-                rows.append((case, a, b, lo, up))
-                ok &= lo >= -1e-8 and up >= -1e-8
-    env.write_table(
-        "sandwich", ["case", "a", "b", "lower_slack", "upper_slack"], rows
-    )
-    env.passed["sandwich:slacks_nonnegative"] = ok
+    grid, rng = env.cfg.sandwich_grid, env.rng(3)
+    xs = stack_blocks([random_positive(env.alg, rng, norm=1.0) for _ in range(env.cfg.n_random)])
+    # one stacked call per b; slacks[:, c, i, j] = (lower, upper) at case c, grid[i], grid[j]
+    slacks = np.transpose([sandwich_slacks(env.sg, xs, grid, b) for b in grid], (1, 3, 2, 0))
+    rows = [
+        (c, grid[i], grid[j], *map(float, slacks[:, c, i, j]))
+        for c, i, j in np.ndindex(slacks.shape[1:])
+    ]
+    env.write_table("sandwich", ["case", "a", "b", "lower_slack", "upper_slack"], rows)
+    env.passed["sandwich:slacks_nonnegative"] = bool(np.all(slacks >= -1e-8))
 
 
 def _suite_maximal(env: _Env) -> None:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -135,6 +136,19 @@ def test_cli_bad_config_exit_two(tmp_path):
         {"sandwich_grid": ["a"]},
         {"semigroup": "x"},
         {"weight": {"trig": [{"kappa_re": 1}]}},
+        # non-integer counts and non-finite values
+        {"T_n": 4.5},
+        {"n_random": 2.5},
+        {"dyadic_exp_max": 3.5},
+        {"banach_n_approx": 1.5},
+        {"seed": 1.5},
+        {"quadrature": {"max_refinements": 2.5}},
+        {"T_hi": math.inf},
+        {"sandwich_grid": [math.inf]},
+        # a non-integer block size, not to be truncated
+        {"blocks": [2.5, 4]},
+        # a quadrature setting that is a fixed constant of the core
+        {"quadrature": {"panels_per_unit": 2.0}},
     ],
 )
 def test_cli_bad_config_values_exit_two(tmp_path, capsys, bad):

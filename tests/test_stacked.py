@@ -7,10 +7,13 @@ resolution is the meet of the member cuts); ``maximal_projection``,
 ``bau_cauchy_certify`` and ``double_average_certificate`` cut every member of
 a stacked family through them and meet the cuts at once;
 ``assemble_certificate`` and its replay take their compressed-norm rows from
-stacked tables.  Each reference here is built one operator at a time from
-``mean``, ``abs_value``, ``spectral_resolution``, ``spectral_projection``,
+stacked tables; ``double_average_windows`` and ``sandwich_slacks`` give the
+double-average windows and slacks for a whole a grid and input stack.  Each
+reference here is built one operator at a time from ``mean``, ``apply``,
+``min_eig``, ``abs_value``, ``spectral_resolution``, ``spectral_projection``,
 a ``proj_meet`` fold and ``compressed_norm``.
 """
+import csv
 import math
 from functools import reduce
 
@@ -46,8 +49,8 @@ from ncerg import (
     spectral_resolution,
     trace,
 )
-from ncerg.algebra import Projection, random_operator, stack_blocks
-from ncerg.averaging import sandwich_windows
+from ncerg.algebra import Projection, min_eig, random_operator, stack_blocks
+from ncerg.averaging import double_average_windows, sandwich_check, sandwich_slacks
 from ncerg.banach import ApproximationScheme, AssemblyError, ConditionOneOracle
 from ncerg.bau import (
     MaximalParams,
@@ -56,6 +59,7 @@ from ncerg.bau import (
     _cauchy_certify,
     compressed_norm,
 )
+from ncerg.experiments import ExperimentConfig, _Env, run
 
 # unequal blocks, so a swapped block index shows
 ALG = TracialAlgebra((2, 3), (1.0, 0.5))
@@ -278,7 +282,8 @@ def test_cauchy_all_zero_pairs_meet_to_one():
 # ---------------------------------------------------------------------------
 
 def window_reference(sg, x, b, p, epsilon, schedule, levels=5, tol=1e-12):
-    """Walk the schedule lazily, one sandwich_windows call per visited a."""
+    """Walk the schedule lazily: per visited a, the head (a/b) beta_a(x) from
+    ``cesaro_average`` and the tail a_b(head) from ``apply``."""
     alg = sg.algebra
 
     def trace_power(y):
@@ -294,7 +299,9 @@ def window_reference(sg, x, b, p, epsilon, schedule, levels=5, tol=1e-12):
         for k in range(1, levels + 1):
             target = epsilon * epsilon / 4.0**k
             while idx < len(schedule):
-                op = sandwich_windows(sg, x, schedule[idx], b)[which]
+                a = schedule[idx]
+                head = cesaro_average(sg, x, a) * (a / b)
+                op = sg.apply(b, head) if which else head
                 if len(seen) <= idx:
                     seen.append(trace_power(op))
                 if seen[idx] < target:
@@ -337,6 +344,84 @@ def test_window_certificate_matches_lazy_walk(name, p, weights):
     assert (cert.projection.op - e.op).norm_inf() <= 1e-10
     for (a, d), (a_ref, d_ref) in zip(cert.decay, decay):
         assert a == a_ref and abs(d - d_ref) <= 1e-12 * max(d_ref, 1.0), (a, d, d_ref)
+
+
+@pytest.mark.parametrize("name", list(variants(ALG, np.random.default_rng(0))))
+def test_double_average_windows_match_per_case_reference(name):
+    # unequal a and b grids and four inputs; "coupled" mixes the two blocks
+    rng = np.random.default_rng(52)
+    sg = variants(ALG, rng)[name]
+    xs = [random_positive(ALG, rng, norm=1.0) for _ in range(4)]
+    a_grid, b_grid = (1e-4, 0.3, 1.0, 2.5), (0.2, 1.7)
+    for b in b_grid:
+        heads, tails, gaps = double_average_windows(sg, stack_blocks(xs), a_grid, b)
+        lower, upper = sandwich_slacks(sg, stack_blocks(xs), a_grid, b)
+        assert lower.shape == upper.shape == (len(a_grid), len(xs))
+        for c, x in enumerate(xs):
+            beta_b = cesaro_average(sg, x, b)
+            for i, a in enumerate(a_grid):
+                head = cesaro_average(sg, x, a) * (a / b)
+                tail = sg.apply(b, head)
+                gap = cesaro_average(sg, beta_b, a) - beta_b
+                for got, want in ((heads, head), (tails, tail), (gaps, gap)):
+                    assert close(Operator(ALG, [w[i, c] for w in got]), want, 1e-12), (a, b)
+                want = (min_eig(gap + head), min_eig(tail - gap))
+                scale = max(1.0, head.norm_inf(), tail.norm_inf(), gap.norm_inf())
+                assert abs(lower[i, c] - want[0]) <= 1e-12 * scale, (a, b, c)
+                assert abs(upper[i, c] - want[1]) <= 1e-12 * scale, (a, b, c)
+                assert sandwich_check(sg, x, a, b) == pytest.approx(want, abs=1e-12 * scale)
+
+
+def test_sandwich_slacks_reject_bad_windows_and_inputs():
+    rng = np.random.default_rng(53)
+    sg = variants(ALG, rng)["coupled"]
+    xs = stack_blocks([random_positive(ALG, rng, norm=1.0) for _ in range(3)])
+    for a_grid, b in (([0.5], 0.0), ([0.5], -1.0), ([0.5, 0.0], 1.0), ([0.5, -0.1], 1.0)):
+        with pytest.raises(ValueError, match="window lengths"):
+            sandwich_slacks(sg, xs, a_grid, b)
+        with pytest.raises(ValueError, match="window lengths"):
+            double_average_windows(sg, xs, a_grid, b)
+    x = random_positive(ALG, rng, norm=1.0)
+    for bad in (x - ALG.identity() * 2.0, x + random_self_adjoint(ALG, rng) * 0.5j):
+        with pytest.raises(ValueError, match="positive operator"):
+            sandwich_slacks(sg, stack_blocks([x, bad, x]), [0.5, 0.1], 1.0)
+        with pytest.raises(ValueError, match="positive operator"):
+            sandwich_check(sg, bad, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("variant", ["unitary_flow", "generator_exp"])
+def test_sandwich_table_matches_per_case_check(tmp_path, variant):
+    # rows in (case, a, b) order; a grid of distinct lengths tells a from b
+    cfg = ExperimentConfig(
+        blocks=(2, 3), semigroup={"variant": variant}, n_random=3, sandwich_grid=(0.1, 0.7, 2.0)
+    )
+    run(cfg, "sandwich", tmp_path)
+    with open(tmp_path / "tables" / "sandwich.csv", newline="") as fh:
+        got = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    env = _Env(cfg, tmp_path)
+    rng = env.rng(3)
+    xs = [random_positive(env.alg, rng, norm=1.0) for _ in range(cfg.n_random)]
+    grid = cfg.sandwich_grid
+    want = [
+        [c, a, b, *sandwich_check(env.sg, x, a, b)]
+        for c, x in enumerate(xs) for a in grid for b in grid
+    ]
+    assert len(got) == len(want) == cfg.n_random * len(grid) ** 2
+    for g, w in zip(got, want):
+        assert g[:3] == w[:3] and g[3:] == pytest.approx(w[3:], rel=0, abs=1e-13), (g, w)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_sandwich_pass_reads_both_slacks(tmp_path, monkeypatch, side):
+    # one slack of one side below the -1e-8 floor must fail the check
+    def one_negative(*args):
+        slacks = sandwich_slacks(*args)
+        slacks[side, 0, 0] = -1e-6
+        return slacks
+
+    monkeypatch.setattr("ncerg.experiments.sandwich_slacks", one_negative)
+    report = run(ExperimentConfig(n_random=2), "sandwich", tmp_path)
+    assert report.passed == {"sandwich:slacks_nonnegative": False}
 
 
 def test_window_exhaustion_matches_lazy_walk():
