@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import Operator, min_eig, op_norms, stack_blocks
-from .config import DEFAULT_TOLS
+from .config import DEFAULT_TOLS, require_finite
 from .semigroups import Semigroup
 
 __all__ = [
@@ -452,7 +452,9 @@ def substitution_bound_check(
 # ---------------------------------------------------------------------------
 
 def residual_from_config(spec: dict | None) -> tuple[Callable | None, float]:
-    """Named built-in residuals: none, constant, cos, sin_inv_t, linear_capped."""
+    """Named built-in residuals: none, constant, cos, sin_inv_t, linear_capped.
+    Every number in ``spec`` must be finite (``ConfigError`` otherwise)."""
+    require_finite(spec, "residual")
     if spec is None or spec.get("name", "none") == "none":
         return None, 0.0
     name = spec["name"]
@@ -482,6 +484,9 @@ def residual_from_config(spec: dict | None) -> tuple[Callable | None, float]:
 
 
 def weight_from_config(spec: dict) -> BesicovitchWeight:
+    """Trigonometric terms, residual and sup bound from a config mapping whose
+    numbers must all be finite (``ConfigError`` otherwise)."""
+    require_finite(spec, "weight")
     terms = tuple(
         TrigTerm(complex(t.get("kappa_re", 0.0), t.get("kappa_im", 0.0)), float(t["theta"]))
         for t in spec.get("trig", [])

@@ -64,6 +64,7 @@ from .bau import (
     maximal_projection,
     perturbation_transfer,
 )
+from .config import ConfigError
 from .semigroups import Semigroup, semigroup_from_config, validate_absolute_contraction
 
 __all__ = [
@@ -89,10 +90,6 @@ SUITE_NAMES = (
 
 _SUITE_ORDER = SUITE_NAMES[:-1]
 _SUITE_INDEX = {name: i for i, name in enumerate(SUITE_NAMES)}
-
-
-class ConfigError(ValueError):
-    """Configuration file or parameter outside its documented range."""
 
 
 def _default_weight_spec() -> dict:

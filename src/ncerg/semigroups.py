@@ -33,11 +33,15 @@ is its one-T, one-input case.
 
 ``validate_absolute_contraction`` produces a :class:`ValidationReport` that
 records positivity, subunitality, trace non-increase, the semigroup law and a
-continuity table.  Complete positivity is certified through Choi matrices of
-the block components; maps that fail the Choi test fall back to sampled
+continuity table.  Complete positivity is certified through the smallest
+eigenvalue of the Choi matrices of the block components (``choi_min_eig``):
+the four modal variants read it off the modes, one n x n eigvalsh of
+herm exp(t Lambda) per block, and GeneratorExp builds the dense Choi matrices
+of ``choi_blocks``.  Maps that fail the Choi test fall back to sampled
 positivity checks and are flagged as "sampled only".  Each check stacks its
 inputs: the identity and the sampled positives per time, the matrix units of
-one input block per Choi call, the law probes and the continuity grid.
+one input block per dense Choi call, the law probes and the continuity grid.
+Witnesses of the worst violations are recorded only above a roundoff floor.
 """
 from __future__ import annotations
 
@@ -59,6 +63,8 @@ from .algebra import (
     vec,
     operator_from_dict,
 )
+from .config import require_finite
+
 __all__ = [
     "Semigroup",
     "Identity",
@@ -408,11 +414,30 @@ def choi_blocks(sg: Semigroup, t: float) -> list[tuple[int, int, np.ndarray]]:
 
 
 def choi_min_eig(sg: Semigroup, t: float) -> float:
-    vals = []
-    for _, _, choi in choi_blocks(sg, t):
-        h = (choi + choi.conj().T) / 2.0
-        vals.append(float(np.linalg.eigvalsh(h)[0]))
-    return min(vals)
+    """Smallest eigenvalue of the Hermitian parts of all Choi matrices of a_t.
+
+    With modes, block i of a_t is Ad_V o S_M o Ad_V* for the Schur multiplier
+    S_M(x) = M o x, M = exp(t Lambda_i).  Its Choi matrix is unitarily
+    equivalent to M (+) 0, with n_i^2 - n_i zeros, and every cross-block Choi
+    matrix is 0 (Paulsen, Completely Bounded Maps and Operator Algebras, 2002,
+    Ch. 3).  So the minimum is that of lambda_min(herm M) over the blocks and
+    of 0 when some n_i > 1 or there are two blocks or more: one n_i x n_i
+    eigvalsh per block.  ``GeneratorExp`` has no modes and takes the minimum
+    over the dense Choi matrices of :func:`choi_blocks`.
+    """
+    if t < 0:
+        raise ValueError("negative times are not in the semigroup domain")
+    blocks = sg.algebra.blocks
+    if sg.modes:
+        mats = [
+            np.broadcast_to(np.exp(t * np.asarray(lam)), (n, n))
+            for n, (_, lam) in zip(blocks, sg.modes)
+        ]
+        vals = [0.0] if len(blocks) > 1 or max(blocks) > 1 else []
+    else:
+        mats = [c for _, _, c in choi_blocks(sg, t)]
+        vals = []
+    return min(vals + [float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]) for m in mats])
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +544,9 @@ def validate_absolute_contraction(
     scales = np.maximum(op_norms([a[1:] for a in inputs]), 1e-300).tolist()
     traces_in = _traces(alg, [a[1:] for a in inputs]).real
 
+    # witnesses are recorded only above roundoff: relative to the input's
+    # norm for positivity, to 1 for unitality and to tau(x_k) for the trace
+    floor = 16 * np.finfo(float).eps
     worst: dict[str, float | str] = {}
     max_pos = 0.0
     max_unital = 0.0
@@ -542,7 +570,8 @@ def validate_absolute_contraction(
         excess = top + defects[0]
         if excess > max_unital:
             max_unital = excess
-            worst["unitality_t"] = t
+            if excess > floor:
+                worst["unitality_t"] = t
         t_pos = 0.0
         t_trace = 0.0
         for k, scale in enumerate(scales):
@@ -551,14 +580,16 @@ def validate_absolute_contraction(
             t_pos = max(t_pos, viol)
             if viol > max_pos:
                 max_pos = viol
-                worst["positivity_t"] = t
-                worst["positivity_sample"] = k
+                if viol > floor:
+                    worst["positivity_t"] = t
+                    worst["positivity_sample"] = k
             texc = max(0.0, texcs[k])
             t_trace = max(t_trace, texc)
             if texc > max_trace:
                 max_trace = texc
-                worst["trace_t"] = t
-                worst["trace_sample"] = k
+                if texc > floor * traces_in[k]:
+                    worst["trace_t"] = t
+                    worst["trace_sample"] = k
         per_t.append((t, t_pos, excess, t_trace))
 
     # Choi certificate on a subsample of times (skip t = 0, identity map).
@@ -628,8 +659,10 @@ def semigroup_from_config(
     """Build a semigroup from a config mapping with a "variant" discriminator.
 
     Random constructions ("hamiltonian": "random", lindblad with
-    "random": true) draw from ``rng`` and therefore require one.
+    "random": true) draw from ``rng`` and therefore require one.  Every number
+    in ``spec`` must be finite (``ConfigError`` otherwise).
     """
+    require_finite(spec, "semigroup")
     variant = spec.get("variant")
     if variant == "identity":
         return Identity(alg)

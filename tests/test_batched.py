@@ -4,7 +4,9 @@
 one call; ``choi_blocks``, ``validate_absolute_contraction``, the law and
 continuity checks, local-avg and the certificate pair tables use it.  Each
 oracle here is built one input at a time from ``apply``, ``min_eig``,
-``trace``, ``pnorm`` and ``compressed_norm``.
+``trace``, ``pnorm`` and ``compressed_norm``.  The Choi minimum that
+``choi_min_eig`` reads off the modes is held to the dense minimum over
+``choi_blocks``.
 """
 import math
 
@@ -12,11 +14,13 @@ import numpy as np
 import pytest
 
 from ncerg import (
+    ExperimentConfig,
     GeneratorExp,
     Identity,
     Operator,
     ScalarDecay,
     SchurDecay,
+    Semigroup,
     TracialAlgebra,
     UnitaryFlow,
     bau_cauchy_certify,
@@ -27,13 +31,15 @@ from ncerg import (
     random_positive,
     random_projection,
     random_self_adjoint,
+    semigroup_from_config,
     semigroup_law_residual,
     trace,
     validate_absolute_contraction,
 )
+from ncerg import semigroups
 from ncerg.algebra import AlgebraMismatchError, min_eig, pnorms, random_operator
 from ncerg.bau import compressed_norm, compressed_pair_norms
-from ncerg.semigroups import choi_blocks, generator_from_map
+from ncerg.semigroups import choi_blocks, choi_min_eig, generator_from_map
 
 # unequal blocks, so a swapped block index or a transposed Choi layout shows
 ALG = TracialAlgebra((2, 3), (1.0, 0.5))
@@ -167,6 +173,7 @@ def reference_validation(sg, t_samples, tol=1e-8, law_tol=1e-9, rng=None):
     alg = sg.algebra
     one = alg.identity()
     positives = [random_positive(alg, rng) for _ in range(20)]
+    floor = 16 * np.finfo(float).eps  # witnesses only above roundoff
     worst, per_t = {}, []
     max_pos = max_unital = max_trace = 0.0
     for t in ts:
@@ -178,7 +185,8 @@ def reference_validation(sg, t_samples, tol=1e-8, law_tol=1e-9, rng=None):
         excess = top + yt.self_adjoint_defect()
         if excess > max_unital:
             max_unital = excess
-            worst["unitality_t"] = t
+            if excess > floor:
+                worst["unitality_t"] = t
         t_pos = t_trace = 0.0
         for k, x in enumerate(positives):
             image = sg.apply(t, x)
@@ -187,12 +195,14 @@ def reference_validation(sg, t_samples, tol=1e-8, law_tol=1e-9, rng=None):
             t_pos = max(t_pos, viol)
             if viol > max_pos:
                 max_pos = viol
-                worst["positivity_t"], worst["positivity_sample"] = t, k
+                if viol > floor:
+                    worst["positivity_t"], worst["positivity_sample"] = t, k
             texc = max(0.0, trace(alg, image).real - trace(alg, x).real)
             t_trace = max(t_trace, texc)
             if texc > max_trace:
                 max_trace = texc
-                worst["trace_t"], worst["trace_sample"] = t, k
+                if texc > floor * trace(alg, x).real:
+                    worst["trace_t"], worst["trace_sample"] = t, k
         per_t.append((t, t_pos, excess, t_trace))
     choi_ts = [t for t in ts if t > 0][:6]
     choi_min = min(
@@ -281,6 +291,98 @@ def test_validation_report_matches_per_input_reference(make, passed, sampled_onl
         # the violations are real here, so the witnesses are unique
         assert got.worst == pytest.approx(want["worst"], rel=1e-14, abs=1e-14)
         assert got.max_positivity_violation > 1e-3
+
+
+WITNESSES = {"positivity_t", "positivity_sample", "unitality_t", "trace_t", "trace_sample"}
+
+
+def test_witnesses_only_above_roundoff():
+    ts = np.geomspace(1e-4, 10.0, 10)
+    default_flow = semigroup_from_config(
+        TracialAlgebra((2, 4), (1.0, 0.5)),
+        ExperimentConfig().semigroup,
+        np.random.default_rng([20240810, 0]),
+    )
+    for sg in (transpose_flow(ALG), default_flow):
+        rep = validate_absolute_contraction(sg, ts, rng=np.random.default_rng(1))
+        assert rep.passed
+        # the roundoff violations are still reported, but name no witness
+        assert rep.max_positivity_violation > 0.0
+        assert not WITNESSES & set(rep.worst)
+    rep = validate_absolute_contraction(non_cp_schur(ALG), ts, rng=np.random.default_rng(1))
+    assert {"positivity_t", "positivity_sample", "choi_min"} <= set(rep.worst)
+    rep = validate_absolute_contraction(coupled_flow(ALG), ts, rng=np.random.default_rng(1))
+    assert WITNESSES <= set(rep.worst)
+    # a growth of 1e-12 per unit time is small but no roundoff: it keeps its witnesses
+    growth = GeneratorExp(ALG, 1e-12 * np.eye(ALG.vec_dim))
+    rep = validate_absolute_contraction(growth, ts, rng=np.random.default_rng(1))
+    assert 0.0 < rep.max_trace_excess < 1e-10
+    assert rep.worst["unitality_t"] == rep.worst["trace_t"] == 10.0
+
+
+# ---------------------------------------------------------------------------
+# the Choi minimum read off the modes, held to the dense Choi matrices
+# ---------------------------------------------------------------------------
+
+def dense_choi_min(sg, t):
+    return min(
+        float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0]) for _, _, c in choi_blocks(sg, t)
+    )
+
+
+def modal_variants(alg, rng):
+    """The four modal variants, plus bare modes whose multiplier is not Hermitian."""
+    # near-diagonal Schur multipliers at large t, so the structural zeros are the minimum
+    rates = [0.8 * np.abs(np.subtract.outer(np.arange(n), np.arange(n))) for n in alg.blocks]
+    skew = []
+    for n in alg.blocks:
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        skew.append((np.linalg.qr(z)[0], 0.2 * (rng.standard_normal((n, n)) + 1j * z)))
+    return {
+        "identity": Identity(alg),
+        "scalar_decay": ScalarDecay(alg, 0.7),
+        "unitary_flow": UnitaryFlow(alg, random_self_adjoint(alg, rng, norm=1.0)),
+        "schur_decay": SchurDecay(alg, rates),
+        "skew_modes": Semigroup(alg, skew),
+    }
+
+
+@pytest.mark.parametrize(
+    "blocks", [(4,), (1,), (1, 1), (1, 3), ALG.blocks], ids=lambda b: "x".join(map(str, b))
+)
+@pytest.mark.parametrize("t", [1e-4, 0.3, 7.5])
+def test_modal_choi_min_matches_dense_choi(blocks, t):
+    alg = TracialAlgebra(blocks, tuple(1.0 + 0.5 * i for i in range(len(blocks))))
+    for name, sg in modal_variants(alg, np.random.default_rng(27)).items():
+        assert sg.modes
+        got, want = choi_min_eig(sg, t), dense_choi_min(sg, t)
+        scale = max(1.0, max(np.abs(c).max() for _, _, c in choi_blocks(sg, t)))
+        assert abs(got - want) <= 1e-13 * scale, (name, got, want)
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.3, 7.5])
+def test_modal_choi_min_matches_dense_on_non_cp_schur(t):
+    sg, tol = non_cp_schur(ALG), 1e-8
+    got, want = choi_min_eig(sg, t), dense_choi_min(sg, t)
+    assert want < -1e-6
+    assert abs(got - want) <= 1e-13 and abs(got - want) <= 1e-12 * abs(want)
+    assert np.sign(got + tol) == np.sign(want + tol)
+
+
+def test_modal_validation_builds_no_dense_choi(monkeypatch):
+    calls = []
+    dense = semigroups.choi_blocks
+    monkeypatch.setattr(semigroups, "choi_blocks", lambda sg, t: calls.append(t) or dense(sg, t))
+    ts = [0.0, 1e-3, 0.2, 1.0, 3.0, 7.5, 9.0, 10.0]
+    for name, sg in all_variants(ALG, np.random.default_rng(28)).items():
+        calls.clear()
+        validate_absolute_contraction(sg, ts, rng=np.random.default_rng(29))
+        # the Choi test runs at the first six positive times
+        assert calls == ([] if sg.modes else ts[1:7]), name
+    # t = 0 is in the domain, t < 0 is not
+    assert abs(choi_min_eig(Identity(ALG), 0.0) - dense_choi_min(Identity(ALG), 0.0)) <= 1e-14
+    with pytest.raises(ValueError):
+        choi_min_eig(ScalarDecay(ALG, 1.0), -0.1)
 
 
 def test_law_and_continuity_match_per_probe_loops():

@@ -149,6 +149,17 @@ def test_cli_bad_config_exit_two(tmp_path):
         {"blocks": [2.5, 4]},
         # a quadrature setting that is a fixed constant of the core
         {"quadrature": {"panels_per_unit": 2.0}},
+        # non-finite numbers inside the semigroup and weight objects
+        {"semigroup": {"variant": "scalar_decay", "rate": math.inf}},
+        {"weight": {"residual": {"name": "cos", "amplitude": math.inf}}},
+        {"weight": {"trig": [{"kappa_re": math.nan, "theta": 0.1}]}},
+        {"semigroup": {"variant": "unitary_flow", "hamiltonian": "random", "norm": math.nan}},
+        {"semigroup": {"variant": "scalar_decay", "rate": "Infinity"}},
+        {"semigroup": {"variant": "schur_decay", "rates": {"pattern": "distance", "scale": math.nan}}},
+        {"semigroup": {"variant": "generator_exp", "lindblad": {"norm": "-Infinity"}}},
+        {"weight": {"trig": [{"kappa_re": 0.5, "kappa_im": math.inf, "theta": 0.1}]}},
+        {"weight": {"residual": {"name": "linear_capped", "cap": math.nan}}},
+        {"weight": {"sup_bound": math.inf}},
     ],
 )
 def test_cli_bad_config_values_exit_two(tmp_path, capsys, bad):
