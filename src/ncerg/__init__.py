@@ -63,7 +63,6 @@ from .bau import (
     measure_nbhd_witness,
     perturbation_transfer,
 )
-from .config import DEFAULT_TOLS, Tolerances
 from .experiments import ExperimentConfig, RunReport, emit_plot_data, run
 from .semigroups import (
     GeneratorExp,

@@ -4,7 +4,8 @@ A :class:`TracialAlgebra` is a finite direct sum of full complex matrix
 blocks, each carrying a strictly positive trace weight.  Elements are
 :class:`Operator` instances; the weighted trace, the p-norms built from it,
 absolute values, spectral resolutions, spectral projections and lattice meets
-of projections all live in this module.
+of projections all live in this module, and so does the package's one rule
+for self-adjoint and positive inputs (:func:`hermitian_defects`).
 """
 from __future__ import annotations
 
@@ -15,7 +16,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+# Numerical cutoffs.  "Relative" means times the operator scale max(||x||, 1e-14).
+SELF_ADJOINT_TOL = 1e-10  # relative cap on ||x - x*|| for a self-adjoint operator
+POSITIVITY_TOL = 1e-10  # relative floor -tol on the spectrum of herm x for a positive one
+INPUT_TOL = 1e-8  # the same relative rule, looser, for inputs of certificates and checks
+PROJECTION_TOL = 1e-8  # absolute cap on the idempotency and self-adjointness residuals
+SPECTRAL_INCLUDE = 1e-12  # absolute slack of spectral cuts: eigenvalues within it stay below
+MEET_RANK_TOL = 1e-8  # singular values below it times the block dimension count as zero
 
 __all__ = [
     "AlgebraMismatchError",
@@ -35,6 +42,7 @@ __all__ = [
     "stack_blocks",
     "op_norms",
     "min_eig",
+    "hermitian_defects",
     "random_operator",
     "random_self_adjoint",
     "random_positive",
@@ -185,15 +193,11 @@ class Operator:
             float(np.linalg.norm(a - a.conj().T, 2)) for a in self.blocks
         )
 
-    def is_self_adjoint(self, tol: float = DEFAULT_TOLS.self_adjoint) -> bool:
-        scale = max(self.norm_inf(), 1e-300)
-        return self.self_adjoint_defect() <= tol * max(scale, 1e-14)
+    def is_self_adjoint(self, tol: float = SELF_ADJOINT_TOL) -> bool:
+        return not hermitian_defects([a[None] for a in self.blocks], tol)[0][0]
 
-    def is_positive(self, tol: float = DEFAULT_TOLS.positivity) -> bool:
-        scale = max(self.norm_inf(), 1e-14)
-        if self.self_adjoint_defect() > tol * scale:
-            return False
-        return min_eig(self) >= -tol * scale
+    def is_positive(self, tol: float = POSITIVITY_TOL) -> bool:
+        return not hermitian_defects([a[None] for a in self.blocks], tol, positive=True)[0][0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Operator(blocks={self.algebra.blocks}, norm={self.norm_inf():.3g})"
@@ -217,6 +221,25 @@ def min_eig(x: Operator | Sequence[np.ndarray]) -> float | np.ndarray:
     herm = [(a + a.conj().swapaxes(-1, -2)) / 2.0 for a in getattr(x, "blocks", x)]
     low = np.min([np.linalg.eigvalsh(h)[..., 0] for h in herm], axis=0)
     return float(low) if isinstance(x, Operator) else low
+
+
+def hermitian_defects(
+    stacks: Sequence[np.ndarray], tol: float, positive: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one self-adjointness and positivity rule, per member of a stacked
+    family: a member fails when ||x - x*||, or with ``positive`` the negative
+    part of the spectrum of herm x, exceeds bound = tol * max(||x||, 1e-14).
+    Returns (fails, ||x - x*||, bound); an exactly self-adjoint stack passes
+    without norms unless ``positive``."""
+    skew = [a - a.conj().swapaxes(1, 2) for a in stacks]
+    if not positive and not any(d.any() for d in skew):
+        zero = np.zeros(len(stacks[0]))
+        return zero > 0, zero, zero
+    defect, bound = op_norms(skew), tol * np.maximum(op_norms(stacks), 1e-14)
+    fails = defect > bound
+    if positive:
+        fails |= min_eig(stacks) < -bound
+    return fails, defect, bound
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +328,7 @@ class SpectralResolution:
         )
 
     def cut_cotrace(
-        self, level: float | Sequence[float], tol: float = DEFAULT_TOLS.spectral_include
+        self, level: float | Sequence[float], tol: float = SPECTRAL_INCLUDE
     ) -> float | np.ndarray:
         """Co-trace of :func:`spectral_projection` at ``level``, one per member
         of a stacked resolution."""
@@ -318,30 +341,27 @@ class SpectralResolution:
 
 
 def spectral_resolution(
-    x: Operator | Sequence[np.ndarray],
-    tol: float = DEFAULT_TOLS.self_adjoint,
-    alg: TracialAlgebra | None = None,
+    x: Operator | Sequence[np.ndarray], alg: TracialAlgebra | None = None
 ) -> SpectralResolution:
     """Eigendecomposition of a (numerically) self-adjoint operator, or of
     every member of a per-block stacked family of ``alg``.
 
     The input may carry roundoff; it is symmetrized before decomposition, but
-    a member whose defect exceeds ``tol * ||x||`` is rejected.  A stacked
-    family runs one batched ``eigh`` per block and gives a stacked resolution.
+    a member that fails :func:`hermitian_defects` at ``SELF_ADJOINT_TOL`` is
+    rejected.  A stacked family runs one batched ``eigh`` per block and gives
+    a stacked resolution.
     """
     one = isinstance(x, Operator)
     if not one and alg is None:
         raise ValueError("a stacked family needs its algebra")
     stacks = [a[None] for a in x.blocks] if one else list(x)
-    skew = [a - a.conj().swapaxes(1, 2) for a in stacks]
-    if any(d.any() for d in skew):  # exactly self-adjoint input needs no norms
-        defect, bound = op_norms(skew), tol * np.maximum(op_norms(stacks), 1e-14)
-        if np.any(defect > bound):
-            i = int(np.argmax(defect > bound))
-            raise ValueError(
-                f"operator is not self-adjoint within tolerance "
-                f"({defect[i]:.3e} > {bound[i]:.3e})"
-            )
+    fails, defect, bound = hermitian_defects(stacks, SELF_ADJOINT_TOL)
+    if fails.any():
+        i = int(np.argmax(fails))
+        raise ValueError(
+            f"operator is not self-adjoint within tolerance "
+            f"({defect[i]:.3e} > {bound[i]:.3e})"
+        )
     ws, vs = zip(*(np.linalg.eigh((a + a.conj().swapaxes(1, 2)) / 2.0) for a in stacks))
     if one:
         ws, vs = [w[0] for w in ws], [v[0] for v in vs]
@@ -358,18 +378,13 @@ class Projection:
 
     __slots__ = ("op", "cotrace", "idempotency_residual", "selfadjoint_residual")
 
-    def __init__(
-        self,
-        op: Operator,
-        cotrace: float | None = None,
-        tol: float = DEFAULT_TOLS.projection,
-    ):
+    def __init__(self, op: Operator, cotrace: float | None = None):
         idem = (op @ op - op).norm_inf()
         sa = op.self_adjoint_defect()
-        if idem > tol or sa > tol:
+        if idem > PROJECTION_TOL or sa > PROJECTION_TOL:
             raise ValueError(
                 f"not a projection: idempotency residual {idem:.3e}, "
-                f"self-adjointness residual {sa:.3e} (tol {tol:.1e})"
+                f"self-adjointness residual {sa:.3e} (tol {PROJECTION_TOL:.1e})"
             )
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "idempotency_residual", idem)
@@ -394,7 +409,7 @@ class Projection:
     def ranks(self) -> tuple[int, ...]:
         return tuple(int(round(np.trace(a).real)) for a in self.op.blocks)
 
-    def leq(self, other: "Projection", tol: float = 1e-8) -> bool:
+    def leq(self, other: "Projection", tol: float = PROJECTION_TOL) -> bool:
         """True when this projection is dominated by ``other`` (q p = p)."""
         return (other.op @ self.op - self.op).norm_inf() <= tol
 
@@ -405,7 +420,7 @@ class Projection:
 def spectral_projection(
     res: SpectralResolution,
     level: float | Sequence[float],
-    tol: float = DEFAULT_TOLS.spectral_include,
+    tol: float = SPECTRAL_INCLUDE,
 ) -> Projection:
     """Projection onto eigenvectors with eigenvalue <= ``level + tol``.
 
@@ -428,16 +443,12 @@ def spectral_projection(
     ])
 
 
-def proj_meet(
-    p: Projection,
-    q: Projection,
-    sv_tol: float = DEFAULT_TOLS.meet_rank,
-) -> Projection:
+def proj_meet(p: Projection, q: Projection) -> Projection:
     """Lattice meet: projection onto ``range(p) & range(q)``; see :func:`meet_all`."""
-    return meet_all([p, q], sv_tol=sv_tol)
+    return meet_all([p, q])
 
 
-def meet_all(projections: Iterable[Projection], sv_tol: float = DEFAULT_TOLS.meet_rank) -> Projection:
+def meet_all(projections: Iterable[Projection]) -> Projection:
     """Lattice meet of a nonempty family: projection onto the common range.
 
     One SVD per block of the stacked complements ``[(1-p_1); ...; (1-p_m)]``
@@ -450,25 +461,22 @@ def meet_all(projections: Iterable[Projection], sv_tol: float = DEFAULT_TOLS.mee
     if any(p.algebra != alg for p in ps):
         raise AlgebraMismatchError("projections live in different algebras")
     stacks = stack_blocks([p.op for p in ps])
-    return meet_complements(alg, [np.eye(n) - a for n, a in zip(alg.blocks, stacks)], sv_tol)
+    return meet_complements(alg, [np.eye(n) - a for n, a in zip(alg.blocks, stacks)])
 
 
-def meet_complements(
-    alg: TracialAlgebra,
-    stacks: Sequence[np.ndarray],
-    sv_tol: float = DEFAULT_TOLS.meet_rank,
-) -> Projection:
+def meet_complements(alg: TracialAlgebra, stacks: Sequence[np.ndarray]) -> Projection:
     """Meet of projections given per block as complement stacks ``(m, n, n)``.
 
     The meet is the null space of one SVD of the ``(m n, n)`` stack (Bjorck
-    and Golub 1973); singular values below ``sv_tol * n`` count as zero, a
-    cutoff that separates it from roundoff and can widen for ill-conditioning.
+    and Golub 1973); singular values below ``MEET_RANK_TOL * n`` count as
+    zero, a cutoff that separates it from roundoff and can widen for
+    ill-conditioning.
     """
     blocks = []
     cotrace = 0.0
     for n, c, comp in zip(alg.blocks, alg.weights, stacks):
         _, s, vh = np.linalg.svd(comp.reshape(-1, n), full_matrices=False)
-        basis = vh[s <= sv_tol * n].conj().T
+        basis = vh[s <= MEET_RANK_TOL * n].conj().T
         blocks.append(basis @ basis.conj().T)
         cotrace += c * float(n - basis.shape[1])
     return Projection(Operator(alg, blocks), cotrace=cotrace)
@@ -478,13 +486,11 @@ def meet_complements(
 # random elements
 # ---------------------------------------------------------------------------
 
-def random_operator(
-    alg: TracialAlgebra, rng: np.random.Generator, scale: float = 1.0
-) -> Operator:
+def random_operator(alg: TracialAlgebra, rng: np.random.Generator) -> Operator:
     blocks = []
     for n in alg.blocks:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        blocks.append(scale * a / math.sqrt(2 * n))
+        blocks.append(a / math.sqrt(2 * n))
     return Operator(alg, blocks)
 
 

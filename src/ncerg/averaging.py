@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Operator, min_eig, op_norms, stack_blocks
-from .config import DEFAULT_TOLS, require_finite
+from .algebra import INPUT_TOL, Operator, hermitian_defects, min_eig, op_norms, stack_blocks
+from .config import require_finite
 from .semigroups import Semigroup
 
 __all__ = [
@@ -272,15 +272,13 @@ def double_average_windows(
 
 
 def sandwich_slacks(
-    sg: Semigroup, xs: Sequence[np.ndarray], a_grid: Sequence[float], b: float,
-    tol: float = DEFAULT_TOLS.positivity,
+    sg: Semigroup, xs: Sequence[np.ndarray], a_grid: Sequence[float], b: float
 ) -> np.ndarray:
     """(min eig of D + head, min eig of tail - D), each (len(a_grid), k), for the
-    windows of :func:`double_average_windows`.  For a positive stack the gap D
-    sits between minus the head and the tail: both are >= -tol up to roundoff."""
-    scale = np.maximum(op_norms(xs), 1e-14) * max(tol, 1e-8)
-    skew = op_norms([a - a.conj().swapaxes(1, 2) for a in xs])
-    if np.any(skew > scale) or np.any(min_eig(xs) < -scale):
+    windows of :func:`double_average_windows`.  For a stack positive at
+    ``INPUT_TOL`` the gap D sits between minus the head and the tail: both
+    are >= 0 up to roundoff."""
+    if hermitian_defects(xs, INPUT_TOL, positive=True)[0].any():
         raise ValueError("sandwich check needs a positive operator")
     heads, tails, gaps = double_average_windows(sg, xs, a_grid, b)
     return min_eig([np.stack([g + h, t - g]) for h, t, g in zip(heads, tails, gaps)])
@@ -292,11 +290,9 @@ def sandwich_windows(sg: Semigroup, x: Operator, a: float, b: float) -> tuple[Op
     return tuple(Operator(sg.algebra, [y[0, 0] for y in w]) for w in (heads, tails))
 
 
-def sandwich_check(
-    sg: Semigroup, x: Operator, a: float, b: float, tol: float = DEFAULT_TOLS.positivity
-) -> tuple[float, float]:
+def sandwich_check(sg: Semigroup, x: Operator, a: float, b: float) -> tuple[float, float]:
     """(lower, upper) slacks of :func:`sandwich_slacks` for one a and one x."""
-    return tuple(float(s[0, 0]) for s in sandwich_slacks(sg, stack_blocks([x]), [a], b, tol))
+    return tuple(float(s[0, 0]) for s in sandwich_slacks(sg, stack_blocks([x]), [a], b))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +424,6 @@ def substitution_bound_check(
     x: Operator,
     T: float,
     quad: QuadratureConfig = DEFAULT_QUAD,
-    positivity_tol: float = 1e-8,
 ) -> tuple[float, float, float]:
     """Compare the weighted average against its trigonometric substitute.
 
@@ -438,9 +433,10 @@ def substitution_bound_check(
     2 * ((1/T) integral_0^T |r|) * ||x||, and quad_error is the relative
     error :func:`integrate_scalar` achieved on that mean gap.  The factor two
     absorbs the norm growth of the extended flow on non-self-adjoint parts;
-    the contract is lhs <= rhs up to quadrature error.
+    the contract is lhs <= rhs up to quadrature error.  x must be positive
+    at ``INPUT_TOL``.
     """
-    if not x.is_positive(tol=positivity_tol):
+    if not x.is_positive(tol=INPUT_TOL):
         raise ValueError("substitution bound needs a positive operator")
     lhs = _residual_average(sg, b, x, T, quad).norm_inf()
     mean_gap, quad_error = _mean_abs_residual(b, T, quad)

@@ -24,6 +24,7 @@ import numpy as np
 from .algebra import Operator, Projection, meet_all, pnorm, proj_meet, stack_blocks
 from .averaging import cesaro_average, dense_approximant
 from .bau import (
+    DECAY_TOL,
     ProjectionCertificate,
     bau_cauchy_certify,
     compressed_norms,
@@ -32,7 +33,6 @@ from .bau import (
     MaximalParams,
     pair_differences,
 )
-from .config import DEFAULT_TOLS
 from .semigroups import Semigroup, continuity_modulus
 
 __all__ = [
@@ -50,6 +50,9 @@ __all__ = [
     "make_maximal_oracle",
     "make_dense_certifier",
 ]
+
+ORACLE_SLACK = 1e-12  # absolute slack of an oracle certificate over its two caps
+K_CAP = 2**40  # largest k of the window 1/k that scheme_from_semigroup doubles up to
 
 
 class SchemeError(RuntimeError):
@@ -134,22 +137,21 @@ class ConditionOneOracle:
 
     The returned certificate must satisfy tau(p_perp) <= C (eps^-1 ||y||_X)^alpha
     and an achieved compressed bound below eps; both are re-verified here and
-    a violation raises :class:`OracleContractError`.
+    a violation beyond ``ORACLE_SLACK`` raises :class:`OracleContractError`.
     """
 
     build: Callable[[Operator, float], ProjectionCertificate]
     C: float
     alpha: float
     norm: Callable[[Operator], float]
-    slack: float = 1e-12
 
     def __call__(self, y: Operator, eps: float) -> ProjectionCertificate:
         cert = self.build(y, eps)
         size = self.norm(y)
         cap = self.C * (size / eps) ** self.alpha if size > 0 else 0.0
-        if cert.cotrace > cap + self.slack:
+        if cert.cotrace > cap + ORACLE_SLACK:
             raise OracleContractError("cotrace", cert.cotrace, cap)
-        if cert.achieved_bound > eps + self.slack:
+        if cert.achieved_bound > eps + ORACLE_SLACK:
             raise OracleContractError("compressed", cert.achieved_bound, eps)
         return cert
 
@@ -175,7 +177,7 @@ def make_maximal_oracle(
 
 
 def make_dense_certifier(
-    maps: MapFamily, tol: float = DEFAULT_TOLS.decay
+    maps: MapFamily, tol: float = DECAY_TOL
 ) -> Callable[[Operator, float], ProjectionCertificate]:
     """Cauchy certifier for the map family evaluated on a dense-set element."""
 
@@ -388,17 +390,12 @@ def assemble_certificate(
     )
 
 
-def scheme_from_semigroup(
-    sg: Semigroup,
-    p: float,
-    alpha: float,
-    k_cap: int = 2**40,
-) -> ApproximationScheme:
+def scheme_from_semigroup(sg: Semigroup, p: float, alpha: float) -> ApproximationScheme:
     """Approximation scheme built from shrinking-window flow averages.
 
     x_n is the window average of x at scale 1/k(n); the continuity modulus of
     the flow picks a starting k and the gap is verified directly, doubling k
-    until the target is met.  A modulus too flat to meet the target raises
+    until the target is met or k passes ``K_CAP``.  A modulus too flat to meet the target raises
     :class:`SchemeError` with the achieved gap.
     """
     alg = sg.algebra
@@ -414,7 +411,7 @@ def scheme_from_semigroup(
         if k is None:
             k = math.ceil(1.0 / probe[-1])
         gap = math.inf
-        while k <= k_cap:
+        while k <= K_CAP:
             x_k = dense_approximant(sg, x, k)
             gap = pnorm(alg, x_k - x, p)
             if gap < target:

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
+    INPUT_TOL,
     Operator,
     Projection,
     SpectralResolution,
@@ -38,7 +39,6 @@ from .algebra import (
     stack_blocks,
 )
 from .averaging import double_average_windows
-from .config import DEFAULT_TOLS
 from .semigroups import Semigroup
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "TransferPremiseError",
     "compressed_norm",
     "compressed_norms",
-    "compressed_pair_norms",
     "pair_differences",
     "measure_nbhd_witness",
     "maximal_projection",
@@ -60,6 +59,13 @@ __all__ = [
     "LpLimitReport",
     "first_index_below",
 ]
+
+DECAY_TOL = 1e-6  # default final-decay target of a Cauchy certificate
+CAUCHY_TAIL = 0.5  # share of the grid (two members at least) whose pairs a Cauchy cert cuts
+LP_TAIL = 0.25  # share of the grid whose smallest p-norm stands in for the liminf
+LP_SLACK = 1e-10  # absolute slack of a limit's p-norm over that liminf
+BOUND_SLACK = 1e-8  # absolute slack of a compressed norm over the bound it is held to
+COTRACE_SLACK = 1e-12  # absolute slack of a co-trace over its budget
 
 
 @dataclass
@@ -168,18 +174,12 @@ def pair_differences(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def _pair_table(e: Projection, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """(m, m) table holding ||e (y_i - y_j) e|| at i < j and 0 elsewhere, one
+    batched SVD norm per block over all pairs of a stacked family."""
     m = len(stacks[0])
     table = np.zeros((m, m))
     table[np.triu_indices(m, 1)] = compressed_norms(e, pair_differences(stacks))
     return table
-
-
-def compressed_pair_norms(e: Projection, ops: Sequence[Operator]) -> np.ndarray:
-    """(m, m) table holding ||e (y_i - y_j) e|| at i < j and 0 elsewhere.
-
-    One batched SVD norm per block over all pairs of the family.
-    """
-    return _pair_table(e, stack_blocks(ops)) if ops else np.zeros((0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +193,7 @@ class MeasureWitness:
     min_achievable_cotrace: float
 
 
-def measure_nbhd_witness(
-    x: Operator,
-    epsilon: float,
-    delta: float,
-    tol: float = DEFAULT_TOLS.spectral_include,
-) -> MeasureWitness:
+def measure_nbhd_witness(x: Operator, epsilon: float, delta: float) -> MeasureWitness:
     """Witness that x lies in the measure-topology zero neighborhood (eps, delta).
 
     The candidate projection is the spectral projection of x*x at level
@@ -208,9 +203,9 @@ def measure_nbhd_witness(
     if not (epsilon > 0 and delta > 0):
         raise ValueError("epsilon and delta must be positive")
     res = spectral_resolution((x.H @ x).herm())
-    e = spectral_projection(res, delta * delta, tol)
+    e = spectral_projection(res, delta * delta)
     achieved = (x @ e.op).norm_inf()
-    ok = e.cotrace <= epsilon + 1e-12
+    ok = e.cotrace <= epsilon + COTRACE_SLACK
     cert = None
     if ok:
         # |x| commutes with e, so ||e |x| e|| recomputes the stored ||x e||
@@ -237,22 +232,21 @@ def maximal_projection(
     params: MaximalParams,
     T_grid: Sequence[float],
     family: dict[float, Operator] | Sequence[np.ndarray] | None = None,
-    tol: float = DEFAULT_TOLS.spectral_include,
 ) -> ProjectionCertificate:
     """One projection controlling ||e beta_T(x) e|| <= eps over a whole T grid.
 
     ``family`` holds the averages y_T, if already computed, keyed by T or as
     per-block (m, n, n) stacks in grid order.  One stacked spectral
     resolution diagonalizes every y_T.  |y_T| has eigenvalues |w| on the same
-    eigenvectors, so each cut drops those with |w| > eps + tol (ties are
-    kept), and the cut co-trace and the Chebyshev bound eps^-p tau(|y_T|^p)
+    eigenvectors, so each cut drops those with |w| > eps + SPECTRAL_INCLUDE
+    (ties are kept), and the cut co-trace and the Chebyshev bound eps^-p tau(|y_T|^p)
     come from the same |w|.  One meet of the cuts (the stacked
     :func:`spectral_projection`) compresses every average at once.  Its
     co-trace is compared against C (eps^-1 ||x||_p)^p; exceeding the cap only
     flags the certificate, and the empirical C realized by the run is
     reported either way.
     """
-    if not x.is_self_adjoint(tol=1e-8):
+    if not x.is_self_adjoint(tol=INPUT_TOL):
         raise ValueError("maximal projection needs a self-adjoint operator")
     grid = tuple(float(T) for T in T_grid)
     if any(T <= 0 for T in grid):
@@ -268,8 +262,8 @@ def maximal_projection(
     res = spectral_resolution(ys, alg=alg)
     # |y_T| has the eigenvalues |w| of y_T on the same eigenvectors
     mags = SpectralResolution(alg, tuple(map(np.abs, res.eigenvalues)), res.eigenvectors)
-    cut_cotrace = mags.cut_cotrace(eps, tol)
-    e = spectral_projection(mags, eps, tol)
+    cut_cotrace = mags.cut_cotrace(eps)
+    e = spectral_projection(mags, eps)
     weighted = zip(alg.weights, mags.eigenvalues)
     power_trace = sum(c * np.sum(w**params.p, axis=1) for c, w in weighted)
     chebyshev = eps ** (-params.p) * power_trace
@@ -280,7 +274,7 @@ def maximal_projection(
         e.cotrace / ((xnorm / eps) ** params.p) if xnorm > 0 else 0.0
     )
     flags = []
-    if achieved > eps + 1e-8:
+    if achieved > eps + BOUND_SLACK:
         flags.append("compressed bound exceeds epsilon")
     if e.cotrace > cap and xnorm > 0:
         flags.append("bound exceeded for configured C")
@@ -316,7 +310,6 @@ def double_average_certificate(
     epsilon: float,
     a_schedule: Sequence[float],
     levels: int = 5,
-    tol: float = DEFAULT_TOLS.spectral_include,
 ) -> ProjectionCertificate:
     """Certify that averaging over a shrinking window fixes beta_b(x).
 
@@ -333,7 +326,7 @@ def double_average_certificate(
         raise ValueError("window length b must be positive")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if not x.is_positive(tol=1e-8):
+    if not x.is_positive(tol=INPUT_TOL):
         raise ValueError("double-average certificate needs a positive operator")
     schedule = [float(a) for a in a_schedule]
     if any(a2 >= a1 for a1, a2 in zip(schedule, schedule[1:])) or any(
@@ -365,9 +358,9 @@ def double_average_certificate(
             picks.append(idx)
         picked = spectral_resolution([h[picks] for h in sym], alg=alg)
         cuts = [lv ** (1.0 / p) for lv in budgets]
-        cotraces, meet = picked.cut_cotrace(cuts, tol), spectral_projection(picked, cuts, tol)
+        cotraces, meet = picked.cut_cotrace(cuts), spectral_projection(picked, cuts)
         for k, (i, level, cot) in enumerate(zip(picks, budgets, cotraces), start=1):
-            if cot > level + 1e-12:
+            if cot > level + COTRACE_SLACK:
                 flags.append(f"{tag} level {k} cotrace above geometric budget")
             level_rows.append([tag, k, schedule[i], float(powers[i]), level, float(cot)])
         return meet
@@ -409,14 +402,13 @@ def double_average_certificate(
 def bau_cauchy_certify(
     family: Sequence[tuple[float, Operator]],
     epsilon: float,
-    tol: float = DEFAULT_TOLS.decay,
-    tail_fraction: float = 0.5,
-    include_tol: float = DEFAULT_TOLS.spectral_include,
+    tol: float = DECAY_TOL,
 ) -> ProjectionCertificate:
     """Certify that a T-indexed family is Cauchy after one compression.
 
     ``family`` is a list of (T, y_T) with strictly decreasing T.  Pairwise
-    differences z on the grid tail are compressed through spectral cuts of
+    differences z on the grid tail (the last ``CAUCHY_TAIL`` share of the
+    members, two at least) are compressed through spectral cuts of
     |z| whose excluded weights follow the geometric budget eps/2^{k+1}: the
     k-th pair is cut at level tau(|z|) / budget, which keeps its co-trace
     below the budget by the Chebyshev count.  So the meet e always satisfies
@@ -427,13 +419,10 @@ def bau_cauchy_certify(
     """
     grid, ops = [T for T, _ in family], [y for _, y in family]
     alg = ops[0].algebra if ops else None
-    return _cauchy_certify(alg, grid, stack_blocks(ops), epsilon, tol, tail_fraction, include_tol)
+    return _cauchy_certify(alg, grid, stack_blocks(ops), epsilon, tol)
 
 
-def _cauchy_certify(
-    alg, grid, ys, epsilon, tol=DEFAULT_TOLS.decay, tail_fraction=0.5,
-    include_tol=DEFAULT_TOLS.spectral_include,
-) -> ProjectionCertificate:
+def _cauchy_certify(alg, grid, ys, epsilon, tol) -> ProjectionCertificate:
     """:func:`bau_cauchy_certify` of a family held as per-block stacks ``ys``
     over ``grid``."""
     if not epsilon > 0:
@@ -444,7 +433,7 @@ def _cauchy_certify(
     if any(t2 >= t1 for t1, t2 in zip(grid, grid[1:])):
         raise ValueError("family grid must be strictly decreasing")
     m = len(grid)
-    tail_start = max(0, m - max(2, math.ceil(tail_fraction * m)))
+    tail_start = max(0, m - max(2, math.ceil(CAUCHY_TAIL * m)))
     diffs = pair_differences([a[tail_start:] for a in ys])
     rows, cols = np.triu_indices(m - tail_start, 1)
     budgets = np.array([epsilon / (2.0 ** (k + 1)) for k in range(1, len(rows) + 1)])
@@ -453,7 +442,7 @@ def _cauchy_certify(
     mags = abs_value([z[nonzero] for z in diffs])
     res = spectral_resolution(mags, alg=alg)
     cuts = sum(c * np.trace(a, axis1=1, axis2=2).real for c, a in zip(alg.weights, mags)) / budgets
-    cotraces, e = res.cut_cotrace(cuts, include_tol), spectral_projection(res, cuts, include_tol)
+    cotraces, e = res.cut_cotrace(cuts), spectral_projection(res, cuts)
     levels = [
         [grid[tail_start + i], grid[tail_start + j], float(budget), float(cot)]
         for i, j, budget, cot in zip(rows, cols, budgets, cotraces)
@@ -511,7 +500,6 @@ def perturbation_transfer(
     base_family: Sequence[tuple[float, Operator]],
     base_cert: ProjectionCertificate,
     eps_seq: Sequence[float],
-    tol: float = 1e-8,
 ) -> ProjectionCertificate:
     """Carry a Cauchy certificate to a uniformly close family.
 
@@ -520,7 +508,7 @@ def perturbation_transfer(
     base projection is reused, pairwise compressed gaps can grow by at most
     2 eps, and single-element compressed norms by at most eps (compression is
     a contraction).  The transferred bound is verified by direct
-    recomputation on the tilde family.
+    recomputation on the tilde family, up to ``BOUND_SLACK``.
     """
     t_grid = [float(T) for T, _ in tilde_family]
     b_grid = [float(T) for T, _ in base_family]
@@ -552,9 +540,9 @@ def perturbation_transfer(
     base_sup = float(compressed_norms(e, b_tail).max())
     tilde_sup = float(compressed_norms(e, t_tail).max())
     flags = []
-    if achieved > predicted + tol:
+    if achieved > predicted + BOUND_SLACK:
         flags.append("transferred bound exceeded")
-    if tilde_sup > base_sup + eps_last + tol:
+    if tilde_sup > base_sup + eps_last + BOUND_SLACK:
         flags.append("compressed sup grew beyond the premise gap")
 
     decay = _suffix_decay(t_grid, t_pairs)
@@ -593,16 +581,13 @@ class LpLimitReport:
 
 
 def lp_limit_check(
-    family: Sequence[tuple[float, Operator]],
-    p: float,
-    limit: Operator,
-    tail_fraction: float = 0.25,
-    tol: float = 1e-10,
+    family: Sequence[tuple[float, Operator]], p: float, limit: Operator
 ) -> LpLimitReport:
     """Check ||limit||_p against the smallest tail norm of the family.
 
-    The minimum of ||y_T||_p over the grid tail is the finite stand-in for
-    the limit inferior; the candidate limit must not exceed it (plus tol).
+    The minimum of ||y_T||_p over the last ``LP_TAIL`` share of the grid is
+    the finite stand-in for the limit inferior; the candidate limit must not
+    exceed it (plus ``LP_SLACK``).
     """
     grid = [float(T) for T, _ in family]
     if any(t2 >= t1 for t1, t2 in zip(grid, grid[1:])):
@@ -610,12 +595,12 @@ def lp_limit_check(
     alg = limit.algebra
     svals = [np.linalg.svd(a, compute_uv=False) for a in stack_blocks([y for _, y in family])]
     table = tuple(zip(grid, pnorms(alg, svals, p)))
-    tail = table[-max(1, math.ceil(tail_fraction * len(table))):]
+    tail = table[-max(1, math.ceil(LP_TAIL * len(table))):]
     liminf = min(v for _, v in tail)
     limit_norm = pnorm(alg, limit, p)
     return LpLimitReport(
         liminf_norm=liminf,
         limit_norm=limit_norm,
-        passed=limit_norm <= liminf + tol,
+        passed=limit_norm <= liminf + LP_SLACK,
         table=table,
     )

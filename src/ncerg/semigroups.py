@@ -45,6 +45,7 @@ Witnesses of the worst violations are recorded only above a roundoff floor.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -63,7 +64,7 @@ from .algebra import (
     vec,
     operator_from_dict,
 )
-from .config import require_finite
+from .config import ConfigError, require_finite
 
 __all__ = [
     "Semigroup",
@@ -82,6 +83,10 @@ __all__ = [
     "generator_from_map",
     "semigroup_from_config",
 ]
+
+CONTRACTION_TOL = 1e-8  # cap on positivity, unitality and trace violations and on -choi_min
+LAW_TOL = 1e-9  # cap on the relative semigroup-law residual ||a_t a_s - a_{t+s}||
+MAX_JUMPS = 1000  # most jump operators a random Lindblad generator may draw
 
 
 def phi1(z: np.ndarray | complex) -> np.ndarray:
@@ -517,8 +522,6 @@ def semigroup_law_residual(
 def validate_absolute_contraction(
     sg: Semigroup,
     t_samples: Sequence[float],
-    tol: float = 1e-8,
-    law_tol: float = 1e-9,
     rng: np.random.Generator | None = None,
 ) -> ValidationReport:
     """Check positivity, subunitality and trace non-increase on sampled times.
@@ -611,17 +614,11 @@ def validate_absolute_contraction(
     probe = random_self_adjoint(alg, rng)
     cont = continuity_modulus(sg, probe, 2.0, ts)
 
-    choi_ok = choi_min is None or choi_min >= -tol
+    choi_ok = choi_min is None or choi_min >= -CONTRACTION_TOL
     sampled_only = not choi_ok and not sg.cp_by_construction
-    passed = (
-        max_pos <= tol
-        and max_unital <= tol
-        and max_trace <= tol
-        and law <= law_tol
-        and (choi_ok or sampled_only)
-    )
-    if sg.cp_by_construction and not choi_ok:
-        passed = False
+    worst_violation = max(max_pos, max_unital, max_trace)
+    passed = worst_violation <= CONTRACTION_TOL and law <= LAW_TOL and (choi_ok or sampled_only)
+    if sg.cp_by_construction and not choi_ok:  # fails: a Choi test is its certificate
         worst["choi_min"] = choi_min
 
     return ValidationReport(
@@ -660,7 +657,8 @@ def semigroup_from_config(
 
     Random constructions ("hamiltonian": "random", lindblad with
     "random": true) draw from ``rng`` and therefore require one.  Every number
-    in ``spec`` must be finite (``ConfigError`` otherwise).
+    in ``spec`` must be finite and a Lindblad jump count an integer in
+    [0, ``MAX_JUMPS``] (``ConfigError`` otherwise).
     """
     require_finite(spec, "semigroup")
     variant = spec.get("variant")
@@ -695,12 +693,15 @@ def semigroup_from_config(
                 )
             return GeneratorExp(alg, mat_op.blocks[0])
         lind = spec.get("lindblad", {"random": True, "jumps": 1, "norm": 0.5})
+        count = lind.get("jumps", 1)
+        if not (isinstance(count, numbers.Integral) and 0 <= count <= MAX_JUMPS):
+            raise ConfigError(f"lindblad.jumps={count!r} must be an integer in [0, {MAX_JUMPS}]")
         if rng is None:
             raise ValueError("random lindblad generator needs an rng")
         h = random_self_adjoint(alg, rng, norm=float(lind.get("norm", 0.5)))
         jumps = [
             random_self_adjoint(alg, rng, norm=float(lind.get("norm", 0.5)))
-            for _ in range(int(lind.get("jumps", 1)))
+            for _ in range(count)
         ]
         return GeneratorExp(alg, lindblad_generator(alg, h, jumps))
     raise ValueError(f"unknown semigroup variant: {variant!r}")

@@ -37,8 +37,8 @@ from ncerg import (
     validate_absolute_contraction,
 )
 from ncerg import semigroups
-from ncerg.algebra import AlgebraMismatchError, min_eig, pnorms, random_operator
-from ncerg.bau import compressed_norm, compressed_pair_norms
+from ncerg.algebra import AlgebraMismatchError, min_eig, pnorms, random_operator, stack_blocks
+from ncerg.bau import _pair_table, compressed_norm
 from ncerg.semigroups import choi_blocks, choi_min_eig, generator_from_map
 
 # unequal blocks, so a swapped block index or a transposed Choi layout shows
@@ -424,14 +424,13 @@ def test_pair_table_matches_compressed_norm_loop():
     rng = np.random.default_rng(24)
     e = random_projection(ALG, rng, ranks=(1, 2))
     ops = [random_operator(ALG, rng) for _ in range(6)]
-    table = compressed_pair_norms(e, ops)
+    table = _pair_table(e, stack_blocks(ops))
     assert table.shape == (6, 6)
     for i in range(6):
         for j in range(6):
             want = compressed_norm(e, ops[i] - ops[j]) if i < j else 0.0
             assert abs(table[i, j] - want) <= 1e-14 * max(want, 1.0), (i, j)
-    assert compressed_pair_norms(e, ops[:1]).tolist() == [[0.0]]
-    assert compressed_pair_norms(e, []).shape == (0, 0)
+    assert _pair_table(e, stack_blocks(ops[:1])).tolist() == [[0.0]]
 
 
 def test_certificate_decay_matches_pair_loops():

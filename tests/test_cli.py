@@ -160,6 +160,10 @@ def test_cli_bad_config_exit_two(tmp_path):
         {"weight": {"trig": [{"kappa_re": 0.5, "kappa_im": math.inf, "theta": 0.1}]}},
         {"weight": {"residual": {"name": "linear_capped", "cap": math.nan}}},
         {"weight": {"sup_bound": math.inf}},
+        # Lindblad jump counts outside the integers in [0, 1000]
+        {"semigroup": {"variant": "generator_exp", "lindblad": {"jumps": 1e300}}},
+        {"semigroup": {"variant": "generator_exp", "lindblad": {"jumps": 1.5}}},
+        {"semigroup": {"variant": "generator_exp", "lindblad": {"jumps": -2}}},
     ],
 )
 def test_cli_bad_config_values_exit_two(tmp_path, capsys, bad):
@@ -170,6 +174,21 @@ def test_cli_bad_config_values_exit_two(tmp_path, capsys, bad):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_exhausted_window_schedule_fails_the_check(tmp_path, capsys):
+    # epsilon 0.01 is in range, but the window schedule cannot meet its budgets
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"epsilon": 0.01}))
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg_path), "--suite", "local-avg", "--out", str(out)])
+    assert code == 1
+    assert "FAIL local-avg:window_certificate" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"]["local-avg:window_certificate"] is False
+    failure = report["certificates"]["local_avg_window_failure"]
+    assert "window schedule exhausted" in json.loads((out / failure).read_text())["error"]
+    assert "local_avg_window" not in report["certificates"]
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

@@ -14,6 +14,7 @@ reference here is built one operator at a time from ``mean``, ``apply``,
 a ``proj_meet`` fold and ``compressed_norm``.
 """
 import csv
+import itertools
 import math
 from functools import reduce
 
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from ncerg import (
+    BesicovitchWeight,
     GeneratorExp,
     Identity,
     Operator,
@@ -46,10 +48,18 @@ from ncerg import (
     random_self_adjoint,
     scheme_from_semigroup,
     spectral_projection,
+    substitution_bound_check,
     spectral_resolution,
     trace,
 )
-from ncerg.algebra import Projection, min_eig, random_operator, stack_blocks
+from ncerg.algebra import (
+    INPUT_TOL,
+    Projection,
+    hermitian_defects,
+    min_eig,
+    random_operator,
+    stack_blocks,
+)
 from ncerg.averaging import double_average_windows, sandwich_check, sandwich_slacks
 from ncerg.banach import ApproximationScheme, AssemblyError, ConditionOneOracle
 from ncerg.bau import (
@@ -387,6 +397,66 @@ def test_sandwich_slacks_reject_bad_windows_and_inputs():
             sandwich_slacks(sg, stack_blocks([x, bad, x]), [0.5, 0.1], 1.0)
         with pytest.raises(ValueError, match="positive operator"):
             sandwich_check(sg, bad, 0.5, 1.0)
+
+
+def rule_members(alg):
+    """Members on both sides of the 1e-8 input rule, at norm one: a spectrum
+    reaching -0.5e-8 or -2e-8, a skew part with ||x - x*|| = 0.5e-8 or 2e-8
+    on a positive diagonal, and zero."""
+    def diag(low):
+        return Operator(alg, [np.diag([2.0**-k for k in range(n - 1)] + [low]) for n in alg.blocks])
+
+    herm = random_self_adjoint(alg, np.random.default_rng(56), norm=1.0)
+    return {
+        "low_inside": diag(-0.5e-8),
+        "low_outside": diag(-2e-8),
+        "skew_inside": diag(0.03) + herm * 0.25e-8j,
+        "skew_outside": diag(0.03) + herm * 1e-8j,
+        "zero": alg.zero(),
+    }
+
+
+def test_input_checks_share_one_rule():
+    sg = ScalarDecay(ALG, 0.7)
+    members = rule_members(ALG)
+    accepted = {name: x.is_positive(tol=INPUT_TOL) for name, x in members.items()}
+    assert accepted == {
+        "low_inside": True, "low_outside": False, "skew_inside": True,
+        "skew_outside": False, "zero": True,
+    }
+    # the default positivity cutoff (1e-10) is stricter than the input rule
+    assert not members["low_inside"].is_positive() and members["zero"].is_positive()
+    weight = BesicovitchWeight.constant(1.0)
+    checks = {
+        "sandwich": lambda x: sandwich_check(sg, x, 0.5, 1.0),
+        "substitution": lambda x: substitution_bound_check(sg, weight, x, 0.5),
+        "window": lambda x: double_average_certificate(
+            sg, x, b=1.0, p=1.0, epsilon=0.5, a_schedule=np.geomspace(0.25, 1e-7, 22)
+        ),
+    }
+    for (name, x), (check, run_check) in itertools.product(members.items(), checks.items()):
+        if accepted[name]:
+            run_check(x)
+        else:
+            with pytest.raises(ValueError, match="positive operator"):
+                run_check(x)
+    # the maximal projection holds its input to the self-adjointness half
+    for name, x in members.items():
+        if name == "skew_outside":
+            with pytest.raises(ValueError, match="self-adjoint"):
+                maximal_projection(sg, x, MaximalParams(C=1.0, p=1.0, epsilon=0.5), [0.5, 1.0])
+        else:
+            maximal_projection(sg, x, MaximalParams(C=1.0, p=1.0, epsilon=0.5), [0.5, 1.0])
+    # a stack is rejected exactly when one of its members is
+    for names in itertools.combinations(members, 3):
+        xs = stack_blocks([members[n] for n in names])
+        fails = hermitian_defects(xs, INPUT_TOL, positive=True)[0]
+        assert fails.tolist() == [not accepted[n] for n in names]
+        if all(accepted[n] for n in names):
+            sandwich_slacks(sg, xs, [0.5, 0.1], 1.0)
+        else:
+            with pytest.raises(ValueError, match="positive operator"):
+                sandwich_slacks(sg, xs, [0.5, 0.1], 1.0)
 
 
 @pytest.mark.parametrize("variant", ["unitary_flow", "generator_exp"])
