@@ -60,21 +60,26 @@ __all__ = [
 ]
 
 
+MAX_REFINEMENTS = 12  # largest max_refinements: at most 8 * 2**12 nodes per unit length
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Settings of the doubling Gauss-Legendre core: refinement stops once the
     change between passes, relative to the larger of the result and the
     integrand's roundoff level over ``rtol`` (so an exactly zero average
-    converges), is below ``rtol``, or after ``max_refinements`` doublings."""
+    converges), is below ``rtol``, or after ``max_refinements`` doublings
+    (an integer in [0, ``MAX_REFINEMENTS``])."""
 
     rtol: float = 1e-10
-    max_refinements: int = 12
+    max_refinements: int = MAX_REFINEMENTS
 
     def __post_init__(self) -> None:
         if not 0 < self.rtol < math.inf:
             raise ValueError("quadrature tolerance must be finite and > 0")
-        if not (isinstance(self.max_refinements, numbers.Integral) and self.max_refinements >= 0):
-            raise ValueError("max_refinements must be an integer >= 0")
+        n = self.max_refinements
+        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and 0 <= n <= MAX_REFINEMENTS):
+            raise ValueError(f"max_refinements={n!r} must be an integer in [0, {MAX_REFINEMENTS}]")
 
 
 DEFAULT_QUAD = QuadratureConfig()

@@ -9,9 +9,11 @@ approximant, and f = p ^ q with a three-way bound split.  Every intermediate
 bound is recorded and can be replayed; the engine only ever touches pairwise
 differences a_m(x) - a_n(x), never a limit object.
 
-The assembly and its replay hold a map family evaluated on one operator as a
-per-block stack (m, n, n) over its labels, and build every compressed-norm
-row of the ledger from such stacks through one function, ``_norm_rows``.
+A map family evaluates on one operator to a per-block stack (m, n, n) over
+its labels, ``MapFamily.images``: for Cesaro averages one closed-form
+``mean_batch`` call.  The assembly, its replay and the dense certifier take
+those stacks as they are, and every compressed-norm row of the ledger comes
+from them through one function, ``_norm_rows``.
 """
 from __future__ import annotations
 
@@ -22,11 +24,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import Operator, Projection, meet_all, pnorm, proj_meet, stack_blocks
-from .averaging import cesaro_average, dense_approximant
+from .averaging import dense_approximant
 from .bau import (
     DECAY_TOL,
     ProjectionCertificate,
-    bau_cauchy_certify,
+    _cauchy_certify,
     compressed_norms,
     first_index_below,
     maximal_projection,
@@ -90,20 +92,18 @@ class AssemblyError(RuntimeError):
 
 @dataclass(frozen=True)
 class MapFamily:
-    """Indexed family of linear maps a_m, evaluated as ``func(label, x)``."""
+    """Indexed family of linear maps a_m: ``images(y)`` returns every a_m(y)
+    as per-block (m, n, n) stacks in label order."""
 
     labels: tuple[float, ...]
-    func: Callable[[float, Operator], Operator]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(float(t) for t in self.labels))
-
-    def evaluate_all(self, x: Operator) -> list[Operator]:
-        return [self.func(t, x) for t in self.labels]
+    images: Callable[[Operator], list[np.ndarray]]
 
 
 def cesaro_map_family(sg: Semigroup, T_list: Sequence[float]) -> MapFamily:
-    return MapFamily(tuple(T_list), lambda T, y: cesaro_average(sg, y, T))
+    """The Cesaro averages beta_T, T in ``T_list``: one closed-form
+    ``mean_batch`` call per input."""
+    Ts = tuple(float(T) for T in T_list)
+    return MapFamily(Ts, lambda y: [a[:, 0] for a in sg.mean_batch(Ts, stack_blocks([y]))])
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,7 @@ def make_dense_certifier(
     """Cauchy certifier for the map family evaluated on a dense-set element."""
 
     def certify(y: Operator, eps_budget: float) -> ProjectionCertificate:
-        values = maps.evaluate_all(y)
-        return bau_cauchy_certify(
-            list(zip(maps.labels, values)), eps_budget, tol=tol
-        )
+        return _cauchy_certify(y.algebra, maps.labels, maps.images(y), eps_budget, tol)
 
     return certify
 
@@ -241,19 +238,20 @@ class AssemblyCertificate:
     def replay(self, maps: MapFamily, x: Operator) -> dict[str, float]:
         """Recompute every recorded bound; returns the deviations by step."""
         eps, N0, x_n0 = self.epsilon, self.N0_index, self.approximants[self.n0 - 1]
+        uniform = [maps.images(x_n - x) for x_n in self.approximants]
         checks = [
-            ("uniform_control", eps / 2.0 ** (n + 1), p_n, x_n - x, n, 0)
-            for n, (x_n, p_n) in enumerate(zip(self.approximants, self.approximant_projs), 1)
+            ("uniform_control", eps / 2.0 ** (n + 1), p_n, ys, n, 0)
+            for n, (ys, p_n) in enumerate(zip(uniform, self.approximant_projs), 1)
         ]
         checks += [
-            ("approximant_choice", eps / 3.0, self.meet_proj, x_n0 - x, self.n0, 0),
-            ("dense_cauchy", eps / 3.0, self.dense_cert.projection, x_n0, None, N0),
-            ("final_bound", eps, self.projection, x, None, N0),
+            ("approximant_choice", eps / 3.0, self.meet_proj, uniform[self.n0 - 1], self.n0, 0),
+            ("dense_cauchy", eps / 3.0, self.dense_cert.projection, maps.images(x_n0), None, N0),
+            ("final_bound", eps, self.projection, maps.images(x), None, N0),
         ]
         fresh = {
             (r.name, r.witness): r.achieved
-            for name, claimed, e, y, n, start in checks
-            for r in _norm_rows(name, claimed, e, stack_blocks(maps.evaluate_all(y)), n, start)
+            for name, claimed, e, ys, n, start in checks
+            for r in _norm_rows(name, claimed, e, ys, n, start)
         }
         return {
             f"{s.name}{s.witness or ''}": abs(fresh[s.name, s.witness] - s.achieved)
@@ -335,7 +333,7 @@ def assemble_certificate(
         cert_n = oracle(x_n - x, eps / 2.0 ** (n + 1))
         projs.append(cert_n.projection)
         certs.append(cert_n)
-        images.append(stack_blocks(maps.evaluate_all(x_n - x)))
+        images.append(maps.images(x_n - x))
         claimed = eps / 2.0 ** (n + 1)
         steps += _norm_rows("uniform_control", claimed, projs[-1], images[-1], n, check=True)
 
@@ -358,9 +356,8 @@ def assemble_certificate(
     if N0 is None:
         worst = dense_cert.decay[0][1] if dense_cert.decay else math.inf
         raise AssemblyError("dense_cauchy", None, worst, eps / 3.0)
-    dense = stack_blocks(maps.evaluate_all(x_n0))
     steps += _norm_rows(
-        "dense_cauchy", eps / 3.0, dense_cert.projection, dense, start=N0, check=True
+        "dense_cauchy", eps / 3.0, dense_cert.projection, maps.images(x_n0), start=N0, check=True
     )
 
     f = proj_meet(p_meet, dense_cert.projection)
@@ -369,9 +366,7 @@ def assemble_certificate(
     if f.cotrace > f_budget:
         raise AssemblyError("final_budget", None, f.cotrace, f_budget)
 
-    steps += _norm_rows(
-        "final_bound", eps, f, stack_blocks(maps.evaluate_all(x)), start=N0, check=True
-    )
+    steps += _norm_rows("final_bound", eps, f, maps.images(x), start=N0, check=True)
 
     budget_spent = sum(c.cotrace for c in certs) + dense_cert.cotrace
     return AssemblyCertificate(

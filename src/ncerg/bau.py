@@ -319,7 +319,9 @@ def double_average_certificate(
     with the gaps below.  Walking the schedule in order, window lengths a_k are
     chosen with tau(h(a_k)^p) < eps^2 / 4^k, the spectral cut of h(a_k)^p at
     level eps/2^{k+1} gives p_k, the same construction on g gives q, and e is
-    the meet.  The certificate checks tau(1-e) < eps and reports the decay of
+    the meet.  One stacked resolution of the heads (and one of the tails)
+    gives both the traces tau(h(a)^p) and the cuts.  The certificate checks
+    tau(1-e) < eps and reports the decay of
     ||e (beta_a(beta_b(x)) - beta_b(x)) e|| over the schedule.
     """
     if not b > 0:
@@ -356,7 +358,11 @@ def double_average_certificate(
             if idx == len(schedule):
                 raise ScheduleExhaustedError(k, min(powers, default=math.inf), target)
             picks.append(idx)
-        picked = spectral_resolution([h[picks] for h in sym], alg=alg)
+        picked = SpectralResolution(  # the picked windows, sliced out of res
+            alg,
+            tuple(w[picks] for w in res.eigenvalues),
+            tuple(v[picks] for v in res.eigenvectors),
+        )
         cuts = [lv ** (1.0 / p) for lv in budgets]
         cotraces, meet = picked.cut_cotrace(cuts), spectral_projection(picked, cuts)
         for k, (i, level, cot) in enumerate(zip(picks, budgets, cotraces), start=1):

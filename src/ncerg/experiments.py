@@ -17,7 +17,7 @@ import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .averaging import (
     BesicovitchWeight,
     QuadratureConfig,
     TrigTerm,
+    _residual_average,
     besicovitch_error,
     cesaro_average,
     residual_from_config,
@@ -89,7 +90,19 @@ SUITE_NAMES = (
 )
 
 _SUITE_ORDER = SUITE_NAMES[:-1]
-_SUITE_INDEX = {name: i for i, name in enumerate(SUITE_NAMES)}
+
+# the columns of every CSV table a suite writes, by table name
+_TABLES = {
+    "validate_semigroup_violations": ("kind", "t", "value"),
+    "validate_semigroup_continuity": ("s", "modulus"),
+    "local_avg_p1": ("T", "norm_p", "bound", "slack"),
+    "local_avg_p2": ("T", "norm_p", "bound", "slack"),
+    "sandwich": ("case", "a", "b", "lower_slack", "upper_slack"),
+    "maximal": ("epsilon", "case", "cotrace", "achieved_bound", "cotrace_cap", "empirical_C"),
+    "weighted_avg": ("T", "norm_p", "bound", "slack", "quad_error"),
+    "besicovitch": ("T", "local_mean_gap", "quad_error"),
+    "banach_steps": ("step", "witness", "claimed", "achieved"),
+}
 
 
 def _default_weight_spec() -> dict:
@@ -284,8 +297,10 @@ class _Env:
         try:
             self.sg: Semigroup = semigroup_from_config(self.alg, cfg.semigroup, rng0)
             self.weight: BesicovitchWeight = weight_from_config(cfg.weight)
+        except ConfigError:
+            raise
         except (ValueError, TypeError, KeyError, AttributeError) as exc:
-            raise ConfigError(f"bad semigroup or weight config: {exc!r}") from exc
+            raise ConfigError(f"bad semigroup or weight config: {exc}") from exc
         self.passed: dict[str, bool] = {}
         self.tables: dict[str, str] = {}
         self.certs: dict[str, str] = {}
@@ -293,12 +308,12 @@ class _Env:
     def rng(self, purpose: int) -> np.random.Generator:
         return np.random.default_rng([self.cfg.seed, purpose])
 
-    def write_table(self, name: str, header: Sequence[str], rows) -> None:
+    def write_table(self, name: str, rows) -> None:
         rel = f"tables/{name}.csv"
         path = self.outdir / rel
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
+            writer.writerow(_TABLES[name])
             for row in rows:
                 writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
         self.tables[name] = rel
@@ -325,8 +340,8 @@ def _suite_validate(env: _Env) -> None:
         for kind, value in (("positivity", pos), ("unitality", unital), ("trace", texc))
         if value > 0.0
     ]
-    env.write_table("validate_semigroup_violations", ["kind", "t", "value"], rows)
-    env.write_table("validate_semigroup_continuity", ["s", "modulus"], report.continuity)
+    env.write_table("validate_semigroup_violations", rows)
+    env.write_table("validate_semigroup_continuity", report.continuity)
     env.write_cert("validation", report.to_json_dict())
     env.passed["validate-semigroup:absolute_contraction"] = report.passed
 
@@ -350,7 +365,7 @@ def _suite_local_avg(env: _Env) -> None:
         monotone = bool(np.all(err[1:] <= err[:-1] * (1 + 1e-9) + 1e-15))
         rows = list(zip(Ts, err.tolist(), bound.tolist(), slack.tolist()))
         tag = f"p{int(p)}"
-        env.write_table(f"local_avg_{tag}", ["T", "norm_p", "bound", "slack"], rows)
+        env.write_table(f"local_avg_{tag}", rows)
         env.passed[f"local-avg:decay_monotone_{tag}"] = monotone
         env.passed[f"local-avg:final_below_{tag}"] = rows[-1][1] < 1e-3 * pnorm(alg, x, p)
         env.passed[f"local-avg:bounds_hold_{tag}"] = bool(np.all(slack >= -1e-8))
@@ -389,7 +404,7 @@ def _suite_sandwich(env: _Env) -> None:
         (c, grid[i], grid[j], *map(float, slacks[:, c, i, j]))
         for c, i, j in np.ndindex(slacks.shape[1:])
     ]
-    env.write_table("sandwich", ["case", "a", "b", "lower_slack", "upper_slack"], rows)
+    env.write_table("sandwich", rows)
     env.passed["sandwich:slacks_nonnegative"] = bool(np.all(slacks >= -1e-8))
 
 
@@ -428,11 +443,7 @@ def _suite_maximal(env: _Env) -> None:
             if case == 0:
                 env.write_cert(f"maximal_eps{_fmt(eps)}", cert.to_json_dict())
         per_eps_c[eps] = max(cs)
-    env.write_table(
-        "maximal",
-        ["epsilon", "case", "cotrace", "achieved_bound", "cotrace_cap", "empirical_C"],
-        rows,
-    )
+    env.write_table("maximal", rows)
     cvals = [per_eps_c[e] for e in cfg.maximal_epsilons]
     finite = all(math.isfinite(c) and c > 0 for c in cvals)
     stable = finite and max(cvals) / min(cvals) < 10.0
@@ -471,9 +482,7 @@ def _suite_weighted(env: _Env) -> None:
         lhs, rhs, quad_error = substitution_bound_check(sg, b, x, T, quad)
         sub_ok &= lhs <= rhs + 1e-8
         rows.append((T, lhs, rhs, rhs - lhs, quad_error))
-    env.write_table(
-        "weighted_avg", ["T", "norm_p", "bound", "slack", "quad_error"], rows
-    )
+    env.write_table("weighted_avg", rows)
     env.passed["weighted-avg:substitution_bound"] = sub_ok
 
     # structural identities of the weighted average on the configured weight
@@ -500,7 +509,7 @@ def _suite_weighted(env: _Env) -> None:
     # transfer from the trig-only averages to the full weighted averages
     Ts = [2.0**-k for k in range(11)]
     base = [(T, trig_average(sg, b.terms, x, T)) for T in Ts]
-    tilde = [(T, weighted_average(sg, b, x, T, quad)) for T in Ts]
+    tilde = [(T, y + _residual_average(sg, b, x, T, quad)) for T, y in base]
     base_cert = bau_cauchy_certify(
         base, epsilon=0.1 * alg.trace_of_identity, tol=1e-3 * x.norm_inf()
     )
@@ -523,7 +532,7 @@ def _suite_besicovitch(env: _Env) -> None:
     grid = np.geomspace(1.0, cfg.T_lo, cfg.T_n)
     table = besicovitch_error(env.weight, grid, env.quadrature)
     rows = [(T, v, err) for (T, v), err in zip(table.rows, table.errors)]
-    env.write_table("besicovitch", ["T", "local_mean_gap", "quad_error"], rows)
+    env.write_table("besicovitch", rows)
     env.passed["besicovitch:tail_sup_below_bound"] = (
         table.tail_sup < cfg.besicovitch_tail_bound
     )
@@ -536,10 +545,11 @@ def _suite_banach(env: _Env) -> None:
     T_maps = [2.0**-k for k in cfg.banach_map_exps]
     maps = cesaro_map_family(sg, T_maps)
 
+    family = maps.images(x)
     emp = []
     for eps in cfg.maximal_epsilons:
         cert = maximal_projection(
-            sg, x, MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps), T_maps
+            sg, x, MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps), T_maps, family=family
         )
         emp.append(cert.params["empirical_C"])
     c_use = max(max(emp), 1e-6)
@@ -560,7 +570,6 @@ def _suite_banach(env: _Env) -> None:
         return
     env.write_table(
         "banach_steps",
-        ["step", "witness", "claimed", "achieved"],
         [
             (s.name, "" if s.witness is None else ";".join(str(w) for w in s.witness), s.claimed, s.achieved)
             for s in asm.steps
@@ -706,24 +715,7 @@ def build_schemas() -> dict:
             "determinism": "no timestamps, wall times or absolute paths",
         },
         "sweep_csv": {"columns": ["T", "norm_p", "bound", "slack"]},
-        "tables": {
-            "validate_semigroup_violations": ["kind", "t", "value"],
-            "validate_semigroup_continuity": ["s", "modulus"],
-            "local_avg_p1": ["T", "norm_p", "bound", "slack"],
-            "local_avg_p2": ["T", "norm_p", "bound", "slack"],
-            "sandwich": ["case", "a", "b", "lower_slack", "upper_slack"],
-            "maximal": [
-                "epsilon",
-                "case",
-                "cotrace",
-                "achieved_bound",
-                "cotrace_cap",
-                "empirical_C",
-            ],
-            "weighted_avg": ["T", "norm_p", "bound", "slack", "quad_error"],
-            "besicovitch": ["T", "local_mean_gap", "quad_error"],
-            "banach_steps": ["step", "witness", "claimed", "achieved"],
-        },
+        "tables": {name: list(cols) for name, cols in _TABLES.items()},
         "certificate_json": {
             "keys": [
                 "cotrace",

@@ -10,6 +10,7 @@ from ncerg import (
     TracialAlgebra,
     UnitaryFlow,
     assemble_certificate,
+    cesaro_average,
     cesaro_map_family,
     make_dense_certifier,
     make_maximal_oracle,
@@ -178,7 +179,7 @@ def test_assembly_failure_names_step(alg, rng):
 
     def bad_certifier(y, eps_budget):
         cert = bau_cauchy_certify(
-            [(T, maps.func(T, y)) for T in T_maps], eps_budget, tol=1e-6
+            [(T, cesaro_average(sg, y, T)) for T in T_maps], eps_budget, tol=1e-6
         )
         cert.cotrace = eps_budget + 1.0
         return cert

@@ -143,6 +143,9 @@ def test_cli_bad_config_exit_two(tmp_path):
         {"banach_n_approx": 1.5},
         {"seed": 1.5},
         {"quadrature": {"max_refinements": 2.5}},
+        # refinement caps above MAX_REFINEMENTS, or a bool
+        {"quadrature": {"max_refinements": 13}},
+        {"quadrature": {"max_refinements": True}},
         {"T_hi": math.inf},
         {"sandwich_grid": [math.inf]},
         # a non-integer block size, not to be truncated
@@ -174,6 +177,18 @@ def test_cli_bad_config_values_exit_two(tmp_path, capsys, bad):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_prints_a_loader_config_error_as_is(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    bad = {"semigroup": {"variant": "generator_exp", "lindblad": {"jumps": 1.5}}}
+    cfg_path.write_text(json.dumps(bad))
+    code = main(
+        ["run", "--config", str(cfg_path), "--suite", "validate-semigroup", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: lindblad.jumps=1.5 must be an integer in [0, 1000]\n"
 
 
 def test_cli_exhausted_window_schedule_fails_the_check(tmp_path, capsys):

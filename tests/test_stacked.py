@@ -6,12 +6,14 @@ stacked family (one batched eigh per block; the projection of a stacked
 resolution is the meet of the member cuts); ``maximal_projection``,
 ``bau_cauchy_certify`` and ``double_average_certificate`` cut every member of
 a stacked family through them and meet the cuts at once;
-``assemble_certificate`` and its replay take their compressed-norm rows from
-stacked tables; ``double_average_windows`` and ``sandwich_slacks`` give the
-double-average windows and slacks for a whole a grid and input stack.  Each
-reference here is built one operator at a time from ``mean``, ``apply``,
-``min_eig``, ``abs_value``, ``spectral_resolution``, ``spectral_projection``,
-a ``proj_meet`` fold and ``compressed_norm``.
+``cesaro_map_family(...).images`` evaluates every label on one input in one
+``mean_batch`` call; ``assemble_certificate`` and its replay take their
+compressed-norm rows from stacked tables; ``double_average_windows`` and
+``sandwich_slacks`` give the double-average windows and slacks for a whole a
+grid and input stack.  Each reference here is built one operator at a time
+from ``mean``, ``cesaro_average``, ``apply``, ``min_eig``, ``abs_value``,
+``spectral_resolution``, ``spectral_projection``, a ``proj_meet`` fold and
+``compressed_norm``.
 """
 import csv
 import itertools
@@ -527,26 +529,40 @@ def test_transfer_rejects_empty_eps_seq():
 # assembly ledger: stacked tables against per-pair loops
 # ---------------------------------------------------------------------------
 
-def reference_rows(maps, x, asm):
-    """Every compressed-norm row of a ledger, one compressed_norm per map or pair."""
-    labels = maps.labels
+def reference_rows(sg, labels, x, asm):
+    """Every compressed-norm row of a ledger, one compressed_norm per map or
+    pair, each map evaluated as one cesaro_average."""
     rows = []
     for n, (x_n, p_n) in enumerate(zip(asm.approximants, asm.approximant_projs), start=1):
         for m, T in enumerate(labels):
-            rows.append(("uniform_control", (n, m), compressed_norm(p_n, maps.func(T, x_n - x))))
+            value = compressed_norm(p_n, cesaro_average(sg, x_n - x, T))
+            rows.append(("uniform_control", (n, m), value))
     x_n0 = asm.approximants[asm.n0 - 1]
     for m, T in enumerate(labels):
-        value = compressed_norm(asm.meet_proj, maps.func(T, x_n0 - x))
+        value = compressed_norm(asm.meet_proj, cesaro_average(sg, x_n0 - x, T))
         rows.append(("approximant_choice", (asm.n0, m), value))
     for name, y, e in (
         ("dense_cauchy", x_n0, asm.dense_cert.projection),
         ("final_bound", x, asm.projection),
     ):
-        vals = [maps.func(T, y) for T in labels]
+        vals = [cesaro_average(sg, y, T) for T in labels]
         for i in range(asm.N0_index, len(labels)):
             for j in range(i + 1, len(labels)):
                 rows.append((name, (i, j), compressed_norm(e, vals[i] - vals[j])))
     return rows
+
+
+@pytest.mark.parametrize("name", list(variants(ALG, np.random.default_rng(0))))
+def test_cesaro_family_images_match_per_label_average(name):
+    # one mean_batch call over all labels gives each per-label mean to the bit
+    rng = np.random.default_rng(72)
+    sg = variants(ALG, rng)[name]
+    T_maps = [4.0, 1.0, 0.3] + [2.0**-k for k in range(2, 9)]
+    y = random_operator(ALG, rng)
+    got = cesaro_map_family(sg, T_maps).images(y)
+    want = stack_blocks([cesaro_average(sg, y, T) for T in T_maps])
+    assert [a.shape for a in got] == [(len(T_maps), n, n) for n in ALG.blocks]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def pipeline(sg, T_maps, eps):
@@ -568,7 +584,7 @@ def test_assembly_rows_match_per_pair_loop(alg6):
         for s in asm.steps
         if s.name in ("uniform_control", "approximant_choice", "dense_cauchy", "final_bound")
     ]
-    want = reference_rows(maps, x, asm)
+    want = reference_rows(sg, T_maps, x, asm)
     assert [g[:2] for g in got] == [w[:2] for w in want]
     for (name, wit, a), (_, _, b) in zip(got, want):
         assert abs(a - b) <= 1e-14 * max(b, 1.0), (name, wit, a, b)
@@ -597,7 +613,7 @@ def test_assembly_error_names_first_failing_pair(alg6):
 
     with pytest.raises(AssemblyError) as err:
         assemble_certificate(maps, x, 0.6, scheme, oracle, lazy_certifier, n_approx=3)
-    vals = [maps.func(T, seen[0]) for T in T_maps]
+    vals = [cesaro_average(sg, seen[0], T) for T in T_maps]
     pairs = [
         ("dense_cauchy", (i, j), compressed_norm(one, vals[i] - vals[j]))
         for i in range(len(T_maps))
@@ -621,7 +637,7 @@ def test_assembly_error_names_first_failing_pair(alg6):
     with pytest.raises(AssemblyError) as err:
         assemble_certificate(maps, x, 0.4, far, blind, lazy_certifier, n_approx=3)
     rows = [
-        ("uniform_control", (1, m), compressed_norm(one, maps.func(T, spike)))
+        ("uniform_control", (1, m), compressed_norm(one, cesaro_average(sg, spike, T)))
         for m, T in enumerate(T_maps)
     ]
     want = first_failure(rows, 0.4 / 4.0)
