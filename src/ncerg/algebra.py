@@ -369,14 +369,14 @@ def spectral_resolution(
 
 
 class Projection:
-    """Idempotent self-adjoint element, with residual bookkeeping.
+    """Idempotent self-adjoint element, checked to PROJECTION_TOL on construction.
 
     ``cotrace`` is the weighted trace of the complement ``1 - p``.  When a
     projection is built from an explicit eigenvector selection the cotrace is
     the exact weighted count of excluded eigenvectors.
     """
 
-    __slots__ = ("op", "cotrace", "idempotency_residual", "selfadjoint_residual")
+    __slots__ = ("op", "cotrace")
 
     def __init__(self, op: Operator, cotrace: float | None = None):
         idem = (op @ op - op).norm_inf()
@@ -387,8 +387,6 @@ class Projection:
                 f"self-adjointness residual {sa:.3e} (tol {PROJECTION_TOL:.1e})"
             )
         object.__setattr__(self, "op", op)
-        object.__setattr__(self, "idempotency_residual", idem)
-        object.__setattr__(self, "selfadjoint_residual", sa)
         if cotrace is None:
             alg = op.algebra
             cotrace = float(
@@ -402,9 +400,6 @@ class Projection:
     @property
     def algebra(self) -> TracialAlgebra:
         return self.op.algebra
-
-    def complement(self) -> Operator:
-        return self.algebra.identity() - self.op
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(int(round(np.trace(a).real)) for a in self.op.blocks)

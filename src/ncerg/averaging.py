@@ -25,7 +25,6 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,7 +47,6 @@ __all__ = [
     "dense_approximant",
     "double_average_windows",
     "sandwich_slacks",
-    "sandwich_windows",
     "sandwich_check",
     "TrigTerm",
     "trig_value",
@@ -111,19 +109,16 @@ class QuadratureResult:
     refinements: int
 
 
-@lru_cache(maxsize=None)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+# the 8-point Gauss-Legendre rule of every panel
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
-def _panel_points(lo: float, hi: float, panels: int, order: int):
-    x, w = _gl_nodes(order)
+def _panel_points(lo: float, hi: float, panels: int):
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    ts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
+    ts = (mid[:, None] + half[:, None] * _GL_X).ravel()
+    ws = (half[:, None] * _GL_W).ravel()
     return ts, ws
 
 
@@ -142,7 +137,7 @@ def _refine(lo: float, hi: float, quad: QuadratureConfig, evaluate, distance):
     prev = None
     err = math.inf
     for level in range(quad.max_refinements + 1):
-        cur, roundoff = evaluate(*_panel_points(lo, hi, panels, 8))
+        cur, roundoff = evaluate(*_panel_points(lo, hi, panels))
         if prev is not None:
             change, scale = distance(cur, prev)
             err = change / max(scale, _ROUNDOFF * roundoff / quad.rtol, 1e-300)
@@ -287,12 +282,6 @@ def sandwich_slacks(
         raise ValueError("sandwich check needs a positive operator")
     heads, tails, gaps = double_average_windows(sg, xs, a_grid, b)
     return min_eig([np.stack([g + h, t - g]) for h, t, g in zip(heads, tails, gaps)])
-
-
-def sandwich_windows(sg: Semigroup, x: Operator, a: float, b: float) -> tuple[Operator, Operator]:
-    """Head and tail of :func:`double_average_windows` for one a and one x."""
-    heads, tails, _ = double_average_windows(sg, stack_blocks([x]), [a], b)
-    return tuple(Operator(sg.algebra, [y[0, 0] for y in w]) for w in (heads, tails))
 
 
 def sandwich_check(sg: Semigroup, x: Operator, a: float, b: float) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from them through one function, ``_norm_rows``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -199,12 +199,7 @@ class StepRecord:
         return self.achieved <= self.claimed
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claimed": self.claimed,
-            "achieved": self.achieved,
-            "witness": None if self.witness is None else list(self.witness),
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -107,10 +107,10 @@ class ProjectionCertificate:
             "epsilon": self.epsilon,
             "achieved_bound": self.achieved_bound,
             "family": self.family,
-            "grid": list(self.grid),
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "flags": list(self.flags),
-            "decay": None if self.decay is None else [[a, d] for a, d in self.decay],
+            "grid": self.grid,
+            "params": self.params,
+            "flags": self.flags,
+            "decay": self.decay,
             "projection": operator_to_dict(self.projection.op),
         }
 

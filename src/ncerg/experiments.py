@@ -233,13 +233,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["blocks"] = list(self.blocks)
-        out["weights"] = list(self.weights)
-        out["maximal_epsilons"] = list(self.maximal_epsilons)
-        out["sandwich_grid"] = list(self.sandwich_grid)
-        out["banach_map_exps"] = list(self.banach_map_exps)
-        return out
+        return asdict(self)
 
     def quad(self) -> QuadratureConfig:
         try:
@@ -268,18 +262,14 @@ class RunReport:
     def to_json_dict(self) -> dict:
         return {
             "experiment": self.experiment,
-            "passed": {k: self.passed[k] for k in sorted(self.passed)},
-            "tables": {k: self.tables[k] for k in sorted(self.tables)},
-            "certificates": {
-                k: self.certificates[k] for k in sorted(self.certificates)
-            },
+            "passed": self.passed,
+            "tables": self.tables,
+            "certificates": self.certificates,
             "config": self.config,
         }
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -518,9 +508,9 @@ def _suite_weighted(env: _Env) -> None:
         transferred = perturbation_transfer(tilde, base, base_cert, [eps_gap])
         env.write_cert("weighted_transfer", transferred.to_json_dict())
         env.passed["weighted-avg:transfer"] = transferred.ok and base_cert.ok
-    except TransferPremiseError:
+    except TransferPremiseError as exc:
+        env.write_cert("weighted_transfer_failure", {"error": str(exc)})
         env.passed["weighted-avg:transfer"] = False
-        return
     limit = tilde[-1][1]
     rep = lp_limit_check(tilde, cfg.p, limit)
     cap = 2.0 * b.sup_bound * pnorm(alg, x, cfg.p)

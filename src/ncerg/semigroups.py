@@ -46,7 +46,7 @@ Witnesses of the worst violations are recorded only above a roundoff floor.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -470,19 +470,7 @@ class ValidationReport:
     worst: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "t_samples": list(self.t_samples),
-            "max_positivity_violation": self.max_positivity_violation,
-            "max_unitality_excess": self.max_unitality_excess,
-            "max_trace_excess": self.max_trace_excess,
-            "law_residual": self.law_residual,
-            "continuity": [[s, v] for s, v in self.continuity],
-            "choi_min": self.choi_min,
-            "sampled_only": self.sampled_only,
-            "passed": self.passed,
-            "per_t": [list(row) for row in self.per_t],
-            "worst": {k: v for k, v in sorted(self.worst.items())},
-        }
+        return asdict(self)
 
 
 def _traces(alg: TracialAlgebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -519,6 +507,18 @@ def semigroup_law_residual(
     return float(np.max(gaps / np.maximum(op_norms(xs), 1e-300), initial=0.0))
 
 
+def _witness(values: np.ndarray, floors) -> tuple[int, ...] | None:
+    """Index of the witness of a violation array: scanning ``values`` in
+    row-major order, an entry rises when it is above 0 and above every earlier
+    entry, and the witness is the last rising entry above its own floor
+    (``floors`` broadcasts against ``values``).  None when no entry qualifies;
+    ties keep the first entry."""
+    flat = values.ravel()
+    prior = np.maximum.accumulate(np.concatenate(([0.0], flat)))[:-1]
+    hits = np.flatnonzero((flat > prior) & (values > floors).ravel())
+    return tuple(int(i) for i in np.unravel_index(hits[-1], values.shape)) if hits.size else None
+
+
 def validate_absolute_contraction(
     sg: Semigroup,
     t_samples: Sequence[float],
@@ -544,21 +544,17 @@ def validate_absolute_contraction(
     # input 0 is the identity, input k + 1 the k-th positive
     inputs = stack_blocks([alg.identity(), *positives])
     eyes = [a[0] for a in inputs]
-    scales = np.maximum(op_norms([a[1:] for a in inputs]), 1e-300).tolist()
+    scales = np.maximum(op_norms([a[1:] for a in inputs]), 1e-300)
     traces_in = _traces(alg, [a[1:] for a in inputs]).real
 
-    # witnesses are recorded only above roundoff: relative to the input's
-    # norm for positivity, to 1 for unitality and to tau(x_k) for the trace
-    floor = 16 * np.finfo(float).eps
-    worst: dict[str, float | str] = {}
-    max_pos = 0.0
-    max_unital = 0.0
-    max_trace = 0.0
-    per_t = []
-
-    for t in ts:
+    # unitality (per t), positivity relative to the input's norm and trace
+    # excess (per t and sample), each clamped at 0
+    unital = np.zeros(len(ts))
+    pos = np.zeros((len(ts), len(positives)))
+    texc = np.zeros_like(pos)
+    for i, t in enumerate(ts):
         images = [y[0] for y in sg.propagate_batch(np.array([t]), inputs)]
-        defects = op_norms([y - y.conj().swapaxes(1, 2) for y in images]).tolist()
+        defects = op_norms([y - y.conj().swapaxes(1, 2) for y in images])
         # one eigvalsh per block: herm(a_t(1) - 1) at 0, herm(a_t(x_k)) after
         shifted = [y.copy() for y in images]
         for y, e in zip(shifted, eyes):
@@ -566,34 +562,30 @@ def validate_absolute_contraction(
         spectra = [
             np.linalg.eigvalsh((y + y.conj().swapaxes(1, 2)) / 2.0) for y in shifted
         ]
-        top = max(0.0, max(float(w[0, -1]) for w in spectra))
-        mins = np.min([w[1:, 0] for w in spectra], axis=0).tolist()
-        texcs = (_traces(alg, [y[1:] for y in images]).real - traces_in).tolist()
+        unital[i] = max(0.0, *(float(w[0, -1]) for w in spectra)) + defects[0]
+        mins = np.min([w[1:, 0] for w in spectra], axis=0)
+        pos[i] = np.maximum(np.maximum(-mins, defects[1:]) / scales, 0.0)
+        texc[i] = np.maximum(_traces(alg, [y[1:] for y in images]).real - traces_in, 0.0)
+    max_unital, max_pos, max_trace = (float(a.max(initial=0.0)) for a in (unital, pos, texc))
+    rows = np.column_stack(
+        [ts, pos.max(axis=1, initial=0.0), unital, texc.max(axis=1, initial=0.0)]
+    )
+    per_t = tuple(map(tuple, rows.tolist()))
 
-        excess = top + defects[0]
-        if excess > max_unital:
-            max_unital = excess
-            if excess > floor:
-                worst["unitality_t"] = t
-        t_pos = 0.0
-        t_trace = 0.0
-        for k, scale in enumerate(scales):
-            viol = max(0.0, -mins[k] / scale)
-            viol = max(viol, defects[k + 1] / scale)
-            t_pos = max(t_pos, viol)
-            if viol > max_pos:
-                max_pos = viol
-                if viol > floor:
-                    worst["positivity_t"] = t
-                    worst["positivity_sample"] = k
-            texc = max(0.0, texcs[k])
-            t_trace = max(t_trace, texc)
-            if texc > max_trace:
-                max_trace = texc
-                if texc > floor * traces_in[k]:
-                    worst["trace_t"] = t
-                    worst["trace_sample"] = k
-        per_t.append((t, t_pos, excess, t_trace))
+    # witnesses are recorded only above roundoff: relative to the input's
+    # norm for positivity, to 1 for unitality and to tau(x_k) for the trace
+    floor = 16 * np.finfo(float).eps
+    worst: dict[str, float | int] = {}
+    for name, values, floors in (
+        ("unitality", unital, floor),
+        ("positivity", pos, floor),
+        ("trace", texc, floor * traces_in),
+    ):
+        at = _witness(values, floors)
+        if at is not None:
+            worst[f"{name}_t"] = ts[at[0]]
+            if values.ndim == 2:
+                worst[f"{name}_sample"] = at[1]
 
     # Choi certificate on a subsample of times (skip t = 0, identity map).
     choi_ts = [t for t in ts if t > 0][:6]
@@ -631,7 +623,7 @@ def validate_absolute_contraction(
         choi_min=choi_min,
         sampled_only=sampled_only,
         passed=passed,
-        per_t=tuple(per_t),
+        per_t=per_t,
         worst=worst,
     )
 

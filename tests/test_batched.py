@@ -320,6 +320,22 @@ def test_witnesses_only_above_roundoff():
     assert rep.worst["unitality_t"] == rep.worst["trace_t"] == 10.0
 
 
+def test_witness_rule_on_crafted_arrays():
+    witness = semigroups._witness
+    # a rise above its floor, then a larger rise that misses its own floor:
+    # the earlier witness stays
+    values = np.array([[0.0, 3.0, 1.0], [2.0, 1.0, 5.0]])
+    assert witness(values, np.array([1.0, 1.0, 9.0])) == (0, 1)
+    assert witness(values, 1.0) == (1, 2)
+    # ties do not rise: the first of equal maxima is the witness
+    assert witness(np.array([0.5, 2.0, 2.0, 1.0]), 0.1) == (1,)
+    assert witness(np.array([[2.0, 2.0], [2.0, 0.0]]), 0.0) == (0, 0)
+    # no violation, no witness: neither for zeros nor for an empty table
+    assert witness(np.zeros((3, 4)), 0.0) is None
+    assert witness(np.zeros(5), 1e-15) is None
+    assert witness(np.zeros((0, 20)), 0.0) is None
+
+
 # ---------------------------------------------------------------------------
 # the Choi minimum read off the modes, held to the dense Choi matrices
 # ---------------------------------------------------------------------------

@@ -206,6 +206,28 @@ def test_cli_exhausted_window_schedule_fails_the_check(tmp_path, capsys):
     assert "local_avg_window" not in report["certificates"]
 
 
+def test_cli_transfer_premise_failure_writes_a_cert_and_keeps_lp_limit(tmp_path, capsys):
+    # a constant residual of 0.5 keeps the full averages 0.5 away from the
+    # trigonometric ones, so the perturbation premise cannot hold
+    weight = {
+        "trig": [{"kappa_re": 0.05, "theta": 0.3}],
+        "residual": {"name": "constant", "value": 0.5},
+        "sup_bound": 0.95,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"weight": weight, "n_random": 2, "weighted_cases": 2, "T_n": 8}))
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg_path), "--suite", "weighted-avg", "--out", str(out)])
+    assert code == 1
+    assert "FAIL weighted-avg:transfer" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"]["weighted-avg:transfer"] is False
+    assert "weighted-avg:lp_limit" in report["passed"]
+    failure = report["certificates"]["weighted_transfer_failure"]
+    assert "perturbation premise fails" in json.loads((out / failure).read_text())["error"]
+    assert "weighted_transfer" not in report["certificates"]
+
+
 def test_cli_import_leaves_scipy_linalg_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     probe = "import sys, ncerg.cli; print('scipy.linalg' in sys.modules)"

@@ -31,8 +31,8 @@ from ncerg import (
     trig_average,
     weighted_average,
 )
-from ncerg.algebra import random_operator
-from ncerg.averaging import integrate_flow, sandwich_windows
+from ncerg.algebra import random_operator, stack_blocks
+from ncerg.averaging import double_average_windows, integrate_flow
 from ncerg.semigroups import generator_from_map, lindblad_generator, phi1
 
 ORACLE = QuadratureConfig(rtol=1e-13)
@@ -159,7 +159,8 @@ def test_sandwich_windows_match_quadrature(name, alg, rng):
     sg, _ = variants(alg, rng)[name]
     x = random_positive(alg, rng)
     for a, b in ((1e-4, 1.0), (0.1, 0.5), (1.0, 0.1), (0.6, 2.5)):
-        head, tail = sandwich_windows(sg, x, a, b)
+        heads, tails, _ = double_average_windows(sg, stack_blocks([x]), [a], b)
+        head, tail = (Operator(alg, [y[0, 0] for y in w]) for w in (heads, tails))
         assert_close(head, quad_mean(sg, x, 0.0, a) * (a / b), x)
         assert_close(tail, quad_mean(sg, x, b, b + a) * (a / b), x)
 
