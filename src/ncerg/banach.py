@@ -11,9 +11,10 @@ differences a_m(x) - a_n(x), never a limit object.
 
 A map family evaluates on one operator to a per-block stack (m, n, n) over
 its labels, ``MapFamily.images``: for Cesaro averages one closed-form
-``mean_batch`` call.  The assembly, its replay and the dense certifier take
-those stacks as they are, and every compressed-norm row of the ledger comes
-from them through one function, ``_norm_rows``.
+``mean_batch`` call.  The assembly evaluates each input once and hands the
+images to the oracle and the dense certifier, which take ``(y, eps, images)``;
+its replay evaluates again, as the independent check.  Every compressed-norm
+row of the ledger comes from the stacks through one function, ``_norm_rows``.
 """
 from __future__ import annotations
 
@@ -55,6 +56,7 @@ __all__ = [
 
 ORACLE_SLACK = 1e-12  # absolute slack of an oracle certificate over its two caps
 K_CAP = 2**40  # largest k of the window 1/k that scheme_from_semigroup doubles up to
+Images = list[np.ndarray]  # a map family on one input: per-block (m, n, n) stacks
 
 
 class SchemeError(RuntimeError):
@@ -96,7 +98,7 @@ class MapFamily:
     as per-block (m, n, n) stacks in label order."""
 
     labels: tuple[float, ...]
-    images: Callable[[Operator], list[np.ndarray]]
+    images: Callable[[Operator], Images]
 
 
 def cesaro_map_family(sg: Semigroup, T_list: Sequence[float]) -> MapFamily:
@@ -133,20 +135,21 @@ class ApproximationScheme:
 
 @dataclass(frozen=True)
 class ConditionOneOracle:
-    """Uniform-control oracle: (y, eps) -> certificate with both bounds.
+    """Uniform-control oracle: (y, eps, images) -> certificate with both bounds.
 
-    The returned certificate must satisfy tau(p_perp) <= C (eps^-1 ||y||_X)^alpha
-    and an achieved compressed bound below eps; both are re-verified here and
-    a violation beyond ``ORACLE_SLACK`` raises :class:`OracleContractError`.
+    ``images`` is the map family on y, ``MapFamily.images(y)``.  The returned
+    certificate must satisfy tau(p_perp) <= C (eps^-1 ||y||_X)^alpha and an
+    achieved compressed bound below eps; both are re-verified here and a
+    violation beyond ``ORACLE_SLACK`` raises :class:`OracleContractError`.
     """
 
-    build: Callable[[Operator, float], ProjectionCertificate]
+    build: Callable[[Operator, float, Images], ProjectionCertificate]
     C: float
     alpha: float
     norm: Callable[[Operator], float]
 
-    def __call__(self, y: Operator, eps: float) -> ProjectionCertificate:
-        cert = self.build(y, eps)
+    def __call__(self, y: Operator, eps: float, images: Images) -> ProjectionCertificate:
+        cert = self.build(y, eps, images)
         size = self.norm(y)
         cap = self.C * (size / eps) ** self.alpha if size > 0 else 0.0
         if cert.cotrace > cap + ORACLE_SLACK:
@@ -163,11 +166,12 @@ def make_maximal_oracle(
     C: float,
     alpha: float,
 ) -> ConditionOneOracle:
-    """Condition-one oracle backed by the maximal projection over a T grid."""
+    """Condition-one oracle backed by the maximal projection over a T grid,
+    whose averages are the ``images`` it is handed."""
 
-    def build(y: Operator, eps: float) -> ProjectionCertificate:
+    def build(y: Operator, eps: float, images: Images) -> ProjectionCertificate:
         return maximal_projection(
-            sg, y.herm(), MaximalParams(C=C, p=p, epsilon=eps), T_grid
+            sg, y.herm(), MaximalParams(C=C, p=p, epsilon=eps), T_grid, family=images
         )
 
     alg = sg.algebra
@@ -178,11 +182,12 @@ def make_maximal_oracle(
 
 def make_dense_certifier(
     maps: MapFamily, tol: float = DECAY_TOL
-) -> Callable[[Operator, float], ProjectionCertificate]:
-    """Cauchy certifier for the map family evaluated on a dense-set element."""
+) -> Callable[[Operator, float, Images], ProjectionCertificate]:
+    """Cauchy certifier for the map family on a dense-set element y, given as
+    its ``images``."""
 
-    def certify(y: Operator, eps_budget: float) -> ProjectionCertificate:
-        return _cauchy_certify(y.algebra, maps.labels, maps.images(y), eps_budget, tol)
+    def certify(y: Operator, eps_budget: float, images: Images) -> ProjectionCertificate:
+        return _cauchy_certify(y.algebra, maps.labels, images, eps_budget, tol)
 
     return certify
 
@@ -292,7 +297,7 @@ def assemble_certificate(
     eps: float,
     scheme: ApproximationScheme,
     oracle: ConditionOneOracle,
-    certifier: Callable[[Operator, float], ProjectionCertificate],
+    certifier: Callable[[Operator, float, Images], ProjectionCertificate],
     n_approx: int = 4,
 ) -> AssemblyCertificate:
     """Extend uniform smallness of pairwise map differences from a dense set.
@@ -308,8 +313,9 @@ def assemble_certificate(
     6. f = p ^ q with tau(1-f) < eps (C+1)/2 and pairwise compressed
        differences of a_m(x) below eps on the grid tail.
 
-    Any failed bound raises :class:`AssemblyError` naming the step and the
-    witness index.
+    Each input (x_n - x, x_{n0} and x) is evaluated once, and the oracle and
+    the certifier read those images.  Any failed bound raises
+    :class:`AssemblyError` naming the step and the witness index.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -320,15 +326,15 @@ def assemble_certificate(
     approximants: list[Operator] = []
     projs: list[Projection] = []
     certs: list[ProjectionCertificate] = []
-    images: list[list[np.ndarray]] = []  # a_m(x_n - x), stacked, per approximant
+    images: list[Images] = []  # a_m(x_n - x), stacked, per approximant
     for n in range(1, n_approx + 1):
         x_n, gap = scheme.make(x, n, eps)
         approximants.append(x_n)
         steps.append(StepRecord("approximant_gap", scheme.gap_bound(n, eps), gap, (n,)))
-        cert_n = oracle(x_n - x, eps / 2.0 ** (n + 1))
+        images.append(maps.images(x_n - x))
+        cert_n = oracle(x_n - x, eps / 2.0 ** (n + 1), images[-1])
         projs.append(cert_n.projection)
         certs.append(cert_n)
-        images.append(maps.images(x_n - x))
         claimed = eps / 2.0 ** (n + 1)
         steps += _norm_rows("uniform_control", claimed, projs[-1], images[-1], n, check=True)
 
@@ -342,8 +348,8 @@ def assemble_certificate(
     # first approximant under p below eps/4 < eps/3: n0 = 1.
     steps += _norm_rows("approximant_choice", eps / 3.0, p_meet, images[0], 1, check=True)
 
-    x_n0 = approximants[0]
-    dense_cert = certifier(x_n0, eps / 2.0)
+    x_n0, images_n0 = approximants[0], maps.images(approximants[0])
+    dense_cert = certifier(x_n0, eps / 2.0, images_n0)
     steps.append(StepRecord("dense_budget", eps / 2.0, dense_cert.cotrace, None))
     if dense_cert.cotrace > eps / 2.0:
         raise AssemblyError("dense_budget", None, dense_cert.cotrace, eps / 2.0)
@@ -352,7 +358,7 @@ def assemble_certificate(
         worst = dense_cert.decay[0][1] if dense_cert.decay else math.inf
         raise AssemblyError("dense_cauchy", None, worst, eps / 3.0)
     steps += _norm_rows(
-        "dense_cauchy", eps / 3.0, dense_cert.projection, maps.images(x_n0), start=N0, check=True
+        "dense_cauchy", eps / 3.0, dense_cert.projection, images_n0, start=N0, check=True
     )
 
     f = proj_meet(p_meet, dense_cert.projection)

@@ -52,6 +52,7 @@ __all__ = [
     "pair_differences",
     "measure_nbhd_witness",
     "maximal_projection",
+    "maximal_projections",
     "double_average_certificate",
     "bau_cauchy_certify",
     "perturbation_transfer",
@@ -233,19 +234,34 @@ def maximal_projection(
     T_grid: Sequence[float],
     family: dict[float, Operator] | Sequence[np.ndarray] | None = None,
 ) -> ProjectionCertificate:
-    """One projection controlling ||e beta_T(x) e|| <= eps over a whole T grid.
+    """One projection controlling ||e beta_T(x) e|| <= eps over a whole T grid:
+    :func:`maximal_projections` at the single ``params``."""
+    return maximal_projections(sg, x, [params], T_grid, family)[0]
+
+
+def maximal_projections(
+    sg: Semigroup,
+    x: Operator,
+    params: Sequence[MaximalParams],
+    T_grid: Sequence[float],
+    family: dict[float, Operator] | Sequence[np.ndarray] | None = None,
+) -> list[ProjectionCertificate]:
+    """Maximal certificates of one family, one per entry of ``params`` (which
+    must share one p).
 
     ``family`` holds the averages y_T, if already computed, keyed by T or as
     per-block (m, n, n) stacks in grid order.  One stacked spectral
-    resolution diagonalizes every y_T.  |y_T| has eigenvalues |w| on the same
-    eigenvectors, so each cut drops those with |w| > eps + SPECTRAL_INCLUDE
-    (ties are kept), and the cut co-trace and the Chebyshev bound eps^-p tau(|y_T|^p)
-    come from the same |w|.  One meet of the cuts (the stacked
-    :func:`spectral_projection`) compresses every average at once.  Its
-    co-trace is compared against C (eps^-1 ||x||_p)^p; exceeding the cap only
-    flags the certificate, and the empirical C realized by the run is
-    reported either way.
+    resolution diagonalizes every y_T once for every epsilon.  |y_T| has
+    eigenvalues |w| on the same eigenvectors, so each cut drops those with
+    |w| > eps + SPECTRAL_INCLUDE (ties are kept), and the cut co-trace and the
+    Chebyshev bound eps^-p tau(|y_T|^p) come from the same |w|.  Per epsilon,
+    one meet of the cuts (the stacked :func:`spectral_projection`) compresses
+    every average at once.  Its co-trace is compared against C (eps^-1 ||x||_p)^p;
+    exceeding the cap only flags the certificate, and the empirical C
+    realized by the run is reported either way.
     """
+    if len({q.p for q in params}) != 1:
+        raise ValueError("maximal projections need parameters sharing one exponent p")
     if not x.is_self_adjoint(tol=INPUT_TOL):
         raise ValueError("maximal projection needs a self-adjoint operator")
     grid = tuple(float(T) for T in T_grid)
@@ -258,44 +274,44 @@ def maximal_projection(
         ys = stack_blocks([family[T] for T in grid]) if isinstance(family, dict) else family
     ys = [(y + y.conj().swapaxes(1, 2)) / 2.0 for y in ys]
 
-    eps = params.epsilon
     res = spectral_resolution(ys, alg=alg)
     # |y_T| has the eigenvalues |w| of y_T on the same eigenvectors
     mags = SpectralResolution(alg, tuple(map(np.abs, res.eigenvalues)), res.eigenvectors)
-    cut_cotrace = mags.cut_cotrace(eps)
-    e = spectral_projection(mags, eps)
-    weighted = zip(alg.weights, mags.eigenvalues)
-    power_trace = sum(c * np.sum(w**params.p, axis=1) for c, w in weighted)
-    chebyshev = eps ** (-params.p) * power_trace
-    achieved = float(compressed_norms(e, ys).max())
-    xnorm = pnorm(alg, x, params.p)
-    cap = params.C * (xnorm / eps) ** params.p if xnorm > 0 else 0.0
-    empirical_c = (
-        e.cotrace / ((xnorm / eps) ** params.p) if xnorm > 0 else 0.0
-    )
-    flags = []
-    if achieved > eps + BOUND_SLACK:
-        flags.append("compressed bound exceeds epsilon")
-    if e.cotrace > cap and xnorm > 0:
-        flags.append("bound exceeded for configured C")
-    return ProjectionCertificate(
-        projection=e,
-        cotrace=e.cotrace,
-        epsilon=eps,
-        achieved_bound=achieved,
-        family="cesaro averages over T grid",
-        grid=grid,
-        params={
-            "p": params.p,
-            "C": params.C,
-            "cotrace_cap": cap,
-            "empirical_C": empirical_c,
-            "x_norm_p": xnorm,
-            "chebyshev": np.column_stack([grid, cut_cotrace, chebyshev]).tolist(),
-        },
-        flags=tuple(flags),
-        family_ops=ys,
-    )
+    p = params[0].p
+    power_trace = sum(c * np.sum(w**p, axis=1) for c, w in zip(alg.weights, mags.eigenvalues))
+    xnorm = pnorm(alg, x, p)
+    certs = []
+    for q in params:
+        eps = q.epsilon
+        e = spectral_projection(mags, eps)
+        chebyshev = np.column_stack([grid, mags.cut_cotrace(eps), eps ** (-p) * power_trace])
+        achieved = float(compressed_norms(e, ys).max())
+        cap = q.C * (xnorm / eps) ** p if xnorm > 0 else 0.0
+        empirical_c = e.cotrace / ((xnorm / eps) ** p) if xnorm > 0 else 0.0
+        flags = []
+        if achieved > eps + BOUND_SLACK:
+            flags.append("compressed bound exceeds epsilon")
+        if e.cotrace > cap and xnorm > 0:
+            flags.append("bound exceeded for configured C")
+        certs.append(ProjectionCertificate(
+            projection=e,
+            cotrace=e.cotrace,
+            epsilon=eps,
+            achieved_bound=achieved,
+            family="cesaro averages over T grid",
+            grid=grid,
+            params={
+                "p": p,
+                "C": q.C,
+                "cotrace_cap": cap,
+                "empirical_C": empirical_c,
+                "x_norm_p": xnorm,
+                "chebyshev": chebyshev.tolist(),
+            },
+            flags=tuple(flags),
+            family_ops=ys,
+        ))
+    return certs
 
 
 # ---------------------------------------------------------------------------

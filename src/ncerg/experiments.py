@@ -62,7 +62,7 @@ from .bau import (
     bau_cauchy_certify,
     double_average_certificate,
     lp_limit_check,
-    maximal_projection,
+    maximal_projections,
     perturbation_transfer,
 )
 from .config import ConfigError
@@ -403,40 +403,24 @@ def _suite_maximal(env: _Env) -> None:
     rng = env.rng(4)
     xs = [random_self_adjoint(alg, rng, norm=1.0) for _ in range(cfg.n_random)]
     T_grid = np.geomspace(cfg.T_lo, cfg.T_hi, cfg.T_n)
+    params = [MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps) for eps in cfg.maximal_epsilons]
 
     means = sg.mean_batch(T_grid, stack_blocks(xs))
-    rows = []
+    rows = [[] for _ in params]  # per epsilon, so the table is epsilon-major
     bound_ok = True
-    per_eps_c = {}
-    for eps in cfg.maximal_epsilons:
-        cs = []
-        for case, x in enumerate(xs):
-            cert = maximal_projection(
-                sg,
-                x,
-                MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps),
-                T_grid,
-                family=[y[:, case] for y in means],
-            )
-            rows.append(
-                (
-                    eps,
-                    case,
-                    cert.cotrace,
-                    cert.achieved_bound,
-                    cert.params["cotrace_cap"],
-                    cert.params["empirical_C"],
-                )
-            )
+    cmax = [-math.inf for _ in params]  # per epsilon, the largest empirical C
+    for case, x in enumerate(xs):
+        certs = maximal_projections(sg, x, params, T_grid, family=[y[:, case] for y in means])
+        for i, (eps, cert) in enumerate(zip(cfg.maximal_epsilons, certs)):
+            cap, emp_c = cert.params["cotrace_cap"], cert.params["empirical_C"]
+            rows[i].append((eps, case, cert.cotrace, cert.achieved_bound, cap, emp_c))
             bound_ok &= cert.achieved_bound <= eps + 1e-8
-            cs.append(cert.params["empirical_C"])
+            cmax[i] = max(cmax[i], emp_c)
             if case == 0:
                 env.write_cert(f"maximal_eps{_fmt(eps)}", cert.to_json_dict())
-        per_eps_c[eps] = max(cs)
-    env.write_table("maximal", rows)
-    cvals = [per_eps_c[e] for e in cfg.maximal_epsilons]
-    finite = all(math.isfinite(c) and c > 0 for c in cvals)
-    stable = finite and max(cvals) / min(cvals) < 10.0
+    env.write_table("maximal", [row for eps_rows in rows for row in eps_rows])
+    finite = all(math.isfinite(c) and c > 0 for c in cmax)
+    stable = finite and max(cmax) / min(cmax) < 10.0
     env.passed["maximal:compressed_bounds"] = bound_ok
     env.passed["maximal:empirical_C_finite"] = finite
     env.passed["maximal:empirical_C_stable"] = stable
@@ -535,14 +519,9 @@ def _suite_banach(env: _Env) -> None:
     T_maps = [2.0**-k for k in cfg.banach_map_exps]
     maps = cesaro_map_family(sg, T_maps)
 
-    family = maps.images(x)
-    emp = []
-    for eps in cfg.maximal_epsilons:
-        cert = maximal_projection(
-            sg, x, MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps), T_maps, family=family
-        )
-        emp.append(cert.params["empirical_C"])
-    c_use = max(max(emp), 1e-6)
+    params = [MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps) for eps in cfg.maximal_epsilons]
+    certs = maximal_projections(sg, x, params, T_maps, family=maps.images(x))
+    c_use = max(max(c.params["empirical_C"] for c in certs), 1e-6)
 
     eps = cfg.banach_epsilon
     oracle = make_maximal_oracle(sg, T_maps, cfg.p, c_use, cfg.alpha)
@@ -624,6 +603,9 @@ def run(config: ExperimentConfig, suite: str, outdir: str | Path) -> RunReport:
 # plot data
 # ---------------------------------------------------------------------------
 
+# the keys of a certificate file that certificates_summary.json keeps, when present
+_SUMMARY_KEYS = ("cotrace", "epsilon", "achieved_bound", "flags", "passed", "error")
+
 _PLOT_SCHEMA = {
     "plot_decay.csv": {
         "columns": ["table", "T", "value"],
@@ -635,7 +617,7 @@ _PLOT_SCHEMA = {
         "meaning": "achieved-versus-bound rows from every sweep table",
     },
     "certificates_summary.json": {
-        "keys": ["cotrace", "epsilon", "achieved_bound", "flags"],
+        "keys": list(_SUMMARY_KEYS),
         "meaning": "one summary entry per certificate file",
     },
 }
@@ -677,11 +659,7 @@ def emit_plot_data(report: RunReport) -> dict[str, str]:
     for name in sorted(report.certificates):
         with open(report.outdir / report.certificates[name], "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        summary[name] = {
-            k: payload[k]
-            for k in ("cotrace", "epsilon", "achieved_bound", "flags", "passed")
-            if k in payload
-        }
+        summary[name] = {k: payload[k] for k in _SUMMARY_KEYS if k in payload}
     with open(plots / "certificates_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

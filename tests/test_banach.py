@@ -163,7 +163,7 @@ def test_oracle_contract_violation_raises():
     x = Operator(alg, [np.diag([5.0 + 0j, 4.0])])
     oracle = make_maximal_oracle(sg, [1.0, 0.5], 1.0, 1e-12, 1.0)
     with pytest.raises(OracleContractError) as err:
-        oracle(x, 0.1)
+        oracle(x, 0.1, cesaro_map_family(sg, [1.0, 0.5]).images(x))
     assert err.value.which == "cotrace"
 
 
@@ -177,7 +177,7 @@ def test_assembly_failure_names_step(alg, rng):
 
     from ncerg.bau import bau_cauchy_certify
 
-    def bad_certifier(y, eps_budget):
+    def bad_certifier(y, eps_budget, images):
         cert = bau_cauchy_certify(
             [(T, cesaro_average(sg, y, T)) for T in T_maps], eps_budget, tol=1e-6
         )

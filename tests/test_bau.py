@@ -38,6 +38,7 @@ from ncerg.bau import (
     ScheduleExhaustedError,
     TransferPremiseError,
     first_index_below,
+    maximal_projections,
 )
 from ncerg.semigroups import lindblad_generator
 
@@ -250,6 +251,31 @@ def test_maximal_requires_self_adjoint(alg, rng):
             MaximalParams(1.0, 1.0, 0.3),
             [1.0],
         )
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_maximal_projections_match_per_epsilon_calls(alg6, rng, p):
+    # one spectrum for every epsilon, in any order and with a repeat, gives
+    # each single-epsilon certificate to the bit; a scalar decay keeps the
+    # eigenvectors, so the cuts nest and three epsilons give three co-traces
+    sg = ScalarDecay(alg6, 1.0)
+    x = random_self_adjoint(alg6, rng, norm=0.6)
+    grid = np.geomspace(1e-3, 0.5, 6)
+    params = [MaximalParams(1.0, p, eps) for eps in (0.2, 0.5, 0.1, 0.2)]
+    certs = maximal_projections(sg, x, params, grid)
+    assert len({c.cotrace for c in certs}) == 3
+    for q, got in zip(params, certs):
+        want = maximal_projection(sg, x, q, grid)
+        pairs = zip(got.projection.op.blocks, want.projection.op.blocks)
+        assert all(np.array_equal(a, b) for a, b in pairs)
+        assert (got.cotrace, got.achieved_bound) == (want.cotrace, want.achieved_bound)
+        assert (got.epsilon, got.params, got.flags) == (q.epsilon, want.params, want.flags)
+
+
+def test_maximal_projections_need_one_exponent(alg, rng):
+    params = [MaximalParams(1.0, 1.0, 0.3), MaximalParams(1.0, 2.0, 0.3)]
+    with pytest.raises(ValueError, match="one exponent"):
+        maximal_projections(Identity(alg), random_self_adjoint(alg, rng), params, [1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,18 @@ def test_cli_transfer_premise_failure_writes_a_cert_and_keeps_lp_limit(tmp_path,
     assert "weighted_transfer" not in report["certificates"]
 
 
+def test_cli_banach_check_at_small_epsilon_assembles(tmp_path, capsys):
+    # the approximant gaps x_n - x are self-adjoint only up to roundoff; the
+    # oracle must hand the maximal projection their Hermitian part
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"banach_epsilon": 0.01}))
+    out = tmp_path / "o"
+    args = ["run", "--config", str(cfg_path), "--suite", "banach-check", "--out", str(out)]
+    assert main(args + ["--seed", "1"]) == 0
+    assert "PASS banach-check:assembled" in capsys.readouterr().out
+    assert (out / "certs" / "banach_assembly.json").is_file()
+
+
 def test_cli_import_leaves_scipy_linalg_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     probe = "import sys, ncerg.cli; print('scipy.linalg' in sys.modules)"

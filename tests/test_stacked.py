@@ -54,6 +54,7 @@ from ncerg import (
     spectral_resolution,
     trace,
 )
+from ncerg import bau
 from ncerg.algebra import (
     INPUT_TOL,
     Projection,
@@ -605,7 +606,7 @@ def test_assembly_error_names_first_failing_pair(alg6):
     maps, oracle, scheme, _ = pipeline(sg, T_maps, 0.6)
     seen = []
 
-    def lazy_certifier(y, budget):
+    def lazy_certifier(y, budget, images):
         # claims every pair from N0 = 0 on without compressing anything
         seen.append(y)
         decay = tuple((T, 0.0) for T in T_maps[:-1])
@@ -629,7 +630,7 @@ def test_assembly_error_names_first_failing_pair(alg6):
     spike = 0.13 * random_projection(alg6, rng, ranks=(1, 0)).op
     far = ApproximationScheme(lambda y, n, eps: y + spike, norm_p=1.0, alpha=100.0)
     blind = ConditionOneOracle(
-        lambda y, eps: ProjectionCertificate(one, 0.0, eps, 0.0, "none", ()),
+        lambda y, eps, images: ProjectionCertificate(one, 0.0, eps, 0.0, "none", ()),
         C=1.0,
         alpha=1.0,
         norm=lambda y: 1.0,
@@ -644,3 +645,36 @@ def test_assembly_error_names_first_failing_pair(alg6):
     assert want[1] == (1, 1)
     assert (err.value.step, err.value.witness) == want[:2]
     assert abs(err.value.achieved - want[2]) <= 1e-14
+
+
+def test_assembly_evaluates_each_input_once(alg6, monkeypatch):
+    # x_n - x for n = 1..3, x_{n0} and x: one mean_batch call each, shared by
+    # the oracle, the certifier and the ledger rows
+    rng = np.random.default_rng(73)
+    sg = UnitaryFlow(alg6, random_self_adjoint(alg6, rng, norm=1.0))
+    T_maps = [2.0**-k for k in range(1, 7)]
+    x = random_self_adjoint(alg6, rng, norm=1.0)
+    maps, oracle, scheme, certifier = pipeline(sg, T_maps, 0.4)
+    made = {n: scheme.generate(x, n, 0.4) for n in (1, 2, 3)}
+    cached = ApproximationScheme(lambda y, n, eps: made[n], scheme.norm_p, scheme.alpha)
+    calls = []
+    mean_batch = UnitaryFlow.mean_batch
+    monkeypatch.setattr(
+        UnitaryFlow, "mean_batch", lambda sg, *a: calls.append(1) or mean_batch(sg, *a)
+    )
+    asm = assemble_certificate(maps, x, 0.4, cached, oracle, certifier, n_approx=3)
+    assert len(calls) == 5
+    asm.replay(maps, x)  # the independent check evaluates anew
+    assert len(calls) == 10
+
+
+def test_maximal_suite_resolves_each_family_once(tmp_path, monkeypatch):
+    # one stacked spectral resolution per case serves all three epsilons
+    calls = []
+    resolve = bau.spectral_resolution
+    monkeypatch.setattr(
+        bau, "spectral_resolution", lambda *a, **k: calls.append(1) or resolve(*a, **k)
+    )
+    cfg = ExperimentConfig(seed=1)
+    run(cfg, "maximal", tmp_path)
+    assert (cfg.n_random, len(cfg.maximal_epsilons), len(calls)) == (20, 3, 20)
