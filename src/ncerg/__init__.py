@@ -29,7 +29,6 @@ from .algebra import (
 )
 from .averaging import (
     BesicovitchWeight,
-    QuadratureConfig,
     QuadratureError,
     TrigTerm,
     besicovitch_error,

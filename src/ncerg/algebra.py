@@ -327,16 +327,14 @@ class SpectralResolution:
             for v in self.eigenvectors
         )
 
-    def cut_cotrace(
-        self, level: float | Sequence[float], tol: float = SPECTRAL_INCLUDE
-    ) -> float | np.ndarray:
+    def cut_cotrace(self, level: float | Sequence[float]) -> float | np.ndarray:
         """Co-trace of :func:`spectral_projection` at ``level``, one per member
         of a stacked resolution."""
-        drops = self._drops(level, tol)
+        drops = self._drops(level)
         return sum(c * d.sum(axis=-1) for c, d in zip(self.algebra.weights, drops))
 
-    def _drops(self, level: float | Sequence[float], tol: float) -> list[np.ndarray]:
-        top = np.asarray(level, dtype=float)[..., None] + tol
+    def _drops(self, level: float | Sequence[float]) -> list[np.ndarray]:
+        top = np.asarray(level, dtype=float)[..., None] + SPECTRAL_INCLUDE
         return [w > top for w in self.eigenvalues]
 
 
@@ -412,20 +410,16 @@ class Projection:
         return f"Projection(ranks={self.ranks()}, cotrace={self.cotrace:.6g})"
 
 
-def spectral_projection(
-    res: SpectralResolution,
-    level: float | Sequence[float],
-    tol: float = SPECTRAL_INCLUDE,
-) -> Projection:
-    """Projection onto eigenvectors with eigenvalue <= ``level + tol``.
+def spectral_projection(res: SpectralResolution, level: float | Sequence[float]) -> Projection:
+    """Projection onto eigenvectors with eigenvalue <= ``level + SPECTRAL_INCLUDE``.
 
     Ties at the threshold are included, so the co-trace never exceeds the
     weighted count of eigenvalues strictly above the level.  On a stacked
     resolution member i is cut at ``level[i]`` (or a shared level), and the
     result is the meet of the cuts of co-trace > 0 (:func:`meet_complements`).
     """
-    alg, drops = res.algebra, res._drops(level, tol)
-    cotrace = res.cut_cotrace(level, tol)
+    alg, drops = res.algebra, res._drops(level)
+    cotrace = res.cut_cotrace(level)
     if drops[0].ndim == 1:
         blocks = [v[:, ~d] @ v[:, ~d].conj().T for v, d in zip(res.eigenvectors, drops)]
         return Projection(Operator(alg, blocks), cotrace=float(cotrace))

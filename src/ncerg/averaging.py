@@ -14,30 +14,28 @@ residual r: the weighted average is the exact P-average plus the quadrature
 of r, and the local mean gap (1/T) integral |b - P| and the substitution
 bound read r alone.  One doubling core serves both integrators: composite
 Gauss-Legendre panels whose count doubles until the difference between
-successive refinements drops below a relative tolerance (in the operator norm
-for ``integrate_flow``).  Weight values are taken exactly at the quadrature
+successive refinements drops below ``QUAD_RTOL`` (in the operator norm for
+``integrate_flow``), for at most ``MAX_REFINEMENTS`` doublings.  These are
+constants, not settings.  Weight values are taken exactly at the quadrature
 nodes, never interpolated.  ``integrate_flow`` also serves as the independent
-oracle for the closed forms in the tests.
+oracle for the closed forms in the tests, at a tighter ``rtol``.
 """
 from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import INPUT_TOL, Operator, hermitian_defects, min_eig, op_norms, stack_blocks
-from .config import require_finite
+from .config import ConfigError, require_finite
 from .semigroups import Semigroup
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureError",
     "QuadratureResult",
-    "DEFAULT_QUAD",
     "integrate_flow",
     "integrate_scalar",
     "cesaro_average",
@@ -58,29 +56,10 @@ __all__ = [
 ]
 
 
-MAX_REFINEMENTS = 12  # largest max_refinements: at most 8 * 2**12 nodes per unit length
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Settings of the doubling Gauss-Legendre core: refinement stops once the
-    change between passes, relative to the larger of the result and the
-    integrand's roundoff level over ``rtol`` (so an exactly zero average
-    converges), is below ``rtol``, or after ``max_refinements`` doublings
-    (an integer in [0, ``MAX_REFINEMENTS``])."""
-
-    rtol: float = 1e-10
-    max_refinements: int = MAX_REFINEMENTS
-
-    def __post_init__(self) -> None:
-        if not 0 < self.rtol < math.inf:
-            raise ValueError("quadrature tolerance must be finite and > 0")
-        n = self.max_refinements
-        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and 0 <= n <= MAX_REFINEMENTS):
-            raise ValueError(f"max_refinements={n!r} must be an integer in [0, {MAX_REFINEMENTS}]")
-
-
-DEFAULT_QUAD = QuadratureConfig()
+QUAD_RTOL = 1e-10  # relative change between passes at which the doubling stops
+MAX_REFINEMENTS = 12  # doubling budget: at most 8 * 2**12 nodes per unit length
+SUP_SAMPLES = 1001  # samples of [0, 1] (every t a suite weights) that test a declared sup bound
+SUP_SLACK = 1e-12  # roundoff excess allowed over it, relative to sum |kappa_j| + residual_sup
 
 # Roundoff level of a quadrature sum, per unit of its scale
 # sum_k |w_k| * max_k ||f(t_k)|| (Frobenius norm for operators).  On exactly
@@ -122,26 +101,29 @@ def _panel_points(lo: float, hi: float, panels: int):
     return ts, ws
 
 
-def _refine(lo: float, hi: float, quad: QuadratureConfig, evaluate, distance):
+def _refine(lo: float, hi: float, rtol: float, evaluate, distance):
     """The doubling Gauss-Legendre loop behind both integrators: one panel per
     unit length (at least one) of 8 nodes each to start, doubled per pass.
 
     ``evaluate(ts, ws)`` returns a pass's sum and its roundoff scale
     sum_k |w_k f(t_k)| (or a bound on it); ``distance(cur, prev)`` returns
-    ||cur - prev|| and ||cur||.  Returns (value, error, refinements,
-    converged), the last pass when the budget runs out.
+    ||cur - prev|| and ||cur||.  Refinement stops once the change, relative
+    to the larger of ||cur|| and the roundoff scale over ``rtol`` (so an
+    exactly zero integral converges), is below ``rtol``, or after
+    ``MAX_REFINEMENTS`` doublings (read at call time).  Returns (value,
+    error, refinements, converged), the last pass when the budget runs out.
     """
     if not hi > lo:
         raise ValueError("integration interval must have hi > lo")
     panels = max(1, math.ceil(hi - lo))
     prev = None
     err = math.inf
-    for level in range(quad.max_refinements + 1):
+    for level in range(MAX_REFINEMENTS + 1):
         cur, roundoff = evaluate(*_panel_points(lo, hi, panels))
         if prev is not None:
             change, scale = distance(cur, prev)
-            err = change / max(scale, _ROUNDOFF * roundoff / quad.rtol, 1e-300)
-            if err <= quad.rtol:
+            err = change / max(scale, _ROUNDOFF * roundoff / rtol, 1e-300)
+            if err <= rtol:
                 return cur, err, level, True
         prev = cur
         panels *= 2
@@ -153,14 +135,15 @@ def integrate_flow(
     x: Operator,
     lo: float,
     hi: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
     weight: Callable[[np.ndarray], np.ndarray] | None = None,
+    rtol: float = QUAD_RTOL,
 ) -> QuadratureResult:
     """integral_lo^hi w(t) a_t(x) dt with doubling Gauss-Legendre panels.
 
-    Raises :class:`QuadratureError` when ``max_refinements`` runs out.  The
-    norms ||cur - prev|| and ||cur|| of a refinement come from one batched
-    SVD per block.
+    Raises :class:`QuadratureError` when ``MAX_REFINEMENTS`` runs out.  The
+    library integrates at ``QUAD_RTOL``; the tests pass a tighter ``rtol``
+    to make this the oracle of the closed forms.  The norms ||cur - prev||
+    and ||cur|| of a refinement come from one batched SVD per block.
     """
 
     def evaluate(ts, ws):
@@ -172,25 +155,23 @@ def integrate_flow(
     def distance(cur, prev):
         return op_norms([np.stack([c - p, c]) for c, p in zip(cur, prev)]).tolist()
 
-    cur, err, level, converged = _refine(lo, hi, quad, evaluate, distance)
+    cur, err, level, converged = _refine(lo, hi, rtol, evaluate, distance)
     if not converged:
-        raise QuadratureError(err, quad.rtol, level)
+        raise QuadratureError(err, rtol, level)
     return QuadratureResult(Operator(sg.algebra, cur), err, level)
 
 
 def integrate_scalar(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 ) -> tuple[float, float]:
-    """Best-effort scalar integral; returns (value, error estimate)."""
+    """Best-effort scalar integral at ``QUAD_RTOL``; returns (value, error
+    estimate), also when ``MAX_REFINEMENTS`` runs out."""
 
     def evaluate(ts, ws):
         fs = np.asarray(f(ts))
         return float(np.real_if_close(np.dot(ws, fs)).real), float(np.dot(ws, np.abs(fs)))
 
-    cur, err, _, _ = _refine(lo, hi, quad, evaluate, lambda cur, prev: (abs(cur - prev), abs(cur)))
+    cur, err, _, _ = _refine(lo, hi, QUAD_RTOL, evaluate, lambda c, p: (abs(c - p), abs(c)))
     return cur, err
 
 
@@ -203,26 +184,20 @@ def cesaro_average(sg: Semigroup, x: Operator, T: float) -> Operator:
     return sg.mean(T, x)
 
 
-def weighted_average(
-    sg: Semigroup,
-    b: "BesicovitchWeight",
-    x: Operator,
-    T: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> Operator:
+def weighted_average(sg: Semigroup, b: "BesicovitchWeight", x: Operator, T: float) -> Operator:
     """(1/T) integral_0^T b(t) a_t(x) dt for a bounded weight b.
 
     The trigonometric part is exact (:func:`trig_average`); only a residual,
     if the weight has one, goes through :func:`integrate_flow`.
     """
-    return trig_average(sg, b.terms, x, T) + _residual_average(sg, b, x, T, quad)
+    return trig_average(sg, b.terms, x, T) + _residual_average(sg, b, x, T)
 
 
-def _residual_average(sg: Semigroup, b: "BesicovitchWeight", x: Operator, T: float, quad):
+def _residual_average(sg: Semigroup, b: "BesicovitchWeight", x: Operator, T: float):
     """(1/T) integral_0^T r(t) a_t(x) dt for the residual r of b (zero without one)."""
     if b.residual is None:
         return sg.algebra.zero()
-    return integrate_flow(sg, x, 0.0, T, quad, weight=b.residual).value / T
+    return integrate_flow(sg, x, 0.0, T, weight=b.residual).value / T
 
 
 def trig_average(
@@ -382,20 +357,16 @@ class BesicovitchErrorTable:
     errors: tuple[float, ...]
 
 
-def _mean_abs_residual(b: BesicovitchWeight, T: float, quad) -> tuple[float, float]:
+def _mean_abs_residual(b: BesicovitchWeight, T: float) -> tuple[float, float]:
     """(1/T) integral_0^T |r(t)| dt for the residual r = b - P, with the
     relative error :func:`integrate_scalar` achieved; (0, 0) without one."""
     if b.residual is None:
         return 0.0, 0.0
-    val, err = integrate_scalar(lambda ts: np.abs(b.residual(ts)), 0.0, T, quad)
+    val, err = integrate_scalar(lambda ts: np.abs(b.residual(ts)), 0.0, T)
     return val / T, err
 
 
-def besicovitch_error(
-    b: BesicovitchWeight,
-    T_grid: Sequence[float],
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> BesicovitchErrorTable:
+def besicovitch_error(b: BesicovitchWeight, T_grid: Sequence[float]) -> BesicovitchErrorTable:
     """Local mean gap (1/T) integral_0^T |b - P| dt between a weight and its
     trigonometric polynomial P, which is the mean of the residual's modulus.
 
@@ -406,18 +377,14 @@ def besicovitch_error(
     grid = [float(T) for T in T_grid]
     if any(t2 >= t1 for t1, t2 in zip(grid, grid[1:])) or any(t <= 0 for t in grid):
         raise ValueError("T_grid must be positive and strictly decreasing")
-    means = [_mean_abs_residual(b, T, quad) for T in grid]
+    means = [_mean_abs_residual(b, T) for T in grid]
     rows = tuple((T, v) for T, (v, _) in zip(grid, means))
     tail = rows[-max(1, len(rows) // 4):]
     return BesicovitchErrorTable(rows, max(v for _, v in tail), tuple(e for _, e in means))
 
 
 def substitution_bound_check(
-    sg: Semigroup,
-    b: BesicovitchWeight,
-    x: Operator,
-    T: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
+    sg: Semigroup, b: BesicovitchWeight, x: Operator, T: float
 ) -> tuple[float, float, float]:
     """Compare the weighted average against its trigonometric substitute.
 
@@ -432,8 +399,8 @@ def substitution_bound_check(
     """
     if not x.is_positive(tol=INPUT_TOL):
         raise ValueError("substitution bound needs a positive operator")
-    lhs = _residual_average(sg, b, x, T, quad).norm_inf()
-    mean_gap, quad_error = _mean_abs_residual(b, T, quad)
+    lhs = _residual_average(sg, b, x, T).norm_inf()
+    mean_gap, quad_error = _mean_abs_residual(b, T)
     return lhs, 2.0 * mean_gap * x.norm_inf(), quad_error
 
 
@@ -475,7 +442,12 @@ def residual_from_config(spec: dict | None) -> tuple[Callable | None, float]:
 
 def weight_from_config(spec: dict) -> BesicovitchWeight:
     """Trigonometric terms, residual and sup bound from a config mapping whose
-    numbers must all be finite (``ConfigError`` otherwise)."""
+    numbers must all be finite (``ConfigError`` otherwise).
+
+    A declared ``sup_bound`` that |b(t)| exceeds at one of ``SUP_SAMPLES``
+    points of [0, 1] is false, and is rejected with ``ConfigError``; an
+    excess within ``SUP_SLACK`` is roundoff of a tight bound.
+    """
     require_finite(spec, "weight")
     terms = tuple(
         TrigTerm(complex(t.get("kappa_re", 0.0), t.get("kappa_im", 0.0)), float(t["theta"]))
@@ -483,9 +455,16 @@ def weight_from_config(spec: dict) -> BesicovitchWeight:
     )
     residual, res_sup = residual_from_config(spec.get("residual"))
     sup_bound = spec.get("sup_bound")
-    return BesicovitchWeight(
+    b = BesicovitchWeight(
         terms,
         residual,
         res_sup,
         float(sup_bound) if sup_bound is not None else None,
     )
+    excess = b.sup_violation(np.linspace(0.0, 1.0, SUP_SAMPLES))
+    if excess > SUP_SLACK * (sum(abs(t.kappa) for t in terms) + res_sup):
+        raise ConfigError(
+            f"weight.sup_bound={b.sup_bound!r} is below the sampled sup of |b(t)| "
+            f"on [0, 1], {b.sup_bound + excess:.6g}"
+        )
+    return b

@@ -32,7 +32,6 @@ from .algebra import (
 )
 from .averaging import (
     BesicovitchWeight,
-    QuadratureConfig,
     TrigTerm,
     _residual_average,
     besicovitch_error,
@@ -122,9 +121,9 @@ class ExperimentConfig:
 
     Documented ranges, every number finite and every count an integer: total
     algebra dimension in [1, 64]; epsilon, banach_epsilon in (0, 100]; p >= 1;
-    C, alpha > 0; quadrature tolerance > 0; grid sizes in [2, 512]; counts in
+    C, alpha > 0; 0 < T_lo < min(1, T_hi); grid sizes in [2, 512]; counts in
     [1, 1000]; maximal_epsilons and sandwich_grid non-empty and positive;
-    banach_map_exps at least two increasing positive exponents.
+    banach_map_exps at least two increasing exponents in [1, 40].
     """
 
     blocks: tuple[int, ...] = (2, 4)
@@ -149,7 +148,6 @@ class ExperimentConfig:
     besicovitch_tail_bound: float = 0.05
     banach_n_approx: int = 3
     banach_map_exps: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
-    quadrature: dict = field(default_factory=dict)
     seed: int = 20240810
 
     def __post_init__(self) -> None:
@@ -189,8 +187,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}={val} outside ({lo}, {hi}]")
         if self.p < 1:
             raise ConfigError("p must be >= 1")
-        if not (0 < self.T_lo < self.T_hi):
-            raise ConfigError("need 0 < T_lo < T_hi")
+        if not 0 < self.T_lo < min(1.0, self.T_hi):
+            raise ConfigError(f"T_lo={self.T_lo} outside (0, min(1, T_hi))")
         for name, lo, hi in (
             ("T_n", 2, 512),
             ("dyadic_exp_max", 1, 40),
@@ -202,13 +200,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}={getattr(self, name)} outside [{lo}, {hi}]")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        for name in ("maximal_epsilons", "sandwich_grid", "banach_map_exps"):
+        for name in ("maximal_epsilons", "sandwich_grid"):
             vals = getattr(self, name)
             if not vals or not all(v > 0 for v in vals):
                 raise ConfigError(f"{name}={list(vals)} must be non-empty and positive")
         exps = list(self.banach_map_exps)
-        if len(exps) < 2 or sorted(set(exps)) != exps:
-            raise ConfigError(f"banach_map_exps={exps} needs two or more increasing entries")
+        if len(exps) < 2 or sorted(set(exps)) != exps or not 1 <= exps[0] <= exps[-1] <= 40:
+            raise ConfigError(
+                f"banach_map_exps={exps} needs two or more increasing entries in [1, 40]"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -234,12 +234,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def quad(self) -> QuadratureConfig:
-        try:
-            return QuadratureConfig(**self.quadrature)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad quadrature config: {exc}") from exc
 
 
 @dataclass
@@ -282,7 +276,6 @@ class _Env:
         self.cfg = cfg
         self.outdir = outdir
         self.alg = TracialAlgebra(cfg.blocks, cfg.weights)
-        self.quadrature = cfg.quad()
         rng0 = np.random.default_rng([cfg.seed, 0])
         try:
             self.sg: Semigroup = semigroup_from_config(self.alg, cfg.semigroup, rng0)
@@ -444,7 +437,7 @@ def _random_weight(rng: np.random.Generator) -> BesicovitchWeight:
 
 
 def _suite_weighted(env: _Env) -> None:
-    cfg, alg, sg, quad = env.cfg, env.alg, env.sg, env.quadrature
+    cfg, alg, sg = env.cfg, env.alg, env.sg
     rng = env.rng(5)
     T_list = np.geomspace(1e-3, 1.0, 12)
     rows = []
@@ -453,7 +446,7 @@ def _suite_weighted(env: _Env) -> None:
         b = _random_weight(rng)
         x = random_positive(alg, rng, norm=1.0)
         T = float(T_list[case % len(T_list)])
-        lhs, rhs, quad_error = substitution_bound_check(sg, b, x, T, quad)
+        lhs, rhs, quad_error = substitution_bound_check(sg, b, x, T)
         sub_ok &= lhs <= rhs + 1e-8
         rows.append((T, lhs, rhs, rhs - lhs, quad_error))
     env.write_table("weighted_avg", rows)
@@ -463,11 +456,11 @@ def _suite_weighted(env: _Env) -> None:
     b = env.weight
     x = random_positive(alg, rng, norm=1.0)
     T = 0.75
-    wav = weighted_average(sg, b, x, T, quad)
+    wav = weighted_average(sg, b, x, T)
     scale = max(x.norm_inf(), 1e-300)
-    conj_gap = (wav.H - weighted_average(sg, b.conjugated(), x, T, quad)).norm_inf()
-    real_av = weighted_average(sg, b.real_part(), x, T, quad)
-    imag_av = weighted_average(sg, b.imag_part(), x, T, quad)
+    conj_gap = (wav.H - weighted_average(sg, b.conjugated(), x, T)).norm_inf()
+    real_av = weighted_average(sg, b.real_part(), x, T)
+    imag_av = weighted_average(sg, b.imag_part(), x, T)
     decomp_gap = (wav - (real_av + 1j * imag_av)).norm_inf()
     beta = cesaro_average(sg, x, T)
     domination = min_eig((beta - real_av).herm())
@@ -483,7 +476,7 @@ def _suite_weighted(env: _Env) -> None:
     # transfer from the trig-only averages to the full weighted averages
     Ts = [2.0**-k for k in range(11)]
     base = [(T, trig_average(sg, b.terms, x, T)) for T in Ts]
-    tilde = [(T, y + _residual_average(sg, b, x, T, quad)) for T, y in base]
+    tilde = [(T, y + _residual_average(sg, b, x, T)) for T, y in base]
     base_cert = bau_cauchy_certify(
         base, epsilon=0.1 * alg.trace_of_identity, tol=1e-3 * x.norm_inf()
     )
@@ -504,7 +497,7 @@ def _suite_weighted(env: _Env) -> None:
 def _suite_besicovitch(env: _Env) -> None:
     cfg = env.cfg
     grid = np.geomspace(1.0, cfg.T_lo, cfg.T_n)
-    table = besicovitch_error(env.weight, grid, env.quadrature)
+    table = besicovitch_error(env.weight, grid)
     rows = [(T, v, err) for (T, v), err in zip(table.rows, table.errors)]
     env.write_table("besicovitch", rows)
     env.passed["besicovitch:tail_sup_below_bound"] = (

@@ -8,7 +8,6 @@ from ncerg import (
     BesicovitchWeight,
     Identity,
     Operator,
-    QuadratureConfig,
     QuadratureError,
     ScalarDecay,
     SchurDecay,
@@ -27,12 +26,14 @@ from ncerg import (
     weighted_average,
 )
 from ncerg.algebra import min_eig, random_operator
+from ncerg import averaging
 from ncerg.averaging import (
-    DEFAULT_QUAD,
+    QUAD_RTOL,
     integrate_scalar,
     residual_from_config,
     weight_from_config,
 )
+from ncerg.config import ConfigError
 from ncerg.experiments import ExperimentConfig
 from ncerg.semigroups import lindblad_generator, GeneratorExp
 
@@ -97,17 +98,17 @@ def test_cesaro_positive_on_positive_input(alg, rng):
     assert min_eig(avg) >= -1e-10 * x.norm_inf()
 
 
-def test_quadrature_error_reports_achieved(alg, rng):
+def test_quadrature_error_reports_achieved(alg, rng, monkeypatch):
     sg = Identity(alg)
     x = random_operator(alg, rng)
-    quad = QuadratureConfig(rtol=1e-14, max_refinements=1)
+    monkeypatch.setattr(averaging, "MAX_REFINEMENTS", 1)
     # trigonometric terms are exact, so the e^{2 pi i 400 t} oscillation sits
     # in the residual, the part that still goes through integrate_flow
     tone = lambda ts: np.exp(2j * math.pi * 400.0 * np.asarray(ts))
     weight = BesicovitchWeight((), tone, 1.0)
     with pytest.raises(QuadratureError) as err:
-        weighted_average(sg, weight, x, 1.0, quad)
-    assert err.value.achieved > 1e-14
+        weighted_average(sg, weight, x, 1.0)
+    assert err.value.achieved > QUAD_RTOL
     assert err.value.refinements == 1
 
 
@@ -292,7 +293,7 @@ def test_besicovitch_error_zero_for_pure_polynomial():
 def test_integrate_scalar_converges_on_zero_integral():
     value, err = integrate_scalar(lambda ts: np.cos(2.0 * math.pi * ts), 0.0, 1.0)
     assert abs(value) < 1e-15
-    assert err <= DEFAULT_QUAD.rtol
+    assert err <= QUAD_RTOL
 
 
 def test_besicovitch_error_linear_residual_analytic():
@@ -318,7 +319,7 @@ def test_besicovitch_error_oscillatory_residual(rng):
 
 
 def test_besicovitch_error_reports_quadrature_error():
-    rtol = DEFAULT_QUAD.rtol
+    rtol = QUAD_RTOL
     # |sin(1/t)| oscillates without bound at 0: the quadrature runs out of
     # refinements and each row carries its achieved error
     res, sup = residual_from_config({"name": "sin_inv_t", "amplitude": 0.1})
@@ -396,6 +397,23 @@ def test_weight_from_config_roundtrip():
     np.testing.assert_allclose(b.value(ts), expected, atol=1e-14)
 
 
+def test_weight_from_config_rejects_a_sampled_excess_over_sup_bound():
+    # |b(0)| = 0.55 + 0.05: a declared bound below it is false
+    spec = {
+        "trig": [{"kappa_re": 0.55, "theta": 0.3}],
+        "residual": {"name": "constant", "value": 0.05},
+    }
+    for bound in (0.1, 0.59):
+        with pytest.raises(ConfigError, match="sup_bound"):
+            weight_from_config({**spec, "sup_bound": bound})
+    # bounds that hold, also tight ones, are kept; so is the default weight
+    assert weight_from_config(spec).sup_bound == pytest.approx(0.6)
+    assert weight_from_config({**spec, "sup_bound": 0.6}).sup_bound == 0.6
+    tight = {"trig": [{"kappa_re": 0.3, "kappa_im": 0.4, "theta": 0.37}], "sup_bound": 0.5}
+    assert weight_from_config(tight).sup_bound == 0.5
+    assert _default_weight().sup_bound == 0.95
+
+
 # ---------------------------------------------------------------------------
 # substitution bound
 # ---------------------------------------------------------------------------
@@ -440,7 +458,7 @@ def test_substitution_bound_random_schur(rng):
 def test_substitution_bound_reports_quadrature_error(alg, rng):
     # the mean gap |0.04 cos 7t| has a kink at pi/14: inside T = 0.5 the
     # scalar quadrature stops short of rtol, below it every row converges
-    rtol = DEFAULT_QUAD.rtol
+    rtol = QUAD_RTOL
     sg = ScalarDecay(alg, 1.0)
     x = random_positive(alg, rng, norm=1.0)
     res, sup = residual_from_config({"name": "cos", "amplitude": 0.04, "frequency": 7.0})

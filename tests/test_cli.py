@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ncerg import averaging
 from ncerg.cli import main
 from ncerg.experiments import (
     ConfigError,
@@ -142,16 +143,18 @@ def test_cli_bad_config_exit_two(tmp_path):
         {"dyadic_exp_max": 3.5},
         {"banach_n_approx": 1.5},
         {"seed": 1.5},
-        {"quadrature": {"max_refinements": 2.5}},
-        # refinement caps above MAX_REFINEMENTS, or a bool
-        {"quadrature": {"max_refinements": 13}},
-        {"quadrature": {"max_refinements": True}},
         {"T_hi": math.inf},
         {"sandwich_grid": [math.inf]},
         # a non-integer block size, not to be truncated
         {"blocks": [2.5, 4]},
-        # a quadrature setting that is a fixed constant of the core
-        {"quadrature": {"panels_per_unit": 2.0}},
+        # quadrature settings are constants of the core, not a config key
+        {"quadrature": {}},
+        # a T_lo of 1 or more would make the besicovitch grid increase
+        {"T_lo": 2.0},
+        # 2**-1100 underflows to a zero averaging length
+        {"banach_map_exps": [1, 1100]},
+        # |b(0)| = 0.55 exceeds the declared sup bound
+        {"weight": {"trig": [{"kappa_re": 0.55, "theta": 0.3}], "sup_bound": 0.1}},
         # non-finite numbers inside the semigroup and weight objects
         {"semigroup": {"variant": "scalar_decay", "rate": math.inf}},
         {"weight": {"residual": {"name": "cos", "amplitude": math.inf}}},
@@ -177,6 +180,14 @@ def test_cli_bad_config_values_exit_two(tmp_path, capsys, bad):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_unconverged_quadrature_exits_two(tmp_path, capsys, monkeypatch):
+    # one doubling cannot reach QUAD_RTOL on the default weight's residual
+    monkeypatch.setattr(averaging, "MAX_REFINEMENTS", 1)
+    code = main(["run", "--suite", "weighted-avg", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: quadrature did not converge")
 
 
 def test_cli_prints_a_loader_config_error_as_is(tmp_path, capsys):

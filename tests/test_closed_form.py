@@ -18,7 +18,6 @@ from ncerg import (
     GeneratorExp,
     Identity,
     Operator,
-    QuadratureConfig,
     ScalarDecay,
     SchurDecay,
     TracialAlgebra,
@@ -35,7 +34,7 @@ from ncerg.algebra import random_operator, stack_blocks
 from ncerg.averaging import double_average_windows, integrate_flow
 from ncerg.semigroups import generator_from_map, lindblad_generator, phi1
 
-ORACLE = QuadratureConfig(rtol=1e-13)
+ORACLE = 1e-13  # rtol of the quadrature oracle, tighter than the library's
 REL = 1e-12
 # absolute floor per unit ||x||, for averages that are exactly zero
 FLOOR = 1e-14
@@ -78,7 +77,7 @@ def variants(alg, rng):
 def quad_mean(sg, x, lo, hi, s=0.0):
     """(1/(hi - lo)) integral_lo^hi e^{st} a_t(x) dt by quadrature."""
     weight = lambda ts: np.exp(s * ts)
-    return integrate_flow(sg, x, lo, hi, ORACLE, weight=weight).value / (hi - lo)
+    return integrate_flow(sg, x, lo, hi, weight=weight, rtol=ORACLE).value / (hi - lo)
 
 
 def assert_close(got, want, x, rel=REL):
@@ -188,7 +187,7 @@ def test_trig_average_matches_quadrature_hypothesis(name, terms, T, seed):
     sg, _ = _VARIANTS[name]
     x = random_operator(_ALG, np.random.default_rng(seed))
     b = BesicovitchWeight(tuple(TrigTerm(complex(re, im), th) for re, im, th in terms))
-    want = integrate_flow(sg, x, 0.0, T, ORACLE, weight=b.value).value / T
+    want = integrate_flow(sg, x, 0.0, T, weight=b.value, rtol=ORACLE).value / T
     scale = sum(abs(t.kappa) for t in b.terms) * x.norm_inf()
     got = trig_average(sg, b.terms, x, T)
     assert (got - want).norm_inf() <= REL * want.norm_inf() + FLOOR * scale
@@ -204,5 +203,5 @@ def test_weighted_average_adds_residual_by_quadrature(alg, rng):
     residual = lambda ts: 0.05 * np.cos(7.0 * np.asarray(ts))
     b = BesicovitchWeight(terms, residual, 0.05)
     for T in (0.01, 0.5, 3.0):
-        want = integrate_flow(sg, x, 0.0, T, ORACLE, weight=b.value).value / T
+        want = integrate_flow(sg, x, 0.0, T, weight=b.value, rtol=ORACLE).value / T
         assert_close(weighted_average(sg, b, x, T), want, x)

@@ -220,7 +220,7 @@ def test_cauchy_core_takes_a_stacked_family():
 # Cauchy certificate: one cut per tail pair
 # ---------------------------------------------------------------------------
 
-def cauchy_reference(family, epsilon, tail_fraction=0.5, tol=1e-12):
+def cauchy_reference(family, epsilon, tail_fraction=0.5):
     """Per-pair cuts of |y_i - y_j| at tau(|z|)/budget and a proj_meet fold."""
     grid = [T for T, _ in family]
     ops = [y for _, y in family]
@@ -236,7 +236,7 @@ def cauchy_reference(family, epsilon, tail_fraction=0.5, tol=1e-12):
             if z.norm_inf() == 0.0:
                 continue
             mag = abs_value(z)
-            cut = spectral_projection(spectral_resolution(mag), trace(alg, mag).real / budget, tol)
+            cut = spectral_projection(spectral_resolution(mag), trace(alg, mag).real / budget)
             if cut.cotrace > 0:
                 cuts.append(cut)
             levels.append([grid[i], grid[j], budget, cut.cotrace])
@@ -294,7 +294,7 @@ def test_cauchy_all_zero_pairs_meet_to_one():
 # double-average certificate: the lazy schedule walk
 # ---------------------------------------------------------------------------
 
-def window_reference(sg, x, b, p, epsilon, schedule, levels=5, tol=1e-12):
+def window_reference(sg, x, b, p, epsilon, schedule, levels=5):
     """Walk the schedule lazily: per visited a, the head (a/b) beta_a(x) from
     ``cesaro_average`` and the tail a_b(head) from ``apply``."""
     alg = sg.algebra
@@ -323,7 +323,7 @@ def window_reference(sg, x, b, p, epsilon, schedule, levels=5, tol=1e-12):
             else:
                 raise ScheduleExhaustedError(k, min(seen, default=math.inf), target)
             level = epsilon / 2.0 ** (k + 1)
-            cut = spectral_projection(spectral_resolution(op.herm()), level ** (1.0 / p), tol)
+            cut = spectral_projection(spectral_resolution(op.herm()), level ** (1.0 / p))
             rows.append([tag, k, schedule[idx], seen[idx], level, cut.cotrace])
             cuts.append(cut)
         meets.append(reduce(proj_meet, cuts))
