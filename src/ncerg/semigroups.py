@@ -24,24 +24,27 @@ The core takes stacks of inputs: :meth:`Semigroup.propagate_batch` maps one
 is such a per-block stack in grid order (``algebra.stack_blocks`` builds one
 from a list of operators).
 
+GeneratorExp takes the same pattern on the vectorized algebra with the basis of
+L W = W diag(mu), which need not be unitary: a_t(x) = W (exp(t mu) o W^-1 vec x).
+
 Every semigroup also has the closed-form mean (1/T) integral_0^T e^{st} a_t(x)
 dt.  :meth:`Semigroup.mean_batch` evaluates it for a whole T grid and input
 stack on the same core, with the multiplier phi1(T (Lambda + s)) in place of
-exp(t Lambda), where phi1(z) = (e^z - 1)/z; GeneratorExp reads it off one
-augmented matrix exponential per T (Van Loan 1978).  :meth:`Semigroup.mean`
-is its one-T, one-input case.
+exp(t Lambda) (phi1(T (mu + s)) for GeneratorExp), where phi1(z) = (e^z - 1)/z.
+:meth:`Semigroup.mean` is its one-T, one-input case.
 
 ``validate_absolute_contraction`` produces a :class:`ValidationReport` that
 records positivity, subunitality, trace non-increase, the semigroup law and a
 continuity table.  Complete positivity is certified through the smallest
 eigenvalue of the Choi matrices of the block components (``choi_min_eig``):
 the four modal variants read it off the modes, one n x n eigvalsh of
-herm exp(t Lambda) per block, and GeneratorExp builds the dense Choi matrices
-of ``choi_blocks``.  Maps that fail the Choi test fall back to sampled
-positivity checks and are flagged as "sampled only".  Each check stacks its
-inputs: the identity and the sampled positives per time, the matrix units of
-one input block per dense Choi call, the law probes and the continuity grid.
-Witnesses of the worst violations are recorded only above a roundoff floor.
+herm exp(t Lambda) per block, and GeneratorExp reads the dense Choi matrices
+of ``choi_blocks`` off the columns of its d x d ``propagator``.  Maps that fail
+the Choi test fall back to sampled positivity checks and are flagged as
+"sampled only".  Each check stacks its inputs: the identity and the sampled
+positives per time, the law probes and the continuity grid.  Witnesses of the
+worst violations are recorded only above a roundoff floor that grows with
+kappa(W) on the eigenbasis path.
 """
 from __future__ import annotations
 
@@ -87,6 +90,7 @@ __all__ = [
 CONTRACTION_TOL = 1e-8  # cap on positivity, unitality and trace violations and on -choi_min
 LAW_TOL = 1e-9  # cap on the relative semigroup-law residual ||a_t a_s - a_{t+s}||
 MAX_JUMPS = 1000  # most jump operators a random Lindblad generator may draw
+EIGEN_TOL = 1e-10  # cap on kappa(W) * max(backward error, eps) for GeneratorExp's eigenbasis path
 
 
 def phi1(z: np.ndarray | complex) -> np.ndarray:
@@ -102,6 +106,31 @@ def phi1(z: np.ndarray | complex) -> np.ndarray:
     return out
 
 
+def _multiplier(tt: np.ndarray, lam: np.ndarray | float, s: complex | None) -> np.ndarray:
+    """exp(t Lambda) for propagation, or phi1(T (Lambda + s)) for the mean at shift s."""
+    return np.exp(tt * lam) if s is None else phi1(tt * (lam + s))
+
+
+def _vecs(xs: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-block (..., n, n) stacks as one (..., d) array of vecs."""
+    return np.concatenate([a.reshape(*a.shape[:-2], -1) for a in xs], axis=-1)
+
+
+def _unvecs(alg: TracialAlgebra, v: np.ndarray) -> list[np.ndarray]:
+    """(..., d) vecs as per-block (..., n, n) stacks: the inverse of ``_vecs``."""
+    off = alg.vec_offsets
+    return [
+        v[..., lo:hi].reshape(*v.shape[:-1], n, n)
+        for n, lo, hi in zip(alg.blocks, off[:-1], off[1:])
+    ]
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    import scipy.linalg  # deferred: only the dense GeneratorExp path needs it
+
+    return scipy.linalg.expm(a)
+
+
 class Semigroup:
     """Base class: an immutable semigroup a_t(x) = V (exp(t Lambda) o V* x V) V*.
 
@@ -112,12 +141,17 @@ class Semigroup:
     takes per-block input stacks of shape (k, n, n) and returns arrays of
     shape (len(ts), k, n, n): its multiplier exp(t Lambda), or phi1(t (Lambda
     + s)) for the mean when a shift s is given, has shape (len(ts), 1, n, n)
-    and broadcasts against V* X V.  A subclass without such a form
-    (``GeneratorExp``) overrides ``_stack``.
+    and broadcasts against V* X V.  ``GeneratorExp``, whose basis acts on the
+    vectorized algebra and is not unitary, overrides ``_stack``.
     """
 
     variant: str = "abstract"
     cp_by_construction: bool = False
+    # achieved-error inputs of a basis that is not unitary (GeneratorExp):
+    # kappa(W), the backward error of its decomposition and the path that ran
+    condition: float | None = None
+    backward_error: float | None = None
+    path: str | None = None
 
     def __init__(
         self,
@@ -146,9 +180,7 @@ class Semigroup:
         self, ts: np.ndarray, xs: list[np.ndarray], s: complex | None = None
     ) -> list[np.ndarray]:
         tt = ts[:, None, None, None]
-        if s is None:
-            return self._modal(xs, lambda lam: np.exp(tt * lam))
-        return self._modal(xs, lambda lam: phi1(tt * (lam + s)))
+        return self._modal(xs, lambda lam: _multiplier(tt, lam, s))
 
     def _inputs(self, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
         xs = [np.asarray(a, dtype=complex) for a in xs]
@@ -205,6 +237,12 @@ class Semigroup:
             raise AlgebraMismatchError("operator does not belong to this algebra")
         out = self.mean_batch([T], [a[None] for a in x.blocks], s)
         return Operator(self.algebra, [y[0, 0] for y in out])
+
+    def propagator(self, t: float) -> np.ndarray:
+        """The d x d matrix of a_t on the vectorized algebra: column c is
+        vec a_t(e_c) for the c-th matrix unit, all d units in one core call."""
+        units = _unvecs(self.algebra, np.eye(self.algebra.vec_dim, dtype=complex))
+        return _vecs([y[0] for y in self.propagate_batch(np.array([float(t)]), units)]).T
 
     def apply(self, t: float, x: Operator) -> Operator:
         """a_t(x).  Rejects t < 0; t = 0 returns x itself."""
@@ -292,11 +330,15 @@ class GeneratorExp(Semigroup):
     """a_t = exp(tL) for L given as a matrix on the vectorized algebra.
 
     Vectorization is row-major within each block, blocks concatenated in
-    order.  Propagators exp(tL) are cached per time point; a stack of k
-    inputs is one product of exp(tL) with the (d, k) matrix X of their vecs.
-    The means of the stack at one T are the top-right (d, k) block of
-    expm([[T (L + s), X], [0, 0]]), which is phi1(T (L + s)) X (Van Loan
-    1978; Higham, Functions of Matrices, 2008).
+    order.  L is decomposed once, L W = W diag(mu), and the (d, k) matrix X of
+    the vecs of an input stack maps to W (M o W^-1 X) for a whole t grid, with
+    M = exp(t mu), or phi1(T (mu + s)) for means.  Its error is about kappa(W)
+    times the larger of the backward error and the roundoff eps (Moler and Van
+    Loan, SIAM Rev. 2003, section 6): ``condition`` is ||W||_1 ||W^-1||_1
+    (None for a singular W), ``backward_error`` ||LW - W diag mu||_1 /
+    (||L||_1 ||W||_1).  Above ``EIGEN_TOL`` (a defective or nearly defective
+    L) ``path`` is "dense": a_t is expm(tL), and the mean at T is the top-right
+    block of expm([[T (L + s), X], [0, 0]]), phi1(T (L + s)) X (Van Loan 1978).
     """
 
     variant = "generator_exp"
@@ -312,40 +354,45 @@ class GeneratorExp(Semigroup):
             )
         arr.setflags(write=False)
         self.matrix = arr
-        self._cache: dict[float, np.ndarray] = {}
+        mu, w = np.linalg.eig(arr)
+        try:
+            w_inv = np.linalg.inv(w)
+            self.condition = float(np.linalg.norm(w, 1) * np.linalg.norm(w_inv, 1))
+        except np.linalg.LinAlgError:  # a singular W has no condition number
+            w_inv = None
+        residual = float(np.linalg.norm(arr @ w - w * mu, 1))
+        scale = float(np.linalg.norm(arr, 1) * np.linalg.norm(w, 1))
+        self.backward_error = residual / scale if residual else 0.0
+        eps = np.finfo(float).eps
+        eigen = w_inv is not None and self.condition * max(self.backward_error, eps) <= EIGEN_TOL
+        self.path = "eigen" if eigen else "dense"
+        self._eig = (w, mu, w_inv)
 
     def propagator(self, t: float) -> np.ndarray:
-        t = float(t)
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
-        return self._cache.setdefault(t, self._expm(t * self.matrix))
-
-    @staticmethod
-    def _expm(a: np.ndarray) -> np.ndarray:
-        import scipy.linalg  # deferred: most of the package's import time
-
-        return scipy.linalg.expm(a)
+        """The d x d matrix of a_t: (W exp(t mu)) W^-1, or expm(tL) on the
+        dense path; the identity exactly at t = 0."""
+        if t == 0:
+            return np.eye(self.algebra.vec_dim, dtype=complex)
+        if self.path == "dense":
+            return _expm(t * self.matrix)
+        w, mu, w_inv = self._eig
+        return (w * np.exp(t * mu)) @ w_inv
 
     def _stack(self, ts, xs, s=None):
-        # column c of the (d, k) input matrix is vec of input c
-        k, d = xs[0].shape[0], self.algebra.vec_dim
-        cols = np.concatenate([a.reshape(k, -1) for a in xs], axis=1).T
-        outs = [
-            np.empty((len(ts), k, n, n), dtype=complex) for n in self.algebra.blocks
-        ]
-        offsets = self.algebra.vec_offsets
-        for q, t in enumerate(ts):
-            if s is None:
-                w = self.propagator(t) @ cols
-            else:
-                aug = np.zeros((d + k, d + k), dtype=complex)
-                aug[:d, :d] = t * (self.matrix + s * np.eye(d))
-                aug[:d, d:] = cols
-                w = self._expm(aug)[:d, d:]
-            for i, n in enumerate(self.algebra.blocks):
-                outs[i][q] = w[offsets[i] : offsets[i + 1]].T.reshape(k, n, n)
-        return outs
+        cols = _vecs(xs).T  # column c is vec of input c
+        if self.path == "eigen":
+            w, mu, w_inv = self._eig
+            out = w @ (_multiplier(ts[:, None], mu, s)[:, :, None] * (w_inv @ cols))
+        elif s is None:
+            out = np.stack([self.propagator(t) @ cols for t in ts])
+        else:
+            d, k = cols.shape
+            zero = np.zeros((k, d + k))
+            out = np.stack([
+                _expm(np.block([[t * (self.matrix + s * np.eye(d)), cols], [zero]]))[:d, d:]
+                for t in ts
+            ])
+        return _unvecs(self.algebra, out.swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +450,17 @@ def choi_blocks(sg: Semigroup, t: float) -> list[tuple[int, int, np.ndarray]]:
     A linear map on a direct sum splits into components between block pairs;
     the map is completely positive exactly when every pairwise Choi matrix is
     positive semidefinite.  Returns (output_block, input_block, choi) triples.
-    Each input block i takes one core call over its n_i^2 matrix units E_kl;
-    block (k, l) of the Choi matrix with output block j is block j of a_t(E_kl).
+    All are reshuffles of the d x d matrix P of a_t (``propagator``): block
+    (k, l) of the Choi matrix with input block i and output block j is block j
+    of a_t(E_kl), rows off_j:off_{j+1} of the column of P at off_i + k n_i + l.
     """
     alg = sg.algebra
+    p = sg.propagator(float(t))
+    off = alg.vec_offsets
     chois = []
     for i, ni in enumerate(alg.blocks):
-        units = [np.zeros((ni * ni, n, n), dtype=complex) for n in alg.blocks]
-        units[i] = np.eye(ni * ni, dtype=complex).reshape(ni * ni, ni, ni)
-        images = sg.propagate_batch(np.array([float(t)]), units)
         for j, nj in enumerate(alg.blocks):
-            y = images[j][0].reshape(ni, ni, nj, nj)
+            y = p[off[j] : off[j + 1], off[i] : off[i + 1]].T.reshape(ni, ni, nj, nj)
             chois.append((j, i, y.transpose(0, 2, 1, 3).reshape(ni * nj, ni * nj)))
     return chois
 
@@ -454,7 +501,10 @@ class ValidationReport:
     """Worst observed violations of the absolute-contraction contract.
 
     ``per_t`` lists (t, positivity, unitality, trace excess) with each entry
-    maximized over the sampled inputs at that time.
+    maximized over the sampled inputs at that time.  ``eigen_condition``,
+    ``eigen_backward_error`` and ``generator_path`` are the semigroup's
+    kappa(W), backward error and path ("eigen" or "dense"), None for the
+    variants with a unitary basis.
     """
 
     t_samples: tuple[float, ...]
@@ -468,6 +518,9 @@ class ValidationReport:
     passed: bool
     per_t: tuple[tuple[float, float, float, float], ...] = ()
     worst: dict = field(default_factory=dict)
+    eigen_condition: float | None = None
+    eigen_backward_error: float | None = None
+    generator_path: str | None = None
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -573,8 +626,9 @@ def validate_absolute_contraction(
     per_t = tuple(map(tuple, rows.tolist()))
 
     # witnesses are recorded only above roundoff: relative to the input's
-    # norm for positivity, to 1 for unitality and to tau(x_k) for the trace
-    floor = 16 * np.finfo(float).eps
+    # norm for positivity, to 1 for unitality and to tau(x_k) for the trace;
+    # the eigenbasis path loses up to kappa(W) times more
+    floor = 16 * np.finfo(float).eps * (sg.condition if sg.path == "eigen" else 1.0)
     worst: dict[str, float | int] = {}
     for name, values, floors in (
         ("unitality", unital, floor),
@@ -625,6 +679,9 @@ def validate_absolute_contraction(
         passed=passed,
         per_t=per_t,
         worst=worst,
+        eigen_condition=sg.condition,
+        eigen_backward_error=sg.backward_error,
+        generator_path=sg.path,
     )
 
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ncerg import (
     ExperimentConfig,
@@ -39,7 +40,7 @@ from ncerg import (
 from ncerg import semigroups
 from ncerg.algebra import AlgebraMismatchError, min_eig, pnorms, random_operator, stack_blocks
 from ncerg.bau import _pair_table, compressed_norm
-from ncerg.semigroups import choi_blocks, choi_min_eig, generator_from_map
+from ncerg.semigroups import EIGEN_TOL, choi_blocks, choi_min_eig, generator_from_map, phi1
 
 # unequal blocks, so a swapped block index or a transposed Choi layout shows
 ALG = TracialAlgebra((2, 3), (1.0, 0.5))
@@ -399,6 +400,121 @@ def test_modal_validation_builds_no_dense_choi(monkeypatch):
     assert abs(choi_min_eig(Identity(ALG), 0.0) - dense_choi_min(Identity(ALG), 0.0)) <= 1e-14
     with pytest.raises(ValueError):
         choi_min_eig(ScalarDecay(ALG, 1.0), -0.1)
+
+
+# ---------------------------------------------------------------------------
+# GeneratorExp: the eigenbasis path, its dense fallback and their oracles
+# ---------------------------------------------------------------------------
+
+PAIR = TracialAlgebra((1, 1), (1.0, 0.5))  # vectorized dimension 2
+
+
+def jordan(eps):
+    """A 2 x 2 Jordan block at -1/2 on the vectorized (1, 1) algebra, its lower
+    corner perturbed by eps: defective at eps = 0, nearly defective for small eps."""
+    return np.array([[-0.5, 1.0], [eps, -0.5]], dtype=complex)
+
+
+def as_cols(xs):
+    """Per-block (..., k, n, n) stacks as one (..., d, k) array: column c is vec of input c."""
+    return np.concatenate([a.reshape(*a.shape[:-2], -1) for a in xs], axis=-1).swapaxes(-1, -2)
+
+
+def van_loan_means(lmat, Ts, cols, s):
+    """(1/T) int_0^T e^{st} exp(tL) X dt for each T: the top-right (d, k) block of
+    expm([[T (L + s), X], [0, 0]]), which is phi1(T (L + s)) X (Van Loan 1978)."""
+    d, k = cols.shape
+    out = []
+    for T in Ts:
+        aug = np.zeros((d + k, d + k), dtype=complex)
+        aug[:d, :d] = T * (lmat + s * np.eye(d))
+        aug[:d, d:] = cols
+        out.append(scipy.linalg.expm(aug)[:d, d:])
+    return np.array(out)
+
+
+def rel_gap(got, want):
+    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("s", [0.0, -0.4 + 0.9j, 1.5j])
+def test_generator_mean_batch_matches_van_loan_oracle(s):
+    rng = np.random.default_rng(30)
+    sg = GeneratorExp(ALG, coupled_generator(ALG, rng))
+    assert sg.path == "eigen"
+    Ts = np.array([1e-9, 1e-4, 0.4, 2.5, 6.0])
+    xs = stacked([random_operator(ALG, rng) for _ in range(3)])
+    want = van_loan_means(sg.matrix, Ts, as_cols(xs), s)
+    assert rel_gap(as_cols(sg.mean_batch(Ts, xs, s)), want) <= 1e-12
+
+
+DEFECTIVE = {
+    "jordan": (PAIR, jordan(0.0), "dense"),
+    "near_jordan_1e-14": (PAIR, jordan(1e-14), "dense"),
+    "near_jordan_1e-6": (PAIR, jordan(1e-6), "eigen"),
+    # eig returns a singular W for the 4 x 4 nilpotent shift: it has no kappa(W)
+    "shift_4": (TracialAlgebra((2,), (1.0,)), np.eye(4, k=1), "dense"),
+    # an exact but ill-conditioned decomposition: roundoff still counts
+    "tiny_nilpotent": (PAIR, np.array([[0.0, 1e-300], [0.0, 0.0]]), "dense"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFECTIVE))
+def test_defective_generator_matches_expm(case):
+    alg, lmat, path = DEFECTIVE[case]
+    sg = GeneratorExp(alg, lmat)
+    assert sg.path == path
+    if case == "shift_4":
+        assert sg.condition is None
+    else:
+        error = sg.condition * max(sg.backward_error, np.finfo(float).eps)
+        assert (error > EIGEN_TOL) == (path == "dense")
+    ts = np.array([0.0, 1e-9, 0.3, 2.5, 20.0])
+    xs = stacked([random_operator(alg, np.random.default_rng(c)) for c in (32, 33)])  # k = 2
+    cols = as_cols(xs)
+    want = np.array([scipy.linalg.expm(t * sg.matrix) @ cols for t in ts])
+    assert rel_gap(as_cols(sg.propagate_batch(ts, xs)), want) <= 1e-12
+    for s in (0.0, 0.3 - 0.2j):
+        want = van_loan_means(sg.matrix, ts[1:], cols, s)
+        assert rel_gap(as_cols(sg.mean_batch(ts[1:], xs, s)), want) <= 1e-12, s
+
+
+def test_jordan_block_against_closed_form():
+    # L = -1/2 + N with N^2 = 0: exp(tL) = e^{-t/2} (1 + tN), and the mean at
+    # shift s is phi1(z) + T (phi1(z) - phi2(z)) N with z = T (s - 1/2),
+    # since int_0^1 u e^{uz} du = phi1(z) - phi2(z), phi2(z) = (e^z - 1 - z)/z^2
+    sg = GeneratorExp(PAIR, jordan(0.0))
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    ts = np.array([0.05, 0.3, 2.5, 20.0])  # phi2 by its formula cancels for small |z|
+    xs = [np.array([[[1.0]], [[0.5j]]]), np.array([[[-2.0]], [[1.0 + 1.0j]]])]
+    cols = as_cols(xs)
+    want = np.array([np.exp(-t / 2) * (np.eye(2) + t * nil) @ cols for t in ts])
+    assert rel_gap(as_cols(sg.propagate_batch(ts, xs)), want) <= 1e-12
+    s = 0.3 - 0.2j
+    z = ts * (s - 0.5)
+    p1, p2 = phi1(z), (np.exp(z) - 1 - z) / z**2
+    want = np.array([(a * np.eye(2) + T * (a - b) * nil) @ cols for T, a, b in zip(ts, p1, p2)])
+    assert rel_gap(as_cols(sg.mean_batch(ts, xs, s)), want) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6, 1e-4])
+def test_eigen_path_error_within_recorded_estimate(eps):
+    # kappa(W) times the backward error (or roundoff, whichever is larger)
+    # bounds the achieved error of the eigenbasis path up to a small factor
+    sg = GeneratorExp(PAIR, jordan(eps))
+    assert sg.path == "eigen"
+    bound = 4 * sg.condition * max(sg.backward_error, np.finfo(float).eps)
+    for t in (0.3, 1.0, 5.0, 20.0):
+        assert rel_gap(sg.propagator(t), scipy.linalg.expm(t * sg.matrix)) <= bound, t
+
+
+def test_generator_propagator_matches_expm_on_both_paths():
+    eigen = GeneratorExp(ALG, coupled_generator(ALG, np.random.default_rng(31)))
+    for sg, path in ((eigen, "eigen"), (GeneratorExp(PAIR, jordan(0.0)), "dense")):
+        assert sg.path == path
+        for t in (0.0, 1e-9, 0.3, 2.5):
+            assert rel_gap(sg.propagator(t), scipy.linalg.expm(t * sg.matrix)) <= 1e-12, (path, t)
+        assert np.array_equal(sg.propagator(0.0), np.eye(sg.algebra.vec_dim))
 
 
 def test_law_and_continuity_match_per_probe_loops():

@@ -261,6 +261,57 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_generator_exp_full_run_leaves_scipy_linalg_unloaded(tmp_path):
+    # the eigenbasis path needs numpy alone; scipy.linalg is the dense fallback's
+    src = Path(__file__).resolve().parents[1] / "src"
+    cfg = {
+        "blocks": [2, 3],
+        "semigroup": {"variant": "generator_exp"},
+        "n_random": 2,
+        "weighted_cases": 4,
+        "T_n": 12,
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    probe = (
+        "import sys, ncerg.cli\n"
+        f"code = ncerg.cli.main(['run', '--config', {str(tmp_path / 'cfg.json')!r}, "
+        f"'--suite', 'full', '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'scipy.linalg' in sys.modules)\n"
+        "print(sorted(sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    status, modules = out.stdout.strip().splitlines()[-2:]
+    assert status == "0 False", modules
+
+
+@pytest.mark.parametrize(
+    "blocks, n_random, path",
+    [((2, 4), 20, None), ((3, 6), 4, "eigen"), ((8, 16), 2, "eigen")],
+    ids=["default", "lindblad", "generator_exp_8_16"],
+)
+def test_validation_records_eigen_error_and_no_roundoff_witness(tmp_path, blocks, n_random, path):
+    # the default config, the lindblad benchmark config and blocks (8, 16):
+    # validation passes, names no witness and records the eigenbasis inputs
+    cfg = {"blocks": list(blocks), "n_random": n_random}
+    if path is not None:
+        cfg["semigroup"] = {"variant": "generator_exp"}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    args = ["run", "--config", str(tmp_path / "cfg.json"), "--suite", "validate-semigroup"]
+    assert main(args + ["--out", str(out), "--seed", "1"]) == 0
+    report = json.loads((out / "certs" / "validation.json").read_text())
+    assert report["passed"] and report["worst"] == {}
+    assert report["generator_path"] == path
+    if path is None:
+        assert report["eigen_condition"] is None and report["eigen_backward_error"] is None
+    else:
+        assert 1.0 <= report["eigen_condition"] < 1e4
+        assert 0.0 < report["eigen_backward_error"] < 1e-13
+
+
 def test_cli_schema_prints_json(capsys):
     assert main(["schema"]) == 0
     payload = json.loads(capsys.readouterr().out)
