@@ -34,7 +34,6 @@ from .averaging import (
     besicovitch_error,
     cesaro_average,
     dense_approximant,
-    oscillatory_average,
     sandwich_check,
     substitution_bound_check,
     trig_average,
@@ -59,7 +58,6 @@ from .bau import (
     double_average_certificate,
     lp_limit_check,
     maximal_projection,
-    measure_nbhd_witness,
     perturbation_transfer,
 )
 from .experiments import ExperimentConfig, RunReport, emit_plot_data, run

@@ -311,22 +311,6 @@ class SpectralResolution:
     eigenvalues: tuple[np.ndarray, ...]
     eigenvectors: tuple[np.ndarray, ...]
 
-    def reconstruct(self) -> Operator:
-        blocks = [
-            (v * w) @ v.conj().T for w, v in zip(self.eigenvalues, self.eigenvectors)
-        ]
-        return Operator(self.algebra, blocks)
-
-    def reconstruction_residual(self, x: Operator) -> float:
-        scale = max(x.norm_inf(), 1e-300)
-        return (self.reconstruct() - x).norm_inf() / scale
-
-    def gram_residual(self) -> float:
-        return max(
-            float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]), 2))
-            for v in self.eigenvectors
-        )
-
     def cut_cotrace(self, level: float | Sequence[float]) -> float | np.ndarray:
         """Co-trace of :func:`spectral_projection` at ``level``, one per member
         of a stacked resolution."""
@@ -401,10 +385,6 @@ class Projection:
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(int(round(np.trace(a).real)) for a in self.op.blocks)
-
-    def leq(self, other: "Projection", tol: float = PROJECTION_TOL) -> bool:
-        """True when this projection is dominated by ``other`` (q p = p)."""
-        return (other.op @ self.op - self.op).norm_inf() <= tol
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Projection(ranks={self.ranks()}, cotrace={self.cotrace:.6g})"

@@ -4,11 +4,11 @@ The central object is the time average ``(1/T) * integral_0^T w(t) a_t(x) dt``
 for a semigroup ``a_t``, an operator ``x`` and a bounded scalar weight ``w``.
 Cesaro averages and every trigonometric term exp(2 pi i theta t) are exact:
 each is one closed-form :meth:`Semigroup.mean` at shift s = 2 pi i theta, so
-``cesaro_average``, ``trig_average``, ``oscillatory_average`` and
-``dense_approximant`` take no quadrature settings.  One stacked builder,
-``double_average_windows``, gives the heads, tails and gaps of the double
-average beta_a(beta_b(x)) - beta_b(x) to its two users, the sandwich check
-(``sandwich_slacks``) and the window certificate of :mod:`ncerg.bau`.
+``cesaro_average``, ``trig_average`` and ``dense_approximant`` take no
+quadrature settings.  One stacked builder, ``double_average_windows``, gives
+the heads, tails and gaps of the double average beta_a(beta_b(x)) - beta_b(x)
+to its two users, the sandwich check (``sandwich_slacks``) and the window
+certificate of :mod:`ncerg.bau`.
 A Besicovitch weight b = P + r is integrated numerically only through its
 residual r: the weighted average is the exact P-average plus the quadrature
 of r, and the local mean gap (1/T) integral |b - P| and the substitution
@@ -22,7 +22,6 @@ oracle for the closed forms in the tests, at a tighter ``rtol``.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -41,7 +40,6 @@ __all__ = [
     "cesaro_average",
     "weighted_average",
     "trig_average",
-    "oscillatory_average",
     "dense_approximant",
     "double_average_windows",
     "sandwich_slacks",
@@ -211,18 +209,6 @@ def trig_average(
     )
 
 
-def oscillatory_average(sg: Semigroup, lam: complex, x: Operator, T: float) -> Operator:
-    """(1/T) integral_0^T lam^t a_t(x) dt for unit-modulus lam, in closed form.
-
-    ``lam^t`` uses the principal logarithm; lam = -1 runs along exp(i pi t).
-    Any fixed branch gives a valid unit-modulus weight, this one is pinned for
-    reproducibility.
-    """
-    if abs(abs(lam) - 1.0) > 1e-12:
-        raise ValueError("oscillation parameter must have modulus one")
-    return sg.mean(T, x, cmath.log(lam))
-
-
 def dense_approximant(sg: Semigroup, x: Operator, k: int) -> Operator:
     """k * integral_0^{1/k} a_s(x) ds, the mollified copy of x at scale 1/k."""
     if int(k) != k or k < 1:
@@ -375,6 +361,8 @@ def besicovitch_error(b: BesicovitchWeight, T_grid: Sequence[float]) -> Besicovi
     reported next to the full table so the approach to zero can be judged.
     """
     grid = [float(T) for T in T_grid]
+    if not grid:
+        raise ValueError("T_grid must hold at least one T")
     if any(t2 >= t1 for t1, t2 in zip(grid, grid[1:])) or any(t <= 0 for t in grid):
         raise ValueError("T_grid must be positive and strictly decreasing")
     means = [_mean_abs_residual(b, T) for T in grid]

@@ -4,8 +4,8 @@ A statement of the form "there is a projection e with small co-trace such
 that the compressed norms ||e y e|| are uniformly small" is made executable
 here as a :class:`ProjectionCertificate`: the projection itself, its co-trace,
 the bound it achieves over a named family, and the parameters of the run.
-Certificates are self-verifying; recomputing the achieved bound from the
-stored projection and family must reproduce the stored value.
+Certificates keep their family in memory so that tests can recompute the
+stored bound from the stored projection.
 
 A T-indexed family is a per-block stack here: one (m, n, n) array per
 block in grid order; the public signatures stack their lists and dicts of
@@ -44,13 +44,10 @@ from .semigroups import Semigroup
 __all__ = [
     "ProjectionCertificate",
     "MaximalParams",
-    "MeasureWitness",
     "ScheduleExhaustedError",
     "TransferPremiseError",
-    "compressed_norm",
     "compressed_norms",
     "pair_differences",
-    "measure_nbhd_witness",
     "maximal_projection",
     "maximal_projections",
     "double_average_certificate",
@@ -76,8 +73,8 @@ class ProjectionCertificate:
     ``family`` names the checked family; ``grid`` the sweep parameters;
     ``decay`` an optional table of (parameter, compressed norm) rows.  The
     operators behind the bound are kept in memory on ``family_ops``, one
-    (m, n, n) stack per block, so the bound can be recomputed, but are never
-    serialized.
+    (m, n, n) stack per block, so tests can recompute the bound, but are
+    never serialized.
     """
 
     projection: Projection
@@ -96,11 +93,6 @@ class ProjectionCertificate:
     @property
     def ok(self) -> bool:
         return not self.flags
-
-    def recompute_bound(self) -> float:
-        if self.family_ops is None:
-            raise ValueError("certificate does not carry its family operators")
-        return float(compressed_norms(self.projection, self.family_ops).max(initial=0.0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -157,10 +149,6 @@ class TransferPremiseError(RuntimeError):
         self.epsilon = epsilon
 
 
-def compressed_norm(e: Projection, y: Operator) -> float:
-    return (e.op @ y @ e.op).norm_inf()
-
-
 def compressed_norms(e: Projection, stacks: Sequence[np.ndarray]) -> np.ndarray:
     """||e y e|| for every member y of a stacked family, one batched SVD norm
     per block."""
@@ -181,46 +169,6 @@ def _pair_table(e: Projection, stacks: Sequence[np.ndarray]) -> np.ndarray:
     table = np.zeros((m, m))
     table[np.triu_indices(m, 1)] = compressed_norms(e, pair_differences(stacks))
     return table
-
-
-# ---------------------------------------------------------------------------
-# measure-topology witness
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MeasureWitness:
-    ok: bool
-    certificate: ProjectionCertificate | None
-    min_achievable_cotrace: float
-
-
-def measure_nbhd_witness(x: Operator, epsilon: float, delta: float) -> MeasureWitness:
-    """Witness that x lies in the measure-topology zero neighborhood (eps, delta).
-
-    The candidate projection is the spectral projection of x*x at level
-    delta^2, which is the smallest-cotrace spectral cut with ||x e|| <= delta.
-    Failure reports that minimal cotrace so callers can widen epsilon.
-    """
-    if not (epsilon > 0 and delta > 0):
-        raise ValueError("epsilon and delta must be positive")
-    res = spectral_resolution((x.H @ x).herm())
-    e = spectral_projection(res, delta * delta)
-    achieved = (x @ e.op).norm_inf()
-    ok = e.cotrace <= epsilon + COTRACE_SLACK
-    cert = None
-    if ok:
-        # |x| commutes with e, so ||e |x| e|| recomputes the stored ||x e||
-        cert = ProjectionCertificate(
-            projection=e,
-            cotrace=e.cotrace,
-            epsilon=epsilon,
-            achieved_bound=achieved,
-            family="right compression ||x e||",
-            grid=(delta,),
-            params={"delta": delta},
-            family_ops=stack_blocks([abs_value(x)]),
-        )
-    return MeasureWitness(ok=ok, certificate=cert, min_achievable_cotrace=e.cotrace)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +484,8 @@ def perturbation_transfer(
     b_grid = [float(T) for T, _ in base_family]
     if t_grid != b_grid:
         raise ValueError("families must share the same grid")
+    if not t_grid:
+        raise ValueError("need at least one family member")
     if len(eps_seq) == 0:
         raise ValueError("eps_seq must hold at least one premise gap")
     t_ys = stack_blocks([y for _, y in tilde_family])
@@ -612,6 +562,8 @@ def lp_limit_check(
     exceed it (plus ``LP_SLACK``).
     """
     grid = [float(T) for T, _ in family]
+    if not grid:
+        raise ValueError("need at least one family member")
     if any(t2 >= t1 for t1, t2 in zip(grid, grid[1:])):
         raise ValueError("family grid must be strictly decreasing")
     alg = limit.algebra

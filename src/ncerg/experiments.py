@@ -560,8 +560,11 @@ def run(config: ExperimentConfig, suite: str, outdir: str | Path) -> RunReport:
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     out = Path(outdir)
-    (out / "tables").mkdir(parents=True, exist_ok=True)
-    (out / "certs").mkdir(parents=True, exist_ok=True)
+    try:
+        (out / "tables").mkdir(parents=True, exist_ok=True)
+        (out / "certs").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
     env = _Env(config, out)
     start = time.perf_counter()
     if suite == "full":

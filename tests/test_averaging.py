@@ -17,7 +17,6 @@ from ncerg import (
     besicovitch_error,
     cesaro_average,
     dense_approximant,
-    oscillatory_average,
     pnorm,
     random_positive,
     random_self_adjoint,
@@ -155,35 +154,6 @@ def test_weighted_two_tone_scalar_decay_closed_form(alg, rng):
             coeff += term.kappa * (cmath.exp(z * T) - 1.0) / (z * T)
         got = weighted_average(sg, BesicovitchWeight(terms), x, T)
         assert (got - coeff * x).norm_inf() < 1e-9
-
-
-def test_oscillatory_matches_cesaro_at_one(alg, rng):
-    sg = ScalarDecay(alg, 0.5)
-    x = random_operator(alg, rng)
-    gap = oscillatory_average(sg, 1.0, x, 0.7) - cesaro_average(sg, x, 0.7)
-    assert gap.norm_inf() < 1e-12
-
-
-def test_oscillatory_consistent_with_weighted(alg, rng):
-    # same integral through two code paths
-    theta = 0.3
-    lam = cmath.exp(2j * math.pi * theta)
-    sg = UnitaryFlow(alg, random_self_adjoint(alg, rng))
-    x = random_operator(alg, rng)
-    b = BesicovitchWeight((TrigTerm(1.0, theta),))
-    gap = oscillatory_average(sg, lam, x, 1.1) - weighted_average(sg, b, x, 1.1)
-    assert gap.norm_inf() < 1e-12
-
-
-def test_oscillatory_principal_branch_at_minus_one(alg, rng):
-    # lam = -1 runs along exp(i pi t), the same as the theta = 1/2 tone
-    sg = Identity(alg)
-    x = random_operator(alg, rng)
-    b = BesicovitchWeight((TrigTerm(1.0, 0.5),))
-    gap = oscillatory_average(sg, -1.0, x, 1.3) - weighted_average(sg, b, x, 1.3)
-    assert gap.norm_inf() < 1e-12
-    with pytest.raises(ValueError):
-        oscillatory_average(sg, 0.5, x, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ncerg import (
+    BesicovitchWeight,
     GeneratorExp,
     Identity,
     MaximalParams,
@@ -12,13 +13,14 @@ from ncerg import (
     ScalarDecay,
     SchurDecay,
     TracialAlgebra,
+    TrigTerm,
     UnitaryFlow,
     bau_cauchy_certify,
+    besicovitch_error,
     cesaro_average,
     double_average_certificate,
     lp_limit_check,
     maximal_projection,
-    measure_nbhd_witness,
     operator_from_dict,
     perturbation_transfer,
     random_positive,
@@ -41,64 +43,11 @@ from ncerg.bau import (
     maximal_projections,
 )
 from ncerg.semigroups import lindblad_generator
+from oracles import recompute_bound
 
 
 def phi(gamma, T):
     return (1.0 - math.exp(-gamma * T)) / (gamma * T)
-
-
-# ---------------------------------------------------------------------------
-# measure-topology witness
-# ---------------------------------------------------------------------------
-
-def test_witness_zero_operator(alg):
-    out = measure_nbhd_witness(alg.zero(), 0.5, 0.1)
-    assert out.ok
-    assert out.certificate.cotrace == 0.0
-    assert out.certificate.achieved_bound == 0.0
-    assert (out.certificate.projection.op - alg.identity()).norm_inf() < 1e-12
-
-
-def test_witness_diagonal_threshold():
-    alg = TracialAlgebra((2,), (1.0,))
-    x = Operator(alg, [np.diag([10.0 + 0j, 0.1])])
-    ok = measure_nbhd_witness(x, 1.0, 1.0)
-    assert ok.ok and ok.certificate.cotrace == pytest.approx(1.0)
-    np.testing.assert_allclose(
-        ok.certificate.projection.op.blocks[0], np.diag([0.0, 1.0]), atol=1e-12
-    )
-    bad = measure_nbhd_witness(x, 0.5, 1.0)
-    assert not bad.ok
-    assert bad.min_achievable_cotrace == pytest.approx(1.0)
-
-
-def test_witness_agrees_with_brute_force(alg, rng):
-    for _ in range(12):
-        x = random_operator(alg, rng)
-        gram = x.H @ x
-        eigs = np.concatenate(
-            [np.linalg.eigvalsh((b + b.conj().T) / 2) for b in gram.blocks]
-        )
-        weights = np.concatenate(
-            [np.full(n, c) for n, c in zip(alg.blocks, alg.weights)]
-        )
-        order = np.argsort(eigs)
-        eigs, weights = eigs[order], weights[order]
-        delta = float(rng.uniform(0.1, 1.0))
-        epsilon = float(rng.uniform(0.1, 1.5))
-        # brute force over every spectral cut point of x*x
-        best = None
-        for cut in range(len(eigs) + 1):
-            included_max = eigs[cut - 1] if cut else 0.0
-            if included_max <= delta**2 + 1e-12:
-                cot = weights[cut:].sum()
-                best = cot if best is None else min(best, cot)
-        expected_ok = best is not None and best <= epsilon + 1e-12
-        got = measure_nbhd_witness(x, epsilon, delta)
-        assert got.ok == expected_ok
-        if got.ok:
-            assert got.certificate.achieved_bound <= delta + 1e-10
-            assert got.certificate.cotrace == pytest.approx(best, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +101,7 @@ def test_maximal_bound_and_self_verification(alg, rng):
     grid = np.geomspace(1e-4, 10.0, 24)
     cert = maximal_projection(sg, x, MaximalParams(1.0, 1.0, 0.25), grid)
     assert cert.achieved_bound <= 0.25 + 1e-8
-    assert abs(cert.recompute_bound() - cert.achieved_bound) < 1e-10
+    assert abs(recompute_bound(cert) - cert.achieved_bound) < 1e-10
     assert cert.cotrace == pytest.approx(
         (trace(alg, alg.identity()) - trace(alg, cert.projection.op)).real, abs=1e-12
     )
@@ -395,7 +344,7 @@ def test_cauchy_cesaro_family_cross_check(alg, rng):
             (y - x).norm_inf() for T, y in fam if T <= delta + 1e-15
         )
         assert d <= dominating + 1e-10
-    assert abs(cert.recompute_bound() - cert.achieved_bound) < 1e-10
+    assert abs(recompute_bound(cert) - cert.achieved_bound) < 1e-10
 
 
 def test_cauchy_rejects_bad_grid(alg, rng):
@@ -485,6 +434,22 @@ def test_lp_limit_shrinking_family(alg, rng):
     assert not lp_limit_check(fam, 1.0, 2.0 * x).passed
 
 
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda x, cert: lp_limit_check([], 2.0, x), "at least one family member"),
+        (lambda x, cert: perturbation_transfer([], [], cert, [0.1]), "at least one family member"),
+        (lambda x, cert: besicovitch_error(BesicovitchWeight((TrigTerm(1.0, 0.3),)), []), "at least one T"),
+    ],
+    ids=["lp_limit_check", "perturbation_transfer", "besicovitch_error"],
+)
+def test_empty_families_are_rejected_by_name(alg, rng, check, message):
+    x = random_self_adjoint(alg, rng)
+    cert = bau_cauchy_certify(_cesaro_family(Identity(alg), x, [1.0, 0.5]), epsilon=0.5)
+    with pytest.raises(ValueError, match=message):
+        check(x, cert)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -517,13 +482,12 @@ def test_certificates_are_self_verifying(alg, rng):
             sg, x_pos, b=1.0, p=1.0, epsilon=0.3,
             a_schedule=np.geomspace(0.25, 1e-6, 14),
         ),
-        measure_nbhd_witness(x, alg.trace_of_identity, 0.5).certificate,
         perturbation_transfer(
             fam, fam, bau_cauchy_certify(fam, epsilon=0.5, tol=1e-2), [1e-6]
         ),
     ]
     for cert in certs:
-        assert abs(cert.recompute_bound() - cert.achieved_bound) < 1e-10, cert.family
+        assert abs(recompute_bound(cert) - cert.achieved_bound) < 1e-10, cert.family
 
 
 def test_first_index_below(alg, rng):

@@ -182,6 +182,17 @@ def test_cli_bad_config_values_exit_two(tmp_path, capsys, bad):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("sub", ["", "o"], ids=["out_is_a_file", "out_below_a_file"])
+def test_cli_out_under_a_regular_file_exits_two(tmp_path, capsys, sub):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / sub
+    code = main(["run", "--suite", "besicovitch", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot make output directory {out}: Not a directory\n"
+    assert taken.read_text() == "kept"
+
+
 def test_cli_unconverged_quadrature_exits_two(tmp_path, capsys, monkeypatch):
     # one doubling cannot reach QUAD_RTOL on the default weight's residual
     monkeypatch.setattr(averaging, "MAX_REFINEMENTS", 1)

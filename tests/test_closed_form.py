@@ -24,7 +24,6 @@ from ncerg import (
     TrigTerm,
     UnitaryFlow,
     cesaro_average,
-    oscillatory_average,
     random_positive,
     random_self_adjoint,
     trig_average,
@@ -145,11 +144,11 @@ def test_mean_validates_its_inputs(alg, rng):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_oscillatory_minus_one_matches_quadrature(name, alg, rng):
-    # lam = -1 on the principal branch is exp(i pi t)
+    # the weight (-1)^t on the principal branch is exp(i pi t): shift s = i pi
     sg, _ = variants(alg, rng)[name]
     x = random_operator(alg, rng)
     for T in (1e-3, 0.37, 2.0):
-        got = oscillatory_average(sg, -1.0, x, T)
+        got = sg.mean(T, x, 1j * math.pi)
         assert_close(got, quad_mean(sg, x, 0.0, T, 1j * math.pi), x)
 
 

@@ -70,9 +70,9 @@ from ncerg.bau import (
     ProjectionCertificate,
     ScheduleExhaustedError,
     _cauchy_certify,
-    compressed_norm,
 )
 from ncerg.experiments import ExperimentConfig, _Env, run
+from oracles import compressed_norm
 
 # unequal blocks, so a swapped block index shows
 ALG = TracialAlgebra((2, 3), (1.0, 0.5))
