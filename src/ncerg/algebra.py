@@ -185,12 +185,13 @@ class Operator:
     def norm_inf(self) -> float:
         """Largest singular value across blocks (the operator norm)."""
         return max(
-            (float(np.linalg.norm(a, 2)) if a.size else 0.0) for a in self.blocks
+            (float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0)
+            for a in self.blocks
         )
 
     def self_adjoint_defect(self) -> float:
         return max(
-            float(np.linalg.norm(a - a.conj().T, 2)) for a in self.blocks
+            float(np.linalg.svd(a - a.conj().T, compute_uv=False)[0]) for a in self.blocks
         )
 
     def is_self_adjoint(self, tol: float = SELF_ADJOINT_TOL) -> bool:
@@ -211,8 +212,8 @@ def stack_blocks(ops: Sequence[Operator]) -> list[np.ndarray]:
 
 def op_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Operator norm of every member of a per-block stacked family, one
-    batched SVD norm per block."""
-    return np.max([np.linalg.norm(a, 2, axis=(1, 2)) for a in stacks], axis=0)
+    batched SVD per block (the first of the descending singular values)."""
+    return np.max([np.linalg.svd(a, compute_uv=False)[:, 0] for a in stacks], axis=0)
 
 
 def min_eig(x: Operator | Sequence[np.ndarray]) -> float | np.ndarray:
@@ -361,20 +362,22 @@ class Projection:
     __slots__ = ("op", "cotrace")
 
     def __init__(self, op: Operator, cotrace: float | None = None):
-        idem = (op @ op - op).norm_inf()
-        sa = op.self_adjoint_defect()
-        if idem > PROJECTION_TOL or sa > PROJECTION_TOL:
-            raise ValueError(
-                f"not a projection: idempotency residual {idem:.3e}, "
-                f"self-adjointness residual {sa:.3e} (tol {PROJECTION_TOL:.1e})"
-            )
-        object.__setattr__(self, "op", op)
+        _check_projections([a[None] for a in op.blocks])
         if cotrace is None:
             alg = op.algebra
             cotrace = float(
                 (trace(alg, alg.identity()) - trace(alg, op)).real
             )
+        object.__setattr__(self, "op", op)
         object.__setattr__(self, "cotrace", float(cotrace))
+
+    @classmethod
+    def _checked(cls, op: Operator, cotrace: float) -> "Projection":
+        """A member of a stack that :func:`_check_projections` has passed."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "op", op)
+        object.__setattr__(e, "cotrace", float(cotrace))
+        return e
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Projection is immutable")
@@ -390,24 +393,36 @@ class Projection:
         return f"Projection(ranks={self.ranks()}, cotrace={self.cotrace:.6g})"
 
 
+def _check_projections(blocks: Sequence[np.ndarray]) -> None:
+    """The :class:`Projection` rule for every member of a per-block stacked
+    family: idempotency and self-adjointness residuals at most
+    ``PROJECTION_TOL``, one batched norm per block for each; raises on the
+    worst member."""
+    idem = op_norms([e @ e - e for e in blocks])
+    sa = op_norms([e - e.conj().swapaxes(1, 2) for e in blocks])
+    worst = int(np.argmax(np.maximum(idem, sa)))
+    if idem[worst] > PROJECTION_TOL or sa[worst] > PROJECTION_TOL:
+        raise ValueError(
+            f"not a projection: idempotency residual {idem[worst]:.3e}, "
+            f"self-adjointness residual {sa[worst]:.3e} (tol {PROJECTION_TOL:.1e})"
+        )
+
+
 def spectral_projection(res: SpectralResolution, level: float | Sequence[float]) -> Projection:
     """Projection onto eigenvectors with eigenvalue <= ``level + SPECTRAL_INCLUDE``.
 
     Ties at the threshold are included, so the co-trace never exceeds the
     weighted count of eigenvalues strictly above the level.  On a stacked
     resolution member i is cut at ``level[i]`` (or a shared level), and the
-    result is the meet of the cuts of co-trace > 0 (:func:`meet_complements`).
+    result is the meet of the cuts (:func:`meet_complements`); with a leading
+    case axis, members (k, m), it is the list of the k meets.
     """
     alg, drops = res.algebra, res._drops(level)
-    cotrace = res.cut_cotrace(level)
     if drops[0].ndim == 1:
         blocks = [v[:, ~d] @ v[:, ~d].conj().T for v, d in zip(res.eigenvectors, drops)]
-        return Projection(Operator(alg, blocks), cotrace=float(cotrace))
-    cut = cotrace > 0
-    if not cut.any():
-        return Projection(alg.identity(), cotrace=0.0)
+        return Projection(Operator(alg, blocks), cotrace=float(res.cut_cotrace(level)))
     return meet_complements(alg, [
-        (v[cut] * d[cut][:, None, :]) @ v[cut].conj().swapaxes(1, 2)
+        (v * d[..., None, :]) @ v.conj().swapaxes(-1, -2)
         for v, d in zip(res.eigenvectors, drops)
     ])
 
@@ -433,22 +448,42 @@ def meet_all(projections: Iterable[Projection]) -> Projection:
     return meet_complements(alg, [np.eye(n) - a for n, a in zip(alg.blocks, stacks)])
 
 
-def meet_complements(alg: TracialAlgebra, stacks: Sequence[np.ndarray]) -> Projection:
-    """Meet of projections given per block as complement stacks ``(m, n, n)``.
+def meet_complements(
+    alg: TracialAlgebra, stacks: Sequence[np.ndarray]
+) -> Projection | list[Projection]:
+    """Meet of projections given per block as complement stacks ``(m, n, n)``;
+    with a leading case axis, ``(k, m, n, n)`` per block, the list of the k
+    meets, from one batched SVD per block and checked as one stack.
 
     The meet is the null space of one SVD of the ``(m n, n)`` stack (Bjorck
     and Golub 1973); singular values below ``MEET_RANK_TOL * n`` count as
     zero, a cutoff that separates it from roundoff and can widen for
-    ill-conditioning.
+    ill-conditioning.  Zero complements (identity members) leave the null
+    space unchanged, and a case whose complements are all zero meets to the
+    identity exactly.
     """
+    one = stacks[0].ndim == 3
+    cases = [a[None] for a in stacks] if one else list(stacks)
+    k = len(cases[0])
+    trivial = ~np.any([np.any(a, axis=(1, 2, 3)) for a in cases], axis=0)
     blocks = []
-    cotrace = 0.0
-    for n, c, comp in zip(alg.blocks, alg.weights, stacks):
-        _, s, vh = np.linalg.svd(comp.reshape(-1, n), full_matrices=False)
-        basis = vh[s <= MEET_RANK_TOL * n].conj().T
-        blocks.append(basis @ basis.conj().T)
-        cotrace += c * float(n - basis.shape[1])
-    return Projection(Operator(alg, blocks), cotrace=cotrace)
+    cotrace = np.zeros(k)
+    for n, c, comp in zip(alg.blocks, alg.weights, cases):
+        _, s, vh = np.linalg.svd(comp.reshape(k, -1, n), full_matrices=False)
+        null = s <= MEET_RANK_TOL * n
+        basis = vh.conj().swapaxes(1, 2) * null[:, None, :]
+        # + 0.0 gives the masked columns' -0.0 entries the sign of an empty sum
+        e = basis @ basis.conj().swapaxes(1, 2) + 0.0
+        e[trivial] = np.eye(n)
+        blocks.append(e)
+        cotrace += c * np.where(trivial, 0, n - null.sum(axis=1))
+    if one:
+        return Projection(Operator(alg, [e[0] for e in blocks]), cotrace=float(cotrace[0]))
+    _check_projections(blocks)
+    return [
+        Projection._checked(Operator(alg, [e[i] for e in blocks]), c)
+        for i, c in enumerate(cotrace)
+    ]
 
 
 # ---------------------------------------------------------------------------

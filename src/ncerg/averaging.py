@@ -16,9 +16,12 @@ bound read r alone.  One doubling core serves both integrators: composite
 Gauss-Legendre panels whose count doubles until the difference between
 successive refinements drops below ``QUAD_RTOL`` (in the operator norm for
 ``integrate_flow``), for at most ``MAX_REFINEMENTS`` doublings.  These are
-constants, not settings.  Weight values are taken exactly at the quadrature
-nodes, never interpolated.  ``integrate_flow`` also serves as the independent
-oracle for the closed forms in the tests, at a tighter ``rtol``.
+constants, not settings.  A built-in residual (:class:`Residual`) declares
+its kinks, the points where r or |r| is not smooth, and both integrators cut
+their panels there, so every panel holds a smooth piece.  Weight values are
+taken exactly at the quadrature nodes, never interpolated.  ``integrate_flow``
+also serves as the independent oracle for the closed forms in the tests, at
+a tighter ``rtol``.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .semigroups import Semigroup
 __all__ = [
     "QuadratureError",
     "QuadratureResult",
+    "Residual",
     "integrate_flow",
     "integrate_scalar",
     "cesaro_average",
@@ -58,6 +62,7 @@ QUAD_RTOL = 1e-10  # relative change between passes at which the doubling stops
 MAX_REFINEMENTS = 12  # doubling budget: at most 8 * 2**12 nodes per unit length
 SUP_SAMPLES = 1001  # samples of [0, 1] (every t a suite weights) that test a declared sup bound
 SUP_SLACK = 1e-12  # roundoff excess allowed over it, relative to sum |kappa_j| + residual_sup
+MAX_KINKS = 4096  # most kinks a residual declares in (0, T): the panels of a unit interval's last pass
 
 # Roundoff level of a quadrature sum, per unit of its scale
 # sum_k |w_k| * max_k ||f(t_k)|| (Frobenius norm for operators).  On exactly
@@ -90,8 +95,14 @@ class QuadratureResult:
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
-def _panel_points(lo: float, hi: float, panels: int):
-    edges = np.linspace(lo, hi, panels + 1)
+def _panel_points(pieces: Sequence[float], level: int):
+    """Nodes and weights of max(1, ceil(length)) * 2**level panels of 8
+    Gauss-Legendre nodes on each piece between successive ``pieces`` edges."""
+    edges = np.concatenate([
+        *(np.linspace(a, b, max(1, math.ceil(b - a)) * 2**level + 1)[:-1]
+          for a, b in zip(pieces, pieces[1:])),
+        pieces[-1:],
+    ])
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     ts = (mid[:, None] + half[:, None] * _GL_X).ravel()
@@ -99,9 +110,10 @@ def _panel_points(lo: float, hi: float, panels: int):
     return ts, ws
 
 
-def _refine(lo: float, hi: float, rtol: float, evaluate, distance):
-    """The doubling Gauss-Legendre loop behind both integrators: one panel per
-    unit length (at least one) of 8 nodes each to start, doubled per pass.
+def _refine(lo: float, hi: float, rtol: float, evaluate, distance, kinks=()):
+    """The doubling Gauss-Legendre loop behind both integrators.  [lo, hi] is
+    cut at the ``kinks`` inside it; each piece starts with one panel per unit
+    length (at least one) of 8 nodes, doubled per pass.
 
     ``evaluate(ts, ws)`` returns a pass's sum and its roundoff scale
     sum_k |w_k f(t_k)| (or a bound on it); ``distance(cur, prev)`` returns
@@ -113,18 +125,17 @@ def _refine(lo: float, hi: float, rtol: float, evaluate, distance):
     """
     if not hi > lo:
         raise ValueError("integration interval must have hi > lo")
-    panels = max(1, math.ceil(hi - lo))
+    pieces = [lo, *sorted({float(t) for t in kinks if lo < t < hi}), hi]
     prev = None
     err = math.inf
     for level in range(MAX_REFINEMENTS + 1):
-        cur, roundoff = evaluate(*_panel_points(lo, hi, panels))
+        cur, roundoff = evaluate(*_panel_points(pieces, level))
         if prev is not None:
             change, scale = distance(cur, prev)
             err = change / max(scale, _ROUNDOFF * roundoff / rtol, 1e-300)
             if err <= rtol:
                 return cur, err, level, True
         prev = cur
-        panels *= 2
     return cur, err, level, False
 
 
@@ -135,8 +146,10 @@ def integrate_flow(
     hi: float,
     weight: Callable[[np.ndarray], np.ndarray] | None = None,
     rtol: float = QUAD_RTOL,
+    kinks: Sequence[float] = (),
 ) -> QuadratureResult:
-    """integral_lo^hi w(t) a_t(x) dt with doubling Gauss-Legendre panels.
+    """integral_lo^hi w(t) a_t(x) dt with doubling Gauss-Legendre panels, cut
+    at the ``kinks`` of w.
 
     Raises :class:`QuadratureError` when ``MAX_REFINEMENTS`` runs out.  The
     library integrates at ``QUAD_RTOL``; the tests pass a tighter ``rtol``
@@ -153,23 +166,27 @@ def integrate_flow(
     def distance(cur, prev):
         return op_norms([np.stack([c - p, c]) for c, p in zip(cur, prev)]).tolist()
 
-    cur, err, level, converged = _refine(lo, hi, rtol, evaluate, distance)
+    cur, err, level, converged = _refine(lo, hi, rtol, evaluate, distance, kinks)
     if not converged:
         raise QuadratureError(err, rtol, level)
     return QuadratureResult(Operator(sg.algebra, cur), err, level)
 
 
 def integrate_scalar(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, kinks: Sequence[float] = ()
 ) -> tuple[float, float]:
-    """Best-effort scalar integral at ``QUAD_RTOL``; returns (value, error
-    estimate), also when ``MAX_REFINEMENTS`` runs out."""
+    """Best-effort scalar integral at ``QUAD_RTOL``, cut at the ``kinks`` of f;
+    returns (value, error estimate), also when ``MAX_REFINEMENTS`` runs out.
+    Each pass is a pairwise ``np.sum``, not a BLAS dot, so the value does not
+    depend on the BLAS thread count."""
 
     def evaluate(ts, ws):
         fs = np.asarray(f(ts))
-        return float(np.real_if_close(np.dot(ws, fs)).real), float(np.dot(ws, np.abs(fs)))
+        return float(np.sum(ws * fs).real), float(np.sum(ws * np.abs(fs)))
 
-    cur, err, _, _ = _refine(lo, hi, QUAD_RTOL, evaluate, lambda c, p: (abs(c - p), abs(c)))
+    cur, err, _, _ = _refine(
+        lo, hi, QUAD_RTOL, evaluate, lambda c, p: (abs(c - p), abs(c)), kinks
+    )
     return cur, err
 
 
@@ -195,7 +212,7 @@ def _residual_average(sg: Semigroup, b: "BesicovitchWeight", x: Operator, T: flo
     """(1/T) integral_0^T r(t) a_t(x) dt for the residual r of b (zero without one)."""
     if b.residual is None:
         return sg.algebra.zero()
-    return integrate_flow(sg, x, 0.0, T, weight=b.residual).value / T
+    return integrate_flow(sg, x, 0.0, T, weight=b.residual, kinks=b.kinks(T)).value / T
 
 
 def trig_average(
@@ -271,13 +288,27 @@ def trig_value(terms: Sequence[TrigTerm], ts: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Residual:
+    """A residual r(t) that declares its kinks: ``kinks(T)`` holds the points
+    of (0, T) where r or |r| is not smooth (points outside are ignored), at
+    most ``MAX_KINKS`` of them.  The quadrature cuts its panels there."""
+
+    func: Callable[[np.ndarray], np.ndarray]
+    kinks: Callable[[float], Sequence[float]] = lambda T: ()
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        return self.func(ts)
+
+
+@dataclass(frozen=True)
 class BesicovitchWeight:
     """Trigonometric polynomial plus a bounded residual.
 
     ``value(t) = sum_j kappa_j exp(2 pi i theta_j t) + residual(t)``.  The
     residual callable must accept numpy arrays and stay below
     ``residual_sup`` in modulus; ``sup_bound`` is the declared bound on the
-    whole weight (defaults to sum |kappa_j| + residual_sup).
+    whole weight (defaults to sum |kappa_j| + residual_sup).  A
+    :class:`Residual` also declares its kinks; a plain callable declares none.
     """
 
     terms: tuple[TrigTerm, ...]
@@ -303,18 +334,22 @@ class BesicovitchWeight:
             out = out + np.asarray(self.residual(np.asarray(ts, dtype=float)), dtype=complex)
         return out
 
+    def kinks(self, T: float) -> Sequence[float]:
+        """The residual's declared kinks in (0, T)."""
+        return self.residual.kinks(T) if isinstance(self.residual, Residual) else ()
+
     def sup_violation(self, ts: np.ndarray) -> float:
         """max sampled |b(t)| minus the declared bound (negative when fine)."""
         return float(np.max(np.abs(self.value(ts))) - self.sup_bound)
 
     def _mapped(self, term_map, residual_map) -> "BesicovitchWeight":
         """The weight with terms ``term_map(term)`` (each a tuple of terms) and
-        residual ``residual_map(r)``, under the same sup bounds."""
+        residual ``residual_map(r)``, under the same sup bounds and kinks."""
         terms = tuple(new for t in self.terms for new in term_map(t))
         res = None
         if self.residual is not None:
             orig = self.residual
-            res = lambda ts: residual_map(np.asarray(orig(ts))).astype(complex)
+            res = Residual(lambda ts: residual_map(np.asarray(orig(ts))).astype(complex), self.kinks)
         return BesicovitchWeight(terms, res, self.residual_sup, self.sup_bound)
 
     def conjugated(self) -> "BesicovitchWeight":
@@ -348,7 +383,7 @@ def _mean_abs_residual(b: BesicovitchWeight, T: float) -> tuple[float, float]:
     relative error :func:`integrate_scalar` achieved; (0, 0) without one."""
     if b.residual is None:
         return 0.0, 0.0
-    val, err = integrate_scalar(lambda ts: np.abs(b.residual(ts)), 0.0, T)
+    val, err = integrate_scalar(lambda ts: np.abs(b.residual(ts)), 0.0, T, b.kinks(T))
     return val / T, err
 
 
@@ -396,20 +431,33 @@ def substitution_bound_check(
 # weight config loading
 # ---------------------------------------------------------------------------
 
-def residual_from_config(spec: dict | None) -> tuple[Callable | None, float]:
+def residual_from_config(spec: dict | None) -> tuple[Residual | None, float]:
     """Named built-in residuals: none, constant, cos, sin_inv_t, linear_capped.
-    Every number in ``spec`` must be finite (``ConfigError`` otherwise)."""
+    Every number in ``spec`` must be finite (``ConfigError`` otherwise).
+
+    Each declares its kinks in (0, T): the zeros (k + 1/2) pi / |omega| of
+    cos(omega t), the corner cap / slope of linear_capped when positive, and
+    none for constant and sin_inv_t (whose oscillation at 0 no finite set of
+    kinks resolves).
+    """
     require_finite(spec, "residual")
     if spec is None or spec.get("name", "none") == "none":
         return None, 0.0
     name = spec["name"]
     if name == "constant":
         value = complex(spec.get("value", 0.0))
-        return (lambda ts: np.full(np.shape(ts), value)), abs(value)
+        return Residual(lambda ts: np.full(np.shape(ts), value)), abs(value)
     if name == "cos":
         amp = float(spec.get("amplitude", 0.1))
         freq = float(spec.get("frequency", 1.0))
-        return (lambda ts: amp * np.cos(freq * np.asarray(ts))), abs(amp)
+
+        def zeros(T):
+            count = T * abs(freq) / math.pi + 0.5
+            if freq == 0 or not count < MAX_KINKS:
+                return ()
+            return (np.arange(math.floor(count)) + 0.5) * (math.pi / abs(freq))
+
+        return Residual(lambda ts: amp * np.cos(freq * np.asarray(ts)), zeros), abs(amp)
     if name == "sin_inv_t":
         amp = float(spec.get("amplitude", 0.1))
 
@@ -420,11 +468,15 @@ def residual_from_config(spec: dict | None) -> tuple[Callable | None, float]:
             out[nz] = amp * np.sin(1.0 / ts[nz])
             return out
 
-        return res, abs(amp)
+        return Residual(res), abs(amp)
     if name == "linear_capped":
         slope = float(spec.get("slope", 1.0))
         cap = float(spec.get("cap", 1.0))
-        return (lambda ts: np.minimum(slope * np.asarray(ts, dtype=float), cap)), abs(cap)
+        corner = cap / slope if slope != 0 else 0.0
+        return Residual(
+            lambda ts: np.minimum(slope * np.asarray(ts, dtype=float), cap),
+            lambda T: (corner,) if corner > 0 else (),
+        ), abs(cap)
     raise ValueError(f"unknown residual: {name!r}")
 
 

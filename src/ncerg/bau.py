@@ -12,7 +12,8 @@ block in grid order; the public signatures stack their lists and dicts of
 operators once (``algebra.stack_blocks``).  Each certificate cuts all its
 members through one stacked ``spectral_resolution`` (one batched ``eigh`` per
 block) and meets the cuts in one stacked ``spectral_projection`` (one SVD per
-block); compressed norms are batched SVD norms.
+block); compressed norms are batched SVD norms.  The maximal certificates of
+k inputs share one such pass (:func:`maximal_certificates`).
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .algebra import (
     SpectralResolution,
     TracialAlgebra,
     abs_value,
+    hermitian_defects,
     op_norms,
     operator_to_dict,
     pnorm,
@@ -50,6 +52,7 @@ __all__ = [
     "pair_differences",
     "maximal_projection",
     "maximal_projections",
+    "maximal_certificates",
     "double_average_certificate",
     "bau_cauchy_certify",
     "perturbation_transfer",
@@ -194,71 +197,103 @@ def maximal_projections(
     T_grid: Sequence[float],
     family: dict[float, Operator] | Sequence[np.ndarray] | None = None,
 ) -> list[ProjectionCertificate]:
-    """Maximal certificates of one family, one per entry of ``params`` (which
-    must share one p).
+    """Maximal certificates of one family, one per entry of ``params``: the
+    one-input case of :func:`maximal_certificates`.
 
     ``family`` holds the averages y_T, if already computed, keyed by T or as
-    per-block (m, n, n) stacks in grid order.  One stacked spectral
-    resolution diagonalizes every y_T once for every epsilon.  |y_T| has
-    eigenvalues |w| on the same eigenvectors, so each cut drops those with
-    |w| > eps + SPECTRAL_INCLUDE (ties are kept), and the cut co-trace and the
-    Chebyshev bound eps^-p tau(|y_T|^p) come from the same |w|.  Per epsilon,
-    one meet of the cuts (the stacked :func:`spectral_projection`) compresses
-    every average at once.  Its co-trace is compared against C (eps^-1 ||x||_p)^p;
-    exceeding the cap only flags the certificate, and the empirical C
-    realized by the run is reported either way.
+    per-block (m, n, n) stacks in grid order.
+    """
+    if isinstance(family, dict):
+        family = stack_blocks([family[float(T)] for T in T_grid])
+    means = None if family is None else [y[:, None] for y in family]
+    return maximal_certificates(sg, [x], params, T_grid, means)[0]
+
+
+def maximal_certificates(
+    sg: Semigroup,
+    xs: Sequence[Operator],
+    params: Sequence[MaximalParams],
+    T_grid: Sequence[float],
+    means: Sequence[np.ndarray] | None = None,
+) -> list[list[ProjectionCertificate]]:
+    """Maximal certificates of k inputs at once, ``[case][epsilon]``, one per
+    input and entry of ``params`` (which must share one p).
+
+    ``means`` holds the averages y_T of every input, if already computed, as
+    the (m, k, n, n) per-block stacks of ``Semigroup.mean_batch``.  One
+    stacked spectral resolution diagonalizes all k m averages once for every
+    epsilon.  |y_T| has eigenvalues |w| on the same eigenvectors, so each cut
+    drops those with |w| > eps + SPECTRAL_INCLUDE (ties are kept), and the
+    cut co-trace and the Chebyshev bound eps^-p tau(|y_T|^p) come from the
+    same |w|.  Per epsilon, the k meets of the cuts come from one stacked
+    :func:`spectral_projection` (one batched SVD per block, uncut members
+    adding zero rows), and the compressed norms of all k m averages from one
+    batched SVD per block.  A meet's co-trace is compared against
+    C (eps^-1 ||x||_p)^p; exceeding the cap only flags the certificate, and
+    the empirical C realized by the run is reported either way.
     """
     if len({q.p for q in params}) != 1:
         raise ValueError("maximal projections need parameters sharing one exponent p")
-    if not x.is_self_adjoint(tol=INPUT_TOL):
+    xstack = stack_blocks(xs)
+    if hermitian_defects(xstack, INPUT_TOL)[0].any():
         raise ValueError("maximal projection needs a self-adjoint operator")
     grid = tuple(float(T) for T in T_grid)
     if any(T <= 0 for T in grid):
         raise ValueError("T grid must be positive")
-    alg = sg.algebra
-    if family is None:
-        ys = [y[:, 0] for y in sg.mean_batch(grid, stack_blocks([x]))]
-    else:
-        ys = stack_blocks([family[T] for T in grid]) if isinstance(family, dict) else family
-    ys = [(y + y.conj().swapaxes(1, 2)) / 2.0 for y in ys]
+    alg, k, m = sg.algebra, len(xs), len(grid)
+    ys = []  # case-major (k, m, n, n) per block, symmetrised
+    for y in sg.mean_batch(grid, xstack) if means is None else means:
+        y = y.swapaxes(0, 1)
+        ys.append(y + y.conj().swapaxes(2, 3))
+        ys[-1] /= 2.0
 
-    res = spectral_resolution(ys, alg=alg)
+    res = spectral_resolution([y.reshape(k * m, *y.shape[2:]) for y in ys], alg=alg)
     # |y_T| has the eigenvalues |w| of y_T on the same eigenvectors
-    mags = SpectralResolution(alg, tuple(map(np.abs, res.eigenvalues)), res.eigenvectors)
+    mags = SpectralResolution(
+        alg,
+        tuple(np.abs(w).reshape(k, m, -1) for w in res.eigenvalues),
+        tuple(v.reshape(k, m, *v.shape[1:]) for v in res.eigenvectors),
+    )
     p = params[0].p
-    power_trace = sum(c * np.sum(w**p, axis=1) for c, w in zip(alg.weights, mags.eigenvalues))
-    xnorm = pnorm(alg, x, p)
-    certs = []
+    power_trace = sum(c * np.sum(w**p, axis=-1) for c, w in zip(alg.weights, mags.eigenvalues))
+    xnorms = pnorms(alg, [np.linalg.svd(a, compute_uv=False) for a in xstack], p)
+    certs: list[list[ProjectionCertificate]] = [[] for _ in xs]
     for q in params:
         eps = q.epsilon
-        e = spectral_projection(mags, eps)
-        chebyshev = np.column_stack([grid, mags.cut_cotrace(eps), eps ** (-p) * power_trace])
-        achieved = float(compressed_norms(e, ys).max())
-        cap = q.C * (xnorm / eps) ** p if xnorm > 0 else 0.0
-        empirical_c = e.cotrace / ((xnorm / eps) ** p) if xnorm > 0 else 0.0
-        flags = []
-        if achieved > eps + BOUND_SLACK:
-            flags.append("compressed bound exceeds epsilon")
-        if e.cotrace > cap and xnorm > 0:
-            flags.append("bound exceeded for configured C")
-        certs.append(ProjectionCertificate(
-            projection=e,
-            cotrace=e.cotrace,
-            epsilon=eps,
-            achieved_bound=achieved,
-            family="cesaro averages over T grid",
-            grid=grid,
-            params={
-                "p": p,
-                "C": q.C,
-                "cotrace_cap": cap,
-                "empirical_C": empirical_c,
-                "x_norm_p": xnorm,
-                "chebyshev": chebyshev.tolist(),
-            },
-            flags=tuple(flags),
-            family_ops=ys,
-        ))
+        cotraces = mags.cut_cotrace(eps)
+        es = spectral_projection(mags, eps)
+        achieved = op_norms([
+            (E[:, None] @ y @ E[:, None]).reshape(k * m, *y.shape[2:])
+            for E, y in zip(stack_blocks([e.op for e in es]), ys)
+        ]).reshape(k, m).max(axis=1)
+        for case, (e, xnorm) in enumerate(zip(es, xnorms)):
+            chebyshev = np.column_stack([grid, cotraces[case], eps ** (-p) * power_trace[case]])
+            cap = q.C * (xnorm / eps) ** p if xnorm > 0 else 0.0
+            empirical_c = e.cotrace / ((xnorm / eps) ** p) if xnorm > 0 else 0.0
+            bound = float(achieved[case])
+            flags = []
+            if bound > eps + BOUND_SLACK:
+                flags.append("compressed bound exceeds epsilon")
+            if e.cotrace > cap and xnorm > 0:
+                flags.append("bound exceeded for configured C")
+            certs[case].append(ProjectionCertificate(
+                projection=e,
+                cotrace=e.cotrace,
+                epsilon=eps,
+                achieved_bound=bound,
+                family="cesaro averages over T grid",
+                grid=grid,
+                params={
+                    "p": p,
+                    "C": q.C,
+                    "cotrace_cap": cap,
+                    "empirical_C": empirical_c,
+                    "x_norm_p": xnorm,
+                    "chebyshev": chebyshev.tolist(),
+                },
+                flags=tuple(flags),
+                family_ops=[y[case] for y in ys],
+            ))
     return certs
 
 

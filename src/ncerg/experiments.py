@@ -61,6 +61,7 @@ from .bau import (
     bau_cauchy_certify,
     double_average_certificate,
     lp_limit_check,
+    maximal_certificates,
     maximal_projections,
     perturbation_transfer,
 )
@@ -398,20 +399,18 @@ def _suite_maximal(env: _Env) -> None:
     T_grid = np.geomspace(cfg.T_lo, cfg.T_hi, cfg.T_n)
     params = [MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps) for eps in cfg.maximal_epsilons]
 
-    means = sg.mean_batch(T_grid, stack_blocks(xs))
-    rows = [[] for _ in params]  # per epsilon, so the table is epsilon-major
-    bound_ok = True
-    cmax = [-math.inf for _ in params]  # per epsilon, the largest empirical C
-    for case, x in enumerate(xs):
-        certs = maximal_projections(sg, x, params, T_grid, family=[y[:, case] for y in means])
-        for i, (eps, cert) in enumerate(zip(cfg.maximal_epsilons, certs)):
-            cap, emp_c = cert.params["cotrace_cap"], cert.params["empirical_C"]
-            rows[i].append((eps, case, cert.cotrace, cert.achieved_bound, cap, emp_c))
-            bound_ok &= cert.achieved_bound <= eps + 1e-8
-            cmax[i] = max(cmax[i], emp_c)
-            if case == 0:
-                env.write_cert(f"maximal_eps{_fmt(eps)}", cert.to_json_dict())
-    env.write_table("maximal", [row for eps_rows in rows for row in eps_rows])
+    certs = maximal_certificates(sg, xs, params, T_grid)  # [case][epsilon]
+    rows = [  # epsilon-major
+        (eps, case, c.cotrace, c.achieved_bound, c.params["cotrace_cap"], c.params["empirical_C"])
+        for i, eps in enumerate(cfg.maximal_epsilons)
+        for case, c in enumerate(cs[i] for cs in certs)
+    ]
+    for i, eps in enumerate(cfg.maximal_epsilons):
+        env.write_cert(f"maximal_eps{_fmt(eps)}", certs[0][i].to_json_dict())
+    env.write_table("maximal", rows)
+    bound_ok = all(bound <= eps + 1e-8 for eps, _, _, bound, _, _ in rows)
+    # per epsilon, the largest empirical C
+    cmax = [max(cs[i].params["empirical_C"] for cs in certs) for i in range(len(params))]
     finite = all(math.isfinite(c) and c > 0 for c in cmax)
     stable = finite and max(cmax) / min(cmax) < 10.0
     env.passed["maximal:compressed_bounds"] = bound_ok
@@ -556,11 +555,15 @@ _SUITES: dict[str, Callable[[_Env], None]] = {
 
 
 def run(config: ExperimentConfig, suite: str, outdir: str | Path) -> RunReport:
-    """Execute a named suite; writes tables, certificates and report.json."""
+    """Execute a named suite; writes tables, certificates and report.json into
+    ``outdir``, which must be new or empty (``ConfigError`` otherwise), so no
+    file of an earlier run is left in the tree."""
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     out = Path(outdir)
     try:
+        if out.is_dir() and any(out.iterdir()):
+            raise ConfigError(f"output directory {out} is not empty")
         (out / "tables").mkdir(parents=True, exist_ok=True)
         (out / "certs").mkdir(parents=True, exist_ok=True)
     except OSError as exc:

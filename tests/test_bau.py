@@ -40,6 +40,7 @@ from ncerg.bau import (
     ScheduleExhaustedError,
     TransferPremiseError,
     first_index_below,
+    maximal_certificates,
     maximal_projections,
 )
 from ncerg.semigroups import lindblad_generator
@@ -219,6 +220,33 @@ def test_maximal_projections_match_per_epsilon_calls(alg6, rng, p):
         assert all(np.array_equal(a, b) for a, b in pairs)
         assert (got.cotrace, got.achieved_bound) == (want.cotrace, want.achieved_bound)
         assert (got.epsilon, got.params, got.flags) == (q.epsilon, want.params, want.flags)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_maximal_certificates_match_per_case_calls(alg6, p):
+    # one stacked pass over k inputs gives each input's certificates, among
+    # them inputs that no epsilon cuts (a zero and a small multiple)
+    rng = np.random.default_rng(41)
+    sg = UnitaryFlow(alg6, random_self_adjoint(alg6, rng, norm=1.0))
+    xs = [random_self_adjoint(alg6, rng, norm=1.0) for _ in range(4)]
+    xs += [0.05 * xs[0], alg6.zero()]
+    grid = np.geomspace(1e-3, 2.0, 7)
+    params = [MaximalParams(1.0, p, eps) for eps in (0.5, 0.2, 0.1)]
+    stacked = maximal_certificates(sg, xs, params, grid)
+    assert len(stacked) == len(xs)
+    for x, got_certs in zip(xs, stacked):
+        for got, want in zip(got_certs, maximal_projections(sg, x, params, grid), strict=True):
+            assert got.cotrace == want.cotrace
+            assert (got.epsilon, got.params, got.flags) == (want.epsilon, want.params, want.flags)
+            assert got.achieved_bound == pytest.approx(want.achieved_bound, rel=0, abs=1e-12)
+            for a, b in zip(got.projection.op.blocks, want.projection.op.blocks):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    uncut = [c.cotrace for c in stacked[-2] + stacked[-1]]
+    assert uncut == [0.0] * 6
+    assert all(
+        np.array_equal(a, np.eye(len(a)))
+        for c in stacked[-1] for a in c.projection.op.blocks
+    )
 
 
 def test_maximal_projections_need_one_exponent(alg, rng):

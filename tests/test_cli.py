@@ -193,9 +193,25 @@ def test_cli_out_under_a_regular_file_exits_two(tmp_path, capsys, sub):
     assert taken.read_text() == "kept"
 
 
+def test_cli_refuses_an_out_that_holds_entries(tmp_path, capsys):
+    # an empty directory is taken; one holding a file or an earlier run is
+    # refused with exit 2 and left as it was
+    assert main(["run", "--suite", "besicovitch", "--out", str(tmp_path)]) == 0
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    (stale / "old.txt").write_text("kept")
+    for out in (tmp_path, stale):
+        capsys.readouterr()
+        before = tree_bytes(out)
+        code = main(["run", "--suite", "besicovitch", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: output directory {out} is not empty\n"
+        assert tree_bytes(out) == before
+
+
 def test_cli_unconverged_quadrature_exits_two(tmp_path, capsys, monkeypatch):
-    # one doubling cannot reach QUAD_RTOL on the default weight's residual
-    monkeypatch.setattr(averaging, "MAX_REFINEMENTS", 1)
+    # without a doubling there is no error estimate, so nothing converges
+    monkeypatch.setattr(averaging, "MAX_REFINEMENTS", 0)
     code = main(["run", "--suite", "weighted-avg", "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: quadrature did not converge")

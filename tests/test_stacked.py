@@ -669,7 +669,7 @@ def test_assembly_evaluates_each_input_once(alg6, monkeypatch):
 
 
 def test_maximal_suite_resolves_each_family_once(tmp_path, monkeypatch):
-    # one stacked spectral resolution per case serves all three epsilons
+    # one stacked spectral resolution serves every case and all three epsilons
     calls = []
     resolve = bau.spectral_resolution
     monkeypatch.setattr(
@@ -677,4 +677,4 @@ def test_maximal_suite_resolves_each_family_once(tmp_path, monkeypatch):
     )
     cfg = ExperimentConfig(seed=1)
     run(cfg, "maximal", tmp_path)
-    assert (cfg.n_random, len(cfg.maximal_epsilons), len(calls)) == (20, 3, 20)
+    assert (cfg.n_random, len(cfg.maximal_epsilons), len(calls)) == (20, 3, 1)
