@@ -9,10 +9,17 @@ quadrature settings.  One stacked builder, ``double_average_windows``, gives
 the heads, tails and gaps of the double average beta_a(beta_b(x)) - beta_b(x)
 to its two users, the sandwich check (``sandwich_slacks``) and the window
 certificate of :mod:`ncerg.bau`.
-A Besicovitch weight b = P + r is integrated numerically only through its
-residual r: the weighted average is the exact P-average plus the quadrature
-of r, and the local mean gap (1/T) integral |b - P| and the substitution
-bound read r alone.  One doubling core serves both integrators: composite
+A Besicovitch weight b = P + r is exact in P; its residual r is exact too
+when it is itself a trigonometric polynomial that declares its terms
+(``constant`` c is the term c at theta = 0, ``cos`` (a, omega) the terms a/2
+at theta = +-omega / 2 pi).  The averages of many weights, inputs and
+lengths share one :meth:`Semigroup.mean_batch` per term index, with
+per-input lengths and shifts: ``weighted_families`` gives the P- and
+b-weighted families over a T grid, and ``substitution_bound_checks`` checks
+k cases in one pass.  Any other residual (``linear_capped``, ``sin_inv_t``,
+a plain callable) is integrated numerically, and so are the local mean gap
+(1/T) integral |b - P| and the substitution bound's right side, which read
+r alone.  One doubling core serves both integrators: composite
 Gauss-Legendre panels whose count doubles until the difference between
 successive refinements drops below ``QUAD_RTOL`` (in the operator norm for
 ``integrate_flow``), for at most ``MAX_REFINEMENTS`` doublings.  These are
@@ -20,8 +27,9 @@ constants, not settings.  A built-in residual (:class:`Residual`) declares
 its kinks, the points where r or |r| is not smooth, and both integrators cut
 their panels there, so every panel holds a smooth piece.  Weight values are
 taken exactly at the quadrature nodes, never interpolated.  ``integrate_flow``
-also serves as the independent oracle for the closed forms in the tests, at
-a tighter ``rtol``.
+also cross-checks the closed-form residual average in the weighted-avg
+suite, and serves as the independent oracle for the closed forms in the
+tests, at a tighter ``rtol``.
 """
 from __future__ import annotations
 
@@ -31,7 +39,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import INPUT_TOL, Operator, hermitian_defects, min_eig, op_norms, stack_blocks
+from .algebra import (
+    INPUT_TOL,
+    AlgebraMismatchError,
+    Operator,
+    hermitian_defects,
+    min_eig,
+    op_norms,
+    stack_blocks,
+)
 from .config import ConfigError, require_finite
 from .semigroups import Semigroup
 
@@ -44,6 +60,7 @@ __all__ = [
     "cesaro_average",
     "weighted_average",
     "trig_average",
+    "weighted_families",
     "dense_approximant",
     "double_average_windows",
     "sandwich_slacks",
@@ -53,6 +70,7 @@ __all__ = [
     "BesicovitchWeight",
     "besicovitch_error",
     "substitution_bound_check",
+    "substitution_bound_checks",
     "residual_from_config",
     "weight_from_config",
 ]
@@ -202,17 +220,70 @@ def cesaro_average(sg: Semigroup, x: Operator, T: float) -> Operator:
 def weighted_average(sg: Semigroup, b: "BesicovitchWeight", x: Operator, T: float) -> Operator:
     """(1/T) integral_0^T b(t) a_t(x) dt for a bounded weight b.
 
-    The trigonometric part is exact (:func:`trig_average`); only a residual,
-    if the weight has one, goes through :func:`integrate_flow`.
+    The trigonometric part is exact (:func:`trig_average`), and so is a
+    residual that declares its terms; any other residual goes through
+    :func:`integrate_flow`.
     """
     return trig_average(sg, b.terms, x, T) + _residual_average(sg, b, x, T)
 
 
-def _residual_average(sg: Semigroup, b: "BesicovitchWeight", x: Operator, T: float):
+def _one_input(sg: Semigroup, x: Operator) -> list[np.ndarray]:
+    """x as a one-input (1, n, n) stack per block, once it is checked to
+    belong to the algebra of ``sg``."""
+    if x.algebra != sg.algebra:
+        raise AlgebraMismatchError("operator does not belong to this algebra")
+    return stack_blocks([x])
+
+
+def _operators(alg, ys: Sequence[np.ndarray]) -> list[Operator]:
+    """Operators y[q, 0] for every q of (m, 1, n, n) per-block stacks."""
+    return [Operator(alg, [y[q, 0] for y in ys]) for q in range(len(ys[0]))]
+
+
+def _trig_means(
+    sg: Semigroup, term_lists: Sequence[Sequence["TrigTerm"]], xs: Sequence[np.ndarray], Ts
+) -> list[np.ndarray]:
+    """sum_j kappa_cj (1/T) integral_0^T exp(2 pi i theta_cj t) a_t(x_c) dt for
+    every input c of a (k, n, n) stack with its own terms ``term_lists[c]``,
+    at lengths ``Ts`` of shape (m,) or (m, k): (m, k, n, n) per block, from
+    one :meth:`Semigroup.mean_batch` per term index over the inputs that
+    have that term."""
+    Ts = np.asarray(Ts, dtype=float)
+    out = [np.zeros((len(Ts), *a.shape), dtype=complex) for a in xs]
+    for j in range(max(map(len, term_lists), default=0)):
+        cases = [c for c, terms in enumerate(term_lists) if len(terms) > j]
+        kappa = np.array([term_lists[c][j].kappa for c in cases])[:, None, None]
+        shifts = np.array([2j * math.pi * term_lists[c][j].theta for c in cases])
+        lengths = Ts[:, cases] if Ts.ndim == 2 else Ts
+        for o, y in zip(out, sg.mean_batch(lengths, [a[cases] for a in xs], shifts)):
+            o[:, cases] += kappa * y
+    return out
+
+
+def _residual_means(
+    sg: Semigroup, weights: Sequence["BesicovitchWeight"], xs: Sequence[np.ndarray], Ts
+) -> list[np.ndarray]:
+    """(1/T) integral_0^T r_c(t) a_t(x_c) dt for the residual r_c of
+    ``weights[c]`` (zero without one) and every input c of a (k, n, n)
+    stack, at lengths ``Ts`` of shape (m,) or (m, k): (m, k, n, n) per block.
+    Residuals that declare their terms share :func:`_trig_means`; any other
+    goes through :func:`integrate_flow`, one call per length."""
+    Ts = np.asarray(Ts, dtype=float)
+    out = _trig_means(sg, [b.residual_terms or () for b in weights], xs, Ts)
+    for c, b in enumerate(weights):
+        if b.residual is None or b.residual_terms is not None:
+            continue
+        x = Operator(sg.algebra, [a[c] for a in xs])
+        for q, T in enumerate(map(float, Ts[:, c] if Ts.ndim == 2 else Ts)):
+            y = integrate_flow(sg, x, 0.0, T, weight=b.residual, kinks=b.kinks(T)).value / T
+            for o, a in zip(out, y.blocks):
+                o[q, c] = a
+    return out
+
+
+def _residual_average(sg: Semigroup, b: "BesicovitchWeight", x: Operator, T: float) -> Operator:
     """(1/T) integral_0^T r(t) a_t(x) dt for the residual r of b (zero without one)."""
-    if b.residual is None:
-        return sg.algebra.zero()
-    return integrate_flow(sg, x, 0.0, T, weight=b.residual, kinks=b.kinks(T)).value / T
+    return _operators(sg.algebra, _residual_means(sg, [b], _one_input(sg, x), [T]))[0]
 
 
 def trig_average(
@@ -220,10 +291,19 @@ def trig_average(
 ) -> Operator:
     """Average weighted by a trigonometric polynomial alone, in closed form:
     sum_j kappa_j (1/T) integral_0^T exp(2 pi i theta_j t) a_t(x) dt."""
-    return sum(
-        (t.kappa * sg.mean(T, x, 2j * math.pi * t.theta) for t in terms),
-        sg.algebra.zero(),
-    )
+    return _operators(sg.algebra, _trig_means(sg, [terms], _one_input(sg, x), [T]))[0]
+
+
+def weighted_families(
+    sg: Semigroup, b: "BesicovitchWeight", x: Operator, Ts: Sequence[float]
+) -> tuple[list[tuple[float, Operator]], list[tuple[float, Operator]]]:
+    """The families T -> P-weighted average and T -> b-weighted average of x
+    over a T grid, as (T, average) pairs, for b = P + r: one
+    :meth:`Semigroup.mean_batch` per term of P and per declared term of r."""
+    xs = _one_input(sg, x)
+    base = _operators(sg.algebra, _trig_means(sg, [b.terms], xs, Ts))
+    res = _operators(sg.algebra, _residual_means(sg, [b], xs, Ts))
+    return list(zip(Ts, base)), [(T, y + r) for T, y, r in zip(Ts, base, res)]
 
 
 def dense_approximant(sg: Semigroup, x: Operator, k: int) -> Operator:
@@ -291,10 +371,13 @@ def trig_value(terms: Sequence[TrigTerm], ts: np.ndarray) -> np.ndarray:
 class Residual:
     """A residual r(t) that declares its kinks: ``kinks(T)`` holds the points
     of (0, T) where r or |r| is not smooth (points outside are ignored), at
-    most ``MAX_KINKS`` of them.  The quadrature cuts its panels there."""
+    most ``MAX_KINKS`` of them.  The quadrature cuts its panels there.  A
+    residual that is itself a trigonometric polynomial also declares its
+    ``terms``, and its average is then taken in closed form."""
 
     func: Callable[[np.ndarray], np.ndarray]
     kinks: Callable[[float], Sequence[float]] = lambda T: ()
+    terms: tuple[TrigTerm, ...] | None = None
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
         return self.func(ts)
@@ -308,7 +391,8 @@ class BesicovitchWeight:
     residual callable must accept numpy arrays and stay below
     ``residual_sup`` in modulus; ``sup_bound`` is the declared bound on the
     whole weight (defaults to sum |kappa_j| + residual_sup).  A
-    :class:`Residual` also declares its kinks; a plain callable declares none.
+    :class:`Residual` also declares its kinks, and possibly its terms; a plain
+    callable declares neither.
     """
 
     terms: tuple[TrigTerm, ...]
@@ -338,19 +422,32 @@ class BesicovitchWeight:
         """The residual's declared kinks in (0, T)."""
         return self.residual.kinks(T) if isinstance(self.residual, Residual) else ()
 
+    @property
+    def residual_terms(self) -> tuple[TrigTerm, ...] | None:
+        """The residual's declared trigonometric terms, or None."""
+        return self.residual.terms if isinstance(self.residual, Residual) else None
+
     def sup_violation(self, ts: np.ndarray) -> float:
         """max sampled |b(t)| minus the declared bound (negative when fine)."""
         return float(np.max(np.abs(self.value(ts))) - self.sup_bound)
 
     def _mapped(self, term_map, residual_map) -> "BesicovitchWeight":
         """The weight with terms ``term_map(term)`` (each a tuple of terms) and
-        residual ``residual_map(r)``, under the same sup bounds and kinks."""
-        terms = tuple(new for t in self.terms for new in term_map(t))
+        residual ``residual_map(r)``, under the same sup bounds and kinks; the
+        residual's declared terms go through ``term_map`` too."""
+
+        def mapped(terms):
+            return tuple(new for t in terms for new in term_map(t))
+
         res = None
         if self.residual is not None:
-            orig = self.residual
-            res = Residual(lambda ts: residual_map(np.asarray(orig(ts))).astype(complex), self.kinks)
-        return BesicovitchWeight(terms, res, self.residual_sup, self.sup_bound)
+            orig, terms = self.residual, self.residual_terms
+            res = Residual(
+                lambda ts: residual_map(np.asarray(orig(ts))).astype(complex),
+                self.kinks,
+                None if terms is None else mapped(terms),
+            )
+        return BesicovitchWeight(mapped(self.terms), res, self.residual_sup, self.sup_bound)
 
     def conjugated(self) -> "BesicovitchWeight":
         return self._mapped(lambda t: (TrigTerm(t.kappa.conjugate(), -t.theta),), np.conj)
@@ -406,25 +503,47 @@ def besicovitch_error(b: BesicovitchWeight, T_grid: Sequence[float]) -> Besicovi
     return BesicovitchErrorTable(rows, max(v for _, v in tail), tuple(e for _, e in means))
 
 
+def substitution_bound_checks(
+    sg: Semigroup,
+    weights: Sequence[BesicovitchWeight],
+    xs: Sequence[np.ndarray],
+    Ts: Sequence[float],
+) -> np.ndarray:
+    """Compare weighted averages against their trigonometric substitutes,
+    case c pairing ``weights[c]``, input c of a (k, n, n) stack and ``Ts[c]``.
+
+    Returns a (k, 3) array of rows (lhs, rhs, quad_error).  The b- and
+    P-weighted averages of a positive bounded x differ by the residual's
+    average, so lhs is the operator norm of (1/T) integral_0^T r(t) a_t(x) dt;
+    rhs = 2 * ((1/T) integral_0^T |r|) * ||x||, and quad_error is the relative
+    error :func:`integrate_scalar` achieved on that mean gap.  The factor two
+    absorbs the norm growth of the extended flow on non-self-adjoint parts;
+    the contract is lhs <= rhs up to quadrature error.  Every input must be
+    positive at ``INPUT_TOL`` (``ValueError`` names the first case that is
+    not).  The residual averages come from one :meth:`Semigroup.mean_batch`
+    per term index where the residuals declare their terms, and the norms
+    from one batched SVD per block for the lhs and one for ||x||.
+    """
+    xs = [np.asarray(a, dtype=complex) for a in xs]
+    Ts = np.asarray(Ts, dtype=float)
+    if Ts.shape != (len(weights),) or len(xs[0]) != len(weights):
+        raise ValueError("substitution bound needs one weight, input and length per case")
+    fails = hermitian_defects(xs, INPUT_TOL, positive=True)[0]
+    if fails.any():
+        raise ValueError(
+            f"substitution bound needs a positive operator (case {int(np.argmax(fails))})"
+        )
+    lhs = op_norms([y[0] for y in _residual_means(sg, weights, xs, Ts[None, :])])
+    gaps = np.array([_mean_abs_residual(b, float(T)) for b, T in zip(weights, Ts)])
+    return np.column_stack([lhs, 2.0 * gaps[:, 0] * op_norms(xs), gaps[:, 1]])
+
+
 def substitution_bound_check(
     sg: Semigroup, b: BesicovitchWeight, x: Operator, T: float
 ) -> tuple[float, float, float]:
-    """Compare the weighted average against its trigonometric substitute.
-
-    Returns (lhs, rhs, quad_error).  The b- and P-weighted averages of a
-    positive bounded x differ by the residual's average, so lhs is the
-    operator norm of (1/T) integral_0^T r(t) a_t(x) dt; rhs =
-    2 * ((1/T) integral_0^T |r|) * ||x||, and quad_error is the relative
-    error :func:`integrate_scalar` achieved on that mean gap.  The factor two
-    absorbs the norm growth of the extended flow on non-self-adjoint parts;
-    the contract is lhs <= rhs up to quadrature error.  x must be positive
-    at ``INPUT_TOL``.
-    """
-    if not x.is_positive(tol=INPUT_TOL):
-        raise ValueError("substitution bound needs a positive operator")
-    lhs = _residual_average(sg, b, x, T).norm_inf()
-    mean_gap, quad_error = _mean_abs_residual(b, T)
-    return lhs, 2.0 * mean_gap * x.norm_inf(), quad_error
+    """(lhs, rhs, quad_error) of :func:`substitution_bound_checks` for one
+    weight, one positive x and one T."""
+    return tuple(float(v) for v in substitution_bound_checks(sg, [b], _one_input(sg, x), [T])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +557,9 @@ def residual_from_config(spec: dict | None) -> tuple[Residual | None, float]:
     Each declares its kinks in (0, T): the zeros (k + 1/2) pi / |omega| of
     cos(omega t), the corner cap / slope of linear_capped when positive, and
     none for constant and sin_inv_t (whose oscillation at 0 no finite set of
-    kinks resolves).
+    kinks resolves).  constant c declares the term c and cos (a, omega) the
+    terms a/2 at theta = +-omega / 2 pi, so their averages are closed forms;
+    linear_capped and sin_inv_t declare none and go through the quadrature.
     """
     require_finite(spec, "residual")
     if spec is None or spec.get("name", "none") == "none":
@@ -446,7 +567,8 @@ def residual_from_config(spec: dict | None) -> tuple[Residual | None, float]:
     name = spec["name"]
     if name == "constant":
         value = complex(spec.get("value", 0.0))
-        return Residual(lambda ts: np.full(np.shape(ts), value)), abs(value)
+        terms = (TrigTerm(value, 0.0),)
+        return Residual(lambda ts: np.full(np.shape(ts), value), terms=terms), abs(value)
     if name == "cos":
         amp = float(spec.get("amplitude", 0.1))
         freq = float(spec.get("frequency", 1.0))
@@ -457,7 +579,10 @@ def residual_from_config(spec: dict | None) -> tuple[Residual | None, float]:
                 return ()
             return (np.arange(math.floor(count)) + 0.5) * (math.pi / abs(freq))
 
-        return Residual(lambda ts: amp * np.cos(freq * np.asarray(ts)), zeros), abs(amp)
+        # a cos(omega t) = (a/2) (exp(i omega t) + exp(-i omega t))
+        theta = freq / (2.0 * math.pi)
+        terms = (TrigTerm(complex(amp / 2.0), theta), TrigTerm(complex(amp / 2.0), -theta))
+        return Residual(lambda ts: amp * np.cos(freq * np.asarray(ts)), zeros, terms), abs(amp)
     if name == "sin_inv_t":
         amp = float(spec.get("amplitude", 0.1))
 

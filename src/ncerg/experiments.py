@@ -31,17 +31,19 @@ from .algebra import (
     stack_blocks,
 )
 from .averaging import (
+    QUAD_RTOL,
     BesicovitchWeight,
     TrigTerm,
     _residual_average,
     besicovitch_error,
     cesaro_average,
+    integrate_flow,
     residual_from_config,
     sandwich_slacks,
-    substitution_bound_check,
-    trig_average,
+    substitution_bound_checks,
     weight_from_config,
     weighted_average,
+    weighted_families,
 )
 from .banach import (
     AssemblyError,
@@ -439,17 +441,15 @@ def _suite_weighted(env: _Env) -> None:
     cfg, alg, sg = env.cfg, env.alg, env.sg
     rng = env.rng(5)
     T_list = np.geomspace(1e-3, 1.0, 12)
-    rows = []
-    sub_ok = True
-    for case in range(cfg.weighted_cases):
-        b = _random_weight(rng)
-        x = random_positive(alg, rng, norm=1.0)
-        T = float(T_list[case % len(T_list)])
-        lhs, rhs, quad_error = substitution_bound_check(sg, b, x, T)
-        sub_ok &= lhs <= rhs + 1e-8
-        rows.append((T, lhs, rhs, rhs - lhs, quad_error))
+    weights, xs = [], []
+    for _ in range(cfg.weighted_cases):
+        weights.append(_random_weight(rng))
+        xs.append(random_positive(alg, rng, norm=1.0))
+    Ts = T_list[np.arange(cfg.weighted_cases) % len(T_list)]
+    checks = substitution_bound_checks(sg, weights, stack_blocks(xs), Ts)
+    rows = [(float(T), lhs, rhs, rhs - lhs, err) for T, (lhs, rhs, err) in zip(Ts, checks.tolist())]
     env.write_table("weighted_avg", rows)
-    env.passed["weighted-avg:substitution_bound"] = sub_ok
+    env.passed["weighted-avg:substitution_bound"] = all(r[1] <= r[2] + 1e-8 for r in rows)
 
     # structural identities of the weighted average on the configured weight
     b = env.weight
@@ -471,11 +471,16 @@ def _suite_weighted(env: _Env) -> None:
     env.passed["weighted-avg:decomposition"] = decomp_gap <= 1e-12 * scale
     env.passed["weighted-avg:domination"] = domination >= -1e-8
     env.passed["weighted-avg:norm_bound"] = norm_ok
+    if b.residual_terms is not None:
+        # the closed-form residual average against the adaptive quadrature
+        quad = integrate_flow(sg, x, 0.0, T, weight=b.residual, kinks=b.kinks(T)).value / T
+        gap = (_residual_average(sg, b, x, T) - quad).norm_inf()
+        env.passed["weighted-avg:residual_quadrature"] = (
+            gap <= QUAD_RTOL * b.residual_sup * x.norm_inf()
+        )
 
     # transfer from the trig-only averages to the full weighted averages
-    Ts = [2.0**-k for k in range(11)]
-    base = [(T, trig_average(sg, b.terms, x, T)) for T in Ts]
-    tilde = [(T, y + _residual_average(sg, b, x, T)) for T, y in base]
+    base, tilde = weighted_families(sg, b, x, [2.0**-k for k in range(11)])
     base_cert = bau_cauchy_certify(
         base, epsilon=0.1 * alg.trace_of_identity, tol=1e-3 * x.norm_inf()
     )

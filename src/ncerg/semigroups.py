@@ -30,7 +30,8 @@ L W = W diag(mu), which need not be unitary: a_t(x) = W (exp(t mu) o W^-1 vec x)
 Every semigroup also has the closed-form mean (1/T) integral_0^T e^{st} a_t(x)
 dt.  :meth:`Semigroup.mean_batch` evaluates it for a whole T grid and input
 stack on the same core, with the multiplier phi1(T (Lambda + s)) in place of
-exp(t Lambda) (phi1(T (mu + s)) for GeneratorExp), where phi1(z) = (e^z - 1)/z.
+exp(t Lambda) (phi1(T (mu + s)) for GeneratorExp), where phi1(z) = (e^z - 1)/z;
+the lengths T and shifts s may be shared by the stack or given per input.
 :meth:`Semigroup.mean` is its one-T, one-input case.
 
 ``validate_absolute_contraction`` produces a :class:`ValidationReport` that
@@ -138,11 +139,13 @@ class Semigroup:
     for the standard basis, and Lambda an entrywise rate matrix or a scalar.
     ``_modal`` evaluates V (M o V* x V) V* for an entrywise multiplier M built
     from Lambda, on block arrays with any leading axes.  ``_stack(ts, xs, s)``
-    takes per-block input stacks of shape (k, n, n) and returns arrays of
-    shape (len(ts), k, n, n): its multiplier exp(t Lambda), or phi1(t (Lambda
-    + s)) for the mean when a shift s is given, has shape (len(ts), 1, n, n)
-    and broadcasts against V* X V.  ``GeneratorExp``, whose basis acts on the
-    vectorized algebra and is not unitary, overrides ``_stack``.
+    takes per-block input stacks of shape (k, n, n), times ``ts`` of shape
+    (m, 1) or (m, k) (shared or per input) and, for the mean, shifts ``s`` of
+    shape (1,) or (k,), and returns arrays of shape (m, k, n, n): its
+    multiplier exp(t Lambda), or phi1(t (Lambda + s)) when shifts are given,
+    has shape (m, 1 or k, n, n) and broadcasts against V* X V.
+    ``GeneratorExp``, whose basis acts on the vectorized algebra and is not
+    unitary, overrides ``_stack``.
     """
 
     variant: str = "abstract"
@@ -177,10 +180,11 @@ class Semigroup:
         return out
 
     def _stack(
-        self, ts: np.ndarray, xs: list[np.ndarray], s: complex | None = None
+        self, ts: np.ndarray, xs: list[np.ndarray], s: np.ndarray | None = None
     ) -> list[np.ndarray]:
-        tt = ts[:, None, None, None]
-        return self._modal(xs, lambda lam: _multiplier(tt, lam, s))
+        tt = ts[:, :, None, None]
+        ss = None if s is None else s[None, :, None, None]
+        return self._modal(xs, lambda lam: _multiplier(tt, lam, ss))
 
     def _inputs(self, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
         xs = [np.asarray(a, dtype=complex) for a in xs]
@@ -206,7 +210,7 @@ class Semigroup:
         if np.any(ts < 0):
             raise ValueError("negative times are not in the semigroup domain")
         xs = self._inputs(xs)
-        out = self._stack(ts, xs)
+        out = self._stack(ts[:, None], xs)
         at_zero = ts == 0
         if at_zero.any():
             for o, a in zip(out, xs):
@@ -221,14 +225,25 @@ class Semigroup:
         return [s[:, 0] for s in self.propagate_batch(ts, [a[None] for a in x.blocks])]
 
     def mean_batch(
-        self, Ts: np.ndarray, xs: Sequence[np.ndarray], s: complex = 0.0
+        self, Ts: np.ndarray, xs: Sequence[np.ndarray], s: complex | np.ndarray = 0.0
     ) -> list[np.ndarray]:
         """(1/T) integral_0^T e^{st} a_t(x) dt in closed form for every T > 0
-        in ``Ts`` and every input of a stack; shapes as :meth:`propagate_batch`."""
+        in ``Ts`` and every input of a stack; shapes as :meth:`propagate_batch`.
+
+        ``Ts`` of shape (m,) holds lengths shared by the k inputs; of shape
+        (m, k), row q gives input c the length Ts[q, c].  Likewise ``s`` is one
+        shift or one per input, shape (k,).  The result is (m, k, n, n) per
+        block either way.
+        """
+        xs = self._inputs(xs)
+        k = xs[0].shape[0]
         Ts = np.asarray(Ts, dtype=float)
-        if Ts.ndim != 1 or not np.all(Ts > 0):
-            raise ValueError("averaging lengths T must be one-dimensional and > 0")
-        return self._stack(Ts, self._inputs(xs), complex(s))
+        s = np.asarray(s, dtype=complex)
+        if Ts.ndim not in (1, 2) or not np.all(Ts > 0):
+            raise ValueError("averaging lengths T must be of shape (m,) or (m, k) and > 0")
+        if Ts.ndim == 2 and Ts.shape[1] != k or s.shape not in ((), (k,)):
+            raise ValueError(f"per-input lengths and shifts need one column per input ({k})")
+        return self._stack(Ts.reshape(len(Ts), -1), xs, s.reshape(-1))
 
     def mean(self, T: float, x: Operator, s: complex = 0.0) -> Operator:
         """(1/T) integral_0^T e^{st} a_t(x) dt in closed form, T > 0: the
@@ -338,7 +353,8 @@ class GeneratorExp(Semigroup):
     (None for a singular W), ``backward_error`` ||LW - W diag mu||_1 /
     (||L||_1 ||W||_1).  Above ``EIGEN_TOL`` (a defective or nearly defective
     L) ``path`` is "dense": a_t is expm(tL), and the mean at T is the top-right
-    block of expm([[T (L + s), X], [0, 0]]), phi1(T (L + s)) X (Van Loan 1978).
+    block of expm([[T (L + s), X], [0, 0]]), phi1(T (L + s)) X (Van Loan 1978),
+    one expm per T for shared lengths and shift and one per T and input else.
     """
 
     variant = "generator_exp"
@@ -382,16 +398,23 @@ class GeneratorExp(Semigroup):
         cols = _vecs(xs).T  # column c is vec of input c
         if self.path == "eigen":
             w, mu, w_inv = self._eig
-            out = w @ (_multiplier(ts[:, None], mu, s)[:, :, None] * (w_inv @ cols))
+            ss = None if s is None else s[None, None, :]
+            out = w @ (_multiplier(ts[:, None, :], mu[:, None], ss) * (w_inv @ cols))
         elif s is None:
-            out = np.stack([self.propagator(t) @ cols for t in ts])
+            out = np.stack([self.propagator(t) @ cols for t in ts[:, 0]])
         else:
+            # one augmented expm per length for shared lengths and shift, else
+            # one per length and input
             d, k = cols.shape
-            zero = np.zeros((k, d + k))
-            out = np.stack([
-                _expm(np.block([[t * (self.matrix + s * np.eye(d)), cols], [zero]]))[:d, d:]
-                for t in ts
-            ])
+            shared = ts.shape[1] == s.size == 1
+            groups = [slice(None)] if shared else [slice(c, c + 1) for c in range(k)]
+            ts, s = np.broadcast_to(ts, (len(ts), k)), np.broadcast_to(s, (k,))
+            out = np.empty((len(ts), d, k), dtype=complex)
+            for g in groups:
+                gen, x = self.matrix + s[g][0] * np.eye(d), cols[:, g]
+                zero = np.zeros((x.shape[1], d + x.shape[1]))
+                for q, t in enumerate(ts[:, g][:, 0]):
+                    out[q, :, g] = _expm(np.block([[t * gen, x], [zero]]))[:d, d:]
         return _unvecs(self.algebra, out.swapaxes(1, 2))
 
 

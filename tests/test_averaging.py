@@ -24,7 +24,7 @@ from ncerg import (
     substitution_bound_check,
     weighted_average,
 )
-from ncerg.algebra import min_eig, random_operator
+from ncerg.algebra import min_eig, random_operator, stack_blocks
 from ncerg import averaging
 from ncerg.averaging import (
     QUAD_RTOL,
@@ -488,3 +488,71 @@ def test_substitution_bound_needs_positive(alg, rng):
         substitution_bound_check(
             Identity(alg), b, random_self_adjoint(alg, rng) - alg.identity(), 1.0
         )
+
+
+def _mixed_weights():
+    """Weights whose residuals take every path: closed form (cos, twice),
+    none, and quadrature (linear_capped and a plain callable)."""
+    terms = (TrigTerm(0.4, 0.15), TrigTerm(0.2 - 0.1j, -0.3))
+    cos, cos_sup = residual_from_config({"name": "cos", "amplitude": 0.06, "frequency": 5.0})
+    cos2, cos2_sup = residual_from_config({"name": "cos", "amplitude": 0.02, "frequency": -2.0})
+    ramp, ramp_sup = residual_from_config({"name": "linear_capped", "slope": 0.2, "cap": 0.05})
+    return [
+        BesicovitchWeight(terms, cos, cos_sup),
+        BesicovitchWeight(terms[:1]),
+        BesicovitchWeight(terms, ramp, ramp_sup),
+        BesicovitchWeight(terms[1:], lambda ts: 0.04 * np.cos(7.0 * ts), 0.04),
+        BesicovitchWeight(terms[1:], cos2, cos2_sup),
+    ]
+
+
+@pytest.mark.parametrize("variant", ["scalar_decay", "unitary_flow", "generator_exp"])
+def test_substitution_bound_checks_match_per_case_rows(alg, rng, monkeypatch, variant):
+    sg = {
+        "scalar_decay": ScalarDecay(alg, 1.0),
+        "unitary_flow": UnitaryFlow(alg, random_self_adjoint(alg, rng)),
+        "generator_exp": GeneratorExp(
+            alg, lindblad_generator(alg, random_self_adjoint(alg, rng), [random_self_adjoint(alg, rng)])
+        ),
+    }[variant]
+    weights = _mixed_weights()
+    xs = [random_positive(alg, rng, norm=1.0) for _ in weights]
+    # the plain callable's first kink is at pi/14, so its mean gap converges at 0.05
+    Ts = [0.3, 0.9, 1.5, 0.05, 1e-3]
+    calls = []
+    mean_batch, flow = type(sg).mean_batch, averaging.integrate_flow
+    monkeypatch.setattr(type(sg), "mean_batch", lambda *a: calls.append("mean") or mean_batch(*a))
+    monkeypatch.setattr(
+        averaging, "integrate_flow", lambda *a, **kw: calls.append("quad") or flow(*a, **kw)
+    )
+    rows = averaging.substitution_bound_checks(sg, weights, stack_blocks(xs), Ts)
+    # one mean_batch per residual term index, one quadrature per fallback case
+    assert sorted(calls) == ["mean", "mean", "quad", "quad"]
+    assert rows.shape == (len(weights), 3)
+    for row, b, x, T in zip(rows, weights, xs, Ts):
+        want = substitution_bound_check(sg, b, x, T)
+        if variant == "generator_exp":  # its eigenbasis GEMM rounds by column count
+            np.testing.assert_allclose(row, want, rtol=1e-14, atol=0.0)
+        else:
+            np.testing.assert_array_equal(row, want)
+        # the lhs against a quadrature of the whole residual average
+        if b.residual is not None:
+            quad = averaging.integrate_flow(
+                sg, x, 0.0, T, weight=b.residual, rtol=1e-13, kinks=b.kinks(T)
+            ).value / T
+            assert row[0] == pytest.approx(quad.norm_inf(), rel=1e-11)
+        assert row[0] <= row[1]
+
+
+def test_substitution_bound_checks_name_the_first_bad_case(alg, rng):
+    weights = _mixed_weights()
+    xs = [random_positive(alg, rng, norm=1.0) for _ in weights]
+    for bad in (2, 4):
+        members = list(xs)
+        members[bad] = random_self_adjoint(alg, rng) - alg.identity()
+        with pytest.raises(ValueError, match=rf"positive operator \(case {bad}\)"):
+            averaging.substitution_bound_checks(
+                Identity(alg), weights, stack_blocks(members), [0.5] * len(weights)
+            )
+    with pytest.raises(ValueError, match="one weight, input and length per case"):
+        averaging.substitution_bound_checks(Identity(alg), weights, stack_blocks(xs), [0.5])

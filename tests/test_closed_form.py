@@ -4,7 +4,9 @@
 independent oracles check it: ``integrate_flow`` at a tight tolerance on the
 same semigroup, and, for the four fixed-basis variants, the augmented
 matrix exponential of a ``GeneratorExp`` built from the variant's generator,
-which shares no code with their evaluation core.
+which shares no code with their evaluation core.  The averages of the
+residuals that declare their trigonometric terms (``cos`` and ``constant``)
+are held to the same quadrature oracle.
 """
 import cmath
 import math
@@ -29,8 +31,14 @@ from ncerg import (
     trig_average,
     weighted_average,
 )
+from ncerg import semigroups
 from ncerg.algebra import random_operator, stack_blocks
-from ncerg.averaging import double_average_windows, integrate_flow
+from ncerg.averaging import (
+    _residual_average,
+    double_average_windows,
+    integrate_flow,
+    residual_from_config,
+)
 from ncerg.semigroups import generator_from_map, lindblad_generator, phi1
 
 ORACLE = 1e-13  # rtol of the quadrature oracle, tighter than the library's
@@ -204,3 +212,33 @@ def test_weighted_average_adds_residual_by_quadrature(alg, rng):
     for T in (0.01, 0.5, 3.0):
         want = integrate_flow(sg, x, 0.0, T, weight=b.value, rtol=ORACLE).value / T
         assert_close(weighted_average(sg, b, x, T), want, x)
+
+
+# residuals that declare their terms, so that their averages are closed forms
+RESIDUAL_SPECS = {
+    "cos": {"name": "cos", "amplitude": 0.07, "frequency": 7.0},
+    "cos_zero_frequency": {"name": "cos", "amplitude": -0.05, "frequency": 0.0},
+    "cos_negative_frequency": {"name": "cos", "amplitude": 0.04, "frequency": -3.3},
+    "constant_complex": {"name": "constant", "value": 0.03 - 0.02j},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(RESIDUAL_SPECS))
+def test_residual_average_matches_quadrature(spec, alg, rng, monkeypatch):
+    # every variant, the dense fallback of GeneratorExp included, and the
+    # conjugate, real and imaginary parts, whose terms are mapped too
+    named = {name: sg for name, (sg, _) in variants(alg, rng).items()}
+    monkeypatch.setattr(semigroups, "EIGEN_TOL", 0.0)
+    named["generator_exp_dense"] = GeneratorExp(alg, named["generator_exp"].matrix)
+    assert named["generator_exp"].path == "eigen" and named["generator_exp_dense"].path == "dense"
+    res, sup = residual_from_config(RESIDUAL_SPECS[spec])
+    b = BesicovitchWeight((TrigTerm(0.4 - 0.1j, 0.15),), res, sup)
+    x = random_operator(alg, rng)
+    for name, sg in named.items():
+        for part in (b, b.conjugated(), b.real_part(), b.imag_part()):
+            assert part.residual_terms is not None
+            for T in (1e-3, 0.37, 2.0):
+                quad = integrate_flow(
+                    sg, x, 0.0, T, weight=part.residual, rtol=ORACLE, kinks=part.kinks(T)
+                )
+                assert_close(_residual_average(sg, part, x, T), quad.value / T, x)

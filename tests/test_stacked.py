@@ -54,7 +54,7 @@ from ncerg import (
     spectral_resolution,
     trace,
 )
-from ncerg import bau
+from ncerg import bau, experiments, semigroups
 from ncerg.algebra import (
     INPUT_TOL,
     Projection,
@@ -63,7 +63,15 @@ from ncerg.algebra import (
     random_operator,
     stack_blocks,
 )
-from ncerg.averaging import double_average_windows, sandwich_check, sandwich_slacks
+from ncerg.averaging import (
+    double_average_windows,
+    sandwich_check,
+    sandwich_slacks,
+    trig_average,
+    weight_from_config,
+    weighted_average,
+    weighted_families,
+)
 from ncerg.banach import ApproximationScheme, AssemblyError, ConditionOneOracle
 from ncerg.bau import (
     MaximalParams,
@@ -71,7 +79,7 @@ from ncerg.bau import (
     ScheduleExhaustedError,
     _cauchy_certify,
 )
-from ncerg.experiments import ExperimentConfig, _Env, run
+from ncerg.experiments import ExperimentConfig, _Env, _random_weight, run
 from oracles import compressed_norm
 
 # unequal blocks, so a swapped block index shows
@@ -134,6 +142,35 @@ def test_mean_batch_couples_blocks_and_validates():
             sg.mean_batch(Ts, good)
     with pytest.raises(ValueError):
         sg.mean_batch([0.5], good[:1])
+
+
+@pytest.mark.parametrize(
+    "name", [*variants(ALG, np.random.default_rng(0)), "generator_exp_dense"]
+)
+def test_mean_batch_takes_per_input_lengths_and_shifts(name, monkeypatch):
+    rng = np.random.default_rng(33)
+    named = variants(ALG, rng)
+    if name == "generator_exp_dense":
+        monkeypatch.setattr(semigroups, "EIGEN_TOL", 0.0)
+        named[name] = GeneratorExp(ALG, named["generator_exp"].matrix)
+        assert named[name].path == "dense" and named["generator_exp"].path == "eigen"
+    sg = named[name]
+    xs = [random_operator(ALG, rng) for _ in range(3)]
+    # 3e-9 keeps |T (Lambda + s)| below 1e-8: the phi1 series branch
+    Ts = np.array([[4.0, 0.37, 1e-3], [3e-9, 1.0, 0.37]])
+    shifts = 2j * math.pi * np.array([0.15, 0.0, -0.4])
+    # (m, k) lengths with (k,) shifts, with one shift, and (m,) lengths with (k,) shifts
+    for lengths, s in ((Ts, shifts), (Ts, 0.3j), (Ts[0], shifts)):
+        out = sg.mean_batch(lengths, stack_blocks(xs), s)
+        assert [y.shape for y in out] == [(len(lengths), 3, n, n) for n in ALG.blocks]
+        for q, c in itertools.product(range(len(lengths)), range(3)):
+            T = lengths[q, c] if lengths.ndim == 2 else lengths[q]
+            want = sg.mean(T, xs[c], s if np.ndim(s) == 0 else s[c])
+            assert close(Operator(ALG, [y[q, c] for y in out]), want, 1e-14), (name, q, c)
+    # lengths or shifts for a k other than the input count
+    for lengths, s in ((Ts[:, :2], 0.0), (Ts[0], shifts[:2]), (Ts, shifts[None]), (Ts[None], 0.0)):
+        with pytest.raises(ValueError):
+            sg.mean_batch(lengths, stack_blocks(xs), s)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +497,64 @@ def test_input_checks_share_one_rule():
         else:
             with pytest.raises(ValueError, match="positive operator"):
                 sandwich_slacks(sg, xs, [0.5, 0.1], 1.0)
+
+
+@pytest.mark.parametrize("variant", ["unitary_flow", "generator_exp"])
+def test_weighted_table_matches_per_case_check(tmp_path, variant):
+    # the stacked substitution pass against one check per case, drawn in
+    # the suite's order
+    cfg = ExperimentConfig(blocks=(2, 3), semigroup={"variant": variant}, weighted_cases=14)
+    run(cfg, "weighted-avg", tmp_path)
+    with open(tmp_path / "tables" / "weighted_avg.csv", newline="") as fh:
+        got = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    env = _Env(cfg, tmp_path)
+    rng = env.rng(5)
+    T_list = np.geomspace(1e-3, 1.0, 12)
+    want = []
+    for case in range(cfg.weighted_cases):
+        b, x, T = _random_weight(rng), random_positive(env.alg, rng, norm=1.0), T_list[case % 12]
+        lhs, rhs, err = substitution_bound_check(env.sg, b, x, float(T))
+        want.append([T, lhs, rhs, rhs - lhs, err])
+    assert len(got) == len(want) == cfg.weighted_cases
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("residual", ["cos", "linear_capped"])
+def test_weighted_families_match_per_T_averages(residual):
+    rng = np.random.default_rng(34)
+    spec = {
+        "cos": {"name": "cos", "amplitude": 0.04, "frequency": 7.0},
+        "linear_capped": {"name": "linear_capped", "slope": 0.2, "cap": 0.05},
+    }[residual]
+    b = weight_from_config({"trig": [{"kappa_re": 0.5, "theta": 0.3}], "residual": spec})
+    Ts = [2.0**-k for k in range(11)]
+    for name, sg in variants(ALG, rng).items():
+        x = random_positive(ALG, rng, norm=1.0)
+        base, tilde = weighted_families(sg, b, x, Ts)
+        assert [T for T, _ in base] == [T for T, _ in tilde] == Ts
+        for (T, y), (_, z) in zip(base, tilde):
+            assert close(y, trig_average(sg, b.terms, x, T), 1e-14), (name, T)
+            assert close(z, weighted_average(sg, b, x, T), 1e-14), (name, T)
+
+
+def test_weighted_suite_cross_checks_the_closed_form_residual(tmp_path, monkeypatch):
+    small = {"n_random": 2, "weighted_cases": 4}
+    report = run(ExperimentConfig(**small), "weighted-avg", tmp_path / "cos")
+    assert report.passed["weighted-avg:residual_quadrature"] is True
+    # a residual without declared terms has no closed form to check
+    ramp = {
+        "trig": [{"kappa_re": 0.5, "theta": 0.3}],
+        "residual": {"name": "linear_capped", "slope": 0.2, "cap": 0.05},
+    }
+    report = run(ExperimentConfig(weight=ramp, **small), "weighted-avg", tmp_path / "ramp")
+    assert "weighted-avg:residual_quadrature" not in report.passed
+    # a closed form off by 1e-9 of itself is above QUAD_RTOL * sup |r| * ||x||
+    exact = experiments._residual_average
+    monkeypatch.setattr(
+        experiments, "_residual_average", lambda *args: exact(*args) * (1.0 + 1e-9)
+    )
+    report = run(ExperimentConfig(**small), "weighted-avg", tmp_path / "off")
+    assert report.passed["weighted-avg:residual_quadrature"] is False
 
 
 @pytest.mark.parametrize("variant", ["unitary_flow", "generator_exp"])
