@@ -5,7 +5,9 @@ blocks, each carrying a strictly positive trace weight.  Elements are
 :class:`Operator` instances; the weighted trace, the p-norms built from it,
 absolute values, spectral resolutions, spectral projections and lattice meets
 of projections all live in this module, and so does the package's one rule
-for self-adjoint and positive inputs (:func:`hermitian_defects`).
+for self-adjoint and positive inputs (:func:`hermitian_defects`).  Traces,
+operator norms and vecs are computed on per-block stacks only (:func:`traces`,
+:func:`op_norms`, :func:`vecs`); one operator is the one-member case.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ __all__ = [
     "Projection",
     "SpectralResolution",
     "trace",
+    "traces",
     "pnorm",
     "pnorms",
     "abs_value",
@@ -51,6 +54,8 @@ __all__ = [
     "operator_from_dict",
     "vec",
     "unvec",
+    "vecs",
+    "unvecs",
 ]
 
 
@@ -184,15 +189,10 @@ class Operator:
     # -- predicates and scalars -------------------------------------------
     def norm_inf(self) -> float:
         """Largest singular value across blocks (the operator norm)."""
-        return max(
-            (float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0)
-            for a in self.blocks
-        )
+        return float(op_norms([a[None] for a in self.blocks])[0])
 
     def self_adjoint_defect(self) -> float:
-        return max(
-            float(np.linalg.svd(a - a.conj().T, compute_uv=False)[0]) for a in self.blocks
-        )
+        return (self - self.H).norm_inf()
 
     def is_self_adjoint(self, tol: float = SELF_ADJOINT_TOL) -> bool:
         return not hermitian_defects([a[None] for a in self.blocks], tol)[0][0]
@@ -254,7 +254,12 @@ def trace(alg: TracialAlgebra, x: Operator) -> complex:
     """
     if x.algebra != alg:
         raise AlgebraMismatchError("operator does not belong to this algebra")
-    return complex(sum(c * np.trace(a) for c, a in zip(alg.weights, x.blocks)))
+    return complex(traces(alg, x.blocks))
+
+
+def traces(alg: TracialAlgebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Weighted trace of every member of per-block (..., n, n) stacks."""
+    return sum(c * np.trace(a, axis1=-2, axis2=-1) for c, a in zip(alg.weights, stacks))
 
 
 def pnorm(alg: TracialAlgebra, x: Operator, p: float) -> float:
@@ -578,7 +583,7 @@ def operator_from_dict(data: dict, alg: TracialAlgebra | None = None) -> Operato
 
 def vec(x: Operator) -> np.ndarray:
     """Flatten to a single complex vector (row-major within each block)."""
-    return np.concatenate([a.ravel() for a in x.blocks])
+    return vecs(x.blocks)
 
 
 def unvec(alg: TracialAlgebra, v: np.ndarray) -> Operator:
@@ -586,7 +591,15 @@ def unvec(alg: TracialAlgebra, v: np.ndarray) -> Operator:
         raise AlgebraMismatchError(
             f"vector of length {v.shape} does not match algebra dimension {alg.vec_dim}"
         )
-    blocks = []
-    for n, lo, hi in zip(alg.blocks, alg.vec_offsets[:-1], alg.vec_offsets[1:]):
-        blocks.append(np.asarray(v[lo:hi], dtype=complex).reshape(n, n))
-    return Operator(alg, blocks)
+    return Operator(alg, unvecs(alg, v))
+
+
+def vecs(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-block (..., n, n) stacks as one (..., d) array of vecs."""
+    return np.concatenate([a.reshape(*a.shape[:-2], -1) for a in stacks], axis=-1)
+
+
+def unvecs(alg: TracialAlgebra, v: np.ndarray) -> list[np.ndarray]:
+    """(..., d) vecs as per-block (..., n, n) stacks: the inverse of :func:`vecs`."""
+    off = alg.vec_offsets
+    return [v[..., a:b].reshape(*v.shape[:-1], n, n) for n, a, b in zip(alg.blocks, off, off[1:])]

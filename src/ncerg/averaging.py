@@ -534,7 +534,7 @@ def substitution_bound_checks(
             f"substitution bound needs a positive operator (case {int(np.argmax(fails))})"
         )
     lhs = op_norms([y[0] for y in _residual_means(sg, weights, xs, Ts[None, :])])
-    gaps = np.array([_mean_abs_residual(b, float(T)) for b, T in zip(weights, Ts)])
+    gaps = np.reshape([_mean_abs_residual(b, float(T)) for b, T in zip(weights, Ts)], (-1, 2))
     return np.column_stack([lhs, 2.0 * gaps[:, 0] * op_norms(xs), gaps[:, 1]])
 
 
@@ -598,10 +598,11 @@ def residual_from_config(spec: dict | None) -> tuple[Residual | None, float]:
         slope = float(spec.get("slope", 1.0))
         cap = float(spec.get("cap", 1.0))
         corner = cap / slope if slope != 0 else 0.0
+        # r is monotone, so its sup on [0, 1] is at an endpoint: |min(0, cap)| <= |cap|
         return Residual(
             lambda ts: np.minimum(slope * np.asarray(ts, dtype=float), cap),
             lambda T: (corner,) if corner > 0 else (),
-        ), abs(cap)
+        ), max(abs(cap), abs(min(slope, cap)))
     raise ValueError(f"unknown residual: {name!r}")
 
 

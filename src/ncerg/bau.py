@@ -39,6 +39,7 @@ from .algebra import (
     spectral_projection,
     spectral_resolution,
     stack_blocks,
+    traces,
 )
 from .averaging import double_average_windows
 from .semigroups import Semigroup
@@ -51,7 +52,6 @@ __all__ = [
     "compressed_norms",
     "pair_differences",
     "maximal_projection",
-    "maximal_projections",
     "maximal_certificates",
     "double_average_certificate",
     "bau_cauchy_certify",
@@ -186,19 +186,7 @@ def maximal_projection(
     family: dict[float, Operator] | Sequence[np.ndarray] | None = None,
 ) -> ProjectionCertificate:
     """One projection controlling ||e beta_T(x) e|| <= eps over a whole T grid:
-    :func:`maximal_projections` at the single ``params``."""
-    return maximal_projections(sg, x, [params], T_grid, family)[0]
-
-
-def maximal_projections(
-    sg: Semigroup,
-    x: Operator,
-    params: Sequence[MaximalParams],
-    T_grid: Sequence[float],
-    family: dict[float, Operator] | Sequence[np.ndarray] | None = None,
-) -> list[ProjectionCertificate]:
-    """Maximal certificates of one family, one per entry of ``params``: the
-    one-input case of :func:`maximal_certificates`.
+    :func:`maximal_certificates` at the single input and ``params``.
 
     ``family`` holds the averages y_T, if already computed, keyed by T or as
     per-block (m, n, n) stacks in grid order.
@@ -206,7 +194,7 @@ def maximal_projections(
     if isinstance(family, dict):
         family = stack_blocks([family[float(T)] for T in T_grid])
     means = None if family is None else [y[:, None] for y in family]
-    return maximal_certificates(sg, [x], params, T_grid, means)[0]
+    return maximal_certificates(sg, [x], [params], T_grid, means)[0][0]
 
 
 def maximal_certificates(
@@ -234,10 +222,14 @@ def maximal_certificates(
     """
     if len({q.p for q in params}) != 1:
         raise ValueError("maximal projections need parameters sharing one exponent p")
+    if not xs:
+        raise ValueError("maximal certificates need at least one input")
     xstack = stack_blocks(xs)
     if hermitian_defects(xstack, INPUT_TOL)[0].any():
         raise ValueError("maximal projection needs a self-adjoint operator")
     grid = tuple(float(T) for T in T_grid)
+    if not grid:
+        raise ValueError("T_grid must hold at least one T")
     if any(T <= 0 for T in grid):
         raise ValueError("T grid must be positive")
     alg, k, m = sg.algebra, len(xs), len(grid)
@@ -446,7 +438,7 @@ def _cauchy_certify(alg, grid, ys, epsilon, tol) -> ProjectionCertificate:
     rows, cols, budgets = rows[nonzero], cols[nonzero], budgets[nonzero]
     mags = abs_value([z[nonzero] for z in diffs])
     res = spectral_resolution(mags, alg=alg)
-    cuts = sum(c * np.trace(a, axis1=1, axis2=2).real for c, a in zip(alg.weights, mags)) / budgets
+    cuts = traces(alg, mags).real / budgets
     cotraces, e = res.cut_cotrace(cuts), spectral_projection(res, cuts)
     levels = [
         [grid[tail_start + i], grid[tail_start + j], float(budget), float(cot)]

@@ -64,7 +64,6 @@ from .bau import (
     double_average_certificate,
     lp_limit_check,
     maximal_certificates,
-    maximal_projections,
     perturbation_transfer,
 )
 from .config import ConfigError
@@ -517,7 +516,8 @@ def _suite_banach(env: _Env) -> None:
     maps = cesaro_map_family(sg, T_maps)
 
     params = [MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps) for eps in cfg.maximal_epsilons]
-    certs = maximal_projections(sg, x, params, T_maps, family=maps.images(x))
+    images = [y[:, None] for y in maps.images(x)]
+    certs = maximal_certificates(sg, [x], params, T_maps, images)[0]
     c_use = max(max(c.params["empirical_C"] for c in certs), 1e-6)
 
     eps = cfg.banach_epsilon

@@ -64,8 +64,10 @@ from .algebra import (
     random_positive,
     random_self_adjoint,
     stack_blocks,
-    unvec,
+    traces,
+    unvecs,
     vec,
+    vecs,
     operator_from_dict,
 )
 from .config import ConfigError, require_finite
@@ -110,20 +112,6 @@ def phi1(z: np.ndarray | complex) -> np.ndarray:
 def _multiplier(tt: np.ndarray, lam: np.ndarray | float, s: complex | None) -> np.ndarray:
     """exp(t Lambda) for propagation, or phi1(T (Lambda + s)) for the mean at shift s."""
     return np.exp(tt * lam) if s is None else phi1(tt * (lam + s))
-
-
-def _vecs(xs: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-block (..., n, n) stacks as one (..., d) array of vecs."""
-    return np.concatenate([a.reshape(*a.shape[:-2], -1) for a in xs], axis=-1)
-
-
-def _unvecs(alg: TracialAlgebra, v: np.ndarray) -> list[np.ndarray]:
-    """(..., d) vecs as per-block (..., n, n) stacks: the inverse of ``_vecs``."""
-    off = alg.vec_offsets
-    return [
-        v[..., lo:hi].reshape(*v.shape[:-1], n, n)
-        for n, lo, hi in zip(alg.blocks, off[:-1], off[1:])
-    ]
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -233,7 +221,7 @@ class Semigroup:
         ``Ts`` of shape (m,) holds lengths shared by the k inputs; of shape
         (m, k), row q gives input c the length Ts[q, c].  Likewise ``s`` is one
         shift or one per input, shape (k,).  The result is (m, k, n, n) per
-        block either way.
+        block either way, and (0, k, n, n) for an empty grid.
         """
         xs = self._inputs(xs)
         k = xs[0].shape[0]
@@ -243,7 +231,7 @@ class Semigroup:
             raise ValueError("averaging lengths T must be of shape (m,) or (m, k) and > 0")
         if Ts.ndim == 2 and Ts.shape[1] != k or s.shape not in ((), (k,)):
             raise ValueError(f"per-input lengths and shifts need one column per input ({k})")
-        return self._stack(Ts.reshape(len(Ts), -1), xs, s.reshape(-1))
+        return self._stack(Ts if Ts.ndim == 2 else Ts[:, None], xs, s.reshape(-1))
 
     def mean(self, T: float, x: Operator, s: complex = 0.0) -> Operator:
         """(1/T) integral_0^T e^{st} a_t(x) dt in closed form, T > 0: the
@@ -256,8 +244,8 @@ class Semigroup:
     def propagator(self, t: float) -> np.ndarray:
         """The d x d matrix of a_t on the vectorized algebra: column c is
         vec a_t(e_c) for the c-th matrix unit, all d units in one core call."""
-        units = _unvecs(self.algebra, np.eye(self.algebra.vec_dim, dtype=complex))
-        return _vecs([y[0] for y in self.propagate_batch(np.array([float(t)]), units)]).T
+        units = unvecs(self.algebra, np.eye(self.algebra.vec_dim, dtype=complex))
+        return vecs([y[0] for y in self.propagate_batch(np.array([float(t)]), units)]).T
 
     def apply(self, t: float, x: Operator) -> Operator:
         """a_t(x).  Rejects t < 0; t = 0 returns x itself."""
@@ -345,9 +333,10 @@ class GeneratorExp(Semigroup):
     """a_t = exp(tL) for L given as a matrix on the vectorized algebra.
 
     Vectorization is row-major within each block, blocks concatenated in
-    order.  L is decomposed once, L W = W diag(mu), and the (d, k) matrix X of
-    the vecs of an input stack maps to W (M o W^-1 X) for a whole t grid, with
-    M = exp(t mu), or phi1(T (mu + s)) for means.  Its error is about kappa(W)
+    order (``algebra.vecs`` and ``unvecs``).  L is decomposed once,
+    L W = W diag(mu), and the (d, k) matrix X of the vecs of an input stack
+    maps to W (M o W^-1 X) for a whole t grid, with M = exp(t mu), or
+    phi1(T (mu + s)) for means.  Its error is about kappa(W)
     times the larger of the backward error and the roundoff eps (Moler and Van
     Loan, SIAM Rev. 2003, section 6): ``condition`` is ||W||_1 ||W^-1||_1
     (None for a singular W), ``backward_error`` ||LW - W diag mu||_1 /
@@ -395,13 +384,14 @@ class GeneratorExp(Semigroup):
         return (w * np.exp(t * mu)) @ w_inv
 
     def _stack(self, ts, xs, s=None):
-        cols = _vecs(xs).T  # column c is vec of input c
+        cols = vecs(xs).T  # column c is vec of input c
         if self.path == "eigen":
             w, mu, w_inv = self._eig
             ss = None if s is None else s[None, None, :]
             out = w @ (_multiplier(ts[:, None, :], mu[:, None], ss) * (w_inv @ cols))
         elif s is None:
-            out = np.stack([self.propagator(t) @ cols for t in ts[:, 0]])
+            out = np.array([self.propagator(t) @ cols for t in ts[:, 0]])
+            out = out.reshape(len(ts), *cols.shape)  # (0, d, k) for no times
         else:
             # one augmented expm per length for shared lengths and shift, else
             # one per length and input
@@ -415,7 +405,7 @@ class GeneratorExp(Semigroup):
                 zero = np.zeros((x.shape[1], d + x.shape[1]))
                 for q, t in enumerate(ts[:, g][:, 0]):
                     out[q, :, g] = _expm(np.block([[t * gen, x], [zero]]))[:d, d:]
-        return _unvecs(self.algebra, out.swapaxes(1, 2))
+        return unvecs(self.algebra, out.swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +415,11 @@ class GeneratorExp(Semigroup):
 def generator_from_map(
     alg: TracialAlgebra, func: Callable[[Operator], Operator]
 ) -> np.ndarray:
-    """Matrix of a linear map on the vectorized algebra, built column-wise."""
-    d = alg.vec_dim
-    mat = np.zeros((d, d), dtype=complex)
-    basis = np.eye(d)
-    for j in range(d):
-        e = unvec(alg, basis[:, j].astype(complex))
-        mat[:, j] = vec(func(e))
-    return mat
+    """Matrix of a linear map on the vectorized algebra: column c is vec of
+    the image of the c-th matrix unit."""
+    units = unvecs(alg, np.eye(alg.vec_dim, dtype=complex))
+    images = [func(Operator(alg, [u[c] for u in units])) for c in range(alg.vec_dim)]
+    return np.column_stack([vec(y) for y in images])
 
 
 def lindblad_generator(
@@ -549,11 +536,6 @@ class ValidationReport:
         return asdict(self)
 
 
-def _traces(alg: TracialAlgebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """Weighted trace of each of k operators given as per-block stacks."""
-    return sum(c * np.trace(a, axis1=1, axis2=2) for c, a in zip(alg.weights, stacks))
-
-
 def continuity_modulus(
     sg: Semigroup, x: Operator, p: float, s_grid: Sequence[float]
 ) -> tuple[tuple[float, float], ...]:
@@ -609,7 +591,7 @@ def validate_absolute_contraction(
     Choi test runs at the first six positive times and the continuity table
     uses the 2-norm.  Per time, the identity and the positives go through
     the core in one call, and their spectra, self-adjoint defects and traces
-    come from batched eigvalsh, SVD norms and traces.
+    come from batched eigvalsh, SVD norms and ``algebra.traces``.
     """
     ts = [float(t) for t in t_samples]
     if any(t < 0 for t in ts):
@@ -621,7 +603,7 @@ def validate_absolute_contraction(
     inputs = stack_blocks([alg.identity(), *positives])
     eyes = [a[0] for a in inputs]
     scales = np.maximum(op_norms([a[1:] for a in inputs]), 1e-300)
-    traces_in = _traces(alg, [a[1:] for a in inputs]).real
+    traces_in = traces(alg, [a[1:] for a in inputs]).real
 
     # unitality (per t), positivity relative to the input's norm and trace
     # excess (per t and sample), each clamped at 0
@@ -641,7 +623,7 @@ def validate_absolute_contraction(
         unital[i] = max(0.0, *(float(w[0, -1]) for w in spectra)) + defects[0]
         mins = np.min([w[1:, 0] for w in spectra], axis=0)
         pos[i] = np.maximum(np.maximum(-mins, defects[1:]) / scales, 0.0)
-        texc[i] = np.maximum(_traces(alg, [y[1:] for y in images]).real - traces_in, 0.0)
+        texc[i] = np.maximum(traces(alg, [y[1:] for y in images]).real - traces_in, 0.0)
     max_unital, max_pos, max_trace = (float(a.max(initial=0.0)) for a in (unital, pos, texc))
     rows = np.column_stack(
         [ts, pos.max(axis=1, initial=0.0), unital, texc.max(axis=1, initial=0.0)]

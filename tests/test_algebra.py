@@ -23,7 +23,7 @@ from ncerg import (
     spectral_resolution,
     trace,
 )
-from ncerg.algebra import unvec, vec
+from ncerg.algebra import traces, unvec, unvecs, vec, vecs
 from oracles import gram_residual, leq, reconstruction_residual
 
 
@@ -354,3 +354,19 @@ def test_operator_from_dict_mismatch(alg, alg6, rng):
 def test_vec_unvec_roundtrip(alg6, rng):
     x = random_operator(alg6, rng)
     assert (unvec(alg6, vec(x)) - x).norm_inf() == 0
+
+
+def test_stacked_vectorization_and_traces_match_the_one_operator_forms(alg6, rng):
+    # per-block (3, 2, n, n) stacks: two leading axes
+    ops = [[random_operator(alg6, rng) for _ in range(2)] for _ in range(3)]
+    stacks = [np.array([[x.blocks[i] for x in row] for row in ops]) for i in range(2)]
+    v = vecs(stacks)
+    assert v.shape == (3, 2, alg6.vec_dim)
+    back = unvecs(alg6, v)
+    assert all(np.array_equal(a, b) for a, b in zip(back, stacks))
+    tr = traces(alg6, stacks)
+    assert tr.shape == (3, 2)
+    for (q, c), x in np.ndenumerate(np.array(ops, dtype=object)):
+        assert np.array_equal(v[q, c], vec(x))
+        assert all(np.array_equal(a[q, c], b) for a, b in zip(back, unvec(alg6, v[q, c]).blocks))
+        assert tr[q, c] == trace(alg6, x)

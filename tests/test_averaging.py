@@ -381,6 +381,15 @@ def test_residual_kinks_are_declared():
         assert tuple(derived.kinks(1.0)) == (0.25,)
 
 
+@pytest.mark.parametrize("slope", [0.2, -0.2])
+@pytest.mark.parametrize("cap", [0.05, -0.05])
+def test_linear_capped_declares_its_sup_on_the_unit_interval(slope, cap):
+    # r(t) = min(slope t, cap) is monotone: its sup on [0, 1] is at an endpoint
+    r, sup = residual_from_config({"name": "linear_capped", "slope": slope, "cap": cap})
+    assert sup >= np.max(np.abs(r(np.linspace(0.0, 1.0, 1001))))
+    assert sup == (abs(cap) if slope >= 0 else max(abs(cap), abs(slope)))
+
+
 def test_weight_from_config_roundtrip():
     spec = {
         "trig": [{"kappa_re": 0.5, "kappa_im": -0.1, "theta": 0.3}],
@@ -556,3 +565,10 @@ def test_substitution_bound_checks_name_the_first_bad_case(alg, rng):
             )
     with pytest.raises(ValueError, match="one weight, input and length per case"):
         averaging.substitution_bound_checks(Identity(alg), weights, stack_blocks(xs), [0.5])
+
+
+def test_substitution_bound_checks_take_zero_cases(alg):
+    rows = averaging.substitution_bound_checks(
+        Identity(alg), [], [np.zeros((0, n, n)) for n in alg.blocks], []
+    )
+    assert rows.shape == (0, 3)

@@ -41,7 +41,6 @@ from ncerg.bau import (
     TransferPremiseError,
     first_index_below,
     maximal_certificates,
-    maximal_projections,
 )
 from ncerg.semigroups import lindblad_generator
 from oracles import recompute_bound
@@ -204,7 +203,7 @@ def test_maximal_requires_self_adjoint(alg, rng):
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
-def test_maximal_projections_match_per_epsilon_calls(alg6, rng, p):
+def test_maximal_certificates_match_per_epsilon_calls(alg6, rng, p):
     # one spectrum for every epsilon, in any order and with a repeat, gives
     # each single-epsilon certificate to the bit; a scalar decay keeps the
     # eigenvectors, so the cuts nest and three epsilons give three co-traces
@@ -212,7 +211,7 @@ def test_maximal_projections_match_per_epsilon_calls(alg6, rng, p):
     x = random_self_adjoint(alg6, rng, norm=0.6)
     grid = np.geomspace(1e-3, 0.5, 6)
     params = [MaximalParams(1.0, p, eps) for eps in (0.2, 0.5, 0.1, 0.2)]
-    certs = maximal_projections(sg, x, params, grid)
+    certs = maximal_certificates(sg, [x], params, grid)[0]
     assert len({c.cotrace for c in certs}) == 3
     for q, got in zip(params, certs):
         want = maximal_projection(sg, x, q, grid)
@@ -235,7 +234,8 @@ def test_maximal_certificates_match_per_case_calls(alg6, p):
     stacked = maximal_certificates(sg, xs, params, grid)
     assert len(stacked) == len(xs)
     for x, got_certs in zip(xs, stacked):
-        for got, want in zip(got_certs, maximal_projections(sg, x, params, grid), strict=True):
+        one = maximal_certificates(sg, [x], params, grid)[0]
+        for got, want in zip(got_certs, one, strict=True):
             assert got.cotrace == want.cotrace
             assert (got.epsilon, got.params, got.flags) == (want.epsilon, want.params, want.flags)
             assert got.achieved_bound == pytest.approx(want.achieved_bound, rel=0, abs=1e-12)
@@ -249,10 +249,21 @@ def test_maximal_certificates_match_per_case_calls(alg6, p):
     )
 
 
-def test_maximal_projections_need_one_exponent(alg, rng):
+def test_maximal_certificates_need_one_exponent(alg, rng):
     params = [MaximalParams(1.0, 1.0, 0.3), MaximalParams(1.0, 2.0, 0.3)]
     with pytest.raises(ValueError, match="one exponent"):
-        maximal_projections(Identity(alg), random_self_adjoint(alg, rng), params, [1.0])
+        maximal_certificates(Identity(alg), [random_self_adjoint(alg, rng)], params, [1.0])[0]
+
+
+@pytest.mark.parametrize(
+    "inputs, grid, match",
+    [("none", [1.0], "at least one input"), ("one", [], "T_grid must hold at least one T")],
+    ids=["no_inputs", "empty_grid"],
+)
+def test_maximal_certificates_name_empty_inputs(alg, rng, inputs, grid, match):
+    xs = [] if inputs == "none" else [random_self_adjoint(alg, rng)]
+    with pytest.raises(ValueError, match=match):
+        maximal_certificates(Identity(alg), xs, [MaximalParams(1.0, 1.0, 0.3)], grid)
 
 
 # ---------------------------------------------------------------------------

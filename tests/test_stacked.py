@@ -173,6 +173,25 @@ def test_mean_batch_takes_per_input_lengths_and_shifts(name, monkeypatch):
             sg.mean_batch(lengths, stack_blocks(xs), s)
 
 
+@pytest.mark.parametrize(
+    "name", [*variants(ALG, np.random.default_rng(0)), "generator_exp_dense"]
+)
+def test_mean_batch_takes_an_empty_grid(name, monkeypatch):
+    # like propagate_batch, an empty grid gives (0, k, n, n) stacks
+    rng = np.random.default_rng(34)
+    named = variants(ALG, rng)
+    if name == "generator_exp_dense":
+        monkeypatch.setattr(semigroups, "EIGEN_TOL", 0.0)
+        named[name] = GeneratorExp(ALG, named["generator_exp"].matrix)
+        assert named[name].path == "dense"
+    sg = named[name]
+    xs = stack_blocks([random_operator(ALG, rng) for _ in range(2)])
+    want = [(0, 2, n, n) for n in ALG.blocks]
+    assert [y.shape for y in sg.propagate_batch([], xs)] == want
+    for lengths, s in (([], 0.0), (np.zeros((0, 2)), np.array([0.3j, -0.1]))):
+        assert [y.shape for y in sg.mean_batch(lengths, xs, s)] == want
+
+
 # ---------------------------------------------------------------------------
 # the spectral layer on stacked families
 # ---------------------------------------------------------------------------
