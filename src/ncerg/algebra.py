@@ -36,6 +36,8 @@ __all__ = [
     "traces",
     "pnorm",
     "pnorms",
+    "spectral_sums",
+    "power_traces",
     "abs_value",
     "spectral_resolution",
     "spectral_projection",
@@ -210,10 +212,23 @@ def stack_blocks(ops: Sequence[Operator]) -> list[np.ndarray]:
     return [np.stack(blocks) for blocks in zip(*(x.blocks for x in ops))]
 
 
-def op_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
+def op_norms(
+    stacks: Sequence[np.ndarray], live: Sequence[np.ndarray] | None = None
+) -> np.ndarray:
     """Operator norm of every member of a per-block stacked family, one
-    batched SVD per block (the first of the descending singular values)."""
-    return np.max([np.linalg.svd(a, compute_uv=False)[:, 0] for a in stacks], axis=0)
+    batched SVD per block (the first of the descending singular values).
+
+    With ``live`` (one mask over the members per block), block i of the
+    family is known to be 0 outside ``live[i]``, and ``stacks[i]`` holds only
+    the members inside it: the others add norm 0 without an SVD.
+    """
+    if live is None:
+        return np.max([np.linalg.svd(a, compute_uv=False)[:, 0] for a in stacks], axis=0)
+    norms = np.zeros((len(live), len(live[0])))
+    for row, a, mask in zip(norms, stacks, live):
+        if len(a):
+            row[mask] = np.linalg.svd(a, compute_uv=False)[:, 0]
+    return norms.max(axis=0)
 
 
 def min_eig(x: Operator | Sequence[np.ndarray]) -> float | np.ndarray:
@@ -226,21 +241,23 @@ def min_eig(x: Operator | Sequence[np.ndarray]) -> float | np.ndarray:
 
 def hermitian_defects(
     stacks: Sequence[np.ndarray], tol: float, positive: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """The one self-adjointness and positivity rule, per member of a stacked
     family: a member fails when ||x - x*||, or with ``positive`` the negative
     part of the spectrum of herm x, exceeds bound = tol * max(||x||, 1e-14).
-    Returns (fails, ||x - x*||, bound); an exactly self-adjoint stack passes
-    without norms unless ``positive``."""
+    Returns (fails, ||x - x*||, bound, ||x||), so a caller that needs ||x||
+    reads it here; an exactly self-adjoint stack passes without norms unless
+    ``positive`` (||x|| is then None)."""
     skew = [a - a.conj().swapaxes(1, 2) for a in stacks]
     if not positive and not any(d.any() for d in skew):
         zero = np.zeros(len(stacks[0]))
-        return zero > 0, zero, zero
-    defect, bound = op_norms(skew), tol * np.maximum(op_norms(stacks), 1e-14)
+        return zero > 0, zero, zero, None
+    norms = op_norms(stacks)
+    defect, bound = op_norms(skew), tol * np.maximum(norms, 1e-14)
     fails = defect > bound
     if positive:
         fails |= min_eig(stacks) < -bound
-    return fails, defect, bound
+    return fails, defect, bound, norms
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +296,55 @@ def pnorms(alg: TracialAlgebra, svals: Sequence[np.ndarray], p: float) -> list[f
 
     ``svals`` holds one array per block with shape (m, n), the descending
     rows ``np.linalg.svd`` returns for a stack of m block matrices; entry k
-    of the result is :func:`pnorm` of operator k.
+    of the result is :func:`pnorm` of operator k.  The norm is the root of
+    tau(|y|^p) itself where that is 0 or a normal float (``pow`` is not
+    exact under power-of-two scaling, so this keeps the bits of the unscaled
+    sum), and else the root of the scaled :func:`spectral_sums`, scaled
+    back, so no p-norm in range overflows or underflows.
     """
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1 or inf")
     if p == math.inf:
         return np.max([s[:, 0] for s in svals], axis=0).tolist()
-    total = sum(c * np.sum(s**p, axis=1) for c, s in zip(alg.weights, svals))
-    return [v ** (1.0 / p) for v in total.tolist()]
+    total, exps = spectral_sums(alg, svals, p)
+    tiny = np.finfo(float).tiny
+    return [
+        v ** (1.0 / p) if s == 0 or tiny <= v < math.inf else math.ldexp(s ** (1.0 / p), e)
+        for v, s, e in zip(_scaled_back(total, exps, p).tolist(), total.tolist(), exps.tolist())
+    ]
+
+
+def spectral_sums(
+    alg: TracialAlgebra, spectra: Sequence[np.ndarray], p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted spectral sum tau(|y|^p) = sum_i c_i sum_j v_ij^p of every
+    member, from its values v >= 0 per block ((..., n) arrays: singular
+    values, |eigenvalues| or indicators), as (sums, exponents) with
+    tau(|y|^p) = sums * 2^(exponents p).
+
+    Each member is scaled by 2^-e before the powers, where 2^e times a
+    mantissa in [0.5, 1) is its largest value (``np.frexp``), so the sums lie
+    in [0, tau(1)] and neither overflow nor underflow.  At p = 1 and 2 the
+    scaling is exact: scaled back, the sums keep the bits of unscaled ones.
+    """
+    exps = np.frexp(np.max([v.max(axis=-1) for v in spectra], axis=0))[1]
+    total = sum(
+        c * np.sum(np.ldexp(v, -exps[..., None]) ** p, axis=-1)
+        for c, v in zip(alg.weights, spectra)
+    )
+    return total, exps
+
+
+def _scaled_back(total: np.ndarray, exps: np.ndarray, p: float) -> np.ndarray:
+    """sums * 2^(exponents p) of :func:`spectral_sums`: inf or 0 out of range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return total * np.ldexp(1.0, exps) ** p
+
+
+def power_traces(alg: TracialAlgebra, spectra: Sequence[np.ndarray], p: float) -> np.ndarray:
+    """tau(|y|^p) of every member from its values per block: the
+    :func:`spectral_sums` scaled back."""
+    return _scaled_back(*spectral_sums(alg, spectra, p), p)
 
 
 def abs_value(x: Operator | Sequence[np.ndarray]) -> Operator | list[np.ndarray]:
@@ -319,9 +377,8 @@ class SpectralResolution:
 
     def cut_cotrace(self, level: float | Sequence[float]) -> float | np.ndarray:
         """Co-trace of :func:`spectral_projection` at ``level``, one per member
-        of a stacked resolution."""
-        drops = self._drops(level)
-        return sum(c * d.sum(axis=-1) for c, d in zip(self.algebra.weights, drops))
+        of a stacked resolution: the weighted count of dropped eigenvalues."""
+        return power_traces(self.algebra, [d.astype(float) for d in self._drops(level)], 1.0)
 
     def _drops(self, level: float | Sequence[float]) -> list[np.ndarray]:
         top = np.asarray(level, dtype=float)[..., None] + SPECTRAL_INCLUDE
@@ -343,7 +400,7 @@ def spectral_resolution(
     if not one and alg is None:
         raise ValueError("a stacked family needs its algebra")
     stacks = [a[None] for a in x.blocks] if one else list(x)
-    fails, defect, bound = hermitian_defects(stacks, SELF_ADJOINT_TOL)
+    fails, defect, bound, _ = hermitian_defects(stacks, SELF_ADJOINT_TOL)
     if fails.any():
         i = int(np.argmax(fails))
         raise ValueError(
@@ -402,9 +459,12 @@ def _check_projections(blocks: Sequence[np.ndarray]) -> None:
     """The :class:`Projection` rule for every member of a per-block stacked
     family: idempotency and self-adjointness residuals at most
     ``PROJECTION_TOL``, one batched norm per block for each; raises on the
-    worst member."""
-    idem = op_norms([e @ e - e for e in blocks])
-    sa = op_norms([e - e.conj().swapaxes(1, 2) for e in blocks])
+    worst member.  A member that is exactly 0 or exactly the identity in a
+    block has residuals 0 there, with no products and no SVD."""
+    live = [np.any(e, axis=(1, 2)) & np.any(e != np.eye(e.shape[-1]), axis=(1, 2)) for e in blocks]
+    blocks = [e[mask] for e, mask in zip(blocks, live)]
+    idem = op_norms([e @ e - e for e in blocks], live)
+    sa = op_norms([e - e.conj().swapaxes(1, 2) for e in blocks], live)
     worst = int(np.argmax(np.maximum(idem, sa)))
     if idem[worst] > PROJECTION_TOL or sa[worst] > PROJECTION_TOL:
         raise ValueError(
@@ -420,16 +480,23 @@ def spectral_projection(res: SpectralResolution, level: float | Sequence[float])
     weighted count of eigenvalues strictly above the level.  On a stacked
     resolution member i is cut at ``level[i]`` (or a shared level), and the
     result is the meet of the cuts (:func:`meet_complements`); with a leading
-    case axis, members (k, m), it is the list of the k meets.
+    case axis, members (k, m), it is the list of the k meets.  A case in
+    which some member's cut keeps nothing of a block meets to 0 there, and
+    its complements in that block are never formed.
     """
     alg, drops = res.algebra, res._drops(level)
     if drops[0].ndim == 1:
         blocks = [v[:, ~d] @ v[:, ~d].conj().T for v, d in zip(res.eigenvectors, drops)]
         return Projection(Operator(alg, blocks), cotrace=float(res.cut_cotrace(level)))
-    return meet_complements(alg, [
-        (v * d[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        for v, d in zip(res.eigenvectors, drops)
-    ])
+    cases = drops[0].ndim == 3
+    vs = res.eigenvectors if cases else [v[None] for v in res.eigenvectors]
+    drops = drops if cases else [d[None] for d in drops]
+    live = [~d.all(axis=-1).any(axis=-1) for d in drops]
+    meets = meet_complements(alg, [
+        (v[c] * d[c][..., None, :]) @ v[c].conj().swapaxes(-1, -2)
+        for v, d, c in zip(vs, drops, live)
+    ], live)
+    return meets if cases else meets[0]
 
 
 def proj_meet(p: Projection, q: Projection) -> Projection:
@@ -454,7 +521,9 @@ def meet_all(projections: Iterable[Projection]) -> Projection:
 
 
 def meet_complements(
-    alg: TracialAlgebra, stacks: Sequence[np.ndarray]
+    alg: TracialAlgebra,
+    stacks: Sequence[np.ndarray],
+    live: Sequence[np.ndarray] | None = None,
 ) -> Projection | list[Projection]:
     """Meet of projections given per block as complement stacks ``(m, n, n)``;
     with a leading case axis, ``(k, m, n, n)`` per block, the list of the k
@@ -464,24 +533,34 @@ def meet_complements(
     and Golub 1973); singular values below ``MEET_RANK_TOL * n`` count as
     zero, a cutoff that separates it from roundoff and can widen for
     ill-conditioning.  Zero complements (identity members) leave the null
-    space unchanged, and a case whose complements are all zero meets to the
-    identity exactly.
+    space unchanged, and a case whose complements in a block are all zero
+    meets to the identity there exactly, without an SVD.  With a case axis,
+    ``live`` (one (k,) mask per block) marks the cases whose complements
+    ``stacks[i]`` holds: every other case has a member whose complement is
+    the whole block, and meets to 0 there exactly (co-trace c_i n_i), also
+    without an SVD.
     """
     one = stacks[0].ndim == 3
     cases = [a[None] for a in stacks] if one else list(stacks)
-    k = len(cases[0])
-    trivial = ~np.any([np.any(a, axis=(1, 2, 3)) for a in cases], axis=0)
+    live = [np.ones(len(a), dtype=bool) for a in cases] if live is None else live
+    k = len(live[0])
     blocks = []
     cotrace = np.zeros(k)
-    for n, c, comp in zip(alg.blocks, alg.weights, cases):
-        _, s, vh = np.linalg.svd(comp.reshape(k, -1, n), full_matrices=False)
-        null = s <= MEET_RANK_TOL * n
-        basis = vh.conj().swapaxes(1, 2) * null[:, None, :]
-        # + 0.0 gives the masked columns' -0.0 entries the sign of an empty sum
-        e = basis @ basis.conj().swapaxes(1, 2) + 0.0
-        e[trivial] = np.eye(n)
+    for n, c, comp, mask in zip(alg.blocks, alg.weights, cases, live):
+        # of the live cases, those with a nonzero complement take the SVD
+        rows, cut = np.flatnonzero(mask), np.any(comp, axis=(1, 2, 3))
+        e = np.zeros((k, n, n), dtype=complex)
+        e[rows[~cut]] = np.eye(n)
+        nullity = np.where(mask, n, 0)
+        if cut.any():
+            _, s, vh = np.linalg.svd(comp[cut].reshape(int(cut.sum()), -1, n), full_matrices=False)
+            null = s <= MEET_RANK_TOL * n
+            basis = vh.conj().swapaxes(1, 2) * null[:, None, :]
+            # + 0.0 gives the masked columns' -0.0 entries the sign of an empty sum
+            e[rows[cut]] = basis @ basis.conj().swapaxes(1, 2) + 0.0
+            nullity[rows[cut]] = null.sum(axis=1)
         blocks.append(e)
-        cotrace += c * np.where(trivial, 0, n - null.sum(axis=1))
+        cotrace += c * (n - nullity)
     if one:
         return Projection(Operator(alg, [e[0] for e in blocks]), cotrace=float(cotrace[0]))
     _check_projections(blocks)

@@ -319,10 +319,24 @@ def double_average_windows(
     """Heads (1/b) integral_0^a a_s(x) ds = (a/b) beta_a(x), tails a_b(head) and
     gaps beta_a(beta_b(x)) - beta_b(x), each (len(a_grid), k, n, n) per block,
     for every a and every input of a (k, n, n) stack: four core calls."""
+    grid = _window_grid(a_grid, [b])
+    return _windows(sg, xs, grid, sg.mean_batch(grid, xs), b)
+
+
+def _window_grid(a_grid: Sequence[float], bs: Sequence[float]) -> np.ndarray:
+    """The a grid as an array, once it and every b are checked positive."""
     grid = np.asarray(a_grid, dtype=float)
-    if not (np.all(grid > 0) and b > 0):
+    if not (np.all(grid > 0) and all(b > 0 for b in bs)):
         raise ValueError("window lengths must be positive")
-    heads = [y * (grid / b)[:, None, None, None] for y in sg.mean_batch(grid, xs)]
+    return grid
+
+
+def _windows(
+    sg: Semigroup, xs: Sequence[np.ndarray], grid: np.ndarray, means: list[np.ndarray], b: float
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """:func:`double_average_windows` from the averages beta_a(x) over the a
+    grid, ``means``, which do not depend on b."""
+    heads = [y * (grid / b)[:, None, None, None] for y in means]
     flat = sg.propagate_batch([b], [h.reshape(-1, *h.shape[2:]) for h in heads])
     beta_b = [y[0] for y in sg.mean_batch([b], xs)]
     gaps = [y - c for y, c in zip(sg.mean_batch(grid, beta_b), beta_b)]
@@ -330,16 +344,27 @@ def double_average_windows(
 
 
 def sandwich_slacks(
-    sg: Semigroup, xs: Sequence[np.ndarray], a_grid: Sequence[float], b: float
+    sg: Semigroup,
+    xs: Sequence[np.ndarray],
+    a_grid: Sequence[float],
+    b: float | Sequence[float],
 ) -> np.ndarray:
     """(min eig of D + head, min eig of tail - D), each (len(a_grid), k), for the
     windows of :func:`double_average_windows`.  For a stack positive at
     ``INPUT_TOL`` the gap D sits between minus the head and the tail: both
-    are >= 0 up to roundoff."""
+    are >= 0 up to roundoff.  ``b`` may also be a sequence of window lengths:
+    the slacks are then (2, len(b), len(a_grid), k), from one positivity
+    check and one beta_a(x) for all of them."""
+    bs = np.atleast_1d(np.asarray(b, dtype=float))
     if hermitian_defects(xs, INPUT_TOL, positive=True)[0].any():
         raise ValueError("sandwich check needs a positive operator")
-    heads, tails, gaps = double_average_windows(sg, xs, a_grid, b)
-    return min_eig([np.stack([g + h, t - g]) for h, t, g in zip(heads, tails, gaps)])
+    grid = _window_grid(a_grid, bs)
+    means = sg.mean_batch(grid, xs)
+    slacks = []
+    for length in bs.tolist():
+        heads, tails, gaps = _windows(sg, xs, grid, means, length)
+        slacks.append(min_eig([np.stack([g + h, t - g]) for h, t, g in zip(heads, tails, gaps)]))
+    return np.stack(slacks, axis=1) if np.ndim(b) else slacks[0]
 
 
 def sandwich_check(sg: Semigroup, x: Operator, a: float, b: float) -> tuple[float, float]:
@@ -521,21 +546,21 @@ def substitution_bound_checks(
     the contract is lhs <= rhs up to quadrature error.  Every input must be
     positive at ``INPUT_TOL`` (``ValueError`` names the first case that is
     not).  The residual averages come from one :meth:`Semigroup.mean_batch`
-    per term index where the residuals declare their terms, and the norms
-    from one batched SVD per block for the lhs and one for ||x||.
+    per term index where the residuals declare their terms, the lhs norms
+    from one batched SVD per block, and ||x|| from the positivity check.
     """
     xs = [np.asarray(a, dtype=complex) for a in xs]
     Ts = np.asarray(Ts, dtype=float)
     if Ts.shape != (len(weights),) or len(xs[0]) != len(weights):
         raise ValueError("substitution bound needs one weight, input and length per case")
-    fails = hermitian_defects(xs, INPUT_TOL, positive=True)[0]
+    fails, _, _, xnorms = hermitian_defects(xs, INPUT_TOL, positive=True)
     if fails.any():
         raise ValueError(
             f"substitution bound needs a positive operator (case {int(np.argmax(fails))})"
         )
     lhs = op_norms([y[0] for y in _residual_means(sg, weights, xs, Ts[None, :])])
     gaps = np.reshape([_mean_abs_residual(b, float(T)) for b, T in zip(weights, Ts)], (-1, 2))
-    return np.column_stack([lhs, 2.0 * gaps[:, 0] * op_norms(xs), gaps[:, 1]])
+    return np.column_stack([lhs, 2.0 * gaps[:, 0] * xnorms, gaps[:, 1]])
 
 
 def substitution_bound_check(

@@ -114,23 +114,36 @@ class ApproximationScheme:
 
     ``generate(x, n, eps)`` must return x_n with
     ||x_n - x||_p < (eps / 2^{n+1})^{2/alpha}; ``make`` verifies the gap at
-    generation time and raises :class:`SchemeError` otherwise.
+    generation time and raises :class:`SchemeError` otherwise.  A scheme
+    whose approximants of one x share work may also give ``start``:
+    ``start(x)`` does that work once and returns the generator (n, eps) ->
+    x_n of that x, which :meth:`maker` hands out.
     """
 
     generate: Callable[[Operator, int, float], Operator]
     norm_p: float
     alpha: float
+    start: Callable[[Operator], Callable[[int, float], Operator]] | None = None
 
     def gap_bound(self, n: int, eps: float) -> float:
         return (eps / 2.0 ** (n + 1)) ** (2.0 / self.alpha)
 
     def make(self, x: Operator, n: int, eps: float) -> tuple[Operator, float]:
-        x_n = self.generate(x, n, eps)
-        gap = pnorm(x.algebra, x_n - x, self.norm_p)
-        bound = self.gap_bound(n, eps)
-        if not gap < bound:
-            raise SchemeError(gap, bound)
-        return x_n, gap
+        return self.maker(x)(n, eps)
+
+    def maker(self, x: Operator) -> Callable[[int, float], tuple[Operator, float]]:
+        """:meth:`make` for one x, with the work its approximants share done once."""
+        generate = self.start(x) if self.start else lambda n, eps: self.generate(x, n, eps)
+
+        def make(n: int, eps: float) -> tuple[Operator, float]:
+            x_n = generate(n, eps)
+            gap = pnorm(x.algebra, x_n - x, self.norm_p)
+            bound = self.gap_bound(n, eps)
+            if not gap < bound:
+                raise SchemeError(gap, bound)
+            return x_n, gap
+
+        return make
 
 
 @dataclass(frozen=True)
@@ -327,8 +340,9 @@ def assemble_certificate(
     projs: list[Projection] = []
     certs: list[ProjectionCertificate] = []
     images: list[Images] = []  # a_m(x_n - x), stacked, per approximant
+    make = scheme.maker(x)
     for n in range(1, n_approx + 1):
-        x_n, gap = scheme.make(x, n, eps)
+        x_n, gap = make(n, eps)
         approximants.append(x_n)
         steps.append(StepRecord("approximant_gap", scheme.gap_bound(n, eps), gap, (n,)))
         images.append(maps.images(x_n - x))
@@ -390,29 +404,34 @@ def scheme_from_semigroup(sg: Semigroup, p: float, alpha: float) -> Approximatio
     """Approximation scheme built from shrinking-window flow averages.
 
     x_n is the window average of x at scale 1/k(n); the continuity modulus of
-    the flow picks a starting k and the gap is verified directly, doubling k
-    until the target is met or k passes ``K_CAP``.  A modulus too flat to meet the target raises
+    the flow at x, computed once per x (``start``), picks a starting k and the
+    gap is verified directly, doubling k until the target is met or k passes
+    ``K_CAP``.  A modulus too flat to meet the target raises
     :class:`SchemeError` with the achieved gap.
     """
     alg = sg.algebra
+    probe = np.geomspace(1.0, 1e-12, 25)
 
-    def generate(x: Operator, n: int, eps: float) -> Operator:
-        target = (eps / 2.0 ** (n + 1)) ** (2.0 / alpha)
-        probe = np.geomspace(1.0, 1e-12, 25)
-        k = None
-        for s, value in continuity_modulus(sg, x, p, probe):
-            if value <= target / 4.0:
-                k = max(1, math.ceil(1.0 / s))
-                break
-        if k is None:
-            k = math.ceil(1.0 / probe[-1])
-        gap = math.inf
-        while k <= K_CAP:
-            x_k = dense_approximant(sg, x, k)
-            gap = pnorm(alg, x_k - x, p)
-            if gap < target:
-                return x_k
-            k *= 2
-        raise SchemeError(gap, target)
+    def start(x: Operator) -> Callable[[int, float], Operator]:
+        modulus = continuity_modulus(sg, x, p, probe)
 
-    return ApproximationScheme(generate=generate, norm_p=p, alpha=alpha)
+        def generate(n: int, eps: float) -> Operator:
+            target = (eps / 2.0 ** (n + 1)) ** (2.0 / alpha)
+            k = next(
+                (max(1, math.ceil(1.0 / s)) for s, value in modulus if value <= target / 4.0),
+                math.ceil(1.0 / probe[-1]),
+            )
+            gap = math.inf
+            while k <= K_CAP:
+                x_k = dense_approximant(sg, x, k)
+                gap = pnorm(alg, x_k - x, p)
+                if gap < target:
+                    return x_k
+                k *= 2
+            raise SchemeError(gap, target)
+
+        return generate
+
+    return ApproximationScheme(
+        generate=lambda x, n, eps: start(x)(n, eps), norm_p=p, alpha=alpha, start=start
+    )

@@ -35,6 +35,7 @@ from .algebra import (
     operator_to_dict,
     pnorm,
     pnorms,
+    power_traces,
     proj_meet,
     spectral_projection,
     spectral_resolution,
@@ -42,6 +43,7 @@ from .algebra import (
     traces,
 )
 from .averaging import double_average_windows
+from .config import ConfigError
 from .semigroups import Semigroup
 
 __all__ = [
@@ -216,9 +218,13 @@ def maximal_certificates(
     same |w|.  Per epsilon, the k meets of the cuts come from one stacked
     :func:`spectral_projection` (one batched SVD per block, uncut members
     adding zero rows), and the compressed norms of all k m averages from one
-    batched SVD per block.  A meet's co-trace is compared against
+    batched SVD per block; a case whose meet is 0 in a block adds norm 0
+    there, with no product and no SVD.  A meet's co-trace is compared against
     C (eps^-1 ||x||_p)^p; exceeding the cap only flags the certificate, and
-    the empirical C realized by the run is reported either way.
+    the empirical C realized by the run is reported either way.  A p so
+    large that eps^-p, (eps^-1 ||x||_p)^p or a number built from them is
+    not a finite float (an empirical C of a positive co-trace over a ratio
+    that underflows to 0) raises ``ConfigError`` naming p.
     """
     if len({q.p for q in params}) != 1:
         raise ValueError("maximal projections need parameters sharing one exponent p")
@@ -247,21 +253,39 @@ def maximal_certificates(
         tuple(v.reshape(k, m, *v.shape[1:]) for v in res.eigenvectors),
     )
     p = params[0].p
-    power_trace = sum(c * np.sum(w**p, axis=-1) for c, w in zip(alg.weights, mags.eigenvalues))
+    power_trace = power_traces(alg, mags.eigenvalues, p)
     xnorms = pnorms(alg, [np.linalg.svd(a, compute_uv=False) for a in xstack], p)
     certs: list[list[ProjectionCertificate]] = [[] for _ in xs]
     for q in params:
         eps = q.epsilon
         cotraces = mags.cut_cotrace(eps)
         es = spectral_projection(mags, eps)
-        achieved = op_norms([
-            (E[:, None] @ y @ E[:, None]).reshape(k * m, *y.shape[2:])
-            for E, y in zip(stack_blocks([e.op for e in es]), ys)
-        ]).reshape(k, m).max(axis=1)
+        meets = stack_blocks([e.op for e in es])
+        live = [np.any(E, axis=(1, 2)) for E in meets]
+        achieved = op_norms(
+            [
+                (E[c, None] @ y[c] @ E[c, None]).reshape(-1, *y.shape[2:])
+                for E, y, c in zip(meets, ys, live)
+            ],
+            [np.repeat(c, m) for c in live],
+        ).reshape(k, m).max(axis=1)
         for case, (e, xnorm) in enumerate(zip(es, xnorms)):
-            chebyshev = np.column_stack([grid, cotraces[case], eps ** (-p) * power_trace[case]])
-            cap = q.C * (xnorm / eps) ** p if xnorm > 0 else 0.0
-            empirical_c = e.cotrace / ((xnorm / eps) ** p) if xnorm > 0 else 0.0
+            try:  # a Python float power raises on overflow
+                scale, ratio = eps ** (-p), (xnorm / eps) ** p
+            except OverflowError:
+                scale = ratio = math.inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                chebyshev = scale * power_trace[case]
+            cap = q.C * ratio if xnorm > 0 else 0.0
+            empirical_c = 0.0  # a meet of co-trace 0 realizes C = 0 at any ratio
+            if e.cotrace > 0 and xnorm > 0:
+                empirical_c = e.cotrace / ratio if ratio > 0 else math.inf
+            finite = math.isfinite(cap) and math.isfinite(empirical_c)
+            if not (finite and np.isfinite(chebyshev).all()):
+                raise ConfigError(
+                    f"p={p:g} is too large at eps={eps:g}: eps^-p, (||x||_p / eps)^p, "
+                    f"C={q.C:g} times it or the empirical C leaves the float range"
+                )
             bound = float(achieved[case])
             flags = []
             if bound > eps + BOUND_SLACK:
@@ -281,7 +305,7 @@ def maximal_certificates(
                     "cotrace_cap": cap,
                     "empirical_C": empirical_c,
                     "x_norm_p": xnorm,
-                    "chebyshev": chebyshev.tolist(),
+                    "chebyshev": np.column_stack([grid, cotraces[case], chebyshev]).tolist(),
                 },
                 flags=tuple(flags),
                 family_ops=[y[case] for y in ys],
@@ -337,10 +361,7 @@ def double_average_certificate(
     def cut_windows(windows, tag):
         sym = [(h + h.conj().swapaxes(1, 2)) / 2.0 for h in windows]
         res = spectral_resolution(sym, alg=alg)
-        powers = sum(
-            c * np.sum(np.clip(w, 0.0, None) ** p, axis=1)
-            for c, w in zip(alg.weights, res.eigenvalues)
-        )
+        powers = power_traces(alg, [np.clip(w, 0.0, None) for w in res.eigenvalues], p)
         picks, idx = [], 0
         for k in range(1, levels + 1):
             target = epsilon * epsilon / (4.0**k)
@@ -498,14 +519,16 @@ def perturbation_transfer(
     base_cert: ProjectionCertificate,
     eps_seq: Sequence[float],
 ) -> ProjectionCertificate:
-    """Carry a Cauchy certificate to a uniformly close family.
+    """Carry a Cauchy certificate of ``base_family`` to a uniformly close family.
 
     For each eps in ``eps_seq`` the premise "||tilde_y_T - y_T|| < eps from
     some grid index on" is verified and the threshold index recorded; the
     base projection is reused, pairwise compressed gaps can grow by at most
     2 eps, and single-element compressed norms by at most eps (compression is
-    a contraction).  The transferred bound is verified by direct
-    recomputation on the tilde family, up to ``BOUND_SLACK``.
+    a contraction).  The base family's largest compressed pair gap from the
+    threshold on is read off the certificate's decay table, which holds it.
+    The transferred bound is verified by direct recomputation on the tilde
+    family, up to ``BOUND_SLACK``.
     """
     t_grid = [float(T) for T, _ in tilde_family]
     b_grid = [float(T) for T, _ in base_family]
@@ -515,6 +538,8 @@ def perturbation_transfer(
         raise ValueError("need at least one family member")
     if len(eps_seq) == 0:
         raise ValueError("eps_seq must hold at least one premise gap")
+    if base_cert.decay is None or [T for T, _ in base_cert.decay] != b_grid[:-1]:
+        raise ValueError("base_cert must be a Cauchy certificate over the base family's grid")
     t_ys = stack_blocks([y for _, y in tilde_family])
     b_ys = stack_blocks([y for _, y in base_family])
     gaps = op_norms([t - b for t, b in zip(t_ys, b_ys)])
@@ -533,7 +558,7 @@ def perturbation_transfer(
     b_tail = [a[start:] for a in b_ys]
 
     t_pairs = _pair_table(e, t_ys)
-    base_tail = float(_pair_table(e, b_tail).max())
+    base_tail = base_cert.decay[start][1] if start < len(base_cert.decay) else 0.0
     predicted = base_tail + 2.0 * eps_last
     achieved = float(t_pairs[start:, start:].max())
     base_sup = float(compressed_norms(e, b_tail).max())

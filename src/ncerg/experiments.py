@@ -338,14 +338,17 @@ def _suite_local_avg(env: _Env) -> None:
     Ts = [2.0**-k for k in range(cfg.dyadic_exp_max + 1)]
     means = [y[:, 0] for y in sg.mean_batch(Ts, stack_blocks([x]))]
     # singular values of y_T - x, and of a_s(x) - x at 16 sample times s in
-    # (0, T] for every T from one core call, shared by both p
+    # (0, T] for every T, shared by both p: the dyadic T make many sample
+    # times coincide, and each distinct one goes through one core call once
+    samples = np.outer(Ts, np.linspace(1.0 / 16.0, 1.0, 16))
+    times, at = np.unique(samples.ravel(), return_inverse=True)
     errs = [np.linalg.svd(y - a, compute_uv=False) for y, a in zip(means, x.blocks)]
-    shifts = sg.propagate_stack(np.outer(Ts, np.linspace(1.0 / 16.0, 1.0, 16)).ravel(), x)
+    shifts = sg.propagate_stack(times, x)
     shifts = [np.linalg.svd(st - a, compute_uv=False) for st, a in zip(shifts, x.blocks)]
 
     for p in (1.0, 2.0):
         err = np.array(pnorms(alg, errs, p))
-        bound = np.reshape(pnorms(alg, shifts, p), (len(Ts), 16)).max(axis=1)
+        bound = np.array(pnorms(alg, shifts, p))[at].reshape(samples.shape).max(axis=1)
         slack = bound - err
         monotone = bool(np.all(err[1:] <= err[:-1] * (1 + 1e-9) + 1e-15))
         rows = list(zip(Ts, err.tolist(), bound.tolist(), slack.tolist()))
@@ -383,8 +386,8 @@ def _suite_local_avg(env: _Env) -> None:
 def _suite_sandwich(env: _Env) -> None:
     grid, rng = env.cfg.sandwich_grid, env.rng(3)
     xs = stack_blocks([random_positive(env.alg, rng, norm=1.0) for _ in range(env.cfg.n_random)])
-    # one stacked call per b; slacks[:, c, i, j] = (lower, upper) at case c, grid[i], grid[j]
-    slacks = np.transpose([sandwich_slacks(env.sg, xs, grid, b) for b in grid], (1, 3, 2, 0))
+    # one stacked call for all b; slacks[:, c, i, j] = (lower, upper) at case c, grid[i], grid[j]
+    slacks = np.transpose(sandwich_slacks(env.sg, xs, grid, grid), (0, 3, 2, 1))
     rows = [
         (c, grid[i], grid[j], *map(float, slacks[:, c, i, j]))
         for c, i, j in np.ndindex(slacks.shape[1:])

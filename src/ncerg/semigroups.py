@@ -558,11 +558,20 @@ def semigroup_law_residual(
         raise ValueError("law residual needs t, s >= 0")
     if not probes:
         return 0.0
-    xs = stack_blocks(probes)
-    both = sg.propagate_batch(np.array([s, t + s], dtype=float), xs)
-    lhs = sg.propagate_batch(np.array([float(t)]), [y[0] for y in both])
-    gaps = op_norms([a[0] - y[1] for a, y in zip(lhs, both)])
-    return float(np.max(gaps / np.maximum(op_norms(xs), 1e-300), initial=0.0))
+    return _law_residual(sg, [(t, s)], stack_blocks(probes))
+
+
+def _law_residual(sg: Semigroup, pairs, xs: list[np.ndarray]) -> float:
+    """:func:`semigroup_law_residual` maximized over ``pairs`` (t, s), for
+    probes stacked as ``xs``, whose norms are taken once for all pairs."""
+    scale = np.maximum(op_norms(xs), 1e-300)
+    worst = 0.0
+    for t, s in pairs:
+        both = sg.propagate_batch(np.array([s, t + s], dtype=float), xs)
+        lhs = sg.propagate_batch(np.array([float(t)]), [y[0] for y in both])
+        gaps = op_norms([a[0] - y[1] for a, y in zip(lhs, both)])
+        worst = max(worst, float(np.max(gaps / scale, initial=0.0)))
+    return worst
 
 
 def _witness(values: np.ndarray, floors) -> tuple[int, ...] | None:
@@ -656,11 +665,8 @@ def validate_absolute_contraction(
     for i, t in enumerate(sub):
         for s in sub[i:]:
             law_pairs.append((t, s))
-    probes = [random_self_adjoint(alg, rng) for _ in range(3)]
-    law = max(
-        (semigroup_law_residual(sg, t, s, probes) for t, s in law_pairs),
-        default=0.0,
-    )
+    probes = stack_blocks([random_self_adjoint(alg, rng) for _ in range(3)])
+    law = _law_residual(sg, law_pairs, probes)
 
     probe = random_self_adjoint(alg, rng)
     cont = continuity_modulus(sg, probe, 2.0, ts)

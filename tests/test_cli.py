@@ -217,6 +217,37 @@ def test_cli_unconverged_quadrature_exits_two(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: quadrature did not converge")
 
 
+@pytest.mark.parametrize("p", [250, 300])
+def test_cli_large_p_exits_two_naming_p(tmp_path, capsys, p):
+    # (1 / eps)^p overflows at the banach oracle's smallest eps, 0.5 / 16: one
+    # error line that names p, not a traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"p": p}))
+    code = main(
+        ["run", "--config", str(cfg_path), "--suite", "full", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: p={p} is too large") and err.count("\n") == 1
+
+
+def test_cli_p_200_completes_with_finite_numbers(tmp_path, capsys):
+    # the largest p of the default config that stays in the float range: a
+    # complete run (the empirical C is not stable across epsilons at this p)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"p": 200}))
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg_path), "--suite", "full", "--out", str(out)])
+    assert code == 1 and "FAIL maximal:empirical_C_stable" in capsys.readouterr().out
+
+    def refuse(token):
+        raise ValueError(f"non-finite number {token}")
+
+    for path in out.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=refuse)
+    assert json.loads((out / "report.json").read_text())["passed"]["banach-check:assembled"]
+
+
 def test_cli_prints_a_loader_config_error_as_is(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     bad = {"semigroup": {"variant": "generator_exp", "lindblad": {"jumps": 1.5}}}
