@@ -7,7 +7,10 @@ absolute values, spectral resolutions, spectral projections and lattice meets
 of projections all live in this module, and so does the package's one rule
 for self-adjoint and positive inputs (:func:`hermitian_defects`).  Traces,
 operator norms and vecs are computed on per-block stacks only (:func:`traces`,
-:func:`op_norms`, :func:`vecs`); one operator is the one-member case.
+:func:`op_norms`, :func:`vecs`); one operator is the one-member case.  So
+are random inputs: :func:`random_operators` draws k at once, and
+:func:`normalized_draws` makes them positive or self-adjoint and
+normalizes them with one :func:`op_norms`.
 """
 from __future__ import annotations
 
@@ -49,8 +52,10 @@ __all__ = [
     "min_eig",
     "hermitian_defects",
     "random_operator",
+    "random_operators",
     "random_self_adjoint",
     "random_positive",
+    "normalized_draws",
     "random_projection",
     "operator_to_dict",
     "operator_from_dict",
@@ -247,13 +252,16 @@ def hermitian_defects(
     part of the spectrum of herm x, exceeds bound = tol * max(||x||, 1e-14).
     Returns (fails, ||x - x*||, bound, ||x||), so a caller that needs ||x||
     reads it here; an exactly self-adjoint stack passes without norms unless
-    ``positive`` (||x|| is then None)."""
+    ``positive`` (||x|| is then None), and a block of a member whose skew
+    part is exactly 0 adds defect 0 without an SVD."""
     skew = [a - a.conj().swapaxes(1, 2) for a in stacks]
-    if not positive and not any(d.any() for d in skew):
+    live = [d.any(axis=(1, 2)) for d in skew]
+    if not positive and not any(m.any() for m in live):
         zero = np.zeros(len(stacks[0]))
         return zero > 0, zero, zero, None
     norms = op_norms(stacks)
-    defect, bound = op_norms(skew), tol * np.maximum(norms, 1e-14)
+    defect = op_norms([d[m] for d, m in zip(skew, live)], live)
+    bound = tol * np.maximum(norms, 1e-14)
     fails = defect > bound
     if positive:
         fails |= min_eig(stacks) < -bound
@@ -574,35 +582,51 @@ def meet_complements(
 # random elements
 # ---------------------------------------------------------------------------
 
-def random_operator(alg: TracialAlgebra, rng: np.random.Generator) -> Operator:
-    blocks = []
+def random_operators(
+    alg: TracialAlgebra, rng: np.random.Generator, k: int = 1
+) -> list[np.ndarray]:
+    """k random operators as per-block (k, n, n) stacks, from one draw of
+    ``rng`` that takes its numbers in the order of k :func:`random_operator`
+    calls: operator by operator, and within one the real, then the imaginary
+    Gaussian part of each block in turn."""
+    raw = rng.standard_normal((k, 2 * alg.vec_dim))
+    stacks, at = [], 0
     for n in alg.blocks:
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        blocks.append(a / math.sqrt(2 * n))
-    return Operator(alg, blocks)
+        re, im = raw[:, at:at + n * n], raw[:, at + n * n:at + 2 * n * n]
+        stacks.append((re + 1j * im).reshape(k, n, n) / math.sqrt(2 * n))
+        at += 2 * n * n
+    return stacks
+
+
+def normalized_draws(
+    draws: Sequence[np.ndarray], positive: bool, norm: float | None = 1.0
+) -> list[np.ndarray]:
+    """a a* (with ``positive``) or (a + a*)/2 for every member a of per-block
+    stacks of :func:`random_operators`, scaled to operator norm ``norm`` by
+    one :func:`op_norms` (members of norm 0, and all for ``norm=None``, stay)."""
+    adj = [a.conj().swapaxes(1, 2) for a in draws]
+    xs = [a @ b if positive else (a + b) / 2.0 for a, b in zip(draws, adj)]
+    if norm is None:
+        return xs
+    cur = op_norms(xs)
+    factor = np.divide(norm, cur, out=np.ones_like(cur), where=cur > 0)[:, None, None]
+    return [a * factor for a in xs]
+
+
+def random_operator(alg: TracialAlgebra, rng: np.random.Generator) -> Operator:
+    return Operator(alg, [a[0] for a in random_operators(alg, rng)])
 
 
 def random_self_adjoint(
     alg: TracialAlgebra, rng: np.random.Generator, norm: float | None = 1.0
 ) -> Operator:
-    x = random_operator(alg, rng).herm()
-    if norm is not None:
-        cur = x.norm_inf()
-        if cur > 0:
-            x = x * (norm / cur)
-    return x
+    return Operator(alg, [a[0] for a in normalized_draws(random_operators(alg, rng), False, norm)])
 
 
 def random_positive(
     alg: TracialAlgebra, rng: np.random.Generator, norm: float | None = 1.0
 ) -> Operator:
-    a = random_operator(alg, rng)
-    x = a @ a.H
-    if norm is not None:
-        cur = x.norm_inf()
-        if cur > 0:
-            x = x * (norm / cur)
-    return x
+    return Operator(alg, [a[0] for a in normalized_draws(random_operators(alg, rng), True, norm)])
 
 
 def random_projection(

@@ -17,19 +17,23 @@ lengths share one :meth:`Semigroup.mean_batch` per term index, with
 per-input lengths and shifts: ``weighted_families`` gives the P- and
 b-weighted families over a T grid, and ``substitution_bound_checks`` checks
 k cases in one pass.  Any other residual (``linear_capped``, ``sin_inv_t``,
-a plain callable) is integrated numerically, and so are the local mean gap
-(1/T) integral |b - P| and the substitution bound's right side, which read
-r alone.  One doubling core serves both integrators: composite
+a plain callable) is integrated numerically.  The local mean gap
+(1/T) integral |b - P| and the substitution bound's right side read r
+alone: ``constant`` and ``cos`` declare that mean in closed form, and every
+other residual takes it from the scalar quadrature.  One doubling core
+serves both integrators: composite
 Gauss-Legendre panels whose count doubles until the difference between
 successive refinements drops below ``QUAD_RTOL`` (in the operator norm for
 ``integrate_flow``), for at most ``MAX_REFINEMENTS`` doublings.  These are
 constants, not settings.  A built-in residual (:class:`Residual`) declares
 its kinks, the points where r or |r| is not smooth, and both integrators cut
 their panels there, so every panel holds a smooth piece.  Weight values are
-taken exactly at the quadrature nodes, never interpolated.  ``integrate_flow``
-also cross-checks the closed-form residual average in the weighted-avg
-suite, and serves as the independent oracle for the closed forms in the
-tests, at a tighter ``rtol``.
+taken exactly at the quadrature nodes, never interpolated.  In the
+weighted-avg suite ``integrate_flow`` cross-checks the closed-form residual
+average and ``integrate_scalar`` the declared mean of |r|
+(``declared_mean_abs_gap``); ``integrate_flow``
+also serves as the independent oracle for the closed forms in the tests, at
+a tighter ``rtol``.
 """
 from __future__ import annotations
 
@@ -69,6 +73,7 @@ __all__ = [
     "trig_value",
     "BesicovitchWeight",
     "besicovitch_error",
+    "declared_mean_abs_gap",
     "substitution_bound_check",
     "substitution_bound_checks",
     "residual_from_config",
@@ -398,11 +403,14 @@ class Residual:
     of (0, T) where r or |r| is not smooth (points outside are ignored), at
     most ``MAX_KINKS`` of them.  The quadrature cuts its panels there.  A
     residual that is itself a trigonometric polynomial also declares its
-    ``terms``, and its average is then taken in closed form."""
+    ``terms``, and its average is then taken in closed form; it may declare
+    ``mean_abs(T)`` = (1/T) integral_0^T |r| as well, which then replaces
+    the scalar quadrature."""
 
     func: Callable[[np.ndarray], np.ndarray]
     kinks: Callable[[float], Sequence[float]] = lambda T: ()
     terms: tuple[TrigTerm, ...] | None = None
+    mean_abs: Callable[[float], float] | None = None
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
         return self.func(ts)
@@ -459,7 +467,8 @@ class BesicovitchWeight:
     def _mapped(self, term_map, residual_map) -> "BesicovitchWeight":
         """The weight with terms ``term_map(term)`` (each a tuple of terms) and
         residual ``residual_map(r)``, under the same sup bounds and kinks; the
-        residual's declared terms go through ``term_map`` too."""
+        residual's declared terms go through ``term_map`` too, and its mean
+        of |r| is not carried over (|Re r| is not |r|)."""
 
         def mapped(terms):
             return tuple(new for t in terms for new in term_map(t))
@@ -493,7 +502,8 @@ def _real_terms(kappa: complex, theta: float) -> tuple[TrigTerm, TrigTerm]:
 @dataclass(frozen=True)
 class BesicovitchErrorTable:
     """Local mean errors (1/T) integral_0^T |b - P| dt over a shrinking grid;
-    ``errors`` holds the relative error the quadrature achieved on each row."""
+    ``errors`` holds the relative error the quadrature achieved on each row
+    (0 on rows whose residual declares the mean in closed form)."""
 
     rows: tuple[tuple[float, float], ...]
     tail_sup: float
@@ -502,11 +512,40 @@ class BesicovitchErrorTable:
 
 def _mean_abs_residual(b: BesicovitchWeight, T: float) -> tuple[float, float]:
     """(1/T) integral_0^T |r(t)| dt for the residual r = b - P, with the
-    relative error :func:`integrate_scalar` achieved; (0, 0) without one."""
+    relative error :func:`integrate_scalar` achieved; (0, 0) without one,
+    and error 0 when the residual declares this mean in closed form."""
     if b.residual is None:
         return 0.0, 0.0
+    if isinstance(b.residual, Residual) and b.residual.mean_abs is not None:
+        return b.residual.mean_abs(T), 0.0
+    return _quadrature_mean_abs(b, T)
+
+
+def _quadrature_mean_abs(b: BesicovitchWeight, T: float) -> tuple[float, float]:
+    """(1/T) integral_0^T |r| for the residual r of b, by :func:`integrate_scalar`
+    cut at the kinks of r, with its achieved relative error."""
     val, err = integrate_scalar(lambda ts: np.abs(b.residual(ts)), 0.0, T, b.kinks(T))
     return val / T, err
+
+
+def _mean_abs_cos(amp: float, freq: float, T: float) -> float:
+    """(1/T) integral_0^T |amp cos(freq t)| dt = |amp| (2k + (-1)^k sin u) / u,
+    with u = |freq| T and k = floor(u / pi + 1/2) the zeros of cos in (0, u];
+    |amp| at u = 0."""
+    u = abs(freq) * T
+    if u == 0:
+        return abs(amp)
+    k = math.floor(u / math.pi + 0.5)
+    return abs(amp) * (2 * k + (-1) ** k * math.sin(u)) / u
+
+
+def declared_mean_abs_gap(b: BesicovitchWeight, T: float) -> float:
+    """|declared - quadrature| for (1/T) integral_0^T |r| of the residual r
+    of b: the closed form its residual declares against
+    :func:`integrate_scalar`; 0 when it declares none."""
+    if not isinstance(b.residual, Residual) or b.residual.mean_abs is None:
+        return 0.0
+    return abs(b.residual.mean_abs(T) - _quadrature_mean_abs(b, T)[0])
 
 
 def besicovitch_error(b: BesicovitchWeight, T_grid: Sequence[float]) -> BesicovitchErrorTable:
@@ -541,7 +580,8 @@ def substitution_bound_checks(
     P-weighted averages of a positive bounded x differ by the residual's
     average, so lhs is the operator norm of (1/T) integral_0^T r(t) a_t(x) dt;
     rhs = 2 * ((1/T) integral_0^T |r|) * ||x||, and quad_error is the relative
-    error :func:`integrate_scalar` achieved on that mean gap.  The factor two
+    error :func:`integrate_scalar` achieved on that mean gap (0 where the
+    residual declares it in closed form).  The factor two
     absorbs the norm growth of the extended flow on non-self-adjoint parts;
     the contract is lhs <= rhs up to quadrature error.  Every input must be
     positive at ``INPUT_TOL`` (``ValueError`` names the first case that is
@@ -585,6 +625,10 @@ def residual_from_config(spec: dict | None) -> tuple[Residual | None, float]:
     kinks resolves).  constant c declares the term c and cos (a, omega) the
     terms a/2 at theta = +-omega / 2 pi, so their averages are closed forms;
     linear_capped and sin_inv_t declare none and go through the quadrature.
+    constant and cos also declare the mean (1/T) integral_0^T |r| of the
+    local mean gap: |c|, and |a| (2k + (-1)^k sin u) / u with u = |omega| T
+    and k = floor(u / pi + 1/2) (|a| at omega = 0); the other two take it
+    from the scalar quadrature.
     """
     require_finite(spec, "residual")
     if spec is None or spec.get("name", "none") == "none":
@@ -593,7 +637,9 @@ def residual_from_config(spec: dict | None) -> tuple[Residual | None, float]:
     if name == "constant":
         value = complex(spec.get("value", 0.0))
         terms = (TrigTerm(value, 0.0),)
-        return Residual(lambda ts: np.full(np.shape(ts), value), terms=terms), abs(value)
+        return Residual(
+            lambda ts: np.full(np.shape(ts), value), terms=terms, mean_abs=lambda T: abs(value)
+        ), abs(value)
     if name == "cos":
         amp = float(spec.get("amplitude", 0.1))
         freq = float(spec.get("frequency", 1.0))
@@ -607,7 +653,12 @@ def residual_from_config(spec: dict | None) -> tuple[Residual | None, float]:
         # a cos(omega t) = (a/2) (exp(i omega t) + exp(-i omega t))
         theta = freq / (2.0 * math.pi)
         terms = (TrigTerm(complex(amp / 2.0), theta), TrigTerm(complex(amp / 2.0), -theta))
-        return Residual(lambda ts: amp * np.cos(freq * np.asarray(ts)), zeros, terms), abs(amp)
+        return Residual(
+            lambda ts: amp * np.cos(freq * np.asarray(ts)),
+            zeros,
+            terms,
+            lambda T: _mean_abs_cos(amp, freq, T),
+        ), abs(amp)
     if name == "sin_inv_t":
         amp = float(spec.get("amplitude", 0.1))
 

@@ -196,18 +196,19 @@ def maximal_projection(
     if isinstance(family, dict):
         family = stack_blocks([family[float(T)] for T in T_grid])
     means = None if family is None else [y[:, None] for y in family]
-    return maximal_certificates(sg, [x], [params], T_grid, means)[0][0]
+    return maximal_certificates(sg, stack_blocks([x]), [params], T_grid, means)[0][0]
 
 
 def maximal_certificates(
     sg: Semigroup,
-    xs: Sequence[Operator],
+    xs: Sequence[np.ndarray],
     params: Sequence[MaximalParams],
     T_grid: Sequence[float],
     means: Sequence[np.ndarray] | None = None,
 ) -> list[list[ProjectionCertificate]]:
     """Maximal certificates of k inputs at once, ``[case][epsilon]``, one per
-    input and entry of ``params`` (which must share one p).
+    input and entry of ``params`` (which must share one p).  The inputs come
+    as per-block (k, n, n) stacks.
 
     ``means`` holds the averages y_T of every input, if already computed, as
     the (m, k, n, n) per-block stacks of ``Semigroup.mean_batch``.  One
@@ -228,19 +229,18 @@ def maximal_certificates(
     """
     if len({q.p for q in params}) != 1:
         raise ValueError("maximal projections need parameters sharing one exponent p")
-    if not xs:
+    if not xs or not len(xs[0]):
         raise ValueError("maximal certificates need at least one input")
-    xstack = stack_blocks(xs)
-    if hermitian_defects(xstack, INPUT_TOL)[0].any():
+    if hermitian_defects(xs, INPUT_TOL)[0].any():
         raise ValueError("maximal projection needs a self-adjoint operator")
     grid = tuple(float(T) for T in T_grid)
     if not grid:
         raise ValueError("T_grid must hold at least one T")
     if any(T <= 0 for T in grid):
         raise ValueError("T grid must be positive")
-    alg, k, m = sg.algebra, len(xs), len(grid)
+    alg, k, m = sg.algebra, len(xs[0]), len(grid)
     ys = []  # case-major (k, m, n, n) per block, symmetrised
-    for y in sg.mean_batch(grid, xstack) if means is None else means:
+    for y in sg.mean_batch(grid, xs) if means is None else means:
         y = y.swapaxes(0, 1)
         ys.append(y + y.conj().swapaxes(2, 3))
         ys[-1] /= 2.0
@@ -254,8 +254,8 @@ def maximal_certificates(
     )
     p = params[0].p
     power_trace = power_traces(alg, mags.eigenvalues, p)
-    xnorms = pnorms(alg, [np.linalg.svd(a, compute_uv=False) for a in xstack], p)
-    certs: list[list[ProjectionCertificate]] = [[] for _ in xs]
+    xnorms = pnorms(alg, [np.linalg.svd(a, compute_uv=False) for a in xs], p)
+    certs: list[list[ProjectionCertificate]] = [[] for _ in range(k)]
     for q in params:
         eps = q.epsilon
         cotraces = mags.cut_cotrace(eps)

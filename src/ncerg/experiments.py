@@ -26,6 +26,8 @@ from .algebra import (
     min_eig,
     pnorm,
     pnorms,
+    normalized_draws,
+    random_operators,
     random_positive,
     random_self_adjoint,
     stack_blocks,
@@ -37,6 +39,7 @@ from .averaging import (
     _residual_average,
     besicovitch_error,
     cesaro_average,
+    declared_mean_abs_gap,
     integrate_flow,
     residual_from_config,
     sandwich_slacks,
@@ -385,7 +388,7 @@ def _suite_local_avg(env: _Env) -> None:
 
 def _suite_sandwich(env: _Env) -> None:
     grid, rng = env.cfg.sandwich_grid, env.rng(3)
-    xs = stack_blocks([random_positive(env.alg, rng, norm=1.0) for _ in range(env.cfg.n_random)])
+    xs = normalized_draws(random_operators(env.alg, rng, env.cfg.n_random), True)
     # one stacked call for all b; slacks[:, c, i, j] = (lower, upper) at case c, grid[i], grid[j]
     slacks = np.transpose(sandwich_slacks(env.sg, xs, grid, grid), (0, 3, 2, 1))
     rows = [
@@ -399,7 +402,7 @@ def _suite_sandwich(env: _Env) -> None:
 def _suite_maximal(env: _Env) -> None:
     cfg, alg, sg = env.cfg, env.alg, env.sg
     rng = env.rng(4)
-    xs = [random_self_adjoint(alg, rng, norm=1.0) for _ in range(cfg.n_random)]
+    xs = normalized_draws(random_operators(alg, rng, cfg.n_random), False)
     T_grid = np.geomspace(cfg.T_lo, cfg.T_hi, cfg.T_n)
     params = [MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps) for eps in cfg.maximal_epsilons]
 
@@ -443,12 +446,13 @@ def _suite_weighted(env: _Env) -> None:
     cfg, alg, sg = env.cfg, env.alg, env.sg
     rng = env.rng(5)
     T_list = np.geomspace(1e-3, 1.0, 12)
-    weights, xs = [], []
-    for _ in range(cfg.weighted_cases):
+    weights, draws = [], []
+    for _ in range(cfg.weighted_cases):  # weight c, then input c
         weights.append(_random_weight(rng))
-        xs.append(random_positive(alg, rng, norm=1.0))
+        draws.append(random_operators(alg, rng))
+    xs = normalized_draws([np.concatenate(a) for a in zip(*draws)], True)
     Ts = T_list[np.arange(cfg.weighted_cases) % len(T_list)]
-    checks = substitution_bound_checks(sg, weights, stack_blocks(xs), Ts)
+    checks = substitution_bound_checks(sg, weights, xs, Ts)
     rows = [(float(T), lhs, rhs, rhs - lhs, err) for T, (lhs, rhs, err) in zip(Ts, checks.tolist())]
     env.write_table("weighted_avg", rows)
     env.passed["weighted-avg:substitution_bound"] = all(r[1] <= r[2] + 1e-8 for r in rows)
@@ -474,11 +478,14 @@ def _suite_weighted(env: _Env) -> None:
     env.passed["weighted-avg:domination"] = domination >= -1e-8
     env.passed["weighted-avg:norm_bound"] = norm_ok
     if b.residual_terms is not None:
-        # the closed-form residual average against the adaptive quadrature
+        # the closed-form residual average and mean of |r| against the
+        # adaptive operator and scalar quadratures
         quad = integrate_flow(sg, x, 0.0, T, weight=b.residual, kinks=b.kinks(T)).value / T
         gap = (_residual_average(sg, b, x, T) - quad).norm_inf()
+        mean_gap = declared_mean_abs_gap(b, T)
         env.passed["weighted-avg:residual_quadrature"] = (
             gap <= QUAD_RTOL * b.residual_sup * x.norm_inf()
+            and mean_gap <= QUAD_RTOL * b.residual_sup
         )
 
     # transfer from the trig-only averages to the full weighted averages
@@ -520,7 +527,7 @@ def _suite_banach(env: _Env) -> None:
 
     params = [MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps) for eps in cfg.maximal_epsilons]
     images = [y[:, None] for y in maps.images(x)]
-    certs = maximal_certificates(sg, [x], params, T_maps, images)[0]
+    certs = maximal_certificates(sg, stack_blocks([x]), params, T_maps, images)[0]
     c_use = max(max(c.params["empirical_C"] for c in certs), 1e-6)
 
     eps = cfg.banach_epsilon

@@ -61,12 +61,12 @@ from .algebra import (
     TracialAlgebra,
     op_norms,
     pnorms,
-    random_positive,
+    normalized_draws,
+    random_operators,
     random_self_adjoint,
     stack_blocks,
     traces,
     unvecs,
-    vec,
     vecs,
     operator_from_dict,
 )
@@ -86,7 +86,6 @@ __all__ = [
     "choi_blocks",
     "choi_min_eig",
     "lindblad_generator",
-    "generator_from_map",
     "semigroup_from_config",
 ]
 
@@ -412,22 +411,15 @@ class GeneratorExp(Semigroup):
 # generator builders
 # ---------------------------------------------------------------------------
 
-def generator_from_map(
-    alg: TracialAlgebra, func: Callable[[Operator], Operator]
-) -> np.ndarray:
-    """Matrix of a linear map on the vectorized algebra: column c is vec of
-    the image of the c-th matrix unit."""
-    units = unvecs(alg, np.eye(alg.vec_dim, dtype=complex))
-    images = [func(Operator(alg, [u[c] for u in units])) for c in range(alg.vec_dim)]
-    return np.column_stack([vec(y) for y in images])
-
-
 def lindblad_generator(
     alg: TracialAlgebra,
     hamiltonian: Operator,
     jumps: Sequence[Operator],
 ) -> np.ndarray:
-    """Generator L(x) = i[H, x] + sum_k (A_k x A_k - (A_k^2 x + x A_k^2)/2).
+    """Generator L(x) = i[H, x] + sum_k (A_k x A_k - (A_k^2 x + x A_k^2)/2)
+    as a matrix on the vectorized algebra: column c is vec of L applied to
+    the c-th matrix unit.  H and the A_k lie in the algebra, so L acts block
+    by block, once per block on the (d, n, n) stack of every unit's block.
 
     With self-adjoint jump operators the generated semigroup fixes the
     identity and preserves the weighted trace, so it is an absolute
@@ -439,15 +431,18 @@ def lindblad_generator(
         if not a.is_self_adjoint():
             raise ValueError("jump operators must be self-adjoint")
     h = hamiltonian.herm()
-
-    def apply_l(x: Operator) -> Operator:
-        out = 1j * (h @ x - x @ h)
-        for a in jumps:
+    # every block sees all d units, not only its own n^2: the others give
+    # zeros whose sign bits match a per-unit build, and the eigensolver of
+    # GeneratorExp may depend on those signs
+    units = unvecs(alg, np.eye(alg.vec_dim, dtype=complex))
+    images = []
+    for i, x in enumerate(units):
+        out = 1j * (h.blocks[i] @ x - x @ h.blocks[i])
+        for a in (a.blocks[i] for a in jumps):
             a2 = a @ a
             out = out + (a @ x @ a - 0.5 * (a2 @ x + x @ a2))
-        return out
-
-    return generator_from_map(alg, apply_l)
+        images.append(out)
+    return np.ascontiguousarray(vecs(images).T)
 
 
 # ---------------------------------------------------------------------------
@@ -607,17 +602,19 @@ def validate_absolute_contraction(
         raise ValueError("t_samples must be nonnegative")
     rng = np.random.default_rng(0) if rng is None else rng
     alg = sg.algebra
-    positives = [random_positive(alg, rng) for _ in range(20)]
+    positives = normalized_draws(random_operators(alg, rng, 20), True)
     # input 0 is the identity, input k + 1 the k-th positive
-    inputs = stack_blocks([alg.identity(), *positives])
+    inputs = [
+        np.concatenate([np.eye(n, dtype=complex)[None], a]) for n, a in zip(alg.blocks, positives)
+    ]
     eyes = [a[0] for a in inputs]
-    scales = np.maximum(op_norms([a[1:] for a in inputs]), 1e-300)
-    traces_in = traces(alg, [a[1:] for a in inputs]).real
+    scales = np.maximum(op_norms(positives), 1e-300)
+    traces_in = traces(alg, positives).real
 
     # unitality (per t), positivity relative to the input's norm and trace
     # excess (per t and sample), each clamped at 0
     unital = np.zeros(len(ts))
-    pos = np.zeros((len(ts), len(positives)))
+    pos = np.zeros((len(ts), len(positives[0])))
     texc = np.zeros_like(pos)
     for i, t in enumerate(ts):
         images = [y[0] for y in sg.propagate_batch(np.array([t]), inputs)]
@@ -665,11 +662,10 @@ def validate_absolute_contraction(
     for i, t in enumerate(sub):
         for s in sub[i:]:
             law_pairs.append((t, s))
-    probes = stack_blocks([random_self_adjoint(alg, rng) for _ in range(3)])
-    law = _law_residual(sg, law_pairs, probes)
-
-    probe = random_self_adjoint(alg, rng)
-    cont = continuity_modulus(sg, probe, 2.0, ts)
+    # three law probes and one continuity probe, drawn together
+    probes = normalized_draws(random_operators(alg, rng, 4), False)
+    law = _law_residual(sg, law_pairs, [a[:3] for a in probes])
+    cont = continuity_modulus(sg, Operator(alg, [a[3] for a in probes]), 2.0, ts)
 
     choi_ok = choi_min is None or choi_min >= -CONTRACTION_TOL
     sampled_only = not choi_ok and not sg.cp_by_construction
@@ -758,10 +754,9 @@ def semigroup_from_config(
             raise ConfigError(f"lindblad.jumps={count!r} must be an integer in [0, {MAX_JUMPS}]")
         if rng is None:
             raise ValueError("random lindblad generator needs an rng")
-        h = random_self_adjoint(alg, rng, norm=float(lind.get("norm", 0.5)))
-        jumps = [
-            random_self_adjoint(alg, rng, norm=float(lind.get("norm", 0.5)))
-            for _ in range(count)
-        ]
+        # H, then the jumps, drawn together
+        norm = float(lind.get("norm", 0.5))
+        ops = normalized_draws(random_operators(alg, rng, 1 + count), False, norm)
+        h, *jumps = (Operator(alg, [a[c] for a in ops]) for c in range(1 + count))
         return GeneratorExp(alg, lindblad_generator(alg, h, jumps))
     raise ValueError(f"unknown semigroup variant: {variant!r}")

@@ -2,14 +2,27 @@
 
 Each helper recomputes, one operator at a time, a quantity the library
 produces in batch or stores: a compressed norm, the bound a certificate
-stores, the reconstruction and orthonormality of a spectral resolution, and
-the order of two projections.
+stores, the reconstruction and orthonormality of a spectral resolution, the
+order of two projections, the matrix of a linear map on the vectorized
+algebra, one matrix unit at a time, and random inputs drawn and normalized
+one operator at a time through :class:`Operator` arithmetic.
 """
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 import numpy as np
 
-from ncerg.algebra import PROJECTION_TOL, Operator, Projection, SpectralResolution
+from ncerg.algebra import (
+    PROJECTION_TOL,
+    Operator,
+    Projection,
+    SpectralResolution,
+    TracialAlgebra,
+    unvecs,
+    vec,
+)
 from ncerg.bau import ProjectionCertificate, compressed_norms
 
 
@@ -45,3 +58,26 @@ def gram_residual(res: SpectralResolution) -> float:
 def leq(p: Projection, q: Projection, tol: float = PROJECTION_TOL) -> bool:
     """True when ``p`` is dominated by ``q`` (q p = p)."""
     return (q.op @ p.op - p.op).norm_inf() <= tol
+
+
+def generator_from_map(
+    alg: TracialAlgebra, func: Callable[[Operator], Operator]
+) -> np.ndarray:
+    """Matrix of a linear map on the vectorized algebra: column c is vec of
+    the image of the c-th matrix unit."""
+    units = unvecs(alg, np.eye(alg.vec_dim, dtype=complex))
+    images = [func(Operator(alg, [u[c] for u in units])) for c in range(alg.vec_dim)]
+    return np.column_stack([vec(y) for y in images])
+
+
+def random_input(alg: TracialAlgebra, rng: np.random.Generator, positive: bool) -> Operator:
+    """One random positive (a a*) or self-adjoint ((a + a*)/2) operator of
+    norm 1, a Gaussian block at a time, real then imaginary part."""
+    blocks = []
+    for n in alg.blocks:
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        blocks.append(a / math.sqrt(2 * n))
+    a = Operator(alg, blocks)
+    x = a @ a.H if positive else a.herm()
+    cur = x.norm_inf()
+    return x * (1.0 / cur) if cur > 0 else x

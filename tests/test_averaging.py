@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from ncerg.averaging import (
     weight_from_config,
 )
 from ncerg.config import ConfigError
-from ncerg.experiments import ExperimentConfig
+from ncerg.experiments import ExperimentConfig, run
 from ncerg.semigroups import lindblad_generator, GeneratorExp
 
 
@@ -299,14 +300,20 @@ def test_besicovitch_error_reports_quadrature_error():
     assert all(err > rtol for err in table.errors)
     # |cos t| has no kink below pi/2, so every row converges
     res, sup = residual_from_config({"name": "cos", "amplitude": 0.05, "frequency": 1.0})
-    b = BesicovitchWeight((TrigTerm(0.4, 0.15),), res, sup)
+    b = BesicovitchWeight((TrigTerm(0.4, 0.15),), _quadrature_residual(res), sup)
     table = besicovitch_error(b, np.geomspace(1.0, 1e-3, 8))
     assert all(err <= rtol for err in table.errors)
     # the kink of |cos 7t| at pi/14 lies inside T = 0.5; it is a panel edge,
     # so that row converges too
     res, sup = residual_from_config({"name": "cos", "amplitude": 0.04, "frequency": 7.0})
-    table = besicovitch_error(BesicovitchWeight((), res, sup), [0.5, 0.1])
+    table = besicovitch_error(BesicovitchWeight((), _quadrature_residual(res), sup), [0.5, 0.1])
     assert all(err <= rtol for err in table.errors)
+
+
+def _quadrature_residual(res):
+    """The residual without its declared mean of |r|, so that the local mean
+    gap takes the scalar quadrature, cut at the declared kinks."""
+    return dataclasses.replace(res, mean_abs=None)
 
 
 # The default weight's residual 0.04 cos 7t has kinks in |r| at odd multiples
@@ -316,6 +323,12 @@ KINKED_GRID = np.geomspace(1.0, 1e-5, 48)
 
 def _default_weight() -> BesicovitchWeight:
     return weight_from_config(ExperimentConfig().weight)
+
+
+def _quadrature_weight() -> BesicovitchWeight:
+    """The default weight, its mean of |r| taken by the kinked quadrature."""
+    b = _default_weight()
+    return dataclasses.replace(b, residual=_quadrature_residual(b.residual))
 
 
 def _mean_abs_cos(amp: float, freq: float, T: float) -> float:
@@ -333,7 +346,7 @@ def _kinked_true_errors(b: BesicovitchWeight):
 
 
 def test_kinked_mean_gap_matches_closed_form(alg, rng):
-    b = _default_weight()
+    b = _quadrature_weight()
     true_errors, _ = _kinked_true_errors(b)
     assert max(true_errors) <= 1e-8
     sg = ScalarDecay(alg, 1.0)
@@ -345,7 +358,7 @@ def test_kinked_mean_gap_matches_closed_form(alg, rng):
 
 
 def test_kinked_mean_gap_error_is_reported():
-    true_errors, reported = _kinked_true_errors(_default_weight())
+    true_errors, reported = _kinked_true_errors(_quadrature_weight())
     roundoff = 8 * np.finfo(float).eps
     assert all(t <= r + roundoff for t, r in zip(true_errors, reported))
 
@@ -353,9 +366,83 @@ def test_kinked_mean_gap_error_is_reported():
 def test_kinked_rows_converge_to_the_closed_form():
     # the declared kinks cut the panels, so every row of the default weight's
     # table converges and matches the closed form to roundoff
-    true_errors, reported = _kinked_true_errors(_default_weight())
+    true_errors, reported = _kinked_true_errors(_quadrature_weight())
     assert max(reported) <= QUAD_RTOL
     assert max(true_errors) <= 1e-12
+
+
+def _cos_lengths(freq: float) -> list[float]:
+    """T from 1e-5 to 1, plus the kinks (k + 1/2) pi / |freq| in (0, 1] and
+    points just either side of them."""
+    Ts = np.geomspace(1e-5, 1.0, 11).tolist()
+    if freq:
+        for kink in (np.arange(3) + 0.5) * (math.pi / abs(freq)):
+            Ts += [t for t in (kink, kink * (1 - 1e-9), kink * (1 + 1e-9)) if t <= 1.0]
+    return Ts
+
+
+@pytest.mark.parametrize("amp", [0.04, -0.04])
+@pytest.mark.parametrize("freq", [7.0, -7.0, 0.0])
+def test_declared_cos_mean_abs_matches_the_quadrature(amp, freq):
+    res, sup = residual_from_config({"name": "cos", "amplitude": amp, "frequency": freq})
+    Ts = _cos_lengths(freq)
+    for T in Ts:
+        quad, _ = integrate_scalar(lambda ts: np.abs(res(ts)), 0.0, T, res.kinks(T))
+        assert res.mean_abs(T) == pytest.approx(quad / T, rel=1e-12, abs=0.0)
+        exact = _mean_abs_cos(amp, abs(freq), T) if freq else abs(amp)
+        assert res.mean_abs(T) == exact
+    # the local mean gap reads the closed form and reports no quadrature error
+    table = besicovitch_error(BesicovitchWeight((), res, sup), sorted(Ts, reverse=True))
+    assert all(v == res.mean_abs(T) for T, v in table.rows)
+    assert table.errors == (0.0,) * len(Ts)
+
+
+@pytest.mark.parametrize("value", [0.07, -0.07, 0.03 + 0.04j, -0.05j])
+def test_declared_constant_mean_abs_matches_the_quadrature(value):
+    res, sup = residual_from_config({"name": "constant", "value": value})
+    for T in np.geomspace(1e-5, 1.0, 6):
+        quad, _ = integrate_scalar(lambda ts: np.abs(res(ts)), 0.0, T, res.kinks(T))
+        assert res.mean_abs(T) == abs(value) == sup
+        assert res.mean_abs(T) == pytest.approx(quad / T, rel=1e-12, abs=0.0)
+
+
+def test_mapped_weights_and_plain_callables_take_the_quadrature(monkeypatch):
+    calls = []
+    quadrature = averaging.integrate_scalar
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(averaging, "integrate_scalar", counted)
+    res, sup = residual_from_config({"name": "cos", "amplitude": 0.04, "frequency": 7.0})
+    b = BesicovitchWeight((TrigTerm(0.4, 0.15),), res, sup)
+    grid = [0.5, 0.1, 1e-3]
+    closed = besicovitch_error(b, grid)
+    assert calls == [] and closed.errors == (0.0,) * len(grid)
+    plain = BesicovitchWeight(b.terms, lambda ts: 0.04 * np.cos(7.0 * np.asarray(ts)), sup)
+    # |conj r| = |Re r| = |r| for this real r, so the quadrature meets the closed form
+    for weight, same in ((b.conjugated(), True), (b.real_part(), True), (b.imag_part(), False),
+                         (plain, True)):
+        calls.clear()
+        table = besicovitch_error(weight, grid)
+        assert len(calls) == len(grid)
+        if same:
+            for (_, v), (_, c) in zip(table.rows, closed.rows):
+                assert v == pytest.approx(c, rel=1e-8)
+
+
+def test_residual_quadrature_check_catches_a_wrong_closed_form(tmp_path, monkeypatch):
+    # the weighted-avg suite compares the declared mean of |r| with the
+    # scalar quadrature; a closed form off by 1e-8 relative fails it
+    cfg = ExperimentConfig(n_random=2, weighted_cases=4, T_n=12)
+    assert run(cfg, "weighted-avg", tmp_path / "ok").passed["weighted-avg:residual_quadrature"]
+    true_form = averaging._mean_abs_cos
+    monkeypatch.setattr(
+        averaging, "_mean_abs_cos", lambda a, w, T: true_form(a, w, T) * (1.0 + 1e-8)
+    )
+    bad = run(cfg, "weighted-avg", tmp_path / "bad")
+    assert bad.passed["weighted-avg:residual_quadrature"] is False
 
 
 def test_residual_kinks_are_declared():

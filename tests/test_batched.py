@@ -40,8 +40,8 @@ from ncerg import (
 from ncerg import semigroups
 from ncerg.algebra import AlgebraMismatchError, min_eig, pnorms, random_operator, stack_blocks
 from ncerg.bau import _pair_table
-from ncerg.semigroups import EIGEN_TOL, choi_blocks, choi_min_eig, generator_from_map, phi1
-from oracles import compressed_norm
+from ncerg.semigroups import EIGEN_TOL, choi_blocks, choi_min_eig, phi1
+from oracles import compressed_norm, generator_from_map
 
 # unequal blocks, so a swapped block index or a transposed Choi layout shows
 ALG = TracialAlgebra((2, 3), (1.0, 0.5))

@@ -35,6 +35,7 @@ from ncerg.algebra import (
     random_operator,
     spectral_projection,
     spectral_resolution,
+    stack_blocks,
 )
 from ncerg.bau import (
     ScheduleExhaustedError,
@@ -211,7 +212,7 @@ def test_maximal_certificates_match_per_epsilon_calls(alg6, rng, p):
     x = random_self_adjoint(alg6, rng, norm=0.6)
     grid = np.geomspace(1e-3, 0.5, 6)
     params = [MaximalParams(1.0, p, eps) for eps in (0.2, 0.5, 0.1, 0.2)]
-    certs = maximal_certificates(sg, [x], params, grid)[0]
+    certs = maximal_certificates(sg, stack_blocks([x]), params, grid)[0]
     assert len({c.cotrace for c in certs}) == 3
     for q, got in zip(params, certs):
         want = maximal_projection(sg, x, q, grid)
@@ -231,10 +232,10 @@ def test_maximal_certificates_match_per_case_calls(alg6, p):
     xs += [0.05 * xs[0], alg6.zero()]
     grid = np.geomspace(1e-3, 2.0, 7)
     params = [MaximalParams(1.0, p, eps) for eps in (0.5, 0.2, 0.1)]
-    stacked = maximal_certificates(sg, xs, params, grid)
+    stacked = maximal_certificates(sg, stack_blocks(xs), params, grid)
     assert len(stacked) == len(xs)
     for x, got_certs in zip(xs, stacked):
-        one = maximal_certificates(sg, [x], params, grid)[0]
+        one = maximal_certificates(sg, stack_blocks([x]), params, grid)[0]
         for got, want in zip(got_certs, one, strict=True):
             assert got.cotrace == want.cotrace
             assert (got.epsilon, got.params, got.flags) == (want.epsilon, want.params, want.flags)
@@ -252,7 +253,8 @@ def test_maximal_certificates_match_per_case_calls(alg6, p):
 def test_maximal_certificates_need_one_exponent(alg, rng):
     params = [MaximalParams(1.0, 1.0, 0.3), MaximalParams(1.0, 2.0, 0.3)]
     with pytest.raises(ValueError, match="one exponent"):
-        maximal_certificates(Identity(alg), [random_self_adjoint(alg, rng)], params, [1.0])[0]
+        xs = stack_blocks([random_self_adjoint(alg, rng)])
+        maximal_certificates(Identity(alg), xs, params, [1.0])[0]
 
 
 @pytest.mark.parametrize(
@@ -262,8 +264,9 @@ def test_maximal_certificates_need_one_exponent(alg, rng):
 )
 def test_maximal_certificates_name_empty_inputs(alg, rng, inputs, grid, match):
     xs = [] if inputs == "none" else [random_self_adjoint(alg, rng)]
+    params = [MaximalParams(1.0, 1.0, 0.3)]
     with pytest.raises(ValueError, match=match):
-        maximal_certificates(Identity(alg), xs, [MaximalParams(1.0, 1.0, 0.3)], grid)
+        maximal_certificates(Identity(alg), stack_blocks(xs), params, grid)
 
 
 # ---------------------------------------------------------------------------

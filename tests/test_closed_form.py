@@ -39,7 +39,8 @@ from ncerg.averaging import (
     integrate_flow,
     residual_from_config,
 )
-from ncerg.semigroups import generator_from_map, lindblad_generator, phi1
+from ncerg.semigroups import lindblad_generator, phi1
+from oracles import generator_from_map
 
 ORACLE = 1e-13  # rtol of the quadrature oracle, tighter than the library's
 REL = 1e-12

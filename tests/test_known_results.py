@@ -150,7 +150,7 @@ def test_maximal_suite_sends_no_zero_matrix_to_svd(tmp_path, monkeypatch):
     xs = [random_self_adjoint(env.alg, rng, norm=1.0) for _ in range(cfg.n_random)]
     params = [MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps) for eps in cfg.maximal_epsilons]
     grid = np.geomspace(cfg.T_lo, cfg.T_hi, cfg.T_n)
-    certs = [c for cs in maximal_certificates(env.sg, xs, params, grid) for c in cs]
+    certs = [c for cs in maximal_certificates(env.sg, stack_blocks(xs), params, grid) for c in cs]
     zero_blocks = 0
     for c in certs:
         want = float(compressed_norms(c.projection, c.family_ops).max())

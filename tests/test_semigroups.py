@@ -23,7 +23,8 @@ from ncerg import (
     validate_absolute_contraction,
 )
 from ncerg.algebra import min_eig, random_operator
-from ncerg.semigroups import choi_min_eig, generator_from_map
+from ncerg.semigroups import choi_min_eig
+from oracles import generator_from_map
 
 
 def distance_rates(alg, scale=1.0):
