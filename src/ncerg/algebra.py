@@ -308,7 +308,8 @@ def pnorms(alg: TracialAlgebra, svals: Sequence[np.ndarray], p: float) -> list[f
     tau(|y|^p) itself where that is 0 or a normal float (``pow`` is not
     exact under power-of-two scaling, so this keeps the bits of the unscaled
     sum), and else the root of the scaled :func:`spectral_sums`, scaled
-    back, so no p-norm in range overflows or underflows.
+    back, so no p-norm in range overflows or underflows.  At p = 2 the root
+    is ``math.sqrt``, which is correctly rounded; ``pow`` is not.
     """
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1 or inf")
@@ -316,8 +317,9 @@ def pnorms(alg: TracialAlgebra, svals: Sequence[np.ndarray], p: float) -> list[f
         return np.max([s[:, 0] for s in svals], axis=0).tolist()
     total, exps = spectral_sums(alg, svals, p)
     tiny = np.finfo(float).tiny
+    root = math.sqrt if p == 2 else lambda v: v ** (1.0 / p)
     return [
-        v ** (1.0 / p) if s == 0 or tiny <= v < math.inf else math.ldexp(s ** (1.0 / p), e)
+        root(v) if s == 0 or tiny <= v < math.inf else math.ldexp(root(s), e)
         for v, s, e in zip(_scaled_back(total, exps, p).tolist(), total.tolist(), exps.tolist())
     ]
 

@@ -17,7 +17,8 @@ lengths share one :meth:`Semigroup.mean_batch` per term index, with
 per-input lengths and shifts: ``weighted_families`` gives the P- and
 b-weighted families over a T grid, and ``substitution_bound_checks`` checks
 k cases in one pass.  Any other residual (``linear_capped``, ``sin_inv_t``,
-a plain callable) is integrated numerically.  The local mean gap
+a plain callable, which a weight wraps as a :class:`Residual` that declares
+nothing) is integrated numerically.  The local mean gap
 (1/T) integral |b - P| and the substitution bound's right side read r
 alone: ``constant`` and ``cos`` declare that mean in closed form, and every
 other residual takes it from the scalar quadrature.  One doubling core
@@ -274,13 +275,14 @@ def _residual_means(
     Residuals that declare their terms share :func:`_trig_means`; any other
     goes through :func:`integrate_flow`, one call per length."""
     Ts = np.asarray(Ts, dtype=float)
-    out = _trig_means(sg, [b.residual_terms or () for b in weights], xs, Ts)
-    for c, b in enumerate(weights):
-        if b.residual is None or b.residual_terms is not None:
+    residuals = [b.residual for b in weights]
+    out = _trig_means(sg, [r.terms if r and r.terms else () for r in residuals], xs, Ts)
+    for c, r in enumerate(residuals):
+        if r is None or r.terms is not None:
             continue
         x = Operator(sg.algebra, [a[c] for a in xs])
         for q, T in enumerate(map(float, Ts[:, c] if Ts.ndim == 2 else Ts)):
-            y = integrate_flow(sg, x, 0.0, T, weight=b.residual, kinks=b.kinks(T)).value / T
+            y = integrate_flow(sg, x, 0.0, T, weight=r, kinks=r.kinks(T)).value / T
             for o, a in zip(out, y.blocks):
                 o[q, c] = a
     return out
@@ -421,20 +423,22 @@ class BesicovitchWeight:
     """Trigonometric polynomial plus a bounded residual.
 
     ``value(t) = sum_j kappa_j exp(2 pi i theta_j t) + residual(t)``.  The
-    residual callable must accept numpy arrays and stay below
-    ``residual_sup`` in modulus; ``sup_bound`` is the declared bound on the
-    whole weight (defaults to sum |kappa_j| + residual_sup).  A
-    :class:`Residual` also declares its kinks, and possibly its terms; a plain
-    callable declares neither.
+    residual must accept numpy arrays and stay below ``residual_sup`` in
+    modulus; ``sup_bound`` is the declared bound on the whole weight
+    (defaults to sum |kappa_j| + residual_sup).  The residual is stored as a
+    :class:`Residual`: a plain callable is wrapped as one that declares no
+    kinks, no terms and no mean of |r|.
     """
 
     terms: tuple[TrigTerm, ...]
-    residual: Callable[[np.ndarray], np.ndarray] | None = None
+    residual: Residual | None = None
     residual_sup: float = 0.0
     sup_bound: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
+        if self.residual is not None and not isinstance(self.residual, Residual):
+            object.__setattr__(self, "residual", Residual(self.residual))
         if self.residual is None and self.residual_sup != 0.0:
             raise ValueError("residual_sup without a residual")
         if self.sup_bound is None:
@@ -451,15 +455,6 @@ class BesicovitchWeight:
             out = out + np.asarray(self.residual(np.asarray(ts, dtype=float)), dtype=complex)
         return out
 
-    def kinks(self, T: float) -> Sequence[float]:
-        """The residual's declared kinks in (0, T)."""
-        return self.residual.kinks(T) if isinstance(self.residual, Residual) else ()
-
-    @property
-    def residual_terms(self) -> tuple[TrigTerm, ...] | None:
-        """The residual's declared trigonometric terms, or None."""
-        return self.residual.terms if isinstance(self.residual, Residual) else None
-
     def sup_violation(self, ts: np.ndarray) -> float:
         """max sampled |b(t)| minus the declared bound (negative when fine)."""
         return float(np.max(np.abs(self.value(ts))) - self.sup_bound)
@@ -473,13 +468,12 @@ class BesicovitchWeight:
         def mapped(terms):
             return tuple(new for t in terms for new in term_map(t))
 
-        res = None
-        if self.residual is not None:
-            orig, terms = self.residual, self.residual_terms
+        res, orig = None, self.residual
+        if orig is not None:
             res = Residual(
                 lambda ts: residual_map(np.asarray(orig(ts))).astype(complex),
-                self.kinks,
-                None if terms is None else mapped(terms),
+                orig.kinks,
+                None if orig.terms is None else mapped(orig.terms),
             )
         return BesicovitchWeight(mapped(self.terms), res, self.residual_sup, self.sup_bound)
 
@@ -516,7 +510,7 @@ def _mean_abs_residual(b: BesicovitchWeight, T: float) -> tuple[float, float]:
     and error 0 when the residual declares this mean in closed form."""
     if b.residual is None:
         return 0.0, 0.0
-    if isinstance(b.residual, Residual) and b.residual.mean_abs is not None:
+    if b.residual.mean_abs is not None:
         return b.residual.mean_abs(T), 0.0
     return _quadrature_mean_abs(b, T)
 
@@ -524,7 +518,7 @@ def _mean_abs_residual(b: BesicovitchWeight, T: float) -> tuple[float, float]:
 def _quadrature_mean_abs(b: BesicovitchWeight, T: float) -> tuple[float, float]:
     """(1/T) integral_0^T |r| for the residual r of b, by :func:`integrate_scalar`
     cut at the kinks of r, with its achieved relative error."""
-    val, err = integrate_scalar(lambda ts: np.abs(b.residual(ts)), 0.0, T, b.kinks(T))
+    val, err = integrate_scalar(lambda ts: np.abs(b.residual(ts)), 0.0, T, b.residual.kinks(T))
     return val / T, err
 
 
@@ -543,7 +537,7 @@ def declared_mean_abs_gap(b: BesicovitchWeight, T: float) -> float:
     """|declared - quadrature| for (1/T) integral_0^T |r| of the residual r
     of b: the closed form its residual declares against
     :func:`integrate_scalar`; 0 when it declares none."""
-    if not isinstance(b.residual, Residual) or b.residual.mean_abs is None:
+    if b.residual is None or b.residual.mean_abs is None:
         return 0.0
     return abs(b.residual.mean_abs(T) - _quadrature_mean_abs(b, T)[0])
 

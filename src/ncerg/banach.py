@@ -112,28 +112,22 @@ def cesaro_map_family(sg: Semigroup, T_list: Sequence[float]) -> MapFamily:
 class ApproximationScheme:
     """Generator of approximants with a guaranteed norm gap.
 
-    ``generate(x, n, eps)`` must return x_n with
-    ||x_n - x||_p < (eps / 2^{n+1})^{2/alpha}; ``make`` verifies the gap at
-    generation time and raises :class:`SchemeError` otherwise.  A scheme
-    whose approximants of one x share work may also give ``start``:
-    ``start(x)`` does that work once and returns the generator (n, eps) ->
-    x_n of that x, which :meth:`maker` hands out.
+    ``start(x)`` does the work the approximants of one x share and returns
+    the generator (n, eps) -> x_n of that x, which must give
+    ||x_n - x||_p < (eps / 2^{n+1})^{2/alpha}; :meth:`maker` verifies the gap
+    at generation time and raises :class:`SchemeError` otherwise.
     """
 
-    generate: Callable[[Operator, int, float], Operator]
+    start: Callable[[Operator], Callable[[int, float], Operator]]
     norm_p: float
     alpha: float
-    start: Callable[[Operator], Callable[[int, float], Operator]] | None = None
 
     def gap_bound(self, n: int, eps: float) -> float:
         return (eps / 2.0 ** (n + 1)) ** (2.0 / self.alpha)
 
-    def make(self, x: Operator, n: int, eps: float) -> tuple[Operator, float]:
-        return self.maker(x)(n, eps)
-
     def maker(self, x: Operator) -> Callable[[int, float], tuple[Operator, float]]:
-        """:meth:`make` for one x, with the work its approximants share done once."""
-        generate = self.start(x) if self.start else lambda n, eps: self.generate(x, n, eps)
+        """(n, eps) -> (x_n, ||x_n - x||_p) for one x, its gap verified."""
+        generate = self.start(x)
 
         def make(n: int, eps: float) -> tuple[Operator, float]:
             x_n = generate(n, eps)
@@ -222,10 +216,10 @@ class StepRecord:
 
 @dataclass
 class AssemblyCertificate:
-    """Full trace of an extension run: projections, indices, bound ledger."""
+    """Full trace of an extension run: projections, indices, bound ledger;
+    its co-trace is that of the final projection."""
 
     projection: Projection
-    cotrace: float
     epsilon: float
     C: float
     n0: int
@@ -236,6 +230,10 @@ class AssemblyCertificate:
     approximant_projs: tuple[Projection, ...] = field(repr=False, default=())
     dense_cert: ProjectionCertificate | None = field(repr=False, default=None)
     meet_proj: Projection | None = field(repr=False, default=None)
+
+    @property
+    def cotrace(self) -> float:
+        return self.projection.cotrace
 
     def to_json_dict(self) -> dict:
         return {
@@ -386,7 +384,6 @@ def assemble_certificate(
     budget_spent = sum(c.cotrace for c in certs) + dense_cert.cotrace
     return AssemblyCertificate(
         projection=f,
-        cotrace=f.cotrace,
         epsilon=eps,
         C=oracle.C,
         n0=1,
@@ -432,6 +429,4 @@ def scheme_from_semigroup(sg: Semigroup, p: float, alpha: float) -> Approximatio
 
         return generate
 
-    return ApproximationScheme(
-        generate=lambda x, n, eps: start(x)(n, eps), norm_p=p, alpha=alpha, start=start
-    )
+    return ApproximationScheme(start, p, alpha)

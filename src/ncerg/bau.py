@@ -2,10 +2,10 @@
 
 A statement of the form "there is a projection e with small co-trace such
 that the compressed norms ||e y e|| are uniformly small" is made executable
-here as a :class:`ProjectionCertificate`: the projection itself, its co-trace,
-the bound it achieves over a named family, and the parameters of the run.
-Certificates keep their family in memory so that tests can recompute the
-stored bound from the stored projection.
+here as a :class:`ProjectionCertificate`: the projection itself (which
+carries its co-trace), the bound it achieves over a named family, and the
+parameters of the run.  A certificate keeps neither the family's operators
+nor a second copy of the co-trace.
 
 A T-indexed family is a per-block stack here: one (m, n, n) array per
 block in grid order; the public signatures stack their lists and dicts of
@@ -73,17 +73,14 @@ COTRACE_SLACK = 1e-12  # absolute slack of a co-trace over its budget
 
 @dataclass
 class ProjectionCertificate:
-    """Projection e, its co-trace, and the uniform bound it achieves.
+    """Projection e and the uniform bound it achieves; its co-trace
+    tau(1 - e) is the projection's own.
 
     ``family`` names the checked family; ``grid`` the sweep parameters;
-    ``decay`` an optional table of (parameter, compressed norm) rows.  The
-    operators behind the bound are kept in memory on ``family_ops``, one
-    (m, n, n) stack per block, so tests can recompute the bound, but are
-    never serialized.
+    ``decay`` an optional table of (parameter, compressed norm) rows.
     """
 
     projection: Projection
-    cotrace: float
     epsilon: float
     achieved_bound: float
     family: str
@@ -91,9 +88,10 @@ class ProjectionCertificate:
     params: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
     decay: tuple[tuple[float, float], ...] | None = None
-    family_ops: list[np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+
+    @property
+    def cotrace(self) -> float:
+        return self.projection.cotrace
 
     @property
     def ok(self) -> bool:
@@ -294,7 +292,6 @@ def maximal_certificates(
                 flags.append("bound exceeded for configured C")
             certs[case].append(ProjectionCertificate(
                 projection=e,
-                cotrace=e.cotrace,
                 epsilon=eps,
                 achieved_bound=bound,
                 family="cesaro averages over T grid",
@@ -308,7 +305,6 @@ def maximal_certificates(
                     "chebyshev": np.column_stack([grid, cotraces[case], chebyshev]).tolist(),
                 },
                 flags=tuple(flags),
-                family_ops=[y[case] for y in ys],
             ))
     return certs
 
@@ -394,7 +390,6 @@ def double_average_certificate(
 
     return ProjectionCertificate(
         projection=e,
-        cotrace=e.cotrace,
         epsilon=epsilon,
         achieved_bound=max(d for _, d in decay),
         family="double averages beta_a(beta_b(x)) - beta_b(x)",
@@ -409,7 +404,6 @@ def double_average_certificate(
         },
         flags=tuple(flags),
         decay=tuple(decay),
-        family_ops=diffs,
     )
 
 
@@ -477,7 +471,6 @@ def _cauchy_certify(alg, grid, ys, epsilon, tol) -> ProjectionCertificate:
     # the certified family is the tail pair set; the achieved bound is its sup
     return ProjectionCertificate(
         projection=e,
-        cotrace=e.cotrace,
         epsilon=epsilon,
         achieved_bound=decay[tail_start][1] if tail_start < len(decay) else final,
         family="pairwise differences of a T-indexed family",
@@ -490,7 +483,6 @@ def _cauchy_certify(alg, grid, ys, epsilon, tol) -> ProjectionCertificate:
         },
         flags=tuple(flags),
         decay=tuple(decay),
-        family_ops=diffs,
     )
 
 
@@ -573,7 +565,6 @@ def perturbation_transfer(
 
     return ProjectionCertificate(
         projection=e,
-        cotrace=base_cert.cotrace,
         epsilon=base_cert.epsilon,
         achieved_bound=achieved,
         family="perturbation transfer of " + base_cert.family,
@@ -588,7 +579,6 @@ def perturbation_transfer(
         },
         flags=tuple(flags),
         decay=tuple(decay),
-        family_ops=pair_differences(t_tail),
     )
 
 

@@ -92,6 +92,7 @@ __all__ = [
 CONTRACTION_TOL = 1e-8  # cap on positivity, unitality and trace violations and on -choi_min
 LAW_TOL = 1e-9  # cap on the relative semigroup-law residual ||a_t a_s - a_{t+s}||
 MAX_JUMPS = 1000  # most jump operators a random Lindblad generator may draw
+MAX_GENERATOR_DIM = 1280  # largest vectorized dimension sum n_i^2 a GeneratorExp may take
 EIGEN_TOL = 1e-10  # cap on kappa(W) * max(backward error, eps) for GeneratorExp's eigenbasis path
 
 
@@ -714,7 +715,10 @@ def semigroup_from_config(
     Random constructions ("hamiltonian": "random", lindblad with
     "random": true) draw from ``rng`` and therefore require one.  Every number
     in ``spec`` must be finite and a Lindblad jump count an integer in
-    [0, ``MAX_JUMPS``] (``ConfigError`` otherwise).
+    [0, ``MAX_JUMPS``] (``ConfigError`` otherwise).  A ``generator_exp``
+    semigroup acts on the vectorized algebra of dimension d = sum n_i^2,
+    and d above ``MAX_GENERATOR_DIM`` raises ``ConfigError`` before anything
+    is drawn or built.
     """
     require_finite(spec, "semigroup")
     variant = spec.get("variant")
@@ -741,6 +745,11 @@ def semigroup_from_config(
             mats = [np.asarray(m, dtype=float) for m in rates]
         return SchurDecay(alg, mats)
     if variant == "generator_exp":
+        if alg.vec_dim > MAX_GENERATOR_DIM:
+            raise ConfigError(
+                f"generator_exp needs the vectorized dimension d={alg.vec_dim} "
+                f"to be at most {MAX_GENERATOR_DIM}"
+            )
         if "matrix" in spec:
             mat_op = operator_from_dict(spec["matrix"])
             if mat_op.algebra.blocks != (alg.vec_dim,):

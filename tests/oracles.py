@@ -2,15 +2,17 @@
 
 Each helper recomputes, one operator at a time, a quantity the library
 produces in batch or stores: a compressed norm, the bound a certificate
-stores, the reconstruction and orthonormality of a spectral resolution, the
-order of two projections, the matrix of a linear map on the vectorized
-algebra, one matrix unit at a time, and random inputs drawn and normalized
-one operator at a time through :class:`Operator` arithmetic.
+stores over the family the test names (the pairs of a family's tail, for a
+Cauchy or transferred certificate), the reconstruction and orthonormality
+of a spectral resolution, the order of two projections, the matrix of a
+linear map on the vectorized algebra, one matrix unit at a time, and random
+inputs drawn and normalized one operator at a time through
+:class:`Operator` arithmetic.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,19 +25,23 @@ from ncerg.algebra import (
     unvecs,
     vec,
 )
-from ncerg.bau import ProjectionCertificate, compressed_norms
+from ncerg.bau import ProjectionCertificate
 
 
 def compressed_norm(e: Projection, y: Operator) -> float:
     return (e.op @ y @ e.op).norm_inf()
 
 
-def recompute_bound(cert: ProjectionCertificate) -> float:
-    """The stored bound of a certificate, recomputed from its projection and
-    the family operators it keeps."""
-    if cert.family_ops is None:
-        raise ValueError("certificate does not carry its family operators")
-    return float(compressed_norms(cert.projection, cert.family_ops).max(initial=0.0))
+def recompute_bound(cert: ProjectionCertificate, family: Sequence[Operator]) -> float:
+    """The stored bound of a certificate, recomputed one operator at a time
+    from its projection over ``family``, the operators it bounds."""
+    return max((compressed_norm(cert.projection, y) for y in family), default=0.0)
+
+
+def tail_pairs(family: Sequence[tuple[float, Operator]], start: int) -> list[Operator]:
+    """y_i - y_j for start <= i < j of a (T, y_T) family."""
+    ys = [y for _, y in family][start:]
+    return [a - b for i, a in enumerate(ys) for b in ys[i + 1:]]
 
 
 def reconstruct(res: SpectralResolution) -> Operator:

@@ -465,7 +465,34 @@ def test_residual_kinks_are_declared():
     # the derived weights keep the kinks of their residual
     b = BesicovitchWeight((TrigTerm(0.5, 0.1),), capped, 0.5)
     for derived in (b.conjugated(), b.real_part(), b.imag_part()):
-        assert tuple(derived.kinks(1.0)) == (0.25,)
+        assert tuple(derived.residual.kinks(1.0)) == (0.25,)
+
+
+def test_plain_callable_residual_is_wrapped_and_takes_the_quadratures(alg, rng, monkeypatch):
+    func = lambda ts: 0.04 * np.cos(7.0 * np.asarray(ts))
+    b = BesicovitchWeight((TrigTerm(0.4, 0.15),), func, 0.04)
+    assert isinstance(b.residual, averaging.Residual) and b.residual.func is func
+    assert len(b.residual.kinks(1.0)) == 0
+    assert b.residual.terms is None and b.residual.mean_abs is None
+    # a Residual is stored as given
+    assert BesicovitchWeight(b.terms, b.residual, 0.04).residual is b.residual
+
+    calls = []
+    for name in ("integrate_flow", "integrate_scalar"):
+        func_ = getattr(averaging, name)
+        monkeypatch.setattr(
+            averaging, name, lambda *a, f=func_, n=name, **k: calls.append(n) or f(*a, **k)
+        )
+    sg = ScalarDecay(alg, 1.0)
+    x = random_positive(alg, rng, norm=1.0)
+    weighted_average(sg, b, x, 0.5)
+    assert calls == ["integrate_flow"]
+    calls.clear()
+    besicovitch_error(b, [0.5, 0.1])
+    assert calls == ["integrate_scalar"] * 2
+    calls.clear()
+    substitution_bound_check(sg, b, x, 0.1)
+    assert calls == ["integrate_flow", "integrate_scalar"]
 
 
 @pytest.mark.parametrize("slope", [0.2, -0.2])
@@ -634,7 +661,7 @@ def test_substitution_bound_checks_match_per_case_rows(alg, rng, monkeypatch, va
         # the lhs against a quadrature of the whole residual average
         if b.residual is not None:
             quad = averaging.integrate_flow(
-                sg, x, 0.0, T, weight=b.residual, rtol=1e-13, kinks=b.kinks(T)
+                sg, x, 0.0, T, weight=b.residual, rtol=1e-13, kinks=b.residual.kinks(T)
             ).value / T
             assert row[0] == pytest.approx(quad.norm_inf(), rel=1e-11)
         assert row[0] <= row[1]

@@ -6,6 +6,7 @@ from ncerg import (
     AssemblyError,
     Identity,
     MaximalParams,
+    Projection,
     ScalarDecay,
     TracialAlgebra,
     UnitaryFlow,
@@ -113,7 +114,7 @@ def test_assemble_unitary_flow(alg, rng):
 def test_scheme_identity_gap_zero(alg, rng):
     scheme = scheme_from_semigroup(Identity(alg), 1.0, 1.0)
     x = random_self_adjoint(alg, rng, norm=1.0)
-    x_n, gap = scheme.make(x, 3, 0.5)
+    x_n, gap = scheme.maker(x)(3, 0.5)
     assert gap < 1e-14
     assert (x_n - x).norm_inf() < 1e-13
 
@@ -122,7 +123,7 @@ def test_scheme_scalar_decay_meets_targets(alg, rng):
     scheme = scheme_from_semigroup(ScalarDecay(alg, 1.0), 1.0, 1.0)
     x = random_self_adjoint(alg, rng, norm=1.0)
     for n in (1, 2, 5):
-        x_n, gap = scheme.make(x, n, 0.5)
+        x_n, gap = scheme.maker(x)(n, 0.5)
         assert gap < scheme.gap_bound(n, 0.5)
 
 
@@ -135,7 +136,7 @@ def test_scheme_generator_exp_post_hoc(alg, rng):
     sg = GeneratorExp(alg, lind)
     scheme = scheme_from_semigroup(sg, 2.0, 1.0)
     x = random_self_adjoint(alg, rng, norm=1.0)
-    x_n, gap = scheme.make(x, 2, 0.4)
+    x_n, gap = scheme.maker(x)(2, 0.4)
     # verify the gap independently
     assert pnorm(alg, x_n - x, 2.0) == pytest.approx(gap)
     assert gap < (0.4 / 2.0**3) ** 2
@@ -143,11 +144,11 @@ def test_scheme_generator_exp_post_hoc(alg, rng):
 
 def test_scheme_error_when_generator_cannot_converge(alg, rng):
     bad = ApproximationScheme(
-        generate=lambda x, n, eps: x + alg.identity(), norm_p=1.0, alpha=1.0
+        lambda x: lambda n, eps: x + alg.identity(), norm_p=1.0, alpha=1.0
     )
     x = random_self_adjoint(alg, rng, norm=1.0)
     with pytest.raises(SchemeError):
-        bad.make(x, 1, 0.5)
+        bad.maker(x)(1, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,8 @@ def test_assembly_failure_names_step(alg, rng):
         cert = bau_cauchy_certify(
             [(T, cesaro_average(sg, y, T)) for T in T_maps], eps_budget, tol=1e-6
         )
-        cert.cotrace = eps_budget + 1.0
+        # the same projection, recorded with a co-trace above the budget
+        cert.projection = Projection(cert.projection.op, cotrace=eps_budget + 1.0)
         return cert
 
     x = random_self_adjoint(alg, rng, norm=1.0)

@@ -44,7 +44,7 @@ from ncerg.bau import (
     maximal_certificates,
 )
 from ncerg.semigroups import lindblad_generator
-from oracles import recompute_bound
+from oracles import recompute_bound, tail_pairs
 
 
 def phi(gamma, T):
@@ -102,7 +102,8 @@ def test_maximal_bound_and_self_verification(alg, rng):
     grid = np.geomspace(1e-4, 10.0, 24)
     cert = maximal_projection(sg, x, MaximalParams(1.0, 1.0, 0.25), grid)
     assert cert.achieved_bound <= 0.25 + 1e-8
-    assert abs(recompute_bound(cert) - cert.achieved_bound) < 1e-10
+    family = [cesaro_average(sg, x, T).herm() for T in grid]
+    assert abs(recompute_bound(cert, family) - cert.achieved_bound) < 1e-10
     assert cert.cotrace == pytest.approx(
         (trace(alg, alg.identity()) - trace(alg, cert.projection.op)).real, abs=1e-12
     )
@@ -386,7 +387,8 @@ def test_cauchy_cesaro_family_cross_check(alg, rng):
             (y - x).norm_inf() for T, y in fam if T <= delta + 1e-15
         )
         assert d <= dominating + 1e-10
-    assert abs(recompute_bound(cert) - cert.achieved_bound) < 1e-10
+    pairs = tail_pairs(fam, cert.params["tail_start"])
+    assert abs(recompute_bound(cert, pairs) - cert.achieved_bound) < 1e-10
 
 
 def test_cauchy_rejects_bad_grid(alg, rng):
@@ -510,26 +512,32 @@ def test_certificate_json_schema(alg, rng):
 
 
 def test_certificates_are_self_verifying(alg, rng):
-    # every family-carrying certificate reproduces its stored bound
+    # every certificate reproduces its stored bound over the family it names,
+    # rebuilt here one operator at a time
     sg = UnitaryFlow(alg, random_self_adjoint(alg, rng, norm=1.0))
     x = random_self_adjoint(alg, rng, norm=1.0)
     x_pos = random_positive(alg, rng, norm=1.0)
     fam = _cesaro_family(sg, x, [2.0**-k for k in range(8)])
-    certs = [
-        maximal_projection(
-            sg, x, MaximalParams(1.0, 1.0, 0.3), np.geomspace(1e-3, 2.0, 8)
+    grid, schedule = np.geomspace(1e-3, 2.0, 8), np.geomspace(0.25, 1e-6, 14)
+    cauchy = bau_cauchy_certify(fam, epsilon=0.5, tol=1e-2)
+    transfer = perturbation_transfer(fam, fam, cauchy, [1e-6])
+    beta_b = cesaro_average(sg, x_pos, 1.0)
+    checks = [
+        (
+            maximal_projection(sg, x, MaximalParams(1.0, 1.0, 0.3), grid),
+            [cesaro_average(sg, x, T).herm() for T in grid],
         ),
-        bau_cauchy_certify(fam, epsilon=0.5, tol=1e-2),
-        double_average_certificate(
-            sg, x_pos, b=1.0, p=1.0, epsilon=0.3,
-            a_schedule=np.geomspace(0.25, 1e-6, 14),
+        (cauchy, tail_pairs(fam, cauchy.params["tail_start"])),
+        (
+            double_average_certificate(
+                sg, x_pos, b=1.0, p=1.0, epsilon=0.3, a_schedule=schedule
+            ),
+            [cesaro_average(sg, beta_b, a) - beta_b for a in schedule],
         ),
-        perturbation_transfer(
-            fam, fam, bau_cauchy_certify(fam, epsilon=0.5, tol=1e-2), [1e-6]
-        ),
+        (transfer, tail_pairs(fam, transfer.params["chain"][-1][1])),
     ]
-    for cert in certs:
-        assert abs(recompute_bound(cert) - cert.achieved_bound) < 1e-10, cert.family
+    for cert, family in checks:
+        assert abs(recompute_bound(cert, family) - cert.achieved_bound) < 1e-10, cert.family
 
 
 def test_first_index_below(alg, rng):

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from ncerg import averaging
+from ncerg import TracialAlgebra, averaging, semigroups
+from ncerg.bau import ProjectionCertificate
+from ncerg.banach import AssemblyCertificate
 from ncerg.cli import main
 from ncerg.experiments import (
     ConfigError,
@@ -231,6 +233,30 @@ def test_cli_large_p_exits_two_naming_p(tmp_path, capsys, p):
     assert err.startswith(f"error: p={p} is too large") and err.count("\n") == 1
 
 
+def test_cli_generator_exp_above_the_dimension_cap_exits_two(tmp_path, capsys, monkeypatch):
+    # d = 64^2 = 4096 > MAX_GENERATOR_DIM: refused before L is built
+    def no_build(*args):
+        raise AssertionError("the Lindblad generator was built")
+
+    monkeypatch.setattr(semigroups, "lindblad_generator", no_build)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"blocks": [64], "weights": [1.0], "semigroup": {"variant": "generator_exp"}}
+    ))
+    code = main(
+        ["run", "--config", str(cfg_path), "--suite", "validate-semigroup",
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "d=4096" in err and str(semigroups.MAX_GENERATOR_DIM) in err
+    # the matrix route is refused before its matrix is read
+    with pytest.raises(ConfigError, match="d=4096"):
+        semigroups.semigroup_from_config(
+            TracialAlgebra((64,), (1.0,)), {"variant": "generator_exp", "matrix": {}}
+        )
+
+
 def test_cli_p_200_completes_with_finite_numbers(tmp_path, capsys):
     # the largest p of the default config that stays in the float range: a
     # complete run (the empirical C is not stable across epsilons at this p)
@@ -402,3 +428,29 @@ def test_seed_override_changes_output(tmp_path):
 def test_run_rejects_unknown_suite(tmp_path):
     with pytest.raises(ConfigError):
         run(ExperimentConfig.from_dict(SMALL), "nope", tmp_path)
+
+
+def test_full_run_certificates_write_their_projections_cotrace(tmp_path, monkeypatch):
+    # every certificate a full default run writes keeps its "cotrace" key,
+    # the co-trace of its projection, bit for bit
+    written = []
+
+    def recording(to_json):
+        def record(cert):
+            written.append((cert, to_json(cert)))
+            return written[-1][1]
+
+        return record
+
+    for cls in (ProjectionCertificate, AssemblyCertificate):
+        monkeypatch.setattr(cls, "to_json_dict", recording(cls.to_json_dict))
+    run(ExperimentConfig(seed=1), "full", tmp_path)
+    assert len(written) == 7
+    for cert, data in written:
+        assert data["cotrace"] == cert.projection.cotrace, cert
+    on_disk = [
+        json.loads(p.read_text())["cotrace"]
+        for p in sorted((tmp_path / "certs").glob("*.json"))
+        if p.name != "validation.json"
+    ]
+    assert sorted(on_disk) == sorted(data["cotrace"] for _, data in written)

@@ -237,9 +237,9 @@ def test_residual_average_matches_quadrature(spec, alg, rng, monkeypatch):
     x = random_operator(alg, rng)
     for name, sg in named.items():
         for part in (b, b.conjugated(), b.real_part(), b.imag_part()):
-            assert part.residual_terms is not None
+            assert part.residual.terms is not None
             for T in (1e-3, 0.37, 2.0):
                 quad = integrate_flow(
-                    sg, x, 0.0, T, weight=part.residual, rtol=ORACLE, kinks=part.kinks(T)
+                    sg, x, 0.0, T, weight=part.residual, rtol=ORACLE, kinks=part.residual.kinks(T)
                 )
                 assert_close(_residual_average(sg, part, x, T), quad.value / T, x)

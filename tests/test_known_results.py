@@ -38,6 +38,7 @@ from ncerg.algebra import (
     meet_complements,
     pnorm,
     pnorms,
+    power_traces,
     stack_blocks,
 )
 from ncerg.averaging import sandwich_slacks, substitution_bound_checks
@@ -150,13 +151,16 @@ def test_maximal_suite_sends_no_zero_matrix_to_svd(tmp_path, monkeypatch):
     xs = [random_self_adjoint(env.alg, rng, norm=1.0) for _ in range(cfg.n_random)]
     params = [MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps) for eps in cfg.maximal_epsilons]
     grid = np.geomspace(cfg.T_lo, cfg.T_hi, cfg.T_n)
-    certs = [c for cs in maximal_certificates(env.sg, stack_blocks(xs), params, grid) for c in cs]
+    certs = maximal_certificates(env.sg, stack_blocks(xs), params, grid)
+    # the certified family: every input's averages, made self-adjoint
+    means = [(y + y.conj().swapaxes(2, 3)) / 2.0 for y in env.sg.mean_batch(grid, stack_blocks(xs))]
     zero_blocks = 0
-    for c in certs:
-        want = float(compressed_norms(c.projection, c.family_ops).max())
-        assert c.achieved_bound == want
-        zero_blocks += sum(not np.any(E) for E in c.projection.op.blocks)
-    assert 0 < zero_blocks < len(certs) * env.alg.n_blocks
+    for case, cs in enumerate(certs):
+        for c in cs:
+            want = float(compressed_norms(c.projection, [y[:, case] for y in means]).max())
+            assert c.achieved_bound == want
+            zero_blocks += sum(not np.any(E) for E in c.projection.op.blocks)
+    assert 0 < zero_blocks < len(certs) * len(params) * env.alg.n_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +262,9 @@ def test_continuity_modulus_runs_once_per_assembled_input(alg6, monkeypatch):
         maps, x, 0.4, scheme, oracle, make_dense_certifier(maps, tol=0.4 / 3.0), n_approx=3
     )
     assert len(calls) == 1
-    # the approximants are those generate gives one n at a time
+    # the approximants are those a fresh start gives one n at a time
     for n, x_n in enumerate(asm.approximants, 1):
-        want = scheme.generate(x, n, 0.4)
+        want = scheme.start(x)(n, 0.4)
         assert all(same_bits(a, b) for a, b in zip(x_n.blocks, want.blocks)), n
     assert len(calls) == 4
 
@@ -330,18 +334,34 @@ def test_pnorms_scale_exactly_by_powers_of_two(p):
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_pnorms_keep_the_bits_of_the_unscaled_sum(p):
+    # the root of the unscaled sum: math.sqrt at p = 2, pow otherwise
+    root = math.sqrt if p == 2 else lambda v: v ** (1.0 / p)
     rng = np.random.default_rng(97)
     for scale in (1.0, 1e-3, 37.0):
         svals = [
             scale * np.sort(rng.uniform(0.0, 1.0, (200, n)), axis=1)[:, ::-1] for n in ALG.blocks
         ]
         total = sum(c * np.sum(s**p, axis=1) for c, s in zip(ALG.weights, svals))
-        assert pnorms(ALG, svals, p) == [v ** (1.0 / p) for v in total.tolist()]
+        assert pnorms(ALG, svals, p) == [root(v) for v in total.tolist()]
     # a member whose root, taken of the sum scaled by 2^-10, is one ulp lower
     # under glibc 2.36 pow
     one = TracialAlgebra((2,), (1.0,))
     svals = np.array([[21.035668256359983, 12.680751553868134]])
-    assert pnorms(one, [svals], p) == [float(np.sum(svals**p)) ** (1.0 / p)]
+    assert pnorms(one, [svals], p) == [root(float(np.sum(svals**p)))]
+
+
+def test_pnorms_take_square_roots_with_math_sqrt():
+    # pow is not correctly rounded: 1.785685518193389 ** 0.5 is one ulp below
+    # math.sqrt under glibc 2.36.  A weight of tau(1) = 1.785685518193389 on
+    # one 1 x 1 block makes that value tau(|1|^2), exactly.
+    value = 1.785685518193389
+    one = TracialAlgebra((1,), (value,))
+    svals = [np.array([[1.0]])]
+    assert power_traces(one, svals, 2.0).tolist() == [value]
+    assert pnorms(one, svals, 2.0) == [math.sqrt(value)]
+    # and in the scaled branch, where tau(|y|^2) overflows
+    huge = [np.array([[2.0**600]])]
+    assert pnorms(one, huge, 2.0) == [math.ldexp(math.sqrt(value), 600)]
 
 
 def test_pnorm_of_tiny_and_huge_multiples_of_one():

@@ -334,7 +334,8 @@ def test_cauchy_matches_per_pair_reference(case):
         assert T == family[j][0] and abs(d - want) <= 1e-13 * max(want, 1.0)
     if repeat is not None:
         # the zero pair has no row, yet the budget index moved past it
-        assert len(levels) == len(cert.family_ops[0]) - 1
+        tail = len(family) - cert.params["tail_start"]
+        assert len(levels) == tail * (tail - 1) // 2 - 1
     if case < 3:
         assert cert.cotrace > 0
 
@@ -724,7 +725,7 @@ def test_assembly_error_names_first_failing_pair(alg6):
         # claims every pair from N0 = 0 on without compressing anything
         seen.append(y)
         decay = tuple((T, 0.0) for T in T_maps[:-1])
-        return ProjectionCertificate(one, 0.0, budget, 0.0, "none", tuple(T_maps), decay=decay)
+        return ProjectionCertificate(one, budget, 0.0, "none", tuple(T_maps), decay=decay)
 
     with pytest.raises(AssemblyError) as err:
         assemble_certificate(maps, x, 0.6, scheme, oracle, lazy_certifier, n_approx=3)
@@ -742,9 +743,9 @@ def test_assembly_error_names_first_failing_pair(alg6):
     # approximants that stay 0.13 P away from x and an oracle that compresses
     # nothing: uniform control fails at the first map above eps / 4
     spike = 0.13 * random_projection(alg6, rng, ranks=(1, 0)).op
-    far = ApproximationScheme(lambda y, n, eps: y + spike, norm_p=1.0, alpha=100.0)
+    far = ApproximationScheme(lambda y: lambda n, eps: y + spike, norm_p=1.0, alpha=100.0)
     blind = ConditionOneOracle(
-        lambda y, eps, images: ProjectionCertificate(one, 0.0, eps, 0.0, "none", ()),
+        lambda y, eps, images: ProjectionCertificate(one, eps, 0.0, "none", ()),
         C=1.0,
         alpha=1.0,
         norm=lambda y: 1.0,
@@ -769,8 +770,8 @@ def test_assembly_evaluates_each_input_once(alg6, monkeypatch):
     T_maps = [2.0**-k for k in range(1, 7)]
     x = random_self_adjoint(alg6, rng, norm=1.0)
     maps, oracle, scheme, certifier = pipeline(sg, T_maps, 0.4)
-    made = {n: scheme.generate(x, n, 0.4) for n in (1, 2, 3)}
-    cached = ApproximationScheme(lambda y, n, eps: made[n], scheme.norm_p, scheme.alpha)
+    made = {n: scheme.start(x)(n, 0.4) for n in (1, 2, 3)}
+    cached = ApproximationScheme(lambda y: lambda n, eps: made[n], scheme.norm_p, scheme.alpha)
     calls = []
     mean_batch = UnitaryFlow.mean_batch
     monkeypatch.setattr(
