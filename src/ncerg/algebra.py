@@ -5,10 +5,11 @@ blocks, each carrying a strictly positive trace weight.  Elements are
 :class:`Operator` instances; the weighted trace, the p-norms built from it,
 absolute values, spectral resolutions, spectral projections and lattice meets
 of projections all live in this module, and so does the package's one rule
-for self-adjoint and positive inputs (:func:`hermitian_defects`).  Traces,
-operator norms and vecs are computed on per-block stacks only (:func:`traces`,
-:func:`op_norms`, :func:`vecs`); one operator is the one-member case.  So
-are random inputs: :func:`random_operators` draws k at once, and
+for self-adjoint and positive inputs (:func:`hermitian_defects`).  The
+per-block functions take one array (..., n, n) per block with any leading
+axes, and their results have the shape of those axes (none for an
+:class:`Operator`'s blocks); the meets consume the last one, the members.
+:func:`random_operators` draws k inputs at once, and
 :func:`normalized_draws` makes them positive or self-adjoint and
 normalizes them with one :func:`op_norms`.
 """
@@ -196,16 +197,16 @@ class Operator:
     # -- predicates and scalars -------------------------------------------
     def norm_inf(self) -> float:
         """Largest singular value across blocks (the operator norm)."""
-        return float(op_norms([a[None] for a in self.blocks])[0])
+        return float(op_norms(self.blocks))
 
     def self_adjoint_defect(self) -> float:
         return (self - self.H).norm_inf()
 
     def is_self_adjoint(self, tol: float = SELF_ADJOINT_TOL) -> bool:
-        return not hermitian_defects([a[None] for a in self.blocks], tol)[0][0]
+        return not hermitian_defects(self.blocks, tol)[0]
 
     def is_positive(self, tol: float = POSITIVITY_TOL) -> bool:
-        return not hermitian_defects([a[None] for a in self.blocks], tol, positive=True)[0][0]
+        return not hermitian_defects(self.blocks, tol, positive=True)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Operator(blocks={self.algebra.blocks}, norm={self.norm_inf():.3g})"
@@ -220,20 +221,20 @@ def stack_blocks(ops: Sequence[Operator]) -> list[np.ndarray]:
 def op_norms(
     stacks: Sequence[np.ndarray], live: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
-    """Operator norm of every member of a per-block stacked family, one
+    """Operator norm of every member of per-block (..., n, n) arrays, one
     batched SVD per block (the first of the descending singular values).
 
-    With ``live`` (one mask over the members per block), block i of the
-    family is known to be 0 outside ``live[i]``, and ``stacks[i]`` holds only
-    the members inside it: the others add norm 0 without an SVD.
+    With ``live`` (one mask per block over the first leading axes), block i
+    is known to be 0 outside ``live[i]``, and ``stacks[i]`` holds only the
+    members inside it, ``a[live[i]]``: the others add norm 0 without an SVD.
     """
     if live is None:
-        return np.max([np.linalg.svd(a, compute_uv=False)[:, 0] for a in stacks], axis=0)
-    norms = np.zeros((len(live), len(live[0])))
-    for row, a, mask in zip(norms, stacks, live):
+        return np.max([np.linalg.svd(a, compute_uv=False)[..., 0] for a in stacks], axis=0)
+    rows = [np.zeros(mask.shape + a.shape[1:-2]) for a, mask in zip(stacks, live)]
+    for row, a, mask in zip(rows, stacks, live):
         if len(a):
-            row[mask] = np.linalg.svd(a, compute_uv=False)[:, 0]
-    return norms.max(axis=0)
+            row[mask] = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return np.max(rows, axis=0)
 
 
 def min_eig(x: Operator | Sequence[np.ndarray]) -> float | np.ndarray:
@@ -247,17 +248,18 @@ def min_eig(x: Operator | Sequence[np.ndarray]) -> float | np.ndarray:
 def hermitian_defects(
     stacks: Sequence[np.ndarray], tol: float, positive: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The one self-adjointness and positivity rule, per member of a stacked
-    family: a member fails when ||x - x*||, or with ``positive`` the negative
-    part of the spectrum of herm x, exceeds bound = tol * max(||x||, 1e-14).
-    Returns (fails, ||x - x*||, bound, ||x||), so a caller that needs ||x||
-    reads it here; an exactly self-adjoint stack passes without norms unless
-    ``positive`` (||x|| is then None), and a block of a member whose skew
-    part is exactly 0 adds defect 0 without an SVD."""
-    skew = [a - a.conj().swapaxes(1, 2) for a in stacks]
-    live = [d.any(axis=(1, 2)) for d in skew]
+    """The one self-adjointness and positivity rule, per member of per-block
+    (..., n, n) arrays: a member fails when ||x - x*||, or with ``positive``
+    the negative part of the spectrum of herm x, exceeds bound = tol *
+    max(||x||, 1e-14).  Returns (fails, ||x - x*||, bound, ||x||), so a
+    caller that needs ||x|| reads it here; an exactly self-adjoint stack
+    passes without norms unless ``positive`` (||x|| is then None), and a
+    block of a member whose skew part is exactly 0 adds defect 0 without an
+    SVD."""
+    skew = [a - a.conj().swapaxes(-1, -2) for a in stacks]
+    live = [d.any(axis=(-2, -1)) for d in skew]
     if not positive and not any(m.any() for m in live):
-        zero = np.zeros(len(stacks[0]))
+        zero = np.zeros(stacks[0].shape[:-2])
         return zero > 0, zero, zero, None
     norms = op_norms(stacks)
     defect = op_norms([d[m] for d, m in zip(skew, live)], live)
@@ -374,11 +376,11 @@ def abs_value(x: Operator | Sequence[np.ndarray]) -> Operator | list[np.ndarray]
 
 @dataclass(frozen=True)
 class SpectralResolution:
-    """Eigendecomposition of a self-adjoint operator, or of a stacked family.
+    """Eigendecomposition of a self-adjoint operator, or of per-block arrays.
 
     ``eigenvalues[i]`` is the ascending spectrum of block ``i`` and
-    ``eigenvectors[i]`` the matching orthonormal eigenvector columns, with a
-    leading member axis for a stacked family ((m, n) and (m, n, n) per block).
+    ``eigenvectors[i]`` the matching orthonormal eigenvector columns, with the
+    input's leading axes ((..., n) and (..., n, n) per block).
     """
 
     algebra: TracialAlgebra
@@ -399,28 +401,26 @@ def spectral_resolution(
     x: Operator | Sequence[np.ndarray], alg: TracialAlgebra | None = None
 ) -> SpectralResolution:
     """Eigendecomposition of a (numerically) self-adjoint operator, or of
-    every member of a per-block stacked family of ``alg``.
+    every member of per-block (..., n, n) arrays of ``alg``, one batched
+    ``eigh`` per block.
 
     The input may carry roundoff; it is symmetrized before decomposition, but
     a member that fails :func:`hermitian_defects` at ``SELF_ADJOINT_TOL`` is
-    rejected.  A stacked family runs one batched ``eigh`` per block and gives
-    a stacked resolution.
+    rejected.
     """
-    one = isinstance(x, Operator)
-    if not one and alg is None:
+    alg = getattr(x, "algebra", alg)
+    if alg is None:
         raise ValueError("a stacked family needs its algebra")
-    stacks = [a[None] for a in x.blocks] if one else list(x)
+    stacks = getattr(x, "blocks", x)
     fails, defect, bound, _ = hermitian_defects(stacks, SELF_ADJOINT_TOL)
     if fails.any():
-        i = int(np.argmax(fails))
+        i = np.unravel_index(np.argmax(fails), fails.shape)
         raise ValueError(
             f"operator is not self-adjoint within tolerance "
             f"({defect[i]:.3e} > {bound[i]:.3e})"
         )
-    ws, vs = zip(*(np.linalg.eigh((a + a.conj().swapaxes(1, 2)) / 2.0) for a in stacks))
-    if one:
-        ws, vs = [w[0] for w in ws], [v[0] for v in vs]
-    return SpectralResolution(x.algebra if one else alg, tuple(ws), tuple(vs))
+    ws, vs = zip(*(np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0) for a in stacks))
+    return SpectralResolution(alg, ws, vs)
 
 
 class Projection:
@@ -434,7 +434,7 @@ class Projection:
     __slots__ = ("op", "cotrace")
 
     def __init__(self, op: Operator, cotrace: float | None = None):
-        _check_projections([a[None] for a in op.blocks])
+        _check_projections(op.blocks)
         if cotrace is None:
             alg = op.algebra
             cotrace = float(
@@ -466,15 +466,16 @@ class Projection:
 
 
 def _check_projections(blocks: Sequence[np.ndarray]) -> None:
-    """The :class:`Projection` rule for every member of a per-block stacked
-    family: idempotency and self-adjointness residuals at most
+    """The :class:`Projection` rule for every member of per-block (..., n, n)
+    arrays: idempotency and self-adjointness residuals at most
     ``PROJECTION_TOL``, one batched norm per block for each; raises on the
     worst member.  A member that is exactly 0 or exactly the identity in a
     block has residuals 0 there, with no products and no SVD."""
-    live = [np.any(e, axis=(1, 2)) & np.any(e != np.eye(e.shape[-1]), axis=(1, 2)) for e in blocks]
+    live = [np.any(e, axis=(-2, -1)) & np.any(e != np.eye(e.shape[-1]), axis=(-2, -1))
+            for e in blocks]
     blocks = [e[mask] for e, mask in zip(blocks, live)]
-    idem = op_norms([e @ e - e for e in blocks], live)
-    sa = op_norms([e - e.conj().swapaxes(1, 2) for e in blocks], live)
+    idem = op_norms([e @ e - e for e in blocks], live).ravel()
+    sa = op_norms([e - e.conj().swapaxes(-1, -2) for e in blocks], live).ravel()
     worst = int(np.argmax(np.maximum(idem, sa)))
     if idem[worst] > PROJECTION_TOL or sa[worst] > PROJECTION_TOL:
         raise ValueError(
@@ -488,25 +489,22 @@ def spectral_projection(res: SpectralResolution, level: float | Sequence[float])
 
     Ties at the threshold are included, so the co-trace never exceeds the
     weighted count of eigenvalues strictly above the level.  On a stacked
-    resolution member i is cut at ``level[i]`` (or a shared level), and the
-    result is the meet of the cuts (:func:`meet_complements`); with a leading
-    case axis, members (k, m), it is the list of the k meets.  A case in
-    which some member's cut keeps nothing of a block meets to 0 there, and
-    its complements in that block are never formed.
+    resolution, members (..., m), member i is cut at ``level[..., i]`` (or a
+    shared level), and the result is the meet (:func:`meet_complements`) of
+    the m cuts' rows V_d* of dropped eigenvectors, which have the null space
+    and Gram matrix V_d V_d* of the complements, for every index of the other
+    leading axes.  A case in which some member's cut keeps nothing of a
+    block meets to 0 there, and its rows in that block are never formed.
     """
     alg, drops = res.algebra, res._drops(level)
     if drops[0].ndim == 1:
         blocks = [v[:, ~d] @ v[:, ~d].conj().T for v, d in zip(res.eigenvectors, drops)]
         return Projection(Operator(alg, blocks), cotrace=float(res.cut_cotrace(level)))
-    cases = drops[0].ndim == 3
-    vs = res.eigenvectors if cases else [v[None] for v in res.eigenvectors]
-    drops = drops if cases else [d[None] for d in drops]
     live = [~d.all(axis=-1).any(axis=-1) for d in drops]
-    meets = meet_complements(alg, [
-        (v[c] * d[c][..., None, :]) @ v[c].conj().swapaxes(-1, -2)
-        for v, d, c in zip(vs, drops, live)
+    return meet_complements(alg, [
+        (v[c] * d[c][..., None, :]).conj().swapaxes(-1, -2)
+        for v, d, c in zip(res.eigenvectors, drops, live)
     ], live)
-    return meets if cases else meets[0]
 
 
 def proj_meet(p: Projection, q: Projection) -> Projection:
@@ -535,31 +533,33 @@ def meet_complements(
     stacks: Sequence[np.ndarray],
     live: Sequence[np.ndarray] | None = None,
 ) -> Projection | list[Projection]:
-    """Meet of projections given per block as complement stacks ``(m, n, n)``;
-    with a leading case axis, ``(k, m, n, n)`` per block, the list of the k
-    meets, from one batched SVD per block and checked as one stack.
+    """Meet of projections given per block as stacks ``(m, n, n)`` of their
+    complements, or of any matrices with the same null spaces; with more
+    leading axes, ``(..., m, n, n)`` per block, the meets of every index of
+    ``...`` as nested lists, from one batched SVD per block and checked as
+    one stack.
 
     The meet is the null space of one SVD of the ``(m n, n)`` stack (Bjorck
     and Golub 1973); singular values below ``MEET_RANK_TOL * n`` count as
     zero, a cutoff that separates it from roundoff and can widen for
     ill-conditioning.  Zero complements (identity members) leave the null
     space unchanged, and a case whose complements in a block are all zero
-    meets to the identity there exactly, without an SVD.  With a case axis,
-    ``live`` (one (k,) mask per block) marks the cases whose complements
-    ``stacks[i]`` holds: every other case has a member whose complement is
+    meets to the identity there exactly, without an SVD.  ``live`` (one mask
+    over ``...`` per block) marks the cases whose complements ``stacks[i]``
+    holds, ``a[live[i]]``: every other case has a member whose complement is
     the whole block, and meets to 0 there exactly (co-trace c_i n_i), also
     without an SVD.
     """
-    one = stacks[0].ndim == 3
-    cases = [a[None] for a in stacks] if one else list(stacks)
-    live = [np.ones(len(a), dtype=bool) for a in cases] if live is None else live
-    k = len(live[0])
+    lead = stacks[0].shape[:-3] if live is None else live[0].shape
+    live = [np.ones(lead, dtype=bool)] * len(stacks) if live is None else live
     blocks = []
-    cotrace = np.zeros(k)
-    for n, c, comp, mask in zip(alg.blocks, alg.weights, cases, live):
+    cotrace = np.zeros(lead)
+    for n, c, comp, mask in zip(alg.blocks, alg.weights, stacks, live):
         # of the live cases, those with a nonzero complement take the SVD
-        rows, cut = np.flatnonzero(mask), np.any(comp, axis=(1, 2, 3))
-        e = np.zeros((k, n, n), dtype=complex)
+        rows = np.flatnonzero(mask)
+        comp = comp.reshape(len(rows), *comp.shape[-3:])  # m may be 0
+        cut = np.any(comp, axis=(1, 2, 3))
+        e = np.zeros((mask.size, n, n), dtype=complex)
         e[rows[~cut]] = np.eye(n)
         nullity = np.where(mask, n, 0)
         if cut.any():
@@ -568,16 +568,16 @@ def meet_complements(
             basis = vh.conj().swapaxes(1, 2) * null[:, None, :]
             # + 0.0 gives the masked columns' -0.0 entries the sign of an empty sum
             e[rows[cut]] = basis @ basis.conj().swapaxes(1, 2) + 0.0
-            nullity[rows[cut]] = null.sum(axis=1)
-        blocks.append(e)
+            nullity.flat[rows[cut]] = null.sum(axis=1)
+        blocks.append(e.reshape(*lead, n, n))
         cotrace += c * (n - nullity)
-    if one:
-        return Projection(Operator(alg, [e[0] for e in blocks]), cotrace=float(cotrace[0]))
+    if not lead:
+        return Projection(Operator(alg, blocks), cotrace=float(cotrace))
     _check_projections(blocks)
-    return [
-        Projection._checked(Operator(alg, [e[i] for e in blocks]), c)
-        for i, c in enumerate(cotrace)
-    ]
+    meets = np.empty(lead, dtype=object)
+    for i in np.ndindex(lead):
+        meets[i] = Projection._checked(Operator(alg, [e[i] for e in blocks]), cotrace[i])
+    return meets.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -236,24 +236,20 @@ def maximal_certificates(
         raise ValueError("T_grid must hold at least one T")
     if any(T <= 0 for T in grid):
         raise ValueError("T grid must be positive")
-    alg, k, m = sg.algebra, len(xs[0]), len(grid)
+    alg = sg.algebra
     ys = []  # case-major (k, m, n, n) per block, symmetrised
     for y in sg.mean_batch(grid, xs) if means is None else means:
         y = y.swapaxes(0, 1)
         ys.append(y + y.conj().swapaxes(2, 3))
         ys[-1] /= 2.0
 
-    res = spectral_resolution([y.reshape(k * m, *y.shape[2:]) for y in ys], alg=alg)
+    res = spectral_resolution(ys, alg=alg)
     # |y_T| has the eigenvalues |w| of y_T on the same eigenvectors
-    mags = SpectralResolution(
-        alg,
-        tuple(np.abs(w).reshape(k, m, -1) for w in res.eigenvalues),
-        tuple(v.reshape(k, m, *v.shape[1:]) for v in res.eigenvectors),
-    )
+    mags = SpectralResolution(alg, tuple(np.abs(w) for w in res.eigenvalues), res.eigenvectors)
     p = params[0].p
     power_trace = power_traces(alg, mags.eigenvalues, p)
     xnorms = pnorms(alg, [np.linalg.svd(a, compute_uv=False) for a in xs], p)
-    certs: list[list[ProjectionCertificate]] = [[] for _ in range(k)]
+    certs: list[list[ProjectionCertificate]] = [[] for _ in xnorms]
     for q in params:
         eps = q.epsilon
         cotraces = mags.cut_cotrace(eps)
@@ -261,12 +257,8 @@ def maximal_certificates(
         meets = stack_blocks([e.op for e in es])
         live = [np.any(E, axis=(1, 2)) for E in meets]
         achieved = op_norms(
-            [
-                (E[c, None] @ y[c] @ E[c, None]).reshape(-1, *y.shape[2:])
-                for E, y, c in zip(meets, ys, live)
-            ],
-            [np.repeat(c, m) for c in live],
-        ).reshape(k, m).max(axis=1)
+            [E[c, None] @ y[c] @ E[c, None] for E, y, c in zip(meets, ys, live)], live
+        ).max(axis=1)
         for case, (e, xnorm) in enumerate(zip(es, xnorms)):
             try:  # a Python float power raises on overflow
                 scale, ratio = eps ** (-p), (xnorm / eps) ** p

@@ -42,10 +42,10 @@ the four modal variants read it off the modes, one n x n eigvalsh of
 herm exp(t Lambda) per block, and GeneratorExp reads the dense Choi matrices
 of ``choi_blocks`` off the columns of its d x d ``propagator``.  Maps that fail
 the Choi test fall back to sampled positivity checks and are flagged as
-"sampled only".  Each check stacks its inputs: the identity and the sampled
-positives per time, the law probes and the continuity grid.  Witnesses of the
-worst violations are recorded only above a roundoff floor that grows with
-kappa(W) on the eigenbasis path.
+"sampled only".  Each check stacks its inputs and times in as few core calls
+as the law allows (one per distinct s).  Witnesses of the worst violations
+are recorded only above a roundoff floor that grows with kappa(W) on the
+eigenbasis path.
 """
 from __future__ import annotations
 
@@ -559,15 +559,20 @@ def semigroup_law_residual(
 
 def _law_residual(sg: Semigroup, pairs, xs: list[np.ndarray]) -> float:
     """:func:`semigroup_law_residual` maximized over ``pairs`` (t, s), for
-    probes stacked as ``xs``, whose norms are taken once for all pairs."""
+    probes stacked as ``xs``: one core call gives every a_s(x) and
+    a_{t+s}(x), one per distinct s gives a_t(a_s(x)) at all its t (so each
+    call keeps the probes as its inputs), and one norm takes all the gaps."""
+    t, s = np.array(pairs, dtype=float).reshape(-1, 2).T
+    both = sg.propagate_batch(np.concatenate([s, t + s]), xs)
+    gaps = [np.empty_like(y[len(t):]) for y in both]
+    # dict.fromkeys, not np.unique: its first call imports numpy.ma, and
+    # doing that here raised the peak memory of a run
+    for at in (np.flatnonzero(s == v) for v in dict.fromkeys(s.tolist())):
+        lhs = sg.propagate_batch(t[at], [y[at[0]] for y in both])
+        for g, a, y in zip(gaps, lhs, both):
+            g[at] = a - y[len(t) + at]
     scale = np.maximum(op_norms(xs), 1e-300)
-    worst = 0.0
-    for t, s in pairs:
-        both = sg.propagate_batch(np.array([s, t + s], dtype=float), xs)
-        lhs = sg.propagate_batch(np.array([float(t)]), [y[0] for y in both])
-        gaps = op_norms([a[0] - y[1] for a, y in zip(lhs, both)])
-        worst = max(worst, float(np.max(gaps / scale, initial=0.0)))
-    return worst
+    return float(np.max(op_norms(gaps) / scale, initial=0.0))
 
 
 def _witness(values: np.ndarray, floors) -> tuple[int, ...] | None:
@@ -594,8 +599,8 @@ def validate_absolute_contraction(
     certificate; otherwise a failing Choi test downgrades the positivity
     claim to "sampled only".  Twenty random positive inputs are sampled; the
     Choi test runs at the first six positive times and the continuity table
-    uses the 2-norm.  Per time, the identity and the positives go through
-    the core in one call, and their spectra, self-adjoint defects and traces
+    uses the 2-norm.  The identity and the positives go through the core in
+    one call at all times, and their spectra, self-adjoint defects and traces
     come from batched eigvalsh, SVD norms and ``algebra.traces``.
     """
     ts = [float(t) for t in t_samples]
@@ -608,29 +613,27 @@ def validate_absolute_contraction(
     inputs = [
         np.concatenate([np.eye(n, dtype=complex)[None], a]) for n, a in zip(alg.blocks, positives)
     ]
-    eyes = [a[0] for a in inputs]
     scales = np.maximum(op_norms(positives), 1e-300)
     traces_in = traces(alg, positives).real
 
     # unitality (per t), positivity relative to the input's norm and trace
     # excess (per t and sample), each clamped at 0
-    unital = np.zeros(len(ts))
-    pos = np.zeros((len(ts), len(positives[0])))
-    texc = np.zeros_like(pos)
-    for i, t in enumerate(ts):
-        images = [y[0] for y in sg.propagate_batch(np.array([t]), inputs)]
-        defects = op_norms([y - y.conj().swapaxes(1, 2) for y in images])
-        # one eigvalsh per block: herm(a_t(1) - 1) at 0, herm(a_t(x_k)) after
-        shifted = [y.copy() for y in images]
-        for y, e in zip(shifted, eyes):
-            y[0] -= e
-        spectra = [
-            np.linalg.eigvalsh((y + y.conj().swapaxes(1, 2)) / 2.0) for y in shifted
-        ]
-        unital[i] = max(0.0, *(float(w[0, -1]) for w in spectra)) + defects[0]
-        mins = np.min([w[1:, 0] for w in spectra], axis=0)
-        pos[i] = np.maximum(np.maximum(-mins, defects[1:]) / scales, 0.0)
-        texc[i] = np.maximum(traces(alg, [y[1:] for y in images]).real - traces_in, 0.0)
+    images = sg.propagate_batch(np.array(ts), inputs)
+    texc = np.maximum(traces(alg, [y[:, 1:] for y in images]).real - traces_in, 0.0)
+    # per block, in one scratch array so no step holds more than the core
+    # did: ||y - y*||, then herm(a_t(1) - 1) at input 0, herm(a_t(x_k)) after
+    defects, spectra = [], []
+    for y, a in zip(images, inputs):
+        adj = np.conj(y.swapaxes(-1, -2), order="C")
+        defects.append(op_norms([np.subtract(y, adj, out=adj)]))
+        y[:, 0] -= a[0]
+        np.conj(y.swapaxes(-1, -2), out=adj)
+        spectra.append(np.linalg.eigvalsh(np.divide(np.add(y, adj, out=adj), 2.0, out=adj)))
+    del images, y, adj  # before the law check builds its own stacks
+    defects = np.max(defects, axis=0)
+    unital = np.maximum(0.0, np.max([w[:, 0, -1] for w in spectra], axis=0)) + defects[:, 0]
+    mins = np.min([w[:, 1:, 0] for w in spectra], axis=0)
+    pos = np.maximum(np.maximum(-mins, defects[:, 1:]) / scales, 0.0)
     max_unital, max_pos, max_trace = (float(a.max(initial=0.0)) for a in (unital, pos, texc))
     rows = np.column_stack(
         [ts, pos.max(axis=1, initial=0.0), unital, texc.max(axis=1, initial=0.0)]

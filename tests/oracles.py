@@ -5,9 +5,10 @@ produces in batch or stores: a compressed norm, the bound a certificate
 stores over the family the test names (the pairs of a family's tail, for a
 Cauchy or transferred certificate), the reconstruction and orthonormality
 of a spectral resolution, the order of two projections, the matrix of a
-linear map on the vectorized algebra, one matrix unit at a time, and random
+linear map on the vectorized algebra, one matrix unit at a time, random
 inputs drawn and normalized one operator at a time through
-:class:`Operator` arithmetic.
+:class:`Operator` arithmetic, and the sampled checks and law residual of a
+validation, one time and one (t, s) pair at a time.
 """
 from __future__ import annotations
 
@@ -22,10 +23,13 @@ from ncerg.algebra import (
     Projection,
     SpectralResolution,
     TracialAlgebra,
+    op_norms,
+    traces,
     unvecs,
     vec,
 )
 from ncerg.bau import ProjectionCertificate
+from ncerg.semigroups import Semigroup
 
 
 def compressed_norm(e: Projection, y: Operator) -> float:
@@ -87,3 +91,50 @@ def random_input(alg: TracialAlgebra, rng: np.random.Generator, positive: bool) 
     x = a @ a.H if positive else a.herm()
     cur = x.norm_inf()
     return x * (1.0 / cur) if cur > 0 else x
+
+
+def sampled_violations(
+    sg: Semigroup, ts: Sequence[float], positives: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unitality over t, and positivity and trace excess over (t, sample),
+    of the identity and the positives (per-block (k, n, n) stacks), one core
+    call per t."""
+    alg = sg.algebra
+    inputs = [
+        np.concatenate([np.eye(n, dtype=complex)[None], a]) for n, a in zip(alg.blocks, positives)
+    ]
+    eyes = [a[0] for a in inputs]
+    scales = np.maximum(op_norms(positives), 1e-300)
+    traces_in = traces(alg, positives).real
+    unital = np.zeros(len(ts))
+    pos = np.zeros((len(ts), len(positives[0])))
+    texc = np.zeros_like(pos)
+    for i, t in enumerate(ts):
+        images = [y[0] for y in sg.propagate_batch(np.array([t]), inputs)]
+        defects = op_norms([y - y.conj().swapaxes(1, 2) for y in images])
+        shifted = [y.copy() for y in images]
+        for y, e in zip(shifted, eyes):
+            y[0] -= e
+        spectra = [
+            np.linalg.eigvalsh((y + y.conj().swapaxes(1, 2)) / 2.0) for y in shifted
+        ]
+        unital[i] = max(0.0, *(float(w[0, -1]) for w in spectra)) + defects[0]
+        mins = np.min([w[1:, 0] for w in spectra], axis=0)
+        pos[i] = np.maximum(np.maximum(-mins, defects[1:]) / scales, 0.0)
+        texc[i] = np.maximum(traces(alg, [y[1:] for y in images]).real - traces_in, 0.0)
+    return unital, pos, texc
+
+
+def law_residual_per_pair(
+    sg: Semigroup, pairs: Sequence[tuple[float, float]], xs: Sequence[np.ndarray]
+) -> float:
+    """max over (t, s) pairs and probes of ||a_t(a_s(x)) - a_{t+s}(x)|| / ||x||,
+    two core calls and one norm per pair."""
+    scale = np.maximum(op_norms(xs), 1e-300)
+    worst = 0.0
+    for t, s in pairs:
+        both = sg.propagate_batch(np.array([s, t + s], dtype=float), xs)
+        lhs = sg.propagate_batch(np.array([float(t)]), [y[0] for y in both])
+        gaps = op_norms([a[0] - y[1] for a, y in zip(lhs, both)])
+        worst = max(worst, float(np.max(gaps / scale, initial=0.0)))
+    return worst

@@ -38,10 +38,23 @@ from ncerg import (
     validate_absolute_contraction,
 )
 from ncerg import semigroups
-from ncerg.algebra import AlgebraMismatchError, min_eig, pnorms, random_operator, stack_blocks
+from ncerg.algebra import (
+    AlgebraMismatchError,
+    min_eig,
+    normalized_draws,
+    pnorms,
+    random_operator,
+    random_operators,
+    stack_blocks,
+)
 from ncerg.bau import _pair_table
 from ncerg.semigroups import EIGEN_TOL, choi_blocks, choi_min_eig, phi1
-from oracles import compressed_norm, generator_from_map
+from oracles import (
+    compressed_norm,
+    generator_from_map,
+    law_residual_per_pair,
+    sampled_violations,
+)
 
 # unequal blocks, so a swapped block index or a transposed Choi layout shows
 ALG = TracialAlgebra((2, 3), (1.0, 0.5))
@@ -293,6 +306,33 @@ def test_validation_report_matches_per_input_reference(make, passed, sampled_onl
         # the violations are real here, so the witnesses are unique
         assert got.worst == pytest.approx(want["worst"], rel=1e-14, abs=1e-14)
         assert got.max_positivity_violation > 1e-3
+
+
+@pytest.mark.parametrize(
+    "name", ["identity", "scalar_decay", "unitary_flow", "schur_decay", "generator_exp"]
+)
+def test_stacked_validation_matches_per_t_and_per_pair_loops(name, monkeypatch):
+    sg = all_variants(ALG, np.random.default_rng(30))[name]
+    ts = [0.0, 1e-3, 0.2, 1.0, 3.0, 7.5, 9.0]
+    calls = []
+    stack = type(sg)._stack
+    monkeypatch.setattr(type(sg), "_stack", lambda self, *a: calls.append(1) or stack(self, *a))
+    report = validate_absolute_contraction(sg, ts, rng=np.random.default_rng(31))
+    monkeypatch.undo()
+    # the sampled checks at all t; the law probes at every s and t + s, then
+    # once per s of the first five times; the continuity grid
+    assert len(calls) == 1 + 1 + 5 + 1
+
+    rng = np.random.default_rng(31)  # the draws of the validation, in order
+    positives = normalized_draws(random_operators(ALG, rng, 20), True)
+    probes = normalized_draws(random_operators(ALG, rng, 4), False)
+    unital, pos, texc = sampled_violations(sg, ts, positives)
+    per_t = np.column_stack([ts, pos.max(axis=1), unital, texc.max(axis=1)])
+    assert np.array(report.per_t).tobytes() == per_t.tobytes()
+    maxima = (report.max_unitality_excess, report.max_positivity_violation, report.max_trace_excess)
+    assert maxima == (unital.max(), pos.max(), texc.max())
+    pairs = [(t, s) for i, t in enumerate(ts[:5]) for s in ts[i:5]]
+    assert report.law_residual == law_residual_per_pair(sg, pairs, [a[:3] for a in probes])
 
 
 WITNESSES = {"positivity_t", "positivity_sample", "unitality_t", "trace_t", "trace_sample"}

@@ -58,8 +58,12 @@ from ncerg import bau, experiments, semigroups
 from ncerg.algebra import (
     INPUT_TOL,
     Projection,
+    SpectralResolution,
+    _check_projections,
     hermitian_defects,
+    meet_complements,
     min_eig,
+    op_norms,
     random_operator,
     stack_blocks,
 )
@@ -243,6 +247,69 @@ def test_stacked_spectral_resolution_rejects_bad_input():
         spectral_resolution(stack_blocks(ops), alg=ALG)
     with pytest.raises(ValueError, match="needs its algebra"):
         spectral_resolution(stack_blocks(ops[:1]))
+
+
+def test_per_block_functions_take_any_leading_axes():
+    # (k, m) = (3, 4) members per block; each function's result over the
+    # stack holds the per-member (or, for the meets, per-case) results bit
+    # for bit, and an Operator gives the one-member result
+    rng = np.random.default_rng(38)
+    k, m = 3, 4
+    ops = [[random_self_adjoint(ALG, rng, norm=1.0) for _ in range(m)] for _ in range(k)]
+    ops[0][1] = ops[0][1] + 1e-13j * random_self_adjoint(ALG, rng)  # a roundoff skew part
+    ops[1][2] = Operator(ALG, [np.zeros((2, 2)), ops[1][2].blocks[1]])  # 0 in block 0
+    xs = [np.stack([np.stack([x.blocks[i] for x in row]) for row in ops]) for i in range(2)]
+
+    def one(x):  # an Operator as a one-member stack
+        return [a[None] for a in x.blocks]
+
+    norms = op_norms(xs)
+    live = [np.any(a, axis=(-2, -1)) for a in xs]
+    assert np.array_equal(op_norms([a[c] for a, c in zip(xs, live)], live), norms)
+    fails, defect, bound, xnorms = hermitian_defects(xs, 1e-10, positive=True)
+    res = spectral_resolution(xs, alg=ALG)
+    for i, j in itertools.product(range(k), range(m)):
+        x = ops[i][j]
+        assert norms[i, j] == op_norms(x.blocks) == op_norms(one(x))[0] == x.norm_inf()
+        got = (fails[i, j], defect[i, j], bound[i, j], xnorms[i, j])
+        assert got == hermitian_defects(x.blocks, 1e-10, positive=True)
+        assert got == tuple(a[0] for a in hermitian_defects(one(x), 1e-10, positive=True))
+        r1 = spectral_resolution(x)
+        for w, v, w1, v1 in zip(res.eigenvalues, res.eigenvectors, r1.eigenvalues, r1.eigenvectors):
+            assert np.array_equal(w[i, j], w1) and np.array_equal(v[i, j], v1)
+    # self-adjoint within tolerance, not positive
+    assert defect[0, 1] > 0 and defect[1, 1] == 0.0 and fails.any()
+    assert not hermitian_defects(xs, 1e-10)[0].any()
+
+    # meets: case 0 cuts nothing, case 1 has a member that keeps nothing
+    levels = rng.uniform(-0.5, 0.8, (k, m))
+    levels[0], levels[1, 2] = 2.0, -2.0
+    meets = spectral_projection(res, levels)
+    es = [[random_projection(ALG, rng) for _ in range(m)] for _ in range(k)]
+    es[2] = [Projection(ALG.identity()) for _ in range(m)]  # complements all 0
+    ps = [np.stack([np.stack([e.op.blocks[i] for e in row]) for row in es]) for i in range(2)]
+    comps = [np.eye(n) - a for n, a in zip(ALG.blocks, ps)]
+    joined = meet_complements(ALG, comps)
+    assert len(meets) == len(joined) == k
+    for i in range(k):
+        case = SpectralResolution(ALG, tuple(w[i] for w in res.eigenvalues),
+                                  tuple(v[i] for v in res.eigenvectors))
+        for got, want in ((meets[i], spectral_projection(case, levels[i])),
+                          (joined[i], meet_complements(ALG, [a[i] for a in comps]))):
+            assert got.cotrace == want.cotrace, i
+            assert all(np.array_equal(a, b) for a, b in zip(got.op.blocks, want.op.blocks)), i
+    assert meets[0].cotrace == 0.0 and joined[2].cotrace == 0.0
+    assert meets[1].cotrace == ALG.trace_of_identity
+
+    # the projection check: a stack of projections passes, and one bad
+    # member fails with the residuals it fails with alone
+    _check_projections(ps)
+    ps[1][1, 3, 0, 1] += 1e-3
+    with pytest.raises(ValueError) as stacked:
+        _check_projections(ps)
+    with pytest.raises(ValueError) as alone:
+        Projection(Operator(ALG, [a[1, 3] for a in ps]))
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_maximal_projection_takes_a_stacked_family():
