@@ -5,7 +5,9 @@ blocks, each carrying a strictly positive trace weight.  Elements are
 :class:`Operator` instances; the weighted trace, the p-norms built from it,
 absolute values, spectral resolutions, spectral projections and lattice meets
 of projections all live in this module, and so does the package's one rule
-for self-adjoint and positive inputs (:func:`hermitian_defects`).  The
+for self-adjoint and positive inputs (:func:`hermitian_defects`); gates
+whose decision alone is read clear members by a Frobenius screen before any
+SVD.  The
 per-block functions take one array (..., n, n) per block with any leading
 axes, and their results have the shape of those axes (none for an
 :class:`Operator`'s blocks); the meets consume the last one, the members.
@@ -29,6 +31,7 @@ INPUT_TOL = 1e-8  # the same relative rule, looser, for inputs of certificates a
 PROJECTION_TOL = 1e-8  # absolute cap on the idempotency and self-adjointness residuals
 SPECTRAL_INCLUDE = 1e-12  # absolute slack of spectral cuts: eigenvalues within it stay below
 MEET_RANK_TOL = 1e-8  # singular values below it times the block dimension count as zero
+SCREEN_MARGIN = 1e-6  # relative margin of the Frobenius screens for the roundoff of their sums
 
 __all__ = [
     "AlgebraMismatchError",
@@ -251,23 +254,44 @@ def hermitian_defects(
     """The one self-adjointness and positivity rule, per member of per-block
     (..., n, n) arrays: a member fails when ||x - x*||, or with ``positive``
     the negative part of the spectrum of herm x, exceeds bound = tol *
-    max(||x||, 1e-14).  Returns (fails, ||x - x*||, bound, ||x||), so a
-    caller that needs ||x|| reads it here; an exactly self-adjoint stack
-    passes without norms unless ``positive`` (||x|| is then None), and a
-    block of a member whose skew part is exactly 0 adds defect 0 without an
-    SVD."""
+    max(||x||, 1e-14).  Returns (fails, ||x - x*||, bound, ||x||); a caller
+    that needs ||x|| passes ``positive`` and reads it here.  A block of a
+    member whose skew part is exactly 0 adds defect 0 without an SVD.
+
+    Without ``positive`` only the decision is read, and ||x|| is None.  An
+    exactly self-adjoint stack passes without norms, and a member passes
+    without an SVD when ||x - x*||_F, raised by ``SCREEN_MARGIN``, is at
+    most tol max(L, 1e-14), L its largest column norm: as ||x - x*|| <=
+    ||x - x*||_F and L <= ||x||, the SVD rule passes it too, and those two
+    screen values are its defect and bound.  Every other member, and any
+    whose screen bound is below 1e-150 (where the sum of squares may
+    underflow), takes the SVD rule, so the decisions are the rule's.
+    """
     skew = [a - a.conj().swapaxes(-1, -2) for a in stacks]
     live = [d.any(axis=(-2, -1)) for d in skew]
-    if not positive and not any(m.any() for m in live):
+    if positive:
+        norms = op_norms(stacks)
+        defect = op_norms([d[m] for d, m in zip(skew, live)], live)
+        bound = tol * np.maximum(norms, 1e-14)
+        return (defect > bound) | (min_eig(stacks) < -bound), defect, bound, norms
+    if not any(m.any() for m in live):
         zero = np.zeros(stacks[0].shape[:-2])
         return zero > 0, zero, zero, None
-    norms = op_norms(stacks)
-    defect = op_norms([d[m] for d, m in zip(skew, live)], live)
-    bound = tol * np.maximum(norms, 1e-14)
-    fails = defect > bound
-    if positive:
-        fails |= min_eig(stacks) < -bound
-    return fails, defect, bound, norms
+    defect = np.asarray(_frobenius(skew))
+    lower = np.max([np.linalg.norm(a, axis=-2).max(axis=-1) for a in stacks], axis=0)
+    bound = np.asarray(tol * np.maximum(lower, 1e-14))
+    opened = ~((defect * (1.0 + SCREEN_MARGIN) <= bound) & (bound >= 1e-150))
+    if opened.any():
+        live = [m[opened] for m in live]
+        defect[opened] = op_norms([d[opened][m] for d, m in zip(skew, live)], live)
+        bound[opened] = tol * np.maximum(op_norms([a[opened] for a in stacks]), 1e-14)
+    return defect > bound, defect, bound, None
+
+
+def _frobenius(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """The largest Frobenius norm over the blocks of every member of
+    per-block (..., n, n) arrays: an upper bound on :func:`op_norms`."""
+    return np.max([np.linalg.norm(a, axis=(-2, -1)) for a in stacks], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +494,24 @@ def _check_projections(blocks: Sequence[np.ndarray]) -> None:
     arrays: idempotency and self-adjointness residuals at most
     ``PROJECTION_TOL``, one batched norm per block for each; raises on the
     worst member.  A member that is exactly 0 or exactly the identity in a
-    block has residuals 0 there, with no products and no SVD."""
+    block has residuals 0 there, with no products and no SVD.  A member
+    whose two residuals have Frobenius norms, raised by ``SCREEN_MARGIN``,
+    at most ``PROJECTION_TOL`` in every block passes without an SVD (the
+    operator norm is at most the Frobenius norm); the others take the SVD
+    norms, so the decision and the worst member's residuals are the SVD
+    rule's."""
     live = [np.any(e, axis=(-2, -1)) & np.any(e != np.eye(e.shape[-1]), axis=(-2, -1))
             for e in blocks]
     blocks = [e[mask] for e, mask in zip(blocks, live)]
-    idem = op_norms([e @ e - e for e in blocks], live).ravel()
-    sa = op_norms([e - e.conj().swapaxes(-1, -2) for e in blocks], live).ravel()
+    idem = [e @ e - e for e in blocks]
+    sa = [e - e.conj().swapaxes(-1, -2) for e in blocks]
+    screen = np.zeros(live[0].shape)
+    for mask, r, d in zip(live, idem, sa):
+        screen[mask] = np.maximum(screen[mask], _frobenius([r, d]))
+    opened = ~(screen * (1.0 + SCREEN_MARGIN) <= PROJECTION_TOL)
+    live, picks = [m & opened for m in live], [opened[m] for m in live]
+    idem = op_norms([r[o] for r, o in zip(idem, picks)], live).ravel()
+    sa = op_norms([d[o] for d, o in zip(sa, picks)], live).ravel()
     worst = int(np.argmax(np.maximum(idem, sa)))
     if idem[worst] > PROJECTION_TOL or sa[worst] > PROJECTION_TOL:
         raise ValueError(

@@ -9,11 +9,12 @@ nor a second copy of the co-trace.
 
 A T-indexed family is a per-block stack here: one (m, n, n) array per
 block in grid order; the public signatures stack their lists and dicts of
-operators once (``algebra.stack_blocks``).  Each certificate cuts all its
-members through one stacked ``spectral_resolution`` (one batched ``eigh`` per
-block) and meets the cuts in one stacked ``spectral_projection`` (one SVD per
-block); compressed norms are batched SVD norms.  The maximal certificates of
-k inputs share one such pass (:func:`maximal_certificates`).
+operators once (``algebra.stack_blocks``).  Each certificate cuts its
+members (the window certificate its picked windows) through one stacked
+``spectral_resolution`` (one batched ``eigh`` per block) and meets the cuts
+in one stacked ``spectral_projection`` (one SVD per block); compressed norms
+are batched SVD norms.  The maximal certificates of k inputs share one such
+pass (:func:`maximal_certificates`).
 """
 from __future__ import annotations
 
@@ -154,8 +155,14 @@ class TransferPremiseError(RuntimeError):
 
 def compressed_norms(e: Projection, stacks: Sequence[np.ndarray]) -> np.ndarray:
     """||e y e|| for every member y of a stacked family, one batched SVD norm
-    per block."""
-    return op_norms([E @ Y @ E for E, Y in zip(e.op.blocks, stacks)])
+    per block.  A block where e is exactly 1 passes y through, and one where
+    e is exactly 0 adds norm 0 without an SVD, both without products."""
+    ys, live = [], []
+    for E, Y in zip(e.op.blocks, stacks):
+        zero = not E.any()
+        live.append(np.full(len(Y), not zero))
+        ys.append(Y[:0] if zero else Y if (E == np.eye(len(E))).all() else E @ Y @ E)
+    return op_norms(ys, live)
 
 
 def pair_differences(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -322,8 +329,9 @@ def double_average_certificate(
     with the gaps below.  Walking the schedule in order, window lengths a_k are
     chosen with tau(h(a_k)^p) < eps^2 / 4^k, the spectral cut of h(a_k)^p at
     level eps/2^{k+1} gives p_k, the same construction on g gives q, and e is
-    the meet.  One stacked resolution of the heads (and one of the tails)
-    gives both the traces tau(h(a)^p) and the cuts.  The certificate checks
+    the meet.  One stacked eigvalsh of the heads (and one of the tails)
+    gives the traces tau(h(a)^p), and one stacked resolution of the at most
+    ``levels`` picked windows the cuts.  The certificate checks
     tau(1-e) < eps and reports the decay of
     ||e (beta_a(beta_b(x)) - beta_b(x)) e|| over the schedule.
     """
@@ -348,8 +356,8 @@ def double_average_certificate(
 
     def cut_windows(windows, tag):
         sym = [(h + h.conj().swapaxes(1, 2)) / 2.0 for h in windows]
-        res = spectral_resolution(sym, alg=alg)
-        powers = power_traces(alg, [np.clip(w, 0.0, None) for w in res.eigenvalues], p)
+        spectra = [np.linalg.eigvalsh(h) for h in sym]
+        powers = power_traces(alg, [np.clip(w, 0.0, None) for w in spectra], p)
         picks, idx = [], 0
         for k in range(1, levels + 1):
             target = epsilon * epsilon / (4.0**k)
@@ -358,11 +366,7 @@ def double_average_certificate(
             if idx == len(schedule):
                 raise ScheduleExhaustedError(k, min(powers, default=math.inf), target)
             picks.append(idx)
-        picked = SpectralResolution(  # the picked windows, sliced out of res
-            alg,
-            tuple(w[picks] for w in res.eigenvalues),
-            tuple(v[picks] for v in res.eigenvectors),
-        )
+        picked = spectral_resolution([h[picks] for h in sym], alg=alg)
         cuts = [lv ** (1.0 / p) for lv in budgets]
         cotraces, meet = picked.cut_cotrace(cuts), spectral_projection(picked, cuts)
         for k, (i, level, cot) in enumerate(zip(picks, budgets, cotraces), start=1):

@@ -100,12 +100,16 @@ def phi1(z: np.ndarray | complex) -> np.ndarray:
     """(e^z - 1) / z entrywise; expm1 keeps small |z| exact.
 
     Below |z| = 1e-8 the series 1 + z/2 is exact to rounding (phi1(0) = 1),
-    and it avoids dividing by a subnormal z, which overflows.
+    and it avoids dividing by a subnormal z, which overflows.  An array with
+    no such entry takes expm1(z) / z whole, with the same bits.
     """
     z = np.asarray(z, dtype=complex)
-    out = np.asarray(1.0 + z / 2.0)
     big = np.abs(z) >= 1e-8
-    out[big] = np.expm1(z[big]) / z[big]
+    if big.all():
+        return np.asarray(np.expm1(z) / z)
+    out = np.asarray(1.0 + z / 2.0)
+    zb = z[big]
+    out[big] = np.expm1(zb) / zb
     return out
 
 
@@ -601,7 +605,9 @@ def validate_absolute_contraction(
     Choi test runs at the first six positive times and the continuity table
     uses the 2-norm.  The identity and the positives go through the core in
     one call at all times, and their spectra, self-adjoint defects and traces
-    come from batched eigvalsh, SVD norms and ``algebra.traces``.
+    come from batched eigvalsh and ``algebra.traces``.  The positivity
+    violation is relative to the norm 1 that ``normalized_draws`` gave each
+    positive (1e-300 for a zero draw).
     """
     ts = [float(t) for t in t_samples]
     if any(t < 0 for t in ts):
@@ -613,7 +619,8 @@ def validate_absolute_contraction(
     inputs = [
         np.concatenate([np.eye(n, dtype=complex)[None], a]) for n, a in zip(alg.blocks, positives)
     ]
-    scales = np.maximum(op_norms(positives), 1e-300)
+    # normalized_draws scaled every positive to norm 1; a zero draw stays 0
+    scales = np.where(np.any([a.any(axis=(1, 2)) for a in positives], axis=0), 1.0, 1e-300)
     traces_in = traces(alg, positives).real
 
     # unitality (per t), positivity relative to the input's norm and trace
@@ -621,11 +628,13 @@ def validate_absolute_contraction(
     images = sg.propagate_batch(np.array(ts), inputs)
     texc = np.maximum(traces(alg, [y[:, 1:] for y in images]).real - traces_in, 0.0)
     # per block, in one scratch array so no step holds more than the core
-    # did: ||y - y*||, then herm(a_t(1) - 1) at input 0, herm(a_t(x_k)) after
+    # did: ||y - y*|| as the largest |eigenvalue| of the exactly Hermitian
+    # -i(y - y*), then herm(a_t(1) - 1) at input 0, herm(a_t(x_k)) after
     defects, spectra = [], []
     for y, a in zip(images, inputs):
         adj = np.conj(y.swapaxes(-1, -2), order="C")
-        defects.append(op_norms([np.subtract(y, adj, out=adj)]))
+        skew = np.multiply(np.subtract(y, adj, out=adj), -1j, out=adj)
+        defects.append(np.abs(np.linalg.eigvalsh(skew)[..., [0, -1]]).max(axis=-1))
         y[:, 0] -= a[0]
         np.conj(y.swapaxes(-1, -2), out=adj)
         spectra.append(np.linalg.eigvalsh(np.divide(np.add(y, adj, out=adj), 2.0, out=adj)))

@@ -104,14 +104,20 @@ def sampled_violations(
         np.concatenate([np.eye(n, dtype=complex)[None], a]) for n, a in zip(alg.blocks, positives)
     ]
     eyes = [a[0] for a in inputs]
-    scales = np.maximum(op_norms(positives), 1e-300)
+    # the norm 1 normalized_draws scaled each positive to, 1e-300 for a zero draw
+    scales = np.array([1.0 if any(a[k].any() for a in positives) else 1e-300
+                       for k in range(len(positives[0]))])
     traces_in = traces(alg, positives).real
     unital = np.zeros(len(ts))
     pos = np.zeros((len(ts), len(positives[0])))
     texc = np.zeros_like(pos)
     for i, t in enumerate(ts):
         images = [y[0] for y in sg.propagate_batch(np.array([t]), inputs)]
-        defects = op_norms([y - y.conj().swapaxes(1, 2) for y in images])
+        # ||y - y*|| as the largest |eigenvalue| of the Hermitian -i(y - y*)
+        defects = np.max([
+            np.abs(np.linalg.eigvalsh(-1j * (y - y.conj().swapaxes(1, 2)))).max(axis=1)
+            for y in images
+        ], axis=0)
         shifted = [y.copy() for y in images]
         for y, e in zip(shifted, eyes):
             y[0] -= e

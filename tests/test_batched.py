@@ -335,6 +335,25 @@ def test_stacked_validation_matches_per_t_and_per_pair_loops(name, monkeypatch):
     assert report.law_residual == law_residual_per_pair(sg, pairs, [a[:3] for a in probes])
 
 
+@pytest.mark.parametrize("name", sorted(all_variants(ALG, np.random.default_rng(0))))
+def test_skew_defect_by_eigvalsh_matches_the_svd_norm(name):
+    # validation reads ||y - y*|| as the largest |eigenvalue| of the exactly
+    # Hermitian -i(y - y*); on the images of its positives (roundoff skew
+    # parts) and of random operators (skew parts of order 1)
+    rng = np.random.default_rng(32)
+    sg = all_variants(ALG, rng)[name]
+    positives = normalized_draws(random_operators(ALG, rng, 20), True)
+    inputs = [np.concatenate([a, b]) for a, b in zip(positives, random_operators(ALG, rng, 5))]
+    for y in sg.propagate_batch(np.array([0.0, 1e-3, 0.2, 1.0, 7.5]), inputs):
+        d = y - y.conj().swapaxes(-1, -2)
+        h = -1j * d
+        assert np.array_equal(h, h.conj().swapaxes(-1, -2))
+        by_eig = np.abs(np.linalg.eigvalsh(h)[..., [0, -1]]).max(axis=-1)
+        by_svd = np.linalg.svd(d, compute_uv=False)[..., 0]
+        np.testing.assert_allclose(by_eig, by_svd, rtol=1e-13, atol=0.0)
+        assert by_svd[:, 20:].min() > 1e-3
+
+
 WITNESSES = {"positivity_t", "positivity_sample", "unitality_t", "trace_t", "trace_sample"}
 
 

@@ -1,9 +1,10 @@
 """Spectral work the library skips because its result is already known.
 
 A meet that some cut empties is 0 in that block, a compression by a zero
-block is 0, a projection that is exactly 0 or 1 has residuals 0; norms,
-moduli, sample times and averages that a suite needs more than once are
-computed once.  Each test holds a skipping path to the computation it
+block is 0, a projection that is exactly 0 or 1 has residuals 0, and a gate
+residual whose Frobenius norm is below the tolerance passes without an SVD;
+norms, moduli, sample times and averages that a suite needs more than once
+are computed once.  Each test holds a skipping path to the computation it
 replaces, bit for bit where the output depends on it, and counts the work,
 so it fails when a reduction is undone or masks a live case as dead.
 """
@@ -30,15 +31,24 @@ from ncerg import (
     scheme_from_semigroup,
     spectral_projection,
 )
-from ncerg import averaging, banach, bau, semigroups
+from ncerg import algebra, averaging, banach, bau, semigroups
 from ncerg.algebra import (
+    INPUT_TOL,
     MEET_RANK_TOL,
+    PROJECTION_TOL,
+    SELF_ADJOINT_TOL,
     SPECTRAL_INCLUDE,
+    Operator,
+    Projection,
     SpectralResolution,
+    _check_projections,
+    hermitian_defects,
     meet_complements,
     pnorm,
     pnorms,
     power_traces,
+    random_projection,
+    spectral_resolution,
     stack_blocks,
 )
 from ncerg.averaging import sandwich_slacks, substitution_bound_checks
@@ -131,11 +141,11 @@ def test_stacked_meets_match_per_case_meets_bit_for_bit(monkeypatch):
             assert same_bits(a, b) and same_bits(c, b), case
     assert [e.cotrace for e in got] == [0.0, 2.5, 3.5, 2.0, 0.5]
     # one meet SVD per (case, block) that is cut and not emptied: case 3 in
-    # block 0, cases 1, 3 and 4 in block 1; the projection check decomposes
-    # only members that are neither 0 nor 1 there, twice each
+    # block 0, cases 1, 3 and 4 in block 1; the projection check's Frobenius
+    # screen clears every member, so it decomposes none
     meet_svd = [a for uv, a in seen if uv]
     assert len(meet_svd) == 4
-    assert len(seen) - len(meet_svd) == 2 * 4
+    assert len(seen) - len(meet_svd) == 0
     assert all(np.any(a) for _, a in seen)
 
 
@@ -162,6 +172,153 @@ def test_maximal_suite_sends_no_zero_matrix_to_svd(tmp_path, monkeypatch):
             assert c.achieved_bound == want
             zero_blocks += sum(not np.any(E) for E in c.projection.op.blocks)
     assert 0 < zero_blocks < len(certs) * len(params) * env.alg.n_blocks
+
+
+# ---------------------------------------------------------------------------
+# Frobenius screens: the SVD rule's decisions and messages, without its SVDs
+# where ||r||_2 <= ||r||_F already settles them
+# ---------------------------------------------------------------------------
+
+def norms_2(stacks):
+    return np.max([np.linalg.svd(a, compute_uv=False)[..., 0] for a in stacks], axis=0)
+
+
+def skewed(rng, ratios, tol, flat):
+    """Members x = h + i c k with ||x - x*|| = ratio * tol * ||x|| to
+    roundoff: h self-adjoint of norm 1, and k = 1 for ``flat`` members, whose
+    ||x - x*||_F is sqrt(n) ||x - x*||_2 in the larger block."""
+    ops = []
+    for ratio, f in zip(ratios, flat):
+        h = random_self_adjoint(ALG, rng, norm=1.0)
+        k = ALG.identity() if f else random_self_adjoint(ALG, rng, norm=1.0)
+        ops.append(h + k * (0.5j * ratio * tol))  # ||x|| = 1 + O(tol)
+    return stack_blocks(ops)
+
+
+def sa_rule(stacks, tol):
+    """The unscreened rule: (fails, defect, bound), one SVD per member."""
+    defect = norms_2([a - a.conj().swapaxes(-1, -2) for a in stacks])
+    bound = tol * np.maximum(norms_2(stacks), 1e-14)
+    return defect > bound, defect, bound
+
+
+@pytest.mark.parametrize("tol", [SELF_ADJOINT_TOL, INPUT_TOL])
+def test_screened_self_adjointness_makes_the_svd_rule_decisions(monkeypatch, tol):
+    rng = np.random.default_rng(93)
+    ratios = [1e-3, 0.5, 0.8, 0.999, 1.001, 1.5, 1e3, 0.8]
+    flat = [False] * 7 + [True]
+    xs = skewed(rng, ratios, tol, flat)
+    want, defect, bound = sa_rule(xs, tol)
+    assert want.tolist() == [r > 1 for r in ratios]
+    # the flat member passes the 2-norm rule but not the Frobenius screen
+    sa = [a[-1] - a[-1].conj().T for a in xs]
+    assert defect[-1] <= bound[-1] < max(np.linalg.norm(d) for d in sa)
+
+    seen = svd_members(monkeypatch)
+    ones, svds = [], []
+    for i in range(len(ratios)):
+        ones.append(bool(hermitian_defects([a[i] for a in xs], tol)[0]))
+        svds.append(len(seen) - sum(svds))
+    fails = hermitian_defects(xs, tol)[0]
+    monkeypatch.undo()
+    assert fails.tolist() == want.tolist() == ones
+    # the screen clears the member at 1e-3 tol; failing and flat members
+    # take the SVD of x and of x - x* in both blocks
+    assert svds[0] == 0
+    assert all(n == 2 * 2 for n, r, f in zip(svds, ratios, flat) if r > 1 or f)
+
+    # is_self_adjoint, spectral_resolution's error and the maximal input check
+    sg = flows(ALG, rng)["unitary_flow"]
+    params = [MaximalParams(C=1.0, p=1.0, epsilon=0.5)]
+    for i, fail in enumerate(want):
+        x = Operator(ALG, [a[i] for a in xs])
+        if tol == SELF_ADJOINT_TOL:
+            assert x.is_self_adjoint() is not fail
+            if fail:
+                with pytest.raises(ValueError) as err:
+                    spectral_resolution(x)
+                assert str(err.value) == (
+                    f"operator is not self-adjoint within tolerance "
+                    f"({defect[i]:.3e} > {bound[i]:.3e})"
+                )
+            else:
+                spectral_resolution(x)
+        elif fail:
+            with pytest.raises(ValueError, match="needs a self-adjoint operator"):
+                maximal_certificates(sg, [a[i:i + 1] for a in xs], params, [1.0])
+        else:
+            maximal_certificates(sg, [a[i:i + 1] for a in xs], params, [1.0])
+
+
+def projection_rule(blocks):
+    """The unscreened projection rule: the message for the worst member, or None."""
+    idem = norms_2([e @ e - e for e in blocks]).ravel()
+    sa = norms_2([e - e.conj().swapaxes(-1, -2) for e in blocks]).ravel()
+    worst = int(np.argmax(np.maximum(idem, sa)))
+    if idem[worst] <= PROJECTION_TOL and sa[worst] <= PROJECTION_TOL:
+        return None
+    return (
+        f"not a projection: idempotency residual {idem[worst]:.3e}, "
+        f"self-adjointness residual {sa[worst]:.3e} (tol {PROJECTION_TOL:.1e})"
+    )
+
+
+def test_screened_projection_check_makes_the_svd_rule_decisions(monkeypatch):
+    # p + i c 1 has self-adjointness residual 2c and idempotency residual
+    # about c; the flat i c 1 has Frobenius norm sqrt(n) times that
+    rng = np.random.default_rng(94)
+    ratios = [1e-3, 0.8, 0.999, 1.001, 1.5, 1e3]
+    ps = [random_projection(ALG, rng, ranks=(1, 2)).op for _ in ratios]
+    es = [p + ALG.identity() * (0.5j * r * PROJECTION_TOL) for p, r in zip(ps, ratios)]
+    wants = [projection_rule(stack_blocks([e])) for e in es]
+    assert [w is not None for w in wants] == [r > 1 for r in ratios]
+    seen = svd_members(monkeypatch)
+    for e, want in zip(es, wants):
+        if want is None:
+            Projection(e)
+        else:
+            with pytest.raises(ValueError) as err:
+                Projection(e)
+            assert str(err.value) == want
+    monkeypatch.undo()
+    # only the first clears the screen: two residuals in two blocks each for the rest
+    assert len(seen) == 2 * 2 * (len(ratios) - 1)
+
+    # stacked: passing members with one failing member raise its message
+    for bad in range(3, len(es)):
+        members = es[:3] + [es[bad]]
+        stacks = stack_blocks(members)
+        with pytest.raises(ValueError) as err:
+            _check_projections(stacks)
+        assert str(err.value) == projection_rule(stacks) == wants[bad]
+    _check_projections(stack_blocks(es[:3]))
+
+
+def test_default_run_sends_no_gate_member_to_svd(tmp_path, monkeypatch):
+    # the self-adjointness gates (is_self_adjoint, spectral_resolution, the
+    # maximal input check) and the projection check of a seed-1 default run
+    seen = svd_members(monkeypatch)
+    gates = {"calls": 0, "members": 0}
+
+    def counted(fn):
+        def gate(stacks, *args, **kwargs):
+            if kwargs.get("positive") or args[1:2] == (True,):
+                return fn(stacks, *args, **kwargs)  # the positivity rule is not screened
+            before = len(seen)
+            gates["calls"] += 1
+            try:
+                return fn(stacks, *args, **kwargs)
+            finally:
+                gates["members"] += len(seen) - before
+        return gate
+
+    for module in (algebra, bau):
+        monkeypatch.setattr(module, "hermitian_defects", counted(module.hermitian_defects))
+    monkeypatch.setattr(algebra, "_check_projections", counted(algebra._check_projections))
+    run(ExperimentConfig(seed=1), "full", tmp_path)
+    monkeypatch.undo()
+    assert gates["calls"] > 10 and seen
+    assert gates["members"] == 0
 
 
 # ---------------------------------------------------------------------------
