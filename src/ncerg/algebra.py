@@ -32,6 +32,7 @@ PROJECTION_TOL = 1e-8  # absolute cap on the idempotency and self-adjointness re
 SPECTRAL_INCLUDE = 1e-12  # absolute slack of spectral cuts: eigenvalues within it stay below
 MEET_RANK_TOL = 1e-8  # singular values below it times the block dimension count as zero
 SCREEN_MARGIN = 1e-6  # relative margin of the Frobenius screens for the roundoff of their sums
+SCREEN_FLOOR = 1e-150  # screens clear nothing below this bound (sums of squares may underflow)
 
 __all__ = [
     "AlgebraMismatchError",
@@ -55,6 +56,7 @@ __all__ = [
     "op_norms",
     "min_eig",
     "hermitian_defects",
+    "screened_norms",
     "random_operator",
     "random_operators",
     "random_self_adjoint",
@@ -259,39 +261,62 @@ def hermitian_defects(
     member whose skew part is exactly 0 adds defect 0 without an SVD.
 
     Without ``positive`` only the decision is read, and ||x|| is None.  An
-    exactly self-adjoint stack passes without norms, and a member passes
-    without an SVD when ||x - x*||_F, raised by ``SCREEN_MARGIN``, is at
-    most tol max(L, 1e-14), L its largest column norm: as ||x - x*|| <=
-    ||x - x*||_F and L <= ||x||, the SVD rule passes it too, and those two
-    screen values are its defect and bound.  Every other member, and any
-    whose screen bound is below 1e-150 (where the sum of squares may
-    underflow), takes the SVD rule, so the decisions are the rule's.
+    exactly self-adjoint stack passes without norms, and the rest go through
+    :func:`screened_norms` at the bound tol max(L, 1e-14), L the largest
+    column norm of x: as L <= ||x||, a member the screen clears passes the
+    SVD rule too, and its screen values are its defect and bound.  Every
+    other member takes the SVD rule, so the decisions are the rule's.
     """
     skew = [a - a.conj().swapaxes(-1, -2) for a in stacks]
     live = [d.any(axis=(-2, -1)) for d in skew]
+    skew = [d[m] for d, m in zip(skew, live)]
     if positive:
         norms = op_norms(stacks)
-        defect = op_norms([d[m] for d, m in zip(skew, live)], live)
+        defect = op_norms(skew, live)
         bound = tol * np.maximum(norms, 1e-14)
         return (defect > bound) | (min_eig(stacks) < -bound), defect, bound, norms
     if not any(m.any() for m in live):
         zero = np.zeros(stacks[0].shape[:-2])
         return zero > 0, zero, zero, None
-    defect = np.asarray(_frobenius(skew))
-    lower = np.max([np.linalg.norm(a, axis=-2).max(axis=-1) for a in stacks], axis=0)
+    with np.errstate(over="ignore"):  # an inf column norm clears nothing
+        lower = np.max([np.linalg.norm(a, axis=-2).max(axis=-1) for a in stacks], axis=0)
     bound = np.asarray(tol * np.maximum(lower, 1e-14))
-    opened = ~((defect * (1.0 + SCREEN_MARGIN) <= bound) & (bound >= 1e-150))
+    (defect,), opened = screened_norms([skew], live, bound)
     if opened.any():
-        live = [m[opened] for m in live]
-        defect[opened] = op_norms([d[opened][m] for d, m in zip(skew, live)], live)
         bound[opened] = tol * np.maximum(op_norms([a[opened] for a in stacks]), 1e-14)
     return defect > bound, defect, bound, None
 
 
-def _frobenius(stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """The largest Frobenius norm over the blocks of every member of
-    per-block (..., n, n) arrays: an upper bound on :func:`op_norms`."""
-    return np.max([np.linalg.norm(a, axis=(-2, -1)) for a in stacks], axis=0)
+def screened_norms(
+    families: Sequence[Sequence[np.ndarray]], live: Sequence[np.ndarray], bound: np.ndarray | float
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Operator norms of one or more residual families for a gate whose
+    decision alone is read.  Each family holds, per block, the members of
+    ``live`` as for :func:`op_norms`.  A member whose Frobenius norms in
+    every family and block, raised by ``SCREEN_MARGIN``, are at most its
+    ``bound`` gets those Frobenius norms, which bound the operator norms
+    from above, and no SVD; every other member, and every member whose
+    bound is not finite or below ``SCREEN_FLOOR``, gets :func:`op_norms`.
+    Returns (the norms of each family, the mask of members given SVD norms).
+
+    The margin covers the roundoff of the sums of squares; a norm of a
+    residual whose squares overflow is inf and clears nothing.  The floor
+    keeps the screen from reading sums of squares that underflow: below it
+    the margin no longer covers the absolute error of the subnormal squares.
+    """
+    shape = live[0].shape
+    norms = [np.zeros(shape) for _ in families]
+    with np.errstate(over="ignore"):
+        for row, stacks in zip(norms, families):
+            for mask, a in zip(live, stacks):
+                row[mask] = np.maximum(row[mask], np.linalg.norm(a, axis=(-2, -1)))
+    cleared = np.max(norms, axis=0) * (1.0 + SCREEN_MARGIN) <= bound
+    opened = ~(cleared & (SCREEN_FLOOR <= bound) & (bound < np.inf))
+    if opened.any():
+        picks, sub = [opened[m] for m in live], [m & opened for m in live]
+        for row, stacks in zip(norms, families):
+            row[opened] = op_norms([a[o] for a, o in zip(stacks, picks)], sub)[opened]
+    return norms, opened
 
 
 # ---------------------------------------------------------------------------
@@ -494,24 +519,20 @@ def _check_projections(blocks: Sequence[np.ndarray]) -> None:
     arrays: idempotency and self-adjointness residuals at most
     ``PROJECTION_TOL``, one batched norm per block for each; raises on the
     worst member.  A member that is exactly 0 or exactly the identity in a
-    block has residuals 0 there, with no products and no SVD.  A member
-    whose two residuals have Frobenius norms, raised by ``SCREEN_MARGIN``,
-    at most ``PROJECTION_TOL`` in every block passes without an SVD (the
-    operator norm is at most the Frobenius norm); the others take the SVD
-    norms, so the decision and the worst member's residuals are the SVD
-    rule's."""
+    block has residuals 0 there, with no products and no SVD.  The norms
+    come from :func:`screened_norms` at ``PROJECTION_TOL``, which screens a
+    member's two residuals together: a member it clears passes the SVD rule
+    too, and a member it does not clear gets SVD norms for both, so the
+    decision and the worst member's residuals are the SVD rule's."""
     live = [np.any(e, axis=(-2, -1)) & np.any(e != np.eye(e.shape[-1]), axis=(-2, -1))
             for e in blocks]
     blocks = [e[mask] for e, mask in zip(blocks, live)]
-    idem = [e @ e - e for e in blocks]
-    sa = [e - e.conj().swapaxes(-1, -2) for e in blocks]
-    screen = np.zeros(live[0].shape)
-    for mask, r, d in zip(live, idem, sa):
-        screen[mask] = np.maximum(screen[mask], _frobenius([r, d]))
-    opened = ~(screen * (1.0 + SCREEN_MARGIN) <= PROJECTION_TOL)
-    live, picks = [m & opened for m in live], [opened[m] for m in live]
-    idem = op_norms([r[o] for r, o in zip(idem, picks)], live).ravel()
-    sa = op_norms([d[o] for d, o in zip(sa, picks)], live).ravel()
+    (idem, sa), _ = screened_norms(
+        [[e @ e - e for e in blocks], [e - e.conj().swapaxes(-1, -2) for e in blocks]],
+        live,
+        PROJECTION_TOL,
+    )
+    idem, sa = idem.ravel(), sa.ravel()
     worst = int(np.argmax(np.maximum(idem, sa)))
     if idem[worst] > PROJECTION_TOL or sa[worst] > PROJECTION_TOL:
         raise ValueError(

@@ -155,14 +155,11 @@ class TransferPremiseError(RuntimeError):
 
 def compressed_norms(e: Projection, stacks: Sequence[np.ndarray]) -> np.ndarray:
     """||e y e|| for every member y of a stacked family, one batched SVD norm
-    per block.  A block where e is exactly 1 passes y through, and one where
-    e is exactly 0 adds norm 0 without an SVD, both without products."""
-    ys, live = [], []
-    for E, Y in zip(e.op.blocks, stacks):
-        zero = not E.any()
-        live.append(np.full(len(Y), not zero))
-        ys.append(Y[:0] if zero else Y if (E == np.eye(len(E))).all() else E @ Y @ E)
-    return op_norms(ys, live)
+    per block.  A block where e is exactly 1 passes y through without
+    products (the same bits)."""
+    return op_norms([
+        Y if (E == np.eye(len(E))).all() else E @ Y @ E for E, Y in zip(e.op.blocks, stacks)
+    ])
 
 
 def pair_differences(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -331,7 +328,9 @@ def double_average_certificate(
     level eps/2^{k+1} gives p_k, the same construction on g gives q, and e is
     the meet.  One stacked eigvalsh of the heads (and one of the tails)
     gives the traces tau(h(a)^p), and one stacked resolution of the at most
-    ``levels`` picked windows the cuts.  The certificate checks
+    ``levels`` distinct picked windows the cuts, so a level's trace and
+    co-trace come from two LAPACK routines (``eigvalsh``, ``eigh``) whose
+    spectra may differ in the last bits.  The certificate checks
     tau(1-e) < eps and reports the decay of
     ||e (beta_a(beta_b(x)) - beta_b(x)) e|| over the schedule.
     """
@@ -366,7 +365,13 @@ def double_average_certificate(
             if idx == len(schedule):
                 raise ScheduleExhaustedError(k, min(powers, default=math.inf), target)
             picks.append(idx)
-        picked = spectral_resolution([h[picks] for h in sym], alg=alg)
+        # each distinct pick decomposed once; a level may repeat the last pick
+        u = list(dict.fromkeys(picks))
+        inv = [u.index(i) for i in picks]
+        res = spectral_resolution([h[u] for h in sym], alg=alg)
+        picked = SpectralResolution(
+            alg, tuple(w[inv] for w in res.eigenvalues), tuple(v[inv] for v in res.eigenvectors)
+        )
         cuts = [lv ** (1.0 / p) for lv in budgets]
         cotraces, meet = picked.cut_cotrace(cuts), spectral_projection(picked, cuts)
         for k, (i, level, cot) in enumerate(zip(picks, budgets, cotraces), start=1):

@@ -100,16 +100,12 @@ def phi1(z: np.ndarray | complex) -> np.ndarray:
     """(e^z - 1) / z entrywise; expm1 keeps small |z| exact.
 
     Below |z| = 1e-8 the series 1 + z/2 is exact to rounding (phi1(0) = 1),
-    and it avoids dividing by a subnormal z, which overflows.  An array with
-    no such entry takes expm1(z) / z whole, with the same bits.
+    and it avoids dividing by a subnormal z, which overflows.
     """
     z = np.asarray(z, dtype=complex)
-    big = np.abs(z) >= 1e-8
-    if big.all():
-        return np.asarray(np.expm1(z) / z)
     out = np.asarray(1.0 + z / 2.0)
-    zb = z[big]
-    out[big] = np.expm1(zb) / zb
+    big = np.abs(z) >= 1e-8
+    out[big] = np.expm1(z[big]) / z[big]
     return out
 
 

@@ -140,27 +140,6 @@ def test_phi1_small_and_subnormal_arguments():
     np.testing.assert_array_equal(phi1(zs), [[phi1(z) for z in row] for row in zs])
 
 
-def test_phi1_is_bit_identical_to_the_masked_form():
-    # phi1 skips the mask when no entry is below 1e-8; the masked form
-    # takes every entry >= 1e-8 through expm1(z) / z and the rest through 1 + z/2
-    def masked(z):
-        z = np.asarray(z, dtype=complex)
-        out = np.asarray(1.0 + z / 2.0)
-        big = np.abs(z) >= 1e-8
-        out[big] = np.expm1(z[big]) / z[big]
-        return out
-
-    rng = np.random.default_rng(95)
-    for shape in [(), (7,), (24, 16, 16), (3, 5, 2, 2)]:
-        z = (rng.uniform(-40, 5, shape) + 1j * rng.uniform(-60, 60, shape)) * 10.0 ** rng.uniform(-6, 0, shape)
-        small = np.where(rng.random(shape) < 0.3, z * 1e-10, z)
-        small.flat[0] = 0.0
-        for zs in (z, small):
-            got, want = phi1(zs), masked(zs)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), shape
-    assert np.all(np.abs(z) >= 1e-8)  # the last z has no small entry
-
-
 def test_mean_validates_its_inputs(alg, rng):
     sg = Identity(alg)
     with pytest.raises(ValueError):

@@ -250,6 +250,37 @@ def test_screened_self_adjointness_makes_the_svd_rule_decisions(monkeypatch, tol
             maximal_certificates(sg, [a[i:i + 1] for a in xs], params, [1.0])
 
 
+def test_screens_defer_to_the_svd_rule_where_squares_overflow_or_underflow():
+    # squares of 1e155 overflow, so the column norm and the screen bound
+    # are inf; squares of 1e-163 underflow to 0, so the Frobenius norm of a
+    # skew part that fails tol 1e-150 reads 0 (its bound 1e-164 is below
+    # SCREEN_FLOOR).  Neither may clear a member: each takes the SVD rule's
+    # defect and bound.  At bound 1e-150 the underflow is within the margin.
+    def member(b0):
+        return [np.asarray(b0, dtype=complex), np.zeros((3, 3), dtype=complex)]
+
+    cases = [  # (blocks, tol, fails, takes the SVD rule)
+        (member([[1e155, 1e150], [0.0, 0.0]]), SELF_ADJOINT_TOL, True, True),
+        (member([[1e155, 1e150], [1e150 * (1 + 1e-9), 0.0]]), SELF_ADJOINT_TOL, False, True),
+        (member([[0.0, 1e-163], [0.0, 0.0]]), 1e-150, True, True),
+        (member([[1.0, 1e-163], [0.0, 0.0]]), 1e-150, False, False),
+    ]
+    assert algebra.SCREEN_FLOOR == 1e-150
+    for blocks, tol, fail, by_svd in cases:
+        stacks = [b[None] for b in blocks]
+        want, defect, bound = sa_rule(stacks, tol)
+        assert want.tolist() == [fail]
+        for got in (stacks, blocks):  # a stack of one, and one operator's blocks
+            fails, got_defect, got_bound, _ = hermitian_defects(got, tol)
+            assert np.ravel(fails).tolist() == [fail]
+            assert (np.ravel(got_defect).tolist() == defect.tolist()) is by_svd
+            assert np.ravel(got_bound).tolist() == bound.tolist() or not by_svd
+    x = Operator(ALG, member([[1e155, 1e150], [0.0, 0.0]]))
+    assert not x.is_self_adjoint()
+    with pytest.raises(ValueError, match="not self-adjoint within tolerance"):
+        spectral_resolution(x)
+
+
 def projection_rule(blocks):
     """The unscreened projection rule: the message for the worst member, or None."""
     idem = norms_2([e @ e - e for e in blocks]).ravel()
