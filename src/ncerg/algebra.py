@@ -5,12 +5,13 @@ blocks, each carrying a strictly positive trace weight.  Elements are
 :class:`Operator` instances; the weighted trace, the p-norms built from it,
 absolute values, spectral resolutions, spectral projections and lattice meets
 of projections all live in this module, and so does the package's one rule
-for self-adjoint and positive inputs (:func:`hermitian_defects`); gates
-whose decision alone is read clear members by a Frobenius screen before any
-SVD.  The
-per-block functions take one array (..., n, n) per block with any leading
-axes, and their results have the shape of those axes (none for an
-:class:`Operator`'s blocks); the meets consume the last one, the members.
+for self-adjoint and positive inputs (:func:`hermitian_defects`).  Operator
+norms come from one function, :func:`op_norms`, which gives a member that is
+exactly 0 norm 0 without an SVD; gates whose decision alone is read clear
+members by a Frobenius screen before it.  The per-block functions take one
+array (..., n, n) per block with any leading axes, and their results have
+the shape of those axes (none for an :class:`Operator`'s blocks); the meets
+consume the last one, the members.
 :func:`random_operators` draws k inputs at once, and
 :func:`normalized_draws` makes them positive or self-adjoint and
 normalizes them with one :func:`op_norms`.
@@ -223,22 +224,20 @@ def stack_blocks(ops: Sequence[Operator]) -> list[np.ndarray]:
     return [np.stack(blocks) for blocks in zip(*(x.blocks for x in ops))]
 
 
-def op_norms(
-    stacks: Sequence[np.ndarray], live: Sequence[np.ndarray] | None = None
-) -> np.ndarray:
+def op_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Operator norm of every member of per-block (..., n, n) arrays, one
     batched SVD per block (the first of the descending singular values).
 
-    With ``live`` (one mask per block over the first leading axes), block i
-    is known to be 0 outside ``live[i]``, and ``stacks[i]`` holds only the
-    members inside it, ``a[live[i]]``: the others add norm 0 without an SVD.
+    A member that is exactly 0 in a block adds norm 0 there without an SVD;
+    a block with no such member goes to the SVD whole, without a copy.
     """
-    if live is None:
-        return np.max([np.linalg.svd(a, compute_uv=False)[..., 0] for a in stacks], axis=0)
-    rows = [np.zeros(mask.shape + a.shape[1:-2]) for a, mask in zip(stacks, live)]
-    for row, a, mask in zip(rows, stacks, live):
-        if len(a):
-            row[mask] = np.linalg.svd(a, compute_uv=False)[..., 0]
+    rows = [np.zeros(a.shape[:-2]) for a in stacks]
+    for row, a in zip(rows, stacks):
+        live = np.any(a, axis=(-2, -1))
+        if live.all():
+            row[...] = np.linalg.svd(a, compute_uv=False)[..., 0]
+        elif live.any():
+            row[live] = np.linalg.svd(a[live], compute_uv=False)[..., 0]
     return np.max(rows, axis=0)
 
 
@@ -268,54 +267,51 @@ def hermitian_defects(
     other member takes the SVD rule, so the decisions are the rule's.
     """
     skew = [a - a.conj().swapaxes(-1, -2) for a in stacks]
-    live = [d.any(axis=(-2, -1)) for d in skew]
-    skew = [d[m] for d, m in zip(skew, live)]
     if positive:
         norms = op_norms(stacks)
-        defect = op_norms(skew, live)
+        defect = op_norms(skew)
         bound = tol * np.maximum(norms, 1e-14)
         return (defect > bound) | (min_eig(stacks) < -bound), defect, bound, norms
-    if not any(m.any() for m in live):
+    if not any(d.any() for d in skew):
         zero = np.zeros(stacks[0].shape[:-2])
         return zero > 0, zero, zero, None
     with np.errstate(over="ignore"):  # an inf column norm clears nothing
         lower = np.max([np.linalg.norm(a, axis=-2).max(axis=-1) for a in stacks], axis=0)
     bound = np.asarray(tol * np.maximum(lower, 1e-14))
-    (defect,), opened = screened_norms([skew], live, bound)
+    (defect,), opened = screened_norms([skew], bound)
     if opened.any():
         bound[opened] = tol * np.maximum(op_norms([a[opened] for a in stacks]), 1e-14)
     return defect > bound, defect, bound, None
 
 
 def screened_norms(
-    families: Sequence[Sequence[np.ndarray]], live: Sequence[np.ndarray], bound: np.ndarray | float
+    families: Sequence[Sequence[np.ndarray]], bound: np.ndarray | float
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Operator norms of one or more residual families for a gate whose
-    decision alone is read.  Each family holds, per block, the members of
-    ``live`` as for :func:`op_norms`.  A member whose Frobenius norms in
-    every family and block, raised by ``SCREEN_MARGIN``, are at most its
-    ``bound`` gets those Frobenius norms, which bound the operator norms
-    from above, and no SVD; every other member, and every member whose
-    bound is not finite or below ``SCREEN_FLOOR``, gets :func:`op_norms`.
-    Returns (the norms of each family, the mask of members given SVD norms).
+    """Operator norms of one or more residual families, each per-block
+    (..., n, n) arrays of the same members, for a gate whose decision alone
+    is read.  A member whose Frobenius norms in every family and block,
+    raised by ``SCREEN_MARGIN``, are at most its ``bound`` gets those
+    Frobenius norms, which bound the operator norms from above, and no SVD.
+    Every other member, and every member whose bound is not finite or below
+    ``SCREEN_FLOOR``, gets :func:`op_norms`.  Either way a residual that is
+    exactly 0 gets norm 0 without an SVD.  Returns (the norms of each
+    family, the mask of members given :func:`op_norms` norms).
 
     The margin covers the roundoff of the sums of squares; a norm of a
     residual whose squares overflow is inf and clears nothing.  The floor
     keeps the screen from reading sums of squares that underflow: below it
     the margin no longer covers the absolute error of the subnormal squares.
     """
-    shape = live[0].shape
-    norms = [np.zeros(shape) for _ in families]
+    norms = [np.zeros(families[0][0].shape[:-2]) for _ in families]
     with np.errstate(over="ignore"):
         for row, stacks in zip(norms, families):
-            for mask, a in zip(live, stacks):
-                row[mask] = np.maximum(row[mask], np.linalg.norm(a, axis=(-2, -1)))
+            for a in stacks:
+                np.maximum(row, np.linalg.norm(a, axis=(-2, -1)), out=row)
     cleared = np.max(norms, axis=0) * (1.0 + SCREEN_MARGIN) <= bound
     opened = ~(cleared & (SCREEN_FLOOR <= bound) & (bound < np.inf))
     if opened.any():
-        picks, sub = [opened[m] for m in live], [m & opened for m in live]
         for row, stacks in zip(norms, families):
-            row[opened] = op_norms([a[o] for a, o in zip(stacks, picks)], sub)[opened]
+            row[opened] = op_norms([a[opened] for a in stacks])
     return norms, opened
 
 
@@ -518,18 +514,14 @@ def _check_projections(blocks: Sequence[np.ndarray]) -> None:
     """The :class:`Projection` rule for every member of per-block (..., n, n)
     arrays: idempotency and self-adjointness residuals at most
     ``PROJECTION_TOL``, one batched norm per block for each; raises on the
-    worst member.  A member that is exactly 0 or exactly the identity in a
-    block has residuals 0 there, with no products and no SVD.  The norms
-    come from :func:`screened_norms` at ``PROJECTION_TOL``, which screens a
-    member's two residuals together: a member it clears passes the SVD rule
-    too, and a member it does not clear gets SVD norms for both, so the
-    decision and the worst member's residuals are the SVD rule's."""
-    live = [np.any(e, axis=(-2, -1)) & np.any(e != np.eye(e.shape[-1]), axis=(-2, -1))
-            for e in blocks]
-    blocks = [e[mask] for e, mask in zip(blocks, live)]
+    worst member.  The norms come from :func:`screened_norms` at
+    ``PROJECTION_TOL``, which screens a member's two residuals together: a
+    member it clears passes the SVD rule too, and a member it does not clear
+    gets SVD norms for both, so the decision and the worst member's
+    residuals are the SVD rule's.  A member that is exactly 0 or exactly the
+    identity in a block has residuals exactly 0 there, which take no SVD."""
     (idem, sa), _ = screened_norms(
         [[e @ e - e for e in blocks], [e - e.conj().swapaxes(-1, -2) for e in blocks]],
-        live,
         PROJECTION_TOL,
     )
     idem, sa = idem.ravel(), sa.ravel()

@@ -221,8 +221,9 @@ def maximal_certificates(
     same |w|.  Per epsilon, the k meets of the cuts come from one stacked
     :func:`spectral_projection` (one batched SVD per block, uncut members
     adding zero rows), and the compressed norms of all k m averages from one
-    batched SVD per block; a case whose meet is 0 in a block adds norm 0
-    there, with no product and no SVD.  A meet's co-trace is compared against
+    batched SVD per block.  A case whose meet is 0 in every block forms no
+    product, and a meet block that is 0 adds norm 0 without an SVD
+    (:func:`op_norms`).  A meet's co-trace is compared against
     C (eps^-1 ||x||_p)^p; exceeding the cap only flags the certificate, and
     the empirical C realized by the run is reported either way.  A p so
     large that eps^-p, (eps^-1 ||x||_p)^p or a number built from them is
@@ -259,9 +260,10 @@ def maximal_certificates(
         cotraces = mags.cut_cotrace(eps)
         es = spectral_projection(mags, eps)
         meets = stack_blocks([e.op for e in es])
-        live = [np.any(E, axis=(1, 2)) for E in meets]
-        achieved = op_norms(
-            [E[c, None] @ y[c] @ E[c, None] for E, y, c in zip(meets, ys, live)], live
+        live = np.any([np.any(E, axis=(1, 2)) for E in meets], axis=0)
+        achieved = np.zeros(len(es))
+        achieved[live] = op_norms(
+            [E[live, None] @ y[live] @ E[live, None] for E, y in zip(meets, ys)]
         ).max(axis=1)
         for case, (e, xnorm) in enumerate(zip(es, xnorms)):
             try:  # a Python float power raises on overflow

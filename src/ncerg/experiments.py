@@ -126,11 +126,12 @@ def _default_weight_spec() -> dict:
 class ExperimentConfig:
     """All knobs of a run.  The seed fixes every random draw.
 
-    Documented ranges, every number finite and every count an integer: total
-    algebra dimension in [1, 64]; epsilon, banach_epsilon in (0, 100]; p >= 1;
-    C, alpha > 0; 0 < T_lo < min(1, T_hi); grid sizes in [2, 512]; counts in
-    [1, 1000]; maximal_epsilons and sandwich_grid non-empty and positive;
-    banach_map_exps at least two increasing exponents in [1, 40].
+    Documented ranges, every number finite, every count an integer and no
+    number a JSON boolean: total algebra dimension in [1, 64]; epsilon,
+    banach_epsilon in (0, 100]; p >= 1; C, alpha > 0; 0 < T_lo < min(1,
+    T_hi); grid sizes in [2, 512]; counts in [1, 1000]; maximal_epsilons and
+    sandwich_grid non-empty and positive; banach_map_exps at least two
+    increasing exponents in [1, 40].
     """
 
     blocks: tuple[int, ...] = (2, 4)
@@ -165,13 +166,15 @@ class ExperimentConfig:
                 vals = tuple(kind(v) for v in given)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
-            if not all(math.isfinite(v) and v == w for v, w in zip(vals, given)):
+            if not all(math.isfinite(v) and v == w and not isinstance(w, bool)
+                       for v, w in zip(vals, given)):
                 raise ConfigError(f"{name}={list(given)} must hold finite {kind.__name__}s")
             object.__setattr__(self, name, vals)
         scalars = {"int": numbers.Integral, "float": numbers.Real}
         for f in fields(self):
             val = getattr(self, f.name)
-            if f.type in scalars and not (isinstance(val, scalars[f.type]) and math.isfinite(val)):
+            number = isinstance(val, scalars.get(f.type, ())) and not isinstance(val, bool)
+            if f.type in scalars and not (number and math.isfinite(val)):
                 raise ConfigError(f"{f.name}={val!r} must be a finite {f.type}")
         for name in ("semigroup", "weight"):
             if not isinstance(getattr(self, name), dict):
@@ -270,6 +273,13 @@ class RunReport:
         }
 
 
+def _write_json(path: Path, payload) -> None:
+    """Every JSON file of a run: keys sorted, two-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -310,10 +320,7 @@ class _Env:
 
     def write_cert(self, name: str, payload: dict) -> None:
         rel = f"certs/{name}.json"
-        path = self.outdir / rel
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.outdir / rel, payload)
         self.certs[name] = rel
 
 
@@ -604,9 +611,7 @@ def run(config: ExperimentConfig, suite: str, outdir: str | Path) -> RunReport:
         outdir=out,
         config=config.to_dict(),
     )
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", report.to_json_dict())
     missing = [
         rel
         for rel in list(report.tables.values()) + list(report.certificates.values())
@@ -678,13 +683,9 @@ def emit_plot_data(report: RunReport) -> dict[str, str]:
         with open(report.outdir / report.certificates[name], "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         summary[name] = {k: payload[k] for k in _SUMMARY_KEYS if k in payload}
-    with open(plots / "certificates_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(plots / "certificates_summary.json", summary)
     written["certificates_summary.json"] = "plots/certificates_summary.json"
-    with open(plots / "SCHEMA.json", "w", encoding="utf-8") as fh:
-        json.dump(_PLOT_SCHEMA, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(plots / "SCHEMA.json", _PLOT_SCHEMA)
     written["SCHEMA.json"] = "plots/SCHEMA.json"
     return written
 

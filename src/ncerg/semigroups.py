@@ -767,7 +767,9 @@ def semigroup_from_config(
             return GeneratorExp(alg, mat_op.blocks[0])
         lind = spec.get("lindblad", {"random": True, "jumps": 1, "norm": 0.5})
         count = lind.get("jumps", 1)
-        if not (isinstance(count, numbers.Integral) and 0 <= count <= MAX_JUMPS):
+        if isinstance(count, bool) or not (
+            isinstance(count, numbers.Integral) and 0 <= count <= MAX_JUMPS
+        ):
             raise ConfigError(f"lindblad.jumps={count!r} must be an integer in [0, {MAX_JUMPS}]")
         if rng is None:
             raise ValueError("random lindblad generator needs an rng")

@@ -184,6 +184,32 @@ def test_cli_bad_config_values_exit_two(tmp_path, capsys, bad):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "bad, key",
+    [
+        ({"n_random": True}, "n_random"),
+        ({"seed": True}, "seed"),
+        ({"p": True}, "p"),
+        ({"blocks": [True, 3], "weights": [1.0, 0.5]}, "blocks"),
+        ({"weights": [1.0, False]}, "weights"),
+        ({"maximal_epsilons": [True]}, "maximal_epsilons"),
+        (
+            {"semigroup": {"variant": "generator_exp", "lindblad": {"random": True, "jumps": True}}},
+            "lindblad.jumps",
+        ),
+    ],
+)
+def test_cli_json_booleans_are_not_numbers(tmp_path, capsys, bad, key):
+    # bool is an int subclass in Python; a JSON true must not pass as 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    code = main(
+        ["run", "--config", str(cfg_path), "--suite", "sandwich", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}=")
+
+
 @pytest.mark.parametrize("sub", ["", "o"], ids=["out_is_a_file", "out_below_a_file"])
 def test_cli_out_under_a_regular_file_exits_two(tmp_path, capsys, sub):
     taken = tmp_path / "taken"

@@ -44,6 +44,7 @@ from ncerg.algebra import (
     _check_projections,
     hermitian_defects,
     meet_complements,
+    op_norms,
     pnorm,
     pnorms,
     power_traces,
@@ -172,6 +173,56 @@ def test_maximal_suite_sends_no_zero_matrix_to_svd(tmp_path, monkeypatch):
             assert c.achieved_bound == want
             zero_blocks += sum(not np.any(E) for E in c.projection.op.blocks)
     assert 0 < zero_blocks < len(certs) * len(params) * env.alg.n_blocks
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+def test_op_norms_send_no_zero_member_to_svd(monkeypatch, lead):
+    # block 0 has members that are exactly 0, block 1 has none and goes to
+    # the SVD as the very array given; the norms are the unskipped SVD's bits
+    rng = np.random.default_rng(95)
+    stacks = [rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+              for n in ALG.blocks]
+    zero = np.arange(math.prod(lead)).reshape(lead) % 2 == 0
+    stacks[0][zero] = 0.0
+    want = norms_2(stacks)
+    seen, given = svd_members(monkeypatch), []
+    record = np.linalg.svd
+
+    def keep(a, *args, **kwargs):
+        given.append(a)
+        return record(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", keep)
+    got = op_norms(stacks)
+    monkeypatch.undo()
+    assert same_bits(got, want)
+    assert all(np.any(a) for _, a in seen)
+    assert len(seen) == int((~zero).sum()) + zero.size
+    assert given[-1] is stacks[1]
+    # a member that is 0 in every block has norm 0
+    stacks[1][zero] = 0.0
+    assert (op_norms(stacks)[zero] == 0.0).all()
+
+
+def test_projection_check_sends_no_zero_or_identity_member_to_svd(monkeypatch):
+    # p + i c 1 at c just under the tolerance passes the rule but not the
+    # screen; members exactly 0 or 1 in a block have residuals 0 there
+    rng = np.random.default_rng(96)
+    shift = ALG.identity() * (0.5j * 0.999 * PROJECTION_TOL)
+    near = [random_projection(ALG, rng, ranks=(1, 2)).op + shift for _ in range(3)]
+    zero, one = ALG.zero(), ALG.identity()
+    members = [
+        near[0], zero, one, near[1],
+        Operator(ALG, [one.blocks[0], near[2].blocks[1]]),
+        Operator(ALG, [zero.blocks[0], near[2].blocks[1]]),
+    ]
+    stacks = [a.reshape(2, 3, *a.shape[1:]) for a in stack_blocks(members)]
+    seen = svd_members(monkeypatch)
+    _check_projections(stacks)
+    monkeypatch.undo()
+    assert all(np.any(a) for _, a in seen)
+    # both residuals of each perturbed block: two of near[0] and near[1], one of the others
+    assert len(seen) == 2 * (2 + 2 + 1 + 1)
 
 
 # ---------------------------------------------------------------------------

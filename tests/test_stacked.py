@@ -264,8 +264,9 @@ def test_per_block_functions_take_any_leading_axes():
         return [a[None] for a in x.blocks]
 
     norms = op_norms(xs)
-    live = [np.any(a, axis=(-2, -1)) for a in xs]
-    assert np.array_equal(op_norms([a[c] for a, c in zip(xs, live)], live), norms)
+    # the block that is exactly 0 skips its SVD and keeps the bits of every norm
+    svd_norms = [np.linalg.svd(a, compute_uv=False)[..., 0] for a in xs]
+    assert norms.tobytes() == np.max(svd_norms, axis=0).tobytes()
     fails, defect, bound, xnorms = hermitian_defects(xs, 1e-10, positive=True)
     res = spectral_resolution(xs, alg=ALG)
     for i, j in itertools.product(range(k), range(m)):
