@@ -259,12 +259,12 @@ def hermitian_defects(
     that needs ||x|| passes ``positive`` and reads it here.  A block of a
     member whose skew part is exactly 0 adds defect 0 without an SVD.
 
-    Without ``positive`` only the decision is read, and ||x|| is None.  An
-    exactly self-adjoint stack passes without norms, and the rest go through
-    :func:`screened_norms` at the bound tol max(L, 1e-14), L the largest
-    column norm of x: as L <= ||x||, a member the screen clears passes the
-    SVD rule too, and its screen values are its defect and bound.  Every
-    other member takes the SVD rule, so the decisions are the rule's.
+    Without ``positive`` only the decision is read, and ||x|| is None.  The
+    members go through :func:`screened_norms` at the bound tol max(L, 1e-14),
+    L the largest column norm of x: as L <= ||x||, a member the screen clears
+    (every member whose skew part is exactly 0 and whose bound is in range)
+    passes the SVD rule too, and its screen values are its defect and bound.
+    Every other member takes the SVD rule, so the decisions are the rule's.
     """
     skew = [a - a.conj().swapaxes(-1, -2) for a in stacks]
     if positive:
@@ -272,9 +272,6 @@ def hermitian_defects(
         defect = op_norms(skew)
         bound = tol * np.maximum(norms, 1e-14)
         return (defect > bound) | (min_eig(stacks) < -bound), defect, bound, norms
-    if not any(d.any() for d in skew):
-        zero = np.zeros(stacks[0].shape[:-2])
-        return zero > 0, zero, zero, None
     with np.errstate(over="ignore"):  # an inf column norm clears nothing
         lower = np.max([np.linalg.norm(a, axis=-2).max(axis=-1) for a in stacks], axis=0)
     bound = np.asarray(tol * np.maximum(lower, 1e-14))
@@ -542,18 +539,15 @@ def spectral_projection(res: SpectralResolution, level: float | Sequence[float])
     shared level), and the result is the meet (:func:`meet_complements`) of
     the m cuts' rows V_d* of dropped eigenvectors, which have the null space
     and Gram matrix V_d V_d* of the complements, for every index of the other
-    leading axes.  A case in which some member's cut keeps nothing of a
-    block meets to 0 there, and its rows in that block are never formed.
+    leading axes.
     """
     alg, drops = res.algebra, res._drops(level)
     if drops[0].ndim == 1:
         blocks = [v[:, ~d] @ v[:, ~d].conj().T for v, d in zip(res.eigenvectors, drops)]
         return Projection(Operator(alg, blocks), cotrace=float(res.cut_cotrace(level)))
-    live = [~d.all(axis=-1).any(axis=-1) for d in drops]
     return meet_complements(alg, [
-        (v[c] * d[c][..., None, :]).conj().swapaxes(-1, -2)
-        for v, d, c in zip(res.eigenvectors, drops, live)
-    ], live)
+        (v * d[..., None, :]).conj().swapaxes(-1, -2) for v, d in zip(res.eigenvectors, drops)
+    ])
 
 
 def proj_meet(p: Projection, q: Projection) -> Projection:
@@ -578,9 +572,7 @@ def meet_all(projections: Iterable[Projection]) -> Projection:
 
 
 def meet_complements(
-    alg: TracialAlgebra,
-    stacks: Sequence[np.ndarray],
-    live: Sequence[np.ndarray] | None = None,
+    alg: TracialAlgebra, stacks: Sequence[np.ndarray]
 ) -> Projection | list[Projection]:
     """Meet of projections given per block as stacks ``(m, n, n)`` of their
     complements, or of any matrices with the same null spaces; with more
@@ -593,33 +585,28 @@ def meet_complements(
     zero, a cutoff that separates it from roundoff and can widen for
     ill-conditioning.  Zero complements (identity members) leave the null
     space unchanged, and a case whose complements in a block are all zero
-    meets to the identity there exactly, without an SVD.  ``live`` (one mask
-    over ``...`` per block) marks the cases whose complements ``stacks[i]``
-    holds, ``a[live[i]]``: every other case has a member whose complement is
-    the whole block, and meets to 0 there exactly (co-trace c_i n_i), also
-    without an SVD.
+    meets to the identity there exactly, without an SVD.  A member whose
+    complement is the whole block (rows of full rank n) leaves no null
+    space, so its case meets to exactly 0 there, with co-trace c_i n_i.
     """
-    lead = stacks[0].shape[:-3] if live is None else live[0].shape
-    live = [np.ones(lead, dtype=bool)] * len(stacks) if live is None else live
+    lead = stacks[0].shape[:-3]
     blocks = []
     cotrace = np.zeros(lead)
-    for n, c, comp, mask in zip(alg.blocks, alg.weights, stacks, live):
-        # of the live cases, those with a nonzero complement take the SVD
-        rows = np.flatnonzero(mask)
-        comp = comp.reshape(len(rows), *comp.shape[-3:])  # m may be 0
+    for n, c, comp in zip(alg.blocks, alg.weights, stacks):
+        comp = comp.reshape(math.prod(lead), *comp.shape[-3:])  # m may be 0
         cut = np.any(comp, axis=(1, 2, 3))
-        e = np.zeros((mask.size, n, n), dtype=complex)
-        e[rows[~cut]] = np.eye(n)
-        nullity = np.where(mask, n, 0)
+        e = np.zeros((len(comp), n, n), dtype=complex)
+        e[~cut] = np.eye(n)
+        nullity = np.full(len(comp), n)
         if cut.any():
             _, s, vh = np.linalg.svd(comp[cut].reshape(int(cut.sum()), -1, n), full_matrices=False)
             null = s <= MEET_RANK_TOL * n
             basis = vh.conj().swapaxes(1, 2) * null[:, None, :]
             # + 0.0 gives the masked columns' -0.0 entries the sign of an empty sum
-            e[rows[cut]] = basis @ basis.conj().swapaxes(1, 2) + 0.0
-            nullity.flat[rows[cut]] = null.sum(axis=1)
+            e[cut] = basis @ basis.conj().swapaxes(1, 2) + 0.0
+            nullity[cut] = null.sum(axis=1)
         blocks.append(e.reshape(*lead, n, n))
-        cotrace += c * (n - nullity)
+        cotrace += c * (n - nullity.reshape(lead))
     if not lead:
         return Projection(Operator(alg, blocks), cotrace=float(cotrace))
     _check_projections(blocks)

@@ -329,12 +329,12 @@ def double_average_certificate(
     chosen with tau(h(a_k)^p) < eps^2 / 4^k, the spectral cut of h(a_k)^p at
     level eps/2^{k+1} gives p_k, the same construction on g gives q, and e is
     the meet.  One stacked eigvalsh of the heads (and one of the tails)
-    gives the traces tau(h(a)^p), and one stacked resolution of the at most
-    ``levels`` distinct picked windows the cuts, so a level's trace and
-    co-trace come from two LAPACK routines (``eigvalsh``, ``eigh``) whose
-    spectra may differ in the last bits.  The certificate checks
-    tau(1-e) < eps and reports the decay of
-    ||e (beta_a(beta_b(x)) - beta_b(x)) e|| over the schedule.
+    gives the traces tau(h(a)^p), and one stacked resolution of the
+    ``levels`` picked windows the cuts (a window picked for several levels
+    is decomposed for each), so a level's trace and co-trace come from two
+    LAPACK routines (``eigvalsh``, ``eigh``) whose spectra may differ in the
+    last bits.  The certificate checks tau(1-e) < eps and reports the decay
+    of ||e (beta_a(beta_b(x)) - beta_b(x)) e|| over the schedule.
     """
     if not b > 0:
         raise ValueError("window length b must be positive")
@@ -367,15 +367,9 @@ def double_average_certificate(
             if idx == len(schedule):
                 raise ScheduleExhaustedError(k, min(powers, default=math.inf), target)
             picks.append(idx)
-        # each distinct pick decomposed once; a level may repeat the last pick
-        u = list(dict.fromkeys(picks))
-        inv = [u.index(i) for i in picks]
-        res = spectral_resolution([h[u] for h in sym], alg=alg)
-        picked = SpectralResolution(
-            alg, tuple(w[inv] for w in res.eigenvalues), tuple(v[inv] for v in res.eigenvectors)
-        )
+        res = spectral_resolution([h[picks] for h in sym], alg=alg)
         cuts = [lv ** (1.0 / p) for lv in budgets]
-        cotraces, meet = picked.cut_cotrace(cuts), spectral_projection(picked, cuts)
+        cotraces, meet = res.cut_cotrace(cuts), spectral_projection(res, cuts)
         for k, (i, level, cot) in enumerate(zip(picks, budgets, cotraces), start=1):
             if cot > level + COTRACE_SLACK:
                 flags.append(f"{tag} level {k} cotrace above geometric budget")

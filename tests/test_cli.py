@@ -283,6 +283,25 @@ def test_cli_generator_exp_above_the_dimension_cap_exits_two(tmp_path, capsys, m
         )
 
 
+def test_cli_epsilon_whose_certificates_keep_everything_passes(tmp_path, capsys):
+    # at eps = 100 every maximal certificate keeps the whole algebra, so it
+    # realizes C = 0; the checks accept that, and stability compares the
+    # positive C of eps = 0.5 alone
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"maximal_epsilons": [0.5, 100.0]}))
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg_path), "--suite", "maximal", "--out", str(out)])
+    assert code == 0
+    assert "PASS maximal:empirical_C_finite" in capsys.readouterr().out
+    rows = (out / "tables" / "maximal.csv").read_text().splitlines()[1:]
+    by_eps = {}
+    for row in rows:
+        eps, _, cotrace, _, _, c = map(float, row.split(","))
+        by_eps.setdefault(eps, []).append((cotrace, c))
+    assert by_eps[100.0] and all(r == (0.0, 0.0) for r in by_eps[100.0])
+    assert max(c for _, c in by_eps[0.5]) > 0
+
+
 def test_cli_p_200_completes_with_finite_numbers(tmp_path, capsys):
     # the largest p of the default config that stays in the float range: a
     # complete run (the empirical C is not stable across epsilons at this p)

@@ -141,11 +141,12 @@ def test_stacked_meets_match_per_case_meets_bit_for_bit(monkeypatch):
         for a, b, c in zip(e.op.blocks, want, one.op.blocks):
             assert same_bits(a, b) and same_bits(c, b), case
     assert [e.cotrace for e in got] == [0.0, 2.5, 3.5, 2.0, 0.5]
-    # one meet SVD per (case, block) that is cut and not emptied: case 3 in
-    # block 0, cases 1, 3 and 4 in block 1; the projection check's Frobenius
-    # screen clears every member, so it decomposes none
+    # one meet SVD per (case, block) that is cut: cases 1, 2 and 3 in block 0,
+    # cases 1 to 4 in block 1 (the emptied blocks of cases 1 and 2 come out
+    # exactly 0 from theirs); the projection check's Frobenius screen clears
+    # every member, so it decomposes none
     meet_svd = [a for uv, a in seen if uv]
-    assert len(meet_svd) == 4
+    assert len(meet_svd) == 7
     assert len(seen) - len(meet_svd) == 0
     assert all(np.any(a) for _, a in seen)
 

@@ -460,6 +460,24 @@ def window_reference(sg, x, b, p, epsilon, schedule, levels=5):
     return e, rows, decay
 
 
+def window_matches_reference(sg, x, p, schedule):
+    """The window certificate at b = 1, eps = 0.5, held to
+    :func:`window_reference`: the same picks, levels and co-traces, traces
+    and decays to 1e-12 and the meet to 1e-10; returns the certificate."""
+    cert = double_average_certificate(sg, x, b=1.0, p=p, epsilon=0.5, a_schedule=schedule)
+    e, rows, decay = window_reference(sg, x, 1.0, p, 0.5, schedule)
+    got = cert.params["levels"]
+    assert [r[:3] for r in got] == [r[:3] for r in rows]  # the picks
+    assert [r[4:] for r in got] == [r[4:] for r in rows]  # levels and co-traces
+    for g, r in zip(got, rows):
+        assert abs(g[3] - r[3]) <= 1e-12 * max(r[3], 1e-300), (g, r)
+    assert cert.cotrace == e.cotrace
+    assert (cert.projection.op - e.op).norm_inf() <= 1e-10
+    for (a, d), (a_ref, d_ref) in zip(cert.decay, decay):
+        assert a == a_ref and abs(d - d_ref) <= 1e-12 * max(d_ref, 1.0), (a, d, d_ref)
+    return cert
+
+
 @pytest.mark.parametrize("name", ["scalar_decay", "unitary_flow", "schur_decay", "generator_exp"])
 @pytest.mark.parametrize("p, weights", [(1.0, (1.0, 0.5)), (2.0, (1.0, 0.5)), (1.0, (0.05, 0.02))])
 def test_window_certificate_matches_lazy_walk(name, p, weights):
@@ -470,18 +488,24 @@ def test_window_certificate_matches_lazy_walk(name, p, weights):
     sg = variants(alg, rng)[name]
     x = random_positive(alg, rng, norm=1.0)
     schedule = [float(a) for a in np.geomspace(0.25, 1e-7, 22)]
-    cert = double_average_certificate(sg, x, b=1.0, p=p, epsilon=0.5, a_schedule=schedule)
-    e, rows, decay = window_reference(sg, x, 1.0, p, 0.5, schedule)
-    got = cert.params["levels"]
-    assert [r[:3] for r in got] == [r[:3] for r in rows]  # the picks
-    assert [r[4:] for r in got] == [r[4:] for r in rows]  # levels and co-traces
-    for g, r in zip(got, rows):
-        assert abs(g[3] - r[3]) <= 1e-12 * max(r[3], 1e-300), (g, r)
-    assert cert.cotrace == e.cotrace
+    cert = window_matches_reference(sg, x, p, schedule)
     assert (cert.cotrace > 0) == (weights[0] < 1.0)
-    assert (cert.projection.op - e.op).norm_inf() <= 1e-10
-    for (a, d), (a_ref, d_ref) in zip(cert.decay, decay):
-        assert a == a_ref and abs(d - d_ref) <= 1e-12 * max(d_ref, 1.0), (a, d, d_ref)
+
+
+@pytest.mark.parametrize("name", ["scalar_decay", "unitary_flow", "schur_decay", "generator_exp"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_window_certificate_matches_lazy_walk_when_a_window_serves_several_levels(name, p):
+    # three windows for five levels: each side picks some window for two
+    # levels or more, and on light trace weights the cuts drop directions
+    alg = TracialAlgebra(ALG.blocks, (0.05, 0.02))
+    rng = np.random.default_rng(53)
+    sg = variants(alg, rng)[name]
+    x = random_positive(alg, rng, norm=1.0)
+    cert = window_matches_reference(sg, x, p, [0.5, 0.02, 1e-4])
+    for tag in ("head", "tail"):
+        picks = [r[2] for r in cert.params["levels"] if r[0] == tag]
+        assert len(set(picks)) < len(picks) == 5, (tag, picks)
+    assert cert.cotrace > 0
 
 
 @pytest.mark.parametrize("name", list(variants(ALG, np.random.default_rng(0))))
