@@ -7,11 +7,11 @@ absolute values, spectral resolutions, spectral projections and lattice meets
 of projections all live in this module, and so does the package's one rule
 for self-adjoint and positive inputs (:func:`hermitian_defects`).  Operator
 norms come from one function, :func:`op_norms`, which gives a member that is
-exactly 0 norm 0 without an SVD; gates whose decision alone is read clear
-members by a Frobenius screen before it.  The per-block functions take one
-array (..., n, n) per block with any leading axes, and their results have
-the shape of those axes (none for an :class:`Operator`'s blocks); the meets
-consume the last one, the members.
+exactly 0 norm 0 without an SVD; the self-adjointness, positivity and
+projection gates clear members by a Frobenius screen before it.  The
+per-block functions take one array (..., n, n) per block with any leading
+axes, and their results have the shape of those axes (none for an
+:class:`Operator`'s blocks); the meets consume the last one, the members.
 :func:`random_operators` draws k inputs at once, and
 :func:`normalized_draws` makes them positive or self-adjoint and
 normalizes them with one :func:`op_norms`.
@@ -251,34 +251,32 @@ def min_eig(x: Operator | Sequence[np.ndarray]) -> float | np.ndarray:
 
 def hermitian_defects(
     stacks: Sequence[np.ndarray], tol: float, positive: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one self-adjointness and positivity rule, per member of per-block
     (..., n, n) arrays: a member fails when ||x - x*||, or with ``positive``
     the negative part of the spectrum of herm x, exceeds bound = tol *
-    max(||x||, 1e-14).  Returns (fails, ||x - x*||, bound, ||x||); a caller
-    that needs ||x|| passes ``positive`` and reads it here.  A block of a
-    member whose skew part is exactly 0 adds defect 0 without an SVD.
+    max(||x||, 1e-14).  Returns (fails, ||x - x*||, bound).
 
-    Without ``positive`` only the decision is read, and ||x|| is None.  The
-    members go through :func:`screened_norms` at the bound tol max(L, 1e-14),
-    L the largest column norm of x: as L <= ||x||, a member the screen clears
-    (every member whose skew part is exactly 0 and whose bound is in range)
-    passes the SVD rule too, and its screen values are its defect and bound.
-    Every other member takes the SVD rule, so the decisions are the rule's.
+    The members go through :func:`screened_norms` at the bound tol max(L,
+    1e-14), L the largest column norm of x; with ``positive`` a member whose
+    least eigenvalue of herm x is below -bound / (1 + ``SCREEN_MARGIN``)
+    gets screen bound 0.  As L <= ||x||, a member the screen clears (every
+    member whose skew part is exactly 0, whose bound is in range and whose
+    spectrum clears it) passes the SVD rule too, and its screen values are
+    its defect and bound.  Every other member takes the SVD rule, so the
+    decisions are the rule's.
     """
     skew = [a - a.conj().swapaxes(-1, -2) for a in stacks]
-    if positive:
-        norms = op_norms(stacks)
-        defect = op_norms(skew)
-        bound = tol * np.maximum(norms, 1e-14)
-        return (defect > bound) | (min_eig(stacks) < -bound), defect, bound, norms
     with np.errstate(over="ignore"):  # an inf column norm clears nothing
         lower = np.max([np.linalg.norm(a, axis=-2).max(axis=-1) for a in stacks], axis=0)
     bound = np.asarray(tol * np.maximum(lower, 1e-14))
-    (defect,), opened = screened_norms([skew], bound)
+    low = min_eig(stacks) if positive else np.inf
+    (defect,), opened = screened_norms(
+        [skew], np.where(low < -bound / (1.0 + SCREEN_MARGIN), 0.0, bound)
+    )
     if opened.any():
         bound[opened] = tol * np.maximum(op_norms([a[opened] for a in stacks]), 1e-14)
-    return defect > bound, defect, bound, None
+    return (defect > bound) | (low < -bound), defect, bound
 
 
 def screened_norms(
@@ -454,7 +452,7 @@ def spectral_resolution(
     if alg is None:
         raise ValueError("a stacked family needs its algebra")
     stacks = getattr(x, "blocks", x)
-    fails, defect, bound, _ = hermitian_defects(stacks, SELF_ADJOINT_TOL)
+    fails, defect, bound = hermitian_defects(stacks, SELF_ADJOINT_TOL)
     if fails.any():
         i = np.unravel_index(np.argmax(fails), fails.shape)
         raise ValueError(

@@ -361,7 +361,8 @@ def sandwich_slacks(
     ``INPUT_TOL`` the gap D sits between minus the head and the tail: both
     are >= 0 up to roundoff.  ``b`` may also be a sequence of window lengths:
     the slacks are then (2, len(b), len(a_grid), k), from one positivity
-    check and one beta_a(x) for all of them."""
+    check and one beta_a(x) for all of them.  The check is the screened rule
+    of :func:`hermitian_defects`, so a member it clears takes no SVD."""
     bs = np.atleast_1d(np.asarray(b, dtype=float))
     if hermitian_defects(xs, INPUT_TOL, positive=True)[0].any():
         raise ValueError("sandwich check needs a positive operator")
@@ -580,21 +581,21 @@ def substitution_bound_checks(
     the contract is lhs <= rhs up to quadrature error.  Every input must be
     positive at ``INPUT_TOL`` (``ValueError`` names the first case that is
     not).  The residual averages come from one :meth:`Semigroup.mean_batch`
-    per term index where the residuals declare their terms, the lhs norms
-    from one batched SVD per block, and ||x|| from the positivity check.
+    per term index where the residuals declare their terms, and the lhs
+    norms and ||x|| from one batched SVD per block each.
     """
     xs = [np.asarray(a, dtype=complex) for a in xs]
     Ts = np.asarray(Ts, dtype=float)
     if Ts.shape != (len(weights),) or len(xs[0]) != len(weights):
         raise ValueError("substitution bound needs one weight, input and length per case")
-    fails, _, _, xnorms = hermitian_defects(xs, INPUT_TOL, positive=True)
+    fails = hermitian_defects(xs, INPUT_TOL, positive=True)[0]
     if fails.any():
         raise ValueError(
             f"substitution bound needs a positive operator (case {int(np.argmax(fails))})"
         )
     lhs = op_norms([y[0] for y in _residual_means(sg, weights, xs, Ts[None, :])])
     gaps = np.reshape([_mean_abs_residual(b, float(T)) for b, T in zip(weights, Ts)], (-1, 2))
-    return np.column_stack([lhs, 2.0 * gaps[:, 0] * xnorms, gaps[:, 1]])
+    return np.column_stack([lhs, 2.0 * gaps[:, 0] * op_norms(xs), gaps[:, 1]])
 
 
 def substitution_bound_check(

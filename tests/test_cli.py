@@ -73,7 +73,7 @@ def test_emit_plot_data_headers_only_for_empty(tmp_path):
     report.tables = {}
     report.certificates = {}
     written = emit_plot_data(report)
-    decay = (tmp_path / "out" / "plot_decay.csv").exists() or True
+    assert (tmp_path / "out" / "plots" / "plot_decay.csv").exists()
     text = (report.outdir / written["plot_decay.csv"]).read_text()
     assert text.strip() == "table,T,value"
 

@@ -44,6 +44,7 @@ from ncerg.algebra import (
     _check_projections,
     hermitian_defects,
     meet_complements,
+    min_eig,
     op_norms,
     pnorm,
     pnorms,
@@ -254,6 +255,21 @@ def sa_rule(stacks, tol):
     return defect > bound, defect, bound
 
 
+def positive_rule(stacks, tol):
+    """The unscreened positivity rule: :func:`sa_rule`'s, or the least
+    eigenvalue of herm x below -bound."""
+    fails, defect, bound = sa_rule(stacks, tol)
+    return fails | (min_eig(stacks) < -bound), defect, bound
+
+
+def ones_minus(s):
+    """0.1 on the 2x2 block, J - s v v* on the 3x3 block, J the all-ones
+    matrix and v = (1, -1, 0)/sqrt 2: exactly self-adjoint, with ||x|| = 3,
+    column norms L = sqrt 3 + O(s) and least eigenvalue -s."""
+    v = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    return Operator(ALG, [0.1 * np.eye(2), np.ones((3, 3)) - s * np.outer(v, v)])
+
+
 @pytest.mark.parametrize("tol", [SELF_ADJOINT_TOL, INPUT_TOL])
 def test_screened_self_adjointness_makes_the_svd_rule_decisions(monkeypatch, tol):
     rng = np.random.default_rng(93)
@@ -301,6 +317,49 @@ def test_screened_self_adjointness_makes_the_svd_rule_decisions(monkeypatch, tol
         else:
             maximal_certificates(sg, [a[i:i + 1] for a in xs], params, [1.0])
 
+    # positive=True: the rule above plus the least eigenvalue of herm x.
+    # Members: exactly positive; -tol ||x|| < lambda_min = -2 tol < -tol L,
+    # which passes by the SVD bound only; lambda_min = -4 tol < -tol ||x||;
+    # exactly 0 in block 0; positive with a skew part that fails; and a
+    # self-adjoint member with eigenvalues near -1
+    zero_block = Operator(ALG, [np.zeros((2, 2)), random_positive(ALG, rng).blocks[1]])
+    skew = random_positive(ALG, rng, norm=1.0) + ALG.identity() * (0.75j * tol)
+    members = [
+        random_positive(ALG, rng, norm=1.0), ones_minus(2 * tol), ones_minus(4 * tol),
+        zero_block, skew, random_self_adjoint(ALG, rng, norm=1.0),
+    ]
+    ps = stack_blocks(members)
+    want, defect, bound = positive_rule(ps, tol)
+    assert want.tolist() == [False, False, True, False, True, True]
+    lows = min_eig(ps)
+    assert -bound[1] < lows[1] < -tol * max(np.linalg.norm(a[1], axis=0).max() for a in ps)
+    seen = svd_members(monkeypatch)
+    ones, svds = [], []
+    for x in members:
+        ones.append(bool(hermitian_defects(x.blocks, tol, positive=True)[0]))
+        svds.append(len(seen) - sum(svds))
+    fails, got_defect, got_bound = hermitian_defects(ps, tol, positive=True)
+    draws = [random_positive(ALG, rng) for _ in range(4)]
+    positives = stack_blocks([members[0], members[3]] + draws)
+    before = len(seen)  # random_positive normalizes by op_norms
+    assert not hermitian_defects(positives, tol, positive=True)[0].any()
+    monkeypatch.undo()
+    assert fails.tolist() == want.tolist() == ones
+    assert len(seen) == before  # exactly positive members take no SVD
+    # the screen clears the positive members; the rest take the SVD of x in
+    # both blocks, and so the SVD rule's defect and bound
+    assert svds[0] == svds[3] == 0 and all(n >= 2 for n in svds[1:3] + svds[4:])
+    opened = np.array([n > 0 for n in svds])
+    assert same_bits(got_bound[opened], bound[opened]) and np.all(got_bound <= bound)
+    assert same_bits(got_defect[opened], defect[opened])
+    for x, fail in zip(members, want):
+        assert x.is_positive(tol) is not fail
+        if tol == INPUT_TOL and fail:
+            with pytest.raises(ValueError, match="sandwich check needs a positive operator"):
+                sandwich_slacks(sg, stack_blocks([x]), [0.5], 1.0)
+        elif tol == INPUT_TOL:
+            sandwich_slacks(sg, stack_blocks([x]), [0.5], 1.0)
+
 
 def test_screens_defer_to_the_svd_rule_where_squares_overflow_or_underflow():
     # squares of 1e155 overflow, so the column norm and the screen bound
@@ -323,7 +382,7 @@ def test_screens_defer_to_the_svd_rule_where_squares_overflow_or_underflow():
         want, defect, bound = sa_rule(stacks, tol)
         assert want.tolist() == [fail]
         for got in (stacks, blocks):  # a stack of one, and one operator's blocks
-            fails, got_defect, got_bound, _ = hermitian_defects(got, tol)
+            fails, got_defect, got_bound = hermitian_defects(got, tol)
             assert np.ravel(fails).tolist() == [fail]
             assert (np.ravel(got_defect).tolist() == defect.tolist()) is by_svd
             assert np.ravel(got_bound).tolist() == bound.tolist() or not by_svd
@@ -378,15 +437,14 @@ def test_screened_projection_check_makes_the_svd_rule_decisions(monkeypatch):
 
 
 def test_default_run_sends_no_gate_member_to_svd(tmp_path, monkeypatch):
-    # the self-adjointness gates (is_self_adjoint, spectral_resolution, the
-    # maximal input check) and the projection check of a seed-1 default run
+    # the self-adjointness and positivity gates (is_self_adjoint,
+    # spectral_resolution, the maximal input check, is_positive, the sandwich
+    # and substitution checks) and the projection check of a seed-1 default run
     seen = svd_members(monkeypatch)
     gates = {"calls": 0, "members": 0}
 
     def counted(fn):
         def gate(stacks, *args, **kwargs):
-            if kwargs.get("positive") or args[1:2] == (True,):
-                return fn(stacks, *args, **kwargs)  # the positivity rule is not screened
             before = len(seen)
             gates["calls"] += 1
             try:
@@ -395,7 +453,7 @@ def test_default_run_sends_no_gate_member_to_svd(tmp_path, monkeypatch):
                 gates["members"] += len(seen) - before
         return gate
 
-    for module in (algebra, bau):
+    for module in (algebra, averaging, bau):
         monkeypatch.setattr(module, "hermitian_defects", counted(module.hermitian_defects))
     monkeypatch.setattr(algebra, "_check_projections", counted(algebra._check_projections))
     run(ExperimentConfig(seed=1), "full", tmp_path)
@@ -521,7 +579,7 @@ def test_substitution_bound_reads_x_norms_from_the_positivity_check(monkeypatch)
     monkeypatch.setattr(averaging, "op_norms", lambda stacks: calls.append(1) or op_norms(stacks))
     rows = substitution_bound_checks(sg, weights, xs, Ts)
     monkeypatch.undo()
-    assert len(calls) == 1  # the left sides only
+    assert len(calls) == 2  # the left sides, and ||x|| (the positivity check takes none)
     gaps = [averaging._mean_abs_residual(b, float(T))[0] for b, T in zip(weights, Ts)]
     assert same_bits(rows[:, 1], 2.0 * np.array(gaps) * op_norms(xs))
 

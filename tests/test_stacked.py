@@ -267,12 +267,12 @@ def test_per_block_functions_take_any_leading_axes():
     # the block that is exactly 0 skips its SVD and keeps the bits of every norm
     svd_norms = [np.linalg.svd(a, compute_uv=False)[..., 0] for a in xs]
     assert norms.tobytes() == np.max(svd_norms, axis=0).tobytes()
-    fails, defect, bound, xnorms = hermitian_defects(xs, 1e-10, positive=True)
+    fails, defect, bound = hermitian_defects(xs, 1e-10, positive=True)
     res = spectral_resolution(xs, alg=ALG)
     for i, j in itertools.product(range(k), range(m)):
         x = ops[i][j]
         assert norms[i, j] == op_norms(x.blocks) == op_norms(one(x))[0] == x.norm_inf()
-        got = (fails[i, j], defect[i, j], bound[i, j], xnorms[i, j])
+        got = (fails[i, j], defect[i, j], bound[i, j])
         assert got == hermitian_defects(x.blocks, 1e-10, positive=True)
         assert got == tuple(a[0] for a in hermitian_defects(one(x), 1e-10, positive=True))
         r1 = spectral_resolution(x)
@@ -280,6 +280,9 @@ def test_per_block_functions_take_any_leading_axes():
             assert np.array_equal(w[i, j], w1) and np.array_equal(v[i, j], v1)
     # self-adjoint within tolerance, not positive
     assert defect[0, 1] > 0 and defect[1, 1] == 0.0 and fails.any()
+    # a failing member takes the bound from ||x||; a cleared one a bound below it
+    svd_bound = 1e-10 * np.maximum(norms, 1e-14)
+    assert np.array_equal(bound[fails], svd_bound[fails]) and np.all(bound <= svd_bound)
     assert not hermitian_defects(xs, 1e-10)[0].any()
 
     # meets: case 0 cuts nothing, case 1 has a member that keeps nothing
