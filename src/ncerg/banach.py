@@ -19,7 +19,7 @@ row of the ledger comes from the stacks through one function, ``_norm_rows``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -211,7 +211,12 @@ class StepRecord:
         return self.achieved <= self.claimed
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "name": self.name,
+            "claimed": self.claimed,
+            "achieved": self.achieved,
+            "witness": self.witness,
+        }
 
 
 @dataclass

@@ -17,6 +17,7 @@ import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
@@ -109,6 +110,9 @@ _TABLES = {
     "besicovitch": ("T", "local_mean_gap", "quad_error"),
     "banach_steps": ("step", "witness", "claimed", "achieved"),
 }
+
+# the keys of a certificate file that certificates_summary.json keeps, when present
+_SUMMARY_KEYS = ("cotrace", "epsilon", "achieved_bound", "flags", "passed", "error")
 
 
 def _default_weight_spec() -> dict:
@@ -249,7 +253,12 @@ class ExperimentConfig:
 @dataclass
 class RunReport:
     """Index of what a run produced.  Serialized without wall time or paths
-    outside the output directory, so equal configurations give equal bytes."""
+    outside the output directory, so equal configurations give equal bytes.
+
+    ``rows`` holds each table's rows as the strings written to its CSV file,
+    and ``summaries`` each certificate's ``_SUMMARY_KEYS`` entries; the plot
+    files are derived from them (:func:`emit_plot_data`).
+    """
 
     experiment: str
     passed: dict[str, bool]
@@ -258,6 +267,8 @@ class RunReport:
     wall_time_s: float
     outdir: Path
     config: dict
+    rows: dict[str, list[list[str]]]
+    summaries: dict[str, dict]
 
     @property
     def ok(self) -> bool:
@@ -274,13 +285,68 @@ class RunReport:
 
 
 def _write_json(path: Path, payload) -> None:
-    """Every JSON file of a run: keys sorted, two-space indent, final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Every JSON file of a run: the bytes of ``json.dumps(payload, indent=2,
+    sort_keys=True)`` and a final newline, encoded by :func:`_encode`."""
+    path.write_text(_encode(payload, 0) + "\n", encoding="utf-8")
+
+
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode(key, 0)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(o, level: int) -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)`` for ``o`` nested ``level``
+    containers deep, value by value the way ``json`` encodes it (ASCII
+    escapes, NaN and Infinity, float and int subclasses by their base repr,
+    ``TypeError`` for other types), but without its pure-Python encoder, which
+    ``json`` takes whenever it indents.  A list of finite plain floats, most
+    of a certificate's bytes, is one join of ``float.__repr__``.  There is no
+    check for circular references: payloads are trees.
+    """
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _SPECIAL_FLOATS.get(text, text)
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if set(map(type, o)) == {float}:
+            body = ("," + inner).join(map(float.__repr__, o))
+            if "n" not in body:  # no nan, inf or -inf
+                return "[" + inner + body + inner[:-2] + "]"
+        body = ("," + inner).join([_encode(v, level + 1) for v in o])
+        return "[" + inner + body + inner[:-2] + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = ("," + inner).join([
+            encode_basestring_ascii(_json_key(k)) + ": " + _encode(v, level + 1)
+            for k, v in sorted(o.items())
+        ])
+        return "{" + inner + body + inner[:-2] + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return float.__repr__(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -303,25 +369,28 @@ class _Env:
             raise ConfigError(f"bad semigroup or weight config: {exc}") from exc
         self.passed: dict[str, bool] = {}
         self.tables: dict[str, str] = {}
+        self.rows: dict[str, list[list[str]]] = {}
         self.certs: dict[str, str] = {}
+        self.summaries: dict[str, dict] = {}
 
     def rng(self, purpose: int) -> np.random.Generator:
         return np.random.default_rng([self.cfg.seed, purpose])
 
     def write_table(self, name: str, rows) -> None:
         rel = f"tables/{name}.csv"
-        path = self.outdir / rel
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        text = [[v if isinstance(v, str) else _fmt(v) for v in row] for row in rows]
+        with open(self.outdir / rel, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(_TABLES[name])
-            for row in rows:
-                writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
+            writer.writerows(text)
         self.tables[name] = rel
+        self.rows[name] = text
 
     def write_cert(self, name: str, payload: dict) -> None:
         rel = f"certs/{name}.json"
         _write_json(self.outdir / rel, payload)
         self.certs[name] = rel
+        self.summaries[name] = {k: payload[k] for k in _SUMMARY_KEYS if k in payload}
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +682,8 @@ def run(config: ExperimentConfig, suite: str, outdir: str | Path) -> RunReport:
         wall_time_s=wall,
         outdir=out,
         config=config.to_dict(),
+        rows=env.rows,
+        summaries=env.summaries,
     )
     _write_json(out / "report.json", report.to_json_dict())
     missing = [
@@ -628,9 +699,6 @@ def run(config: ExperimentConfig, suite: str, outdir: str | Path) -> RunReport:
 # ---------------------------------------------------------------------------
 # plot data
 # ---------------------------------------------------------------------------
-
-# the keys of a certificate file that certificates_summary.json keeps, when present
-_SUMMARY_KEYS = ("cotrace", "epsilon", "achieved_bound", "flags", "passed", "error")
 
 _PLOT_SCHEMA = {
     "plot_decay.csv": {
@@ -650,26 +718,21 @@ _PLOT_SCHEMA = {
 
 
 def emit_plot_data(report: RunReport) -> dict[str, str]:
-    """Write plot-ready CSV/JSON files derived from a run's tables."""
+    """Write plot-ready CSV/JSON files derived from a run's tables and
+    certificates.  They are built from the rows and summaries ``report``
+    carries, the strings and values the run wrote; no file of the run is read
+    back.  Only the tables and certificates ``report`` lists are used."""
     plots = report.outdir / "plots"
     plots.mkdir(parents=True, exist_ok=True)
     decay_rows = []
     bound_rows = []
     for name in sorted(report.tables):
-        path = report.outdir / report.tables[name]
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                continue
-            rows = list(reader)
-        if header[:4] == ["T", "norm_p", "bound", "slack"]:
-            for row in rows:
-                bound_rows.append((name, row[0], row[1], row[2], row[3]))
-                decay_rows.append((name, row[0], row[1]))
-        elif len(header) == 2 or header[2:] == ["quad_error"]:
-            for row in rows:
-                decay_rows.append((name, row[0], row[1]))
+        header, rows = _TABLES[name], report.rows[name]
+        if header[:4] == ("T", "norm_p", "bound", "slack"):
+            bound_rows += [(name, *row[:4]) for row in rows]
+            decay_rows += [(name, *row[:2]) for row in rows]
+        elif len(header) == 2 or header[2:] == ("quad_error",):
+            decay_rows += [(name, *row[:2]) for row in rows]
     written = {}
     for fname, header, rows in (
         ("plot_decay.csv", ["table", "T", "value"], decay_rows),
@@ -681,11 +744,7 @@ def emit_plot_data(report: RunReport) -> dict[str, str]:
             writer.writerows(rows)
         written[fname] = f"plots/{fname}"
 
-    summary = {}
-    for name in sorted(report.certificates):
-        with open(report.outdir / report.certificates[name], "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        summary[name] = {k: payload[k] for k in _SUMMARY_KEYS if k in payload}
+    summary = {name: report.summaries[name] for name in report.certificates}
     _write_json(plots / "certificates_summary.json", summary)
     written["certificates_summary.json"] = "plots/certificates_summary.json"
     _write_json(plots / "SCHEMA.json", _PLOT_SCHEMA)

@@ -50,7 +50,7 @@ eigenbasis path.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -529,7 +529,7 @@ class ValidationReport:
     generator_path: str | None = None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def continuity_modulus(

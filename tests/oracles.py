@@ -8,10 +8,14 @@ of a spectral resolution, the order of two projections, the matrix of a
 linear map on the vectorized algebra, one matrix unit at a time, random
 inputs drawn and normalized one operator at a time through
 :class:`Operator` arithmetic, and the sampled checks and law residual of a
-validation, one time and one (t, s) pair at a time.
+validation, one time and one (t, s) pair at a time, and a run's plot files
+read back from the tables and certificates on disk.
 """
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from typing import Callable, Sequence
 
@@ -29,6 +33,7 @@ from ncerg.algebra import (
     vec,
 )
 from ncerg.bau import ProjectionCertificate
+from ncerg.experiments import _SUMMARY_KEYS, RunReport
 from ncerg.semigroups import Semigroup
 
 
@@ -144,3 +149,44 @@ def law_residual_per_pair(
         gaps = op_norms([a[0] - y[1] for a, y in zip(lhs, both)])
         worst = max(worst, float(np.max(gaps / scale, initial=0.0)))
     return worst
+
+
+def plot_files_from_disk(report: RunReport) -> dict[str, bytes]:
+    """The bytes of ``plot_decay.csv``, ``plot_bounds.csv`` and
+    ``certificates_summary.json`` for the tables and certificates ``report``
+    lists, derived from their files: CSV tables through ``csv.reader``,
+    certificates through ``json.load``, and the summary through
+    ``json.dumps(..., indent=2, sort_keys=True)``."""
+    decay_rows, bound_rows = [], []
+    for name in sorted(report.tables):
+        with open(report.outdir / report.tables[name], "r", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                continue
+            rows = list(reader)
+        if header[:4] == ["T", "norm_p", "bound", "slack"]:
+            for row in rows:
+                bound_rows.append((name, row[0], row[1], row[2], row[3]))
+                decay_rows.append((name, row[0], row[1]))
+        elif len(header) == 2 or header[2:] == ["quad_error"]:
+            for row in rows:
+                decay_rows.append((name, row[0], row[1]))
+    files = {}
+    for fname, header, rows in (
+        ("plot_decay.csv", ["table", "T", "value"], decay_rows),
+        ("plot_bounds.csv", ["table", "T", "achieved", "bound", "slack"], bound_rows),
+    ):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        files[fname] = buf.getvalue().encode("utf-8")
+    summary = {}
+    for name in sorted(report.certificates):
+        with open(report.outdir / report.certificates[name], "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        summary[name] = {k: payload[k] for k in _SUMMARY_KEYS if k in payload}
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    files["certificates_summary.json"] = text.encode("utf-8")
+    return files

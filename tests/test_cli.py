@@ -18,6 +18,7 @@ from ncerg.experiments import (
     emit_plot_data,
     run,
 )
+from oracles import plot_files_from_disk
 
 
 SMALL = {
@@ -76,6 +77,8 @@ def test_emit_plot_data_headers_only_for_empty(tmp_path):
     assert (tmp_path / "out" / "plots" / "plot_decay.csv").exists()
     text = (report.outdir / written["plot_decay.csv"]).read_text()
     assert text.strip() == "table,T,value"
+    for fname, want in plot_files_from_disk(report).items():
+        assert (report.outdir / written[fname]).read_bytes() == want, fname
 
 
 def test_emit_plot_data_bounds_hold_rowwise(tmp_path):
