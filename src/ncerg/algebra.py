@@ -8,10 +8,12 @@ of projections all live in this module, and so does the package's one rule
 for self-adjoint and positive inputs (:func:`hermitian_defects`).  Operator
 norms come from one function, :func:`op_norms`, which gives a member that is
 exactly 0 norm 0 without an SVD; the self-adjointness, positivity and
-projection gates clear members by a Frobenius screen before it.  The
-per-block functions take one array (..., n, n) per block with any leading
-axes, and their results have the shape of those axes (none for an
-:class:`Operator`'s blocks); the meets consume the last one, the members.
+projection gates clear members by a Frobenius screen before it.  Every
+:class:`Projection`, each meet included, comes from its one constructor,
+which checks it.  The per-block functions take one array (..., n, n) per
+block with any leading axes, and their results have the shape of those
+axes (none for an :class:`Operator`'s blocks); the meets consume the last
+one, the members.
 :func:`random_operators` draws k inputs at once, and
 :func:`normalized_draws` makes them positive or self-adjoint and
 normalizes them with one :func:`op_norms`.
@@ -464,7 +466,8 @@ def spectral_resolution(
 
 
 class Projection:
-    """Idempotent self-adjoint element, checked to PROJECTION_TOL on construction.
+    """Idempotent self-adjoint element, checked to PROJECTION_TOL on construction
+    (:func:`_check_projections`); every projection is made here, meets included.
 
     ``cotrace`` is the weighted trace of the complement ``1 - p``.  When a
     projection is built from an explicit eigenvector selection the cotrace is
@@ -482,14 +485,6 @@ class Projection:
             )
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "cotrace", float(cotrace))
-
-    @classmethod
-    def _checked(cls, op: Operator, cotrace: float) -> "Projection":
-        """A member of a stack that :func:`_check_projections` has passed."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "op", op)
-        object.__setattr__(e, "cotrace", float(cotrace))
-        return e
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Projection is immutable")
@@ -509,12 +504,17 @@ def _check_projections(blocks: Sequence[np.ndarray]) -> None:
     """The :class:`Projection` rule for every member of per-block (..., n, n)
     arrays: idempotency and self-adjointness residuals at most
     ``PROJECTION_TOL``, one batched norm per block for each; raises on the
-    worst member.  The norms come from :func:`screened_norms` at
+    worst member.  When every member is diagonal with entries exactly 0 or 1
+    in every block (as one that is exactly 0 or the identity there), each is
+    exactly a projection and the check returns at once, forming no residual.
+    Otherwise the norms come from :func:`screened_norms` at
     ``PROJECTION_TOL``, which screens a member's two residuals together: a
     member it clears passes the SVD rule too, and a member it does not clear
     gets SVD norms for both, so the decision and the worst member's
     residuals are the SVD rule's.  A member that is exactly 0 or exactly the
     identity in a block has residuals exactly 0 there, which take no SVD."""
+    if all(((e == 0) | (e == np.eye(e.shape[-1]))).all() for e in blocks):
+        return
     (idem, sa), _ = screened_norms(
         [[e @ e - e for e in blocks], [e - e.conj().swapaxes(-1, -2) for e in blocks]],
         PROJECTION_TOL,
@@ -532,20 +532,16 @@ def spectral_projection(res: SpectralResolution, level: float | Sequence[float])
     """Projection onto eigenvectors with eigenvalue <= ``level + SPECTRAL_INCLUDE``.
 
     Ties at the threshold are included, so the co-trace never exceeds the
-    weighted count of eigenvalues strictly above the level.  On a stacked
-    resolution, members (..., m), member i is cut at ``level[..., i]`` (or a
-    shared level), and the result is the meet (:func:`meet_complements`) of
-    the m cuts' rows V_d* of dropped eigenvectors, which have the null space
-    and Gram matrix V_d V_d* of the complements, for every index of the other
-    leading axes.
+    weighted count of eigenvalues strictly above the level.  The result is
+    the meet (:func:`meet_complements`) of the cuts' rows V_d* of dropped
+    eigenvectors, which have the null space and Gram matrix V_d V_d* of the
+    complements: of the one cut of a single resolution, or on a stacked
+    resolution, members (..., m), of the m cuts for every index of the other
+    leading axes, member i cut at ``level[..., i]`` (or a shared level).
     """
-    alg, drops = res.algebra, res._drops(level)
-    if drops[0].ndim == 1:
-        blocks = [v[:, ~d] @ v[:, ~d].conj().T for v, d in zip(res.eigenvectors, drops)]
-        return Projection(Operator(alg, blocks), cotrace=float(res.cut_cotrace(level)))
-    return meet_complements(alg, [
-        (v * d[..., None, :]).conj().swapaxes(-1, -2) for v, d in zip(res.eigenvectors, drops)
-    ])
+    drops = res._drops(level)
+    rows = [(v * d[..., None, :]).conj().swapaxes(-1, -2) for v, d in zip(res.eigenvectors, drops)]
+    return meet_complements(res.algebra, [r[None] for r in rows] if drops[0].ndim == 1 else rows)
 
 
 def proj_meet(p: Projection, q: Projection) -> Projection:
@@ -557,7 +553,7 @@ def meet_all(projections: Iterable[Projection]) -> Projection:
     """Lattice meet of a nonempty family: projection onto the common range.
 
     One SVD per block of the stacked complements ``[(1-p_1); ...; (1-p_m)]``
-    (:func:`meet_complements`), validated as one :class:`Projection`.
+    (:func:`meet_complements`).
     """
     ps = list(projections)
     if not ps:
@@ -575,8 +571,8 @@ def meet_complements(
     """Meet of projections given per block as stacks ``(m, n, n)`` of their
     complements, or of any matrices with the same null spaces; with more
     leading axes, ``(..., m, n, n)`` per block, the meets of every index of
-    ``...`` as nested lists, from one batched SVD per block and checked as
-    one stack.
+    ``...`` as nested lists, from one batched SVD per block.  Every meet is
+    made by :class:`Projection`, which checks it.
 
     The meet is the null space of one SVD of the ``(m n, n)`` stack (Bjorck
     and Golub 1973); singular values below ``MEET_RANK_TOL * n`` count as
@@ -605,12 +601,9 @@ def meet_complements(
             nullity[cut] = null.sum(axis=1)
         blocks.append(e.reshape(*lead, n, n))
         cotrace += c * (n - nullity.reshape(lead))
-    if not lead:
-        return Projection(Operator(alg, blocks), cotrace=float(cotrace))
-    _check_projections(blocks)
     meets = np.empty(lead, dtype=object)
     for i in np.ndindex(lead):
-        meets[i] = Projection._checked(Operator(alg, [e[i] for e in blocks]), cotrace[i])
+        meets[i] = Projection(Operator(alg, [e[i] for e in blocks]), cotrace[i])
     return meets.tolist()
 
 

@@ -53,7 +53,7 @@ from .algebra import (
     op_norms,
     stack_blocks,
 )
-from .config import ConfigError, require_finite
+from .config import ConfigError, require_finite, require_keys
 from .semigroups import Semigroup
 
 __all__ = [
@@ -87,6 +87,7 @@ MAX_REFINEMENTS = 12  # doubling budget: at most 8 * 2**12 nodes per unit length
 SUP_SAMPLES = 1001  # samples of [0, 1] (every t a suite weights) that test a declared sup bound
 SUP_SLACK = 1e-12  # roundoff excess allowed over it, relative to sum |kappa_j| + residual_sup
 MAX_KINKS = 4096  # most kinks a residual declares in (0, T): the panels of a unit interval's last pass
+TAIL_SHARE = 0.25  # share of a decreasing T grid, rounded up, that stands in for the limit at 0
 
 # Roundoff level of a quadrature sum, per unit of its scale
 # sum_k |w_k| * max_k ||f(t_k)|| (Frobenius norm for operators).  On exactly
@@ -547,8 +548,8 @@ def besicovitch_error(b: BesicovitchWeight, T_grid: Sequence[float]) -> Besicovi
     """Local mean gap (1/T) integral_0^T |b - P| dt between a weight and its
     trigonometric polynomial P, which is the mean of the residual's modulus.
 
-    ``T_grid`` must decrease toward zero; the tail supremum over the final
-    quarter of the grid stands in for the limit superior at zero and is
+    ``T_grid`` must decrease toward zero; the tail supremum over
+    :func:`grid_tail` stands in for the limit superior at zero and is
     reported next to the full table so the approach to zero can be judged.
     """
     grid = [float(T) for T in T_grid]
@@ -558,8 +559,14 @@ def besicovitch_error(b: BesicovitchWeight, T_grid: Sequence[float]) -> Besicovi
         raise ValueError("T_grid must be positive and strictly decreasing")
     means = [_mean_abs_residual(b, T) for T in grid]
     rows = tuple((T, v) for T, (v, _) in zip(grid, means))
-    tail = rows[-max(1, len(rows) // 4):]
+    tail = grid_tail(rows)
     return BesicovitchErrorTable(rows, max(v for _, v in tail), tuple(e for _, e in means))
+
+
+def grid_tail(rows: Sequence) -> Sequence:
+    """The last ``TAIL_SHARE`` of the rows of a decreasing T grid, rounded up:
+    the members that stand in for T -> 0 (one at least for a nonempty grid)."""
+    return rows[-math.ceil(TAIL_SHARE * len(rows)):]
 
 
 def substitution_bound_checks(
@@ -610,9 +617,20 @@ def substitution_bound_check(
 # weight config loading
 # ---------------------------------------------------------------------------
 
+# the keys each residual reads besides "name"
+_RESIDUAL_KEYS = {
+    "none": (),
+    "constant": ("value",),
+    "cos": ("amplitude", "frequency"),
+    "sin_inv_t": ("amplitude",),
+    "linear_capped": ("slope", "cap"),
+}
+
+
 def residual_from_config(spec: dict | None) -> tuple[Residual | None, float]:
     """Named built-in residuals: none, constant, cos, sin_inv_t, linear_capped.
-    Every number in ``spec`` must be finite (``ConfigError`` otherwise).
+    Every number in ``spec`` must be finite and every key one its residual
+    reads (``ConfigError`` otherwise).
 
     Each declares its kinks in (0, T): the zeros (k + 1/2) pi / |omega| of
     cos(omega t), the corner cap / slope of linear_capped when positive, and
@@ -626,9 +644,13 @@ def residual_from_config(spec: dict | None) -> tuple[Residual | None, float]:
     from the scalar quadrature.
     """
     require_finite(spec, "residual")
-    if spec is None or spec.get("name", "none") == "none":
+    if spec is None:
         return None, 0.0
-    name = spec["name"]
+    name = spec.get("name", "none")
+    if name in _RESIDUAL_KEYS:
+        require_keys(spec, ("name", *_RESIDUAL_KEYS[name]), f"{name} residual")
+    if name == "none":
+        return None, 0.0
     if name == "constant":
         value = complex(spec.get("value", 0.0))
         terms = (TrigTerm(value, 0.0),)
@@ -679,13 +701,17 @@ def residual_from_config(spec: dict | None) -> tuple[Residual | None, float]:
 
 def weight_from_config(spec: dict) -> BesicovitchWeight:
     """Trigonometric terms, residual and sup bound from a config mapping whose
-    numbers must all be finite (``ConfigError`` otherwise).
+    numbers must all be finite and whose keys, and those of each trig term,
+    must be ones it reads (``ConfigError`` otherwise).
 
     A declared ``sup_bound`` that |b(t)| exceeds at one of ``SUP_SAMPLES``
     points of [0, 1] is false, and is rejected with ``ConfigError``; an
     excess within ``SUP_SLACK`` is roundoff of a tight bound.
     """
     require_finite(spec, "weight")
+    require_keys(spec, ("trig", "residual", "sup_bound"), "weight")
+    for i, t in enumerate(spec.get("trig", [])):
+        require_keys(t, ("kappa_re", "kappa_im", "theta"), f"weight.trig[{i}]")
     terms = tuple(
         TrigTerm(complex(t.get("kappa_re", 0.0), t.get("kappa_im", 0.0)), float(t["theta"]))
         for t in spec.get("trig", [])

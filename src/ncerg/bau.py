@@ -12,9 +12,10 @@ block in grid order; the public signatures stack their lists and dicts of
 operators once (``algebra.stack_blocks``).  Each certificate cuts its
 members (the window certificate its picked windows) through one stacked
 ``spectral_resolution`` (one batched ``eigh`` per block) and meets the cuts
-in one stacked ``spectral_projection`` (one SVD per block); compressed norms
-are batched SVD norms.  The maximal certificates of k inputs share one such
-pass (:func:`maximal_certificates`).
+in one stacked ``spectral_projection`` (one SVD per block), whose every meet
+is an ``algebra.Projection`` made and checked by its one constructor;
+compressed norms are batched SVD norms.  The maximal certificates of k
+inputs share one such pass (:func:`maximal_certificates`).
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .algebra import (
     stack_blocks,
     traces,
 )
-from .averaging import double_average_windows
+from .averaging import double_average_windows, grid_tail
 from .config import ConfigError
 from .semigroups import Semigroup
 
@@ -66,7 +67,6 @@ __all__ = [
 
 DECAY_TOL = 1e-6  # default final-decay target of a Cauchy certificate
 CAUCHY_TAIL = 0.5  # share of the grid (two members at least) whose pairs a Cauchy cert cuts
-LP_TAIL = 0.25  # share of the grid whose smallest p-norm stands in for the liminf
 LP_SLACK = 1e-10  # absolute slack of a limit's p-norm over that liminf
 BOUND_SLACK = 1e-8  # absolute slack of a compressed norm over the bound it is held to
 COTRACE_SLACK = 1e-12  # absolute slack of a co-trace over its budget
@@ -596,9 +596,9 @@ def lp_limit_check(
 ) -> LpLimitReport:
     """Check ||limit||_p against the smallest tail norm of the family.
 
-    The minimum of ||y_T||_p over the last ``LP_TAIL`` share of the grid is
-    the finite stand-in for the limit inferior; the candidate limit must not
-    exceed it (plus ``LP_SLACK``).
+    The minimum of ||y_T||_p over the grid's tail (``averaging.grid_tail``)
+    is the finite stand-in for the limit inferior; the candidate limit must
+    not exceed it (plus ``LP_SLACK``).
     """
     grid = [float(T) for T, _ in family]
     if not grid:
@@ -608,8 +608,7 @@ def lp_limit_check(
     alg = limit.algebra
     svals = [np.linalg.svd(a, compute_uv=False) for a in stack_blocks([y for _, y in family])]
     table = tuple(zip(grid, pnorms(alg, svals, p)))
-    tail = table[-max(1, math.ceil(LP_TAIL * len(table))):]
-    liminf = min(v for _, v in tail)
+    liminf = min(v for _, v in grid_tail(table))
     limit_norm = pnorm(alg, limit, p)
     return LpLimitReport(
         liminf_norm=liminf,

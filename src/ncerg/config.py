@@ -1,9 +1,10 @@
-"""The configuration error and the finiteness check of config mappings.
+"""The configuration error and the checks of config mappings.
 
-The config loaders of every module raise ``ConfigError``, and
-``require_finite`` is their check that a config mapping holds no infinite or
-NaN number.  Numerical cutoffs are not configuration: each is a named
-constant of the module that applies it.
+The config loaders of every module raise ``ConfigError``; ``require_finite``
+is their check that a config mapping holds no infinite or NaN number, and
+``require_keys`` that it holds no key they do not read.  Numerical cutoffs
+are not configuration: each is a named constant of the module that applies
+it.
 """
 from __future__ import annotations
 
@@ -31,3 +32,12 @@ def require_finite(spec, name: str) -> None:
             return
         if not finite:
             raise ConfigError(f"{name}={spec!r} must be finite")
+
+
+def require_keys(spec, known, name: str) -> None:
+    """Raise ConfigError if ``spec`` is not a mapping or has a key outside ``known``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(spec) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")

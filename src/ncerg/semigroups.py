@@ -70,7 +70,7 @@ from .algebra import (
     vecs,
     operator_from_dict,
 )
-from .config import ConfigError, require_finite
+from .config import ConfigError, require_finite, require_keys
 
 __all__ = [
     "Semigroup",
@@ -713,6 +713,16 @@ def _distance_rates(alg: TracialAlgebra, scale: float) -> list[np.ndarray]:
     return rates
 
 
+# the keys each variant reads besides "variant"
+_SPEC_KEYS = {
+    "identity": (),
+    "scalar_decay": ("rate",),
+    "unitary_flow": ("hamiltonian", "norm"),
+    "schur_decay": ("rates",),
+    "generator_exp": ("matrix", "lindblad"),
+}
+
+
 def semigroup_from_config(
     alg: TracialAlgebra,
     spec: dict,
@@ -722,14 +732,18 @@ def semigroup_from_config(
 
     Random constructions ("hamiltonian": "random", lindblad with
     "random": true) draw from ``rng`` and therefore require one.  Every number
-    in ``spec`` must be finite and a Lindblad jump count an integer in
-    [0, ``MAX_JUMPS``] (``ConfigError`` otherwise).  A ``generator_exp``
+    in ``spec`` must be finite, every mapping hold only keys its variant
+    reads, ``lindblad.random`` be true (a given generator goes through
+    ``matrix``) and a Lindblad jump count an integer in [0, ``MAX_JUMPS``]
+    (``ConfigError`` otherwise).  A ``generator_exp``
     semigroup acts on the vectorized algebra of dimension d = sum n_i^2,
     and d above ``MAX_GENERATOR_DIM`` raises ``ConfigError`` before anything
     is drawn or built.
     """
     require_finite(spec, "semigroup")
     variant = spec.get("variant")
+    if variant in _SPEC_KEYS:
+        require_keys(spec, ("variant", *_SPEC_KEYS[variant]), f"{variant} semigroup")
     if variant == "identity":
         return Identity(alg)
     if variant == "scalar_decay":
@@ -746,6 +760,7 @@ def semigroup_from_config(
     if variant == "schur_decay":
         rates = spec.get("rates", {"pattern": "distance"})
         if isinstance(rates, dict):
+            require_keys(rates, ("pattern", "scale"), "semigroup.rates")
             if rates.get("pattern") != "distance":
                 raise ValueError(f"unknown Schur rate pattern: {rates}")
             mats = _distance_rates(alg, float(rates.get("scale", 1.0)))
@@ -766,6 +781,12 @@ def semigroup_from_config(
                 )
             return GeneratorExp(alg, mat_op.blocks[0])
         lind = spec.get("lindblad", {"random": True, "jumps": 1, "norm": 0.5})
+        require_keys(lind, ("random", "jumps", "norm"), "semigroup.lindblad")
+        if lind.get("random", True) is not True:
+            raise ConfigError(
+                f"semigroup.lindblad.random={lind['random']!r} must be true "
+                "(a given generator goes through semigroup.matrix)"
+            )
         count = lind.get("jumps", 1)
         if isinstance(count, bool) or not (
             isinstance(count, numbers.Integral) and 0 <= count <= MAX_JUMPS

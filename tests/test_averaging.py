@@ -18,6 +18,7 @@ from ncerg import (
     besicovitch_error,
     cesaro_average,
     dense_approximant,
+    lp_limit_check,
     pnorm,
     random_positive,
     random_self_adjoint,
@@ -273,6 +274,21 @@ def test_besicovitch_error_linear_residual_analytic():
     table = besicovitch_error(b, np.geomspace(1.0, 1e-3, 10))
     for T, v in table.rows:
         assert v == pytest.approx(T / 2.0, rel=1e-9)
+
+
+def test_besicovitch_tail_is_the_lp_limit_tail_on_a_10_point_grid():
+    # ceil(10 / 4) = 3 rows for both tails, not 10 // 4 = 2: the gap T/2
+    # falls toward 0, so the third row from the end is the tail's sup
+    res, sup = residual_from_config({"name": "linear_capped", "slope": 1.0, "cap": 1.0})
+    b = BesicovitchWeight((TrigTerm(0.5, 0.1),), res, sup)
+    grid = np.geomspace(1.0, 1e-3, 10)
+    table = besicovitch_error(b, grid)
+    assert table.tail_sup == table.rows[-3][1] > table.rows[-2][1]
+    # lp_limit_check's liminf on the same grid is the minimum over those rows
+    alg = TracialAlgebra((1,), (1.0,))
+    scales = [2.0] * 7 + [1.0, 3.0, 3.0]
+    fam = [(T, alg.identity() * c) for T, c in zip(grid, scales)]
+    assert lp_limit_check(fam, 1.0, alg.identity() * 3.0).liminf_norm == 1.0
 
 
 def test_besicovitch_error_oscillatory_residual(rng):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ncerg import TracialAlgebra, averaging, semigroups
@@ -211,6 +212,82 @@ def test_cli_json_booleans_are_not_numbers(tmp_path, capsys, bad, key):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {key}=")
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # each ran at rate 1.0, with a random generator or without the term
+        (
+            {"semigroup": {"variant": "scalar_decay", "rates": 2.0}},
+            "unknown scalar_decay semigroup keys: ['rates']",
+        ),
+        (
+            {"semigroup": {"variant": "generator_exp", "lindblad": {"random": False, "jumps": 1}}},
+            "semigroup.lindblad.random=False must be true",
+        ),
+        (
+            {"weight": {"trig": [{"kappa_re": 0.5, "kapa_im": 0.1, "theta": 0.3}]}},
+            "unknown weight.trig[0] keys: ['kapa_im']",
+        ),
+        (
+            {"weight": {"residual": {"name": "cos", "amplitud": 0.04, "frequency": 7.0}}},
+            "unknown cos residual keys: ['amplitud']",
+        ),
+        # the other mappings the loaders read
+        (
+            {"semigroup": {"variant": "schur_decay", "rates": {"pattern": "distance", "scal": 2}}},
+            "unknown semigroup.rates keys: ['scal']",
+        ),
+        (
+            {"semigroup": {"variant": "generator_exp", "lindblad": {"jump": 2}}},
+            "unknown semigroup.lindblad keys: ['jump']",
+        ),
+        (
+            {"semigroup": {"variant": "generator_exp", "lindblad": 3}},
+            "semigroup.lindblad must be a JSON object",
+        ),
+        ({"weight": {"sup_bnd": 0.9}}, "unknown weight keys: ['sup_bnd']"),
+        (
+            {"weight": {"residual": {"amplitude": 0.1}}},
+            "unknown none residual keys: ['amplitude']",
+        ),
+    ],
+)
+def test_cli_nested_config_typos_exit_two_naming_the_key(tmp_path, capsys, bad, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    code = main(
+        ["run", "--config", str(cfg_path), "--suite", "validate-semigroup",
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_config_loaders_take_every_key_they_read():
+    alg = TracialAlgebra((2, 3), (1.0, 0.5))
+    rng = np.random.default_rng(4)
+    for spec in (
+        {"variant": "identity"},
+        {"variant": "scalar_decay", "rate": 0.5},
+        {"variant": "unitary_flow", "hamiltonian": "random", "norm": 0.5},
+        {"variant": "schur_decay", "rates": {"pattern": "distance", "scale": 2.0}},
+        {"variant": "generator_exp", "lindblad": {"random": True, "jumps": 2, "norm": 0.5}},
+    ):
+        semigroups.semigroup_from_config(alg, spec, rng)
+    for residual in (
+        {"name": "none"},
+        {"name": "constant", "value": 0.01},
+        {"name": "cos", "amplitude": 0.04, "frequency": 7.0},
+        {"name": "sin_inv_t", "amplitude": 0.01},
+        {"name": "linear_capped", "slope": 0.2, "cap": 0.05},
+    ):
+        averaging.weight_from_config({
+            "trig": [{"kappa_re": 0.5, "kappa_im": 0.1, "theta": 0.3}],
+            "residual": residual,
+            "sup_bound": 0.95,
+        })
 
 
 @pytest.mark.parametrize("sub", ["", "o"], ids=["out_is_a_file", "out_below_a_file"])

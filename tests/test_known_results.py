@@ -227,6 +227,83 @@ def test_projection_check_sends_no_zero_or_identity_member_to_svd(monkeypatch):
     assert len(seen) == 2 * (2 + 2 + 1 + 1)
 
 
+def test_exact_projections_form_no_residual(monkeypatch):
+    # members exactly 0 or 1 in every block, or diagonal with entries 0 and 1,
+    # are exactly projections: the check returns before it forms their
+    # residuals for the screen
+    screened = []
+    screen = algebra.screened_norms
+    monkeypatch.setattr(
+        algebra, "screened_norms", lambda *args: screened.append(args) or screen(*args)
+    )
+    zero, one = ALG.zero(), ALG.identity()
+    mixed = Operator(ALG, [one.blocks[0], zero.blocks[1]])
+    diagonal = Operator(ALG, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
+    for op, cotrace in ((zero, ALG.trace_of_identity), (one, 0.0), (mixed, 1.5), (diagonal, 1.5)):
+        assert Projection(op).cotrace == cotrace
+    _check_projections(stack_blocks([zero, one, mixed, diagonal]))
+    # meets that come out exactly 1, exactly 0, and 1 then 0 in the blocks
+    rows = [np.zeros((3, 1, n, n)) for n in ALG.blocks]
+    rows[0][1, 0], rows[1][1:, 0] = np.eye(2), np.eye(3)
+    meets = meet_complements(ALG, rows)
+    assert [e.cotrace for e in meets] == [0.0, ALG.trace_of_identity, 1.5]
+    assert not screened
+    # one member that is not exact in one block sends its stack to the screen
+    half = Operator(ALG, [np.full((2, 2), 0.5), one.blocks[1]])
+    _check_projections(stack_blocks([zero, half]))
+    Projection(half)
+    assert len(screened) == 2
+
+
+def test_stacked_meets_check_each_case_through_projection(monkeypatch):
+    # every meet is a Projection: one check per case, of that case alone, and
+    # a check that fails for one case makes the stacked meet raise
+    rng = np.random.default_rng(31)
+    k, m = 4, 3
+    es = [[random_projection(ALG, rng) for _ in range(m)] for _ in range(k)]
+    comps = [
+        np.stack([np.stack([np.eye(n) - e.op.blocks[i] for e in row]) for row in es])
+        for i, n in enumerate(ALG.blocks)
+    ]
+    want = meet_complements(ALG, comps)
+    checked = []
+    check = algebra._check_projections
+
+    def failing(blocks):
+        checked.append([np.array(a) for a in blocks])
+        if len(checked) == 3:
+            raise ValueError("case 2 fails")
+        check(blocks)
+
+    monkeypatch.setattr(algebra, "_check_projections", failing)
+    with pytest.raises(ValueError, match="case 2 fails"):
+        meet_complements(ALG, comps)
+    assert len(checked) == 3
+    for case, blocks in enumerate(checked):
+        assert [a.shape for a in blocks] == [(n, n) for n in ALG.blocks]
+        assert all(same_bits(a, b) for a, b in zip(blocks, want[case].op.blocks)), case
+
+
+def test_single_spectral_projection_is_the_meet_of_its_one_cut():
+    # a single resolution's cut is the meet of one member, the rows V_d* of
+    # its dropped eigenvectors: the projection V_k V_k* of the kept ones to
+    # roundoff and the co-trace of cut_cotrace exactly
+    rng = np.random.default_rng(32)
+    worst = 0.0
+    for _ in range(50):
+        res = spectral_resolution(random_self_adjoint(ALG, rng))
+        for level in (-2.0, -0.3, 0.0, 0.4, 2.0):
+            e = spectral_projection(res, level)
+            drops = res._drops(level)
+            kept = [v[:, ~d] @ v[:, ~d].conj().T for v, d in zip(res.eigenvectors, drops)]
+            rows = [(v * d).conj().T[None] for v, d in zip(res.eigenvectors, drops)]
+            one = meet_complements(ALG, rows)
+            assert e.cotrace == one.cotrace == res.cut_cotrace(level)
+            assert all(same_bits(a, b) for a, b in zip(e.op.blocks, one.op.blocks))
+            worst = max(worst, op_norms([a - b for a, b in zip(e.op.blocks, kept)]))
+    assert 0.0 < worst <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Frobenius screens: the SVD rule's decisions and messages, without its SVDs
 # where ||r||_2 <= ||r||_F already settles them
