@@ -349,23 +349,19 @@ def pnorms(alg: TracialAlgebra, svals: Sequence[np.ndarray], p: float) -> list[f
     ``svals`` holds one array per block with shape (m, n), the descending
     rows ``np.linalg.svd`` returns for a stack of m block matrices; entry k
     of the result is :func:`pnorm` of operator k.  The norm is the root of
-    tau(|y|^p) itself where that is 0 or a normal float (``pow`` is not
-    exact under power-of-two scaling, so this keeps the bits of the unscaled
-    sum), and else the root of the scaled :func:`spectral_sums`, scaled
-    back, so no p-norm in range overflows or underflows.  At p = 2 the root
-    is ``math.sqrt``, which is correctly rounded; ``pow`` is not.
+    the scaled :func:`spectral_sums`, scaled back by 2^e, so no p-norm in
+    range overflows or underflows.  At p = 2 the root is ``math.sqrt``,
+    which is correctly rounded (``pow`` is not), and at p = 1 the identity;
+    both commute exactly with the scaling, so at p = 1 and 2 a norm in the
+    normal range has the bits of the root of the unscaled sum.
     """
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1 or inf")
     if p == math.inf:
         return np.max([s[:, 0] for s in svals], axis=0).tolist()
     total, exps = spectral_sums(alg, svals, p)
-    tiny = np.finfo(float).tiny
     root = math.sqrt if p == 2 else lambda v: v ** (1.0 / p)
-    return [
-        root(v) if s == 0 or tiny <= v < math.inf else math.ldexp(root(s), e)
-        for v, s, e in zip(_scaled_back(total, exps, p).tolist(), total.tolist(), exps.tolist())
-    ]
+    return [math.ldexp(root(s), e) for s, e in zip(total.tolist(), exps.tolist())]
 
 
 def spectral_sums(
@@ -389,16 +385,20 @@ def spectral_sums(
     return total, exps
 
 
-def _scaled_back(total: np.ndarray, exps: np.ndarray, p: float) -> np.ndarray:
-    """sums * 2^(exponents p) of :func:`spectral_sums`: inf or 0 out of range."""
+def power_traces(alg: TracialAlgebra, spectra: Sequence[np.ndarray], p: float) -> np.ndarray:
+    """tau(|y|^p) of every member from its values per block: the
+    :func:`spectral_sums` scaled back, inf or 0 out of range."""
+    total, exps = spectral_sums(alg, spectra, p)
     with np.errstate(over="ignore", invalid="ignore"):
         return total * np.ldexp(1.0, exps) ** p
 
 
-def power_traces(alg: TracialAlgebra, spectra: Sequence[np.ndarray], p: float) -> np.ndarray:
-    """tau(|y|^p) of every member from its values per block: the
-    :func:`spectral_sums` scaled back."""
-    return _scaled_back(*spectral_sums(alg, spectra, p), p)
+def _cotraces(alg: TracialAlgebra, dropped: Sequence[np.ndarray]) -> np.ndarray:
+    """Co-trace sum_i c_i k_i of every member of projections that drop k_i
+    dimensions of block i, from the integer counts ``dropped`` (one array of
+    the members' shape per block): the one count of
+    :meth:`SpectralResolution.cut_cotrace` and :func:`meet_complements`."""
+    return sum(c * k for c, k in zip(alg.weights, dropped))
 
 
 def abs_value(x: Operator | Sequence[np.ndarray]) -> Operator | list[np.ndarray]:
@@ -432,7 +432,7 @@ class SpectralResolution:
     def cut_cotrace(self, level: float | Sequence[float]) -> float | np.ndarray:
         """Co-trace of :func:`spectral_projection` at ``level``, one per member
         of a stacked resolution: the weighted count of dropped eigenvalues."""
-        return power_traces(self.algebra, [d.astype(float) for d in self._drops(level)], 1.0)
+        return _cotraces(self.algebra, [d.sum(axis=-1) for d in self._drops(level)])
 
     def _drops(self, level: float | Sequence[float]) -> list[np.ndarray]:
         top = np.asarray(level, dtype=float)[..., None] + SPECTRAL_INCLUDE
@@ -584,9 +584,8 @@ def meet_complements(
     space, so its case meets to exactly 0 there, with co-trace c_i n_i.
     """
     lead = stacks[0].shape[:-3]
-    blocks = []
-    cotrace = np.zeros(lead)
-    for n, c, comp in zip(alg.blocks, alg.weights, stacks):
+    blocks, dropped = [], []
+    for n, comp in zip(alg.blocks, stacks):
         comp = comp.reshape(math.prod(lead), *comp.shape[-3:])  # m may be 0
         cut = np.any(comp, axis=(1, 2, 3))
         e = np.zeros((len(comp), n, n), dtype=complex)
@@ -600,7 +599,8 @@ def meet_complements(
             e[cut] = basis @ basis.conj().swapaxes(1, 2) + 0.0
             nullity[cut] = null.sum(axis=1)
         blocks.append(e.reshape(*lead, n, n))
-        cotrace += c * (n - nullity.reshape(lead))
+        dropped.append(n - nullity.reshape(lead))
+    cotrace = _cotraces(alg, dropped)
     meets = np.empty(lead, dtype=object)
     for i in np.ndindex(lead):
         meets[i] = Projection(Operator(alg, [e[i] for e in blocks]), cotrace[i])
@@ -663,9 +663,8 @@ def random_projection(
     rng: np.random.Generator,
     ranks: Sequence[int] | None = None,
 ) -> Projection:
-    blocks = []
-    cotrace = 0.0
-    for i, (n, c) in enumerate(zip(alg.blocks, alg.weights)):
+    blocks, dropped = [], []
+    for i, n in enumerate(alg.blocks):
         r = int(rng.integers(0, n + 1)) if ranks is None else int(ranks[i])
         if r == 0:
             blocks.append(np.zeros((n, n), dtype=complex))
@@ -673,8 +672,8 @@ def random_projection(
             a = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
             qmat, _ = np.linalg.qr(a)
             blocks.append(qmat @ qmat.conj().T)
-        cotrace += c * (n - r)
-    return Projection(Operator(alg, blocks), cotrace=cotrace)
+        dropped.append(n - r)
+    return Projection(Operator(alg, blocks), cotrace=_cotraces(alg, dropped))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .bau import (
     MaximalParams,
     pair_differences,
 )
+from .config import ConfigError
 from .semigroups import Semigroup, continuity_modulus
 
 __all__ = [
@@ -57,6 +58,26 @@ __all__ = [
 ORACLE_SLACK = 1e-12  # absolute slack of an oracle certificate over its two caps
 K_CAP = 2**40  # largest k of the window 1/k that scheme_from_semigroup doubles up to
 Images = list[np.ndarray]  # a map family on one input: per-block (m, n, n) stacks
+
+
+def _alpha_power(base: float, exponent: float, alpha: float) -> float:
+    """base ** exponent for an exponent set by alpha: ``ConfigError`` naming
+    alpha where the power leaves the float range."""
+    try:  # a Python float power raises on overflow
+        value = base ** exponent
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"alpha={alpha:g} is out of range here: {base:.6g} ** {exponent:.6g} "
+            "leaves the float range"
+        )
+    return value
+
+
+def _gap_bound(n: int, eps: float, alpha: float) -> float:
+    """(eps / 2^(n+1))^(2/alpha): the gap an approximant x_n must stay below."""
+    return _alpha_power(eps / 2.0 ** (n + 1), 2.0 / alpha, alpha)
 
 
 class SchemeError(RuntimeError):
@@ -115,7 +136,8 @@ class ApproximationScheme:
     ``start(x)`` does the work the approximants of one x share and returns
     the generator (n, eps) -> x_n of that x, which must give
     ||x_n - x||_p < (eps / 2^{n+1})^{2/alpha}; :meth:`maker` verifies the gap
-    at generation time and raises :class:`SchemeError` otherwise.
+    at generation time and raises :class:`SchemeError` otherwise (and
+    ``ConfigError`` naming alpha where that bound leaves the float range).
     """
 
     start: Callable[[Operator], Callable[[int, float], Operator]]
@@ -123,7 +145,7 @@ class ApproximationScheme:
     alpha: float
 
     def gap_bound(self, n: int, eps: float) -> float:
-        return (eps / 2.0 ** (n + 1)) ** (2.0 / self.alpha)
+        return _gap_bound(n, eps, self.alpha)
 
     def maker(self, x: Operator) -> Callable[[int, float], tuple[Operator, float]]:
         """(n, eps) -> (x_n, ||x_n - x||_p) for one x, its gap verified."""
@@ -148,6 +170,8 @@ class ConditionOneOracle:
     certificate must satisfy tau(p_perp) <= C (eps^-1 ||y||_X)^alpha and an
     achieved compressed bound below eps; both are re-verified here and a
     violation beyond ``ORACLE_SLACK`` raises :class:`OracleContractError`.
+    A power (eps^-1 ||y||_X)^alpha that leaves the float range raises
+    ``ConfigError`` naming alpha.
     """
 
     build: Callable[[Operator, float, Images], ProjectionCertificate]
@@ -158,7 +182,7 @@ class ConditionOneOracle:
     def __call__(self, y: Operator, eps: float, images: Images) -> ProjectionCertificate:
         cert = self.build(y, eps, images)
         size = self.norm(y)
-        cap = self.C * (size / eps) ** self.alpha if size > 0 else 0.0
+        cap = self.C * _alpha_power(size / eps, self.alpha, self.alpha) if size > 0 else 0.0
         if cert.cotrace > cap + ORACLE_SLACK:
             raise OracleContractError("cotrace", cert.cotrace, cap)
         if cert.achieved_bound > eps + ORACLE_SLACK:
@@ -418,7 +442,7 @@ def scheme_from_semigroup(sg: Semigroup, p: float, alpha: float) -> Approximatio
         modulus = continuity_modulus(sg, x, p, probe)
 
         def generate(n: int, eps: float) -> Operator:
-            target = (eps / 2.0 ** (n + 1)) ** (2.0 / alpha)
+            target = _gap_bound(n, eps, alpha)
             k = next(
                 (max(1, math.ceil(1.0 / s)) for s, value in modulus if value <= target / 4.0),
                 math.ceil(1.0 / probe[-1]),

@@ -448,7 +448,17 @@ def _cauchy_certify(alg, grid, ys, epsilon, tol) -> ProjectionCertificate:
     budgets = np.array([epsilon / (2.0 ** (k + 1)) for k in range(1, len(rows) + 1)])
     nonzero = np.any([np.any(z, axis=(1, 2)) for z in diffs], axis=0)
     rows, cols, budgets = rows[nonzero], cols[nonzero], budgets[nonzero]
-    mags = abs_value([z[nonzero] for z in diffs])
+    zs = [z[nonzero] for z in diffs]
+    # |z| comes from eigh of z* z, whose entries are at most ||z||_F^2: a
+    # pair whose squares leave the float range is refused before the product
+    with np.errstate(over="ignore"):
+        squares = [np.sum((z * z.conj()).real, axis=(1, 2)) for z in zs]
+    if not all(np.isfinite(s).all() for s in squares):
+        raise ConfigError(
+            "family too large to certify: the squares of a pair difference "
+            "y_T - y_S leave the float range"
+        )
+    mags = abs_value(zs)
     res = spectral_resolution(mags, alg=alg)
     cuts = traces(alg, mags).real / budgets
     cotraces, e = res.cut_cotrace(cuts), spectral_projection(res, cuts)

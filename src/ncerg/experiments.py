@@ -135,7 +135,9 @@ class ExperimentConfig:
     banach_epsilon in (0, 100]; p >= 1; C, alpha > 0; 0 < T_lo < min(1,
     T_hi); grid sizes in [2, 512]; counts in [1, 1000]; maximal_epsilons and
     sandwich_grid non-empty and positive; banach_map_exps at least two
-    increasing exponents in [1, 40].
+    increasing exponents in [1, 40].  Inside these ranges, an alpha, a
+    weight or a generator_exp T_hi that takes a number out of the float
+    range is refused with ``ConfigError`` where that number is formed.
     """
 
     blocks: tuple[int, ...] = (2, 4)

@@ -344,6 +344,8 @@ class GeneratorExp(Semigroup):
     L) ``path`` is "dense": a_t is expm(tL), and the mean at T is the top-right
     block of expm([[T (L + s), X], [0, 0]]), phi1(T (L + s)) X (Van Loan 1978),
     one expm per T for shared lengths and shift and one per T and input else.
+    A t or T at which the eigen path leaves the float range (roundoff can
+    leave real parts of mu just above 0) raises ``ConfigError``.
     """
 
     variant = "generator_exp"
@@ -388,7 +390,14 @@ class GeneratorExp(Semigroup):
         if self.path == "eigen":
             w, mu, w_inv = self._eig
             ss = None if s is None else s[None, None, :]
-            out = w @ (_multiplier(ts[:, None, :], mu[:, None], ss) * (w_inv @ cols))
+            # refused before any decomposition of the result
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = w @ (_multiplier(ts[:, None, :], mu[:, None], ss) * (w_inv @ cols))
+            if not np.isfinite(out).all():
+                raise ConfigError(
+                    f"generator_exp leaves the float range at t up to {ts.max():g}: "
+                    f"the eigenvalues of L reach real part {mu.real.max():.3g}"
+                )
         elif s is None:
             out = np.array([self.propagator(t) @ cols for t in ts[:, 0]])
             out = out.reshape(len(ts), *cols.shape)  # (0, d, k) for no times
@@ -733,9 +742,10 @@ def semigroup_from_config(
     Random constructions ("hamiltonian": "random", lindblad with
     "random": true) draw from ``rng`` and therefore require one.  Every number
     in ``spec`` must be finite, every mapping hold only keys its variant
-    reads, ``lindblad.random`` be true (a given generator goes through
-    ``matrix``) and a Lindblad jump count an integer in [0, ``MAX_JUMPS``]
-    (``ConfigError`` otherwise).  A ``generator_exp``
+    reads in the form given (a ``matrix`` reads no ``lindblad``, a given
+    ``hamiltonian`` no ``norm``), ``lindblad.random`` be true (a given
+    generator goes through ``matrix``) and a Lindblad jump count an integer
+    in [0, ``MAX_JUMPS``] (``ConfigError`` otherwise).  A ``generator_exp``
     semigroup acts on the vectorized algebra of dimension d = sum n_i^2,
     and d above ``MAX_GENERATOR_DIM`` raises ``ConfigError`` before anything
     is drawn or built.
@@ -743,7 +753,13 @@ def semigroup_from_config(
     require_finite(spec, "semigroup")
     variant = spec.get("variant")
     if variant in _SPEC_KEYS:
-        require_keys(spec, ("variant", *_SPEC_KEYS[variant]), f"{variant} semigroup")
+        keys, form = _SPEC_KEYS[variant], ""
+        # a given generator or Hamiltonian reads none of the random draw's keys
+        if variant == "generator_exp" and "matrix" in spec:
+            keys, form = ("matrix",), " with a given matrix"
+        if variant == "unitary_flow" and spec.get("hamiltonian", "random") != "random":
+            keys, form = ("hamiltonian",), " with a given hamiltonian"
+        require_keys(spec, ("variant", *keys), f"{variant} semigroup{form}")
     if variant == "identity":
         return Identity(alg)
     if variant == "scalar_decay":

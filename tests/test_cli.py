@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,23 @@ def test_cli_json_booleans_are_not_numbers(tmp_path, capsys, bad, key):
             {"weight": {"residual": {"amplitude": 0.1}}},
             "unknown none residual keys: ['amplitude']",
         ),
+        # keys that the given form of a semigroup does not read
+        (
+            {"blocks": [1, 1], "weights": [1.0, 0.5], "semigroup": {
+                "variant": "generator_exp",
+                "matrix": {"blocks": [{"dim": 2, "re": [[-0.5, 0.5], [1.0, -1.0]],
+                                       "im": [[0, 0], [0, 0]]}]},
+                "lindblad": {"jumps": 3}}},
+            "unknown generator_exp semigroup with a given matrix keys: ['lindblad']",
+        ),
+        (
+            {"blocks": [2], "weights": [1.0], "semigroup": {
+                "variant": "unitary_flow",
+                "hamiltonian": {"blocks": [{"dim": 2, "re": [[1.0, 0.5], [0.5, -1.0]],
+                                            "im": [[0, 0.25], [-0.25, 0]]}]},
+                "norm": 5.0}},
+            "unknown unitary_flow semigroup with a given hamiltonian keys: ['norm']",
+        ),
     ],
 )
 def test_cli_nested_config_typos_exit_two_naming_the_key(tmp_path, capsys, bad, message):
@@ -337,6 +355,50 @@ def test_cli_large_p_exits_two_naming_p(tmp_path, capsys, p):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: p={p} is too large") and err.count("\n") == 1
+
+
+TINY = {"n_random": 1, "weighted_cases": 2, "T_n": 6}
+
+
+@pytest.mark.parametrize(
+    "suite, cfg, message",
+    [
+        # (||y||_p / eps)^alpha of the maximal oracle overflows
+        ("banach-check", {**TINY, "n_random": 2, "alpha": 1e300}, "alpha=1e+300 is out of range"),
+        # (eps / 2^(n+1))^(2/alpha) of the approximation scheme overflows
+        (
+            "banach-check",
+            {**TINY, "n_random": 2, "alpha": 1e-300, "banach_epsilon": 100},
+            "alpha=1e-300 is out of range",
+        ),
+        # z* z of the weighted family's pair differences would overflow
+        (
+            "weighted-avg",
+            {**TINY, "weight": {"trig": [{"kappa_re": 1e300, "theta": 0.3}]}},
+            "family too large to certify",
+        ),
+        # phi1(T mu) overflows where roundoff leaves Re mu above 0
+        (
+            "maximal",
+            {**TINY, "semigroup": {"variant": "generator_exp"}, "T_hi": 1e300},
+            "generator_exp leaves the float range at t up to 1e+300",
+        ),
+    ],
+    ids=["alpha_huge", "alpha_tiny", "kappa_huge", "T_hi_huge"],
+)
+def test_cli_out_of_range_configs_exit_two_naming_the_cause(tmp_path, capsys, suite, cfg, message):
+    # one error line, raised before any operation that warns: no traceback
+    # and no warning
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(
+            ["run", "--config", str(cfg_path), "--suite", suite, "--out", str(tmp_path / "o")]
+        )
+    out, err = capsys.readouterr()
+    assert code == 2, out
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_cli_generator_exp_above_the_dimension_cap_exits_two(tmp_path, capsys, monkeypatch):

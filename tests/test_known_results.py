@@ -9,6 +9,7 @@ replaces, bit for bit where the output depends on it, and counts the work,
 so it fails when a reduction is undone or masks a live case as dead.
 """
 import csv
+import decimal
 import math
 import warnings
 
@@ -713,7 +714,8 @@ def test_pnorms_keep_the_bits_of_the_unscaled_sum(p):
     # the root of the unscaled sum: math.sqrt at p = 2, pow otherwise
     root = math.sqrt if p == 2 else lambda v: v ** (1.0 / p)
     rng = np.random.default_rng(97)
-    for scale in (1.0, 1e-3, 37.0):
+    # far from 1 as well, where every square stays a normal float
+    for scale in (1.0, 1e-3, 37.0, 1e-100, 1e100):
         svals = [
             scale * np.sort(rng.uniform(0.0, 1.0, (200, n)), axis=1)[:, ::-1] for n in ALG.blocks
         ]
@@ -724,6 +726,41 @@ def test_pnorms_keep_the_bits_of_the_unscaled_sum(p):
     one = TracialAlgebra((2,), (1.0,))
     svals = np.array([[21.035668256359983, 12.680751553868134]])
     assert pnorms(one, [svals], p) == [root(float(np.sum(svals**p)))]
+
+
+def decimal_pnorm(weights, rows, p):
+    """tau(|y|^p)^(1/p) of one member, its values ``rows`` per block, in
+    40-digit decimal arithmetic, which neither overflows nor underflows."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        power = decimal.Decimal(p)
+        total = sum(
+            decimal.Decimal(c) * sum(decimal.Decimal(float(v)) ** power for v in row)
+            for c, row in zip(weights, rows)
+        )
+        return float(total ** (1 / power))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_pnorms_out_of_range_match_a_decimal_oracle(p):
+    # members whose unscaled tau(|y|^p) overflows (2^700 at p = 1.5, 2^400
+    # at p = 3) or underflows, or holds values far apart: within 4 ulps of
+    # the decimal oracle, and exact multiples of each other under 2^k
+    rng = np.random.default_rng(98)
+    svals = [np.sort(rng.uniform(0.0, 2.0, (8, n)), axis=1)[:, ::-1] for n in ALG.blocks]
+    svals[0][5] = 0.0  # a member zero in one block
+    svals[1][6] *= 2.0**-300  # one whose smaller block underflows at its power
+    k = 700 if p == 1.5 else 400
+    for shift in (k, -k, 0):
+        scaled = [s * 2.0**shift for s in svals]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pnorms(ALG, scaled, p)
+        for i, v in enumerate(got):
+            want = decimal_pnorm(ALG.weights, [s[i] for s in scaled], p)
+            assert abs(v - want) <= 4 * math.ulp(want), (shift, i, v, want)
+        if shift:
+            assert got == [math.ldexp(v, shift) for v in pnorms(ALG, svals, p)]
 
 
 def test_pnorms_take_square_roots_with_math_sqrt():
