@@ -10,10 +10,11 @@ norms come from one function, :func:`op_norms`, which gives a member that is
 exactly 0 norm 0 without an SVD; the self-adjointness, positivity and
 projection gates clear members by a Frobenius screen before it.  Every
 :class:`Projection`, each meet included, comes from its one constructor,
-which checks it.  The per-block functions take one array (..., n, n) per
-block with any leading axes, and their results have the shape of those
-axes (none for an :class:`Operator`'s blocks); the meets consume the last
-one, the members.
+which checks it, and every co-trace is one exact weighted count of dropped
+dimensions (:func:`_cotraces`).  The per-block functions take one array
+(..., n, n) per block with any leading axes, and their results have the
+shape of those axes (none for an :class:`Operator`'s blocks); the meets
+consume the last one, the members.
 :func:`random_operators` draws k inputs at once, and
 :func:`normalized_draws` makes them positive or self-adjoint and
 normalizes them with one :func:`op_norms`.
@@ -28,8 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # Numerical cutoffs.  "Relative" means times the operator scale max(||x||, 1e-14).
-SELF_ADJOINT_TOL = 1e-10  # relative cap on ||x - x*|| for a self-adjoint operator
-POSITIVITY_TOL = 1e-10  # relative floor -tol on the spectrum of herm x for a positive one
+SELF_ADJOINT_TOL = 1e-10  # relative cap on ||x - x*||, and floor -tol on the spectrum of herm x
 INPUT_TOL = 1e-8  # the same relative rule, looser, for inputs of certificates and checks
 PROJECTION_TOL = 1e-8  # absolute cap on the idempotency and self-adjointness residuals
 SPECTRAL_INCLUDE = 1e-12  # absolute slack of spectral cuts: eigenvalues within it stay below
@@ -213,7 +213,7 @@ class Operator:
     def is_self_adjoint(self, tol: float = SELF_ADJOINT_TOL) -> bool:
         return not hermitian_defects(self.blocks, tol)[0]
 
-    def is_positive(self, tol: float = POSITIVITY_TOL) -> bool:
+    def is_positive(self, tol: float = SELF_ADJOINT_TOL) -> bool:
         return not hermitian_defects(self.blocks, tol, positive=True)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -396,8 +396,9 @@ def power_traces(alg: TracialAlgebra, spectra: Sequence[np.ndarray], p: float) -
 def _cotraces(alg: TracialAlgebra, dropped: Sequence[np.ndarray]) -> np.ndarray:
     """Co-trace sum_i c_i k_i of every member of projections that drop k_i
     dimensions of block i, from the integer counts ``dropped`` (one array of
-    the members' shape per block): the one count of
-    :meth:`SpectralResolution.cut_cotrace` and :func:`meet_complements`."""
+    the members' shape per block): the one count of every co-trace, of
+    :meth:`SpectralResolution.cut_cotrace`, :func:`meet_complements`,
+    :func:`random_projection` and a :class:`Projection` given none."""
     return sum(c * k for c, k in zip(alg.weights, dropped))
 
 
@@ -469,21 +470,20 @@ class Projection:
     """Idempotent self-adjoint element, checked to PROJECTION_TOL on construction
     (:func:`_check_projections`); every projection is made here, meets included.
 
-    ``cotrace`` is the weighted trace of the complement ``1 - p``.  When a
-    projection is built from an explicit eigenvector selection the cotrace is
-    the exact weighted count of excluded eigenvectors.
+    ``cotrace`` is the weighted trace of the complement ``1 - p``, the exact
+    weighted count of the dimensions p drops: given by the caller that knows
+    them (a cut, a meet or a random projection), else counted from the ranks
+    the check has just accepted, n_i - round(tr p_i) in block i.
     """
 
     __slots__ = ("op", "cotrace")
 
     def __init__(self, op: Operator, cotrace: float | None = None):
         _check_projections(op.blocks)
+        object.__setattr__(self, "op", op)
         if cotrace is None:
             alg = op.algebra
-            cotrace = float(
-                (trace(alg, alg.identity()) - trace(alg, op)).real
-            )
-        object.__setattr__(self, "op", op)
+            cotrace = _cotraces(alg, [n - r for n, r in zip(alg.blocks, self.ranks())])
         object.__setattr__(self, "cotrace", float(cotrace))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive

@@ -62,6 +62,7 @@ from .banach import (
     scheme_from_semigroup,
 )
 from .bau import (
+    BOUND_SLACK,
     MaximalParams,
     ScheduleExhaustedError,
     TransferPremiseError,
@@ -459,10 +460,9 @@ def _suite_local_avg(env: _Env) -> None:
         env.passed["local-avg:window_certificate"] = False
         return
     env.write_cert("local_avg_window", window_cert.to_json_dict())
+    # .ok covers tau(1 - e) < epsilon: the certificate flags a larger co-trace
     env.passed["local-avg:window_certificate"] = (
-        window_cert.ok
-        and window_cert.cotrace < cfg.epsilon
-        and window_cert.params["final_decay"] < 1e-6
+        window_cert.ok and window_cert.params["final_decay"] < 1e-6
     )
 
 
@@ -495,7 +495,7 @@ def _suite_maximal(env: _Env) -> None:
     for i, eps in enumerate(cfg.maximal_epsilons):
         env.write_cert(f"maximal_eps{_fmt(eps)}", certs[0][i].to_json_dict())
     env.write_table("maximal", rows)
-    bound_ok = all(bound <= eps + 1e-8 for eps, _, _, bound, _, _ in rows)
+    bound_ok = all(bound <= eps + BOUND_SLACK for eps, _, _, bound, _, _ in rows)
     # per epsilon, the largest empirical C; it may be 0 only where every
     # certificate keeps the whole algebra, and only positive ones are compared
     cmax = [max(cs[i].params["empirical_C"] for cs in certs) for i in range(len(params))]
@@ -549,7 +549,9 @@ def _suite_weighted(env: _Env) -> None:
     T = 0.75
     r_av = _residual_average(sg, b, x, T)
     wav = trig_average(sg, b.terms, x, T) + r_av
-    scale = max(xnorm, 1e-300)
+    # roundoff of the averages grows with the weight: gaps are held relative
+    # to max(1, sup |b|) ||x||
+    scale = max(1.0, b.sup_bound) * max(xnorm, 1e-300)
     conj_gap = (wav.H - weighted_average(sg, b.conjugated(), x, T)).norm_inf()
     real_av = weighted_average(sg, b.real_part(), x, T)
     imag_av = weighted_average(sg, b.imag_part(), x, T)
@@ -657,18 +659,19 @@ _SUITES: dict[str, Callable[[_Env], None]] = {
 def run(config: ExperimentConfig, suite: str, outdir: str | Path) -> RunReport:
     """Execute a named suite; writes tables, certificates and report.json into
     ``outdir``, which must be new or empty (``ConfigError`` otherwise), so no
-    file of an earlier run is left in the tree."""
+    file of an earlier run is left in the tree.  A semigroup or weight config
+    is refused before any directory is made."""
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     out = Path(outdir)
     try:
         if out.is_dir() and any(out.iterdir()):
             raise ConfigError(f"output directory {out} is not empty")
+        env = _Env(config, out)
         (out / "tables").mkdir(parents=True, exist_ok=True)
         (out / "certs").mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
-    env = _Env(config, out)
     start = time.perf_counter()
     if suite == "full":
         for name in _SUITE_ORDER:

@@ -38,12 +38,14 @@ the lengths T and shifts s may be shared by the stack or given per input.
 records positivity, subunitality, trace non-increase, the semigroup law and a
 continuity table.  Complete positivity is certified through the smallest
 eigenvalue of the Choi matrices of the block components (``choi_min_eig``):
-the four modal variants read it off the modes, one n x n eigvalsh of
+a semigroup with modes reads it off them, one n x n eigvalsh of
 herm exp(t Lambda) per block, and GeneratorExp reads the dense Choi matrices
-of ``choi_blocks`` off the columns of its d x d ``propagator``.  Maps that fail
-the Choi test fall back to sampled positivity checks and are flagged as
-"sampled only".  Each check stacks its inputs and times in as few core calls
-as the law allows (one per distinct s).  Witnesses of the worst violations
+of ``choi_blocks`` off the columns of its d x d ``propagator``.  With modes
+the Choi test is exact, as a_t is positive exactly when it is completely
+positive, so a failing test fails the report; a map without modes that fails
+it falls back to sampled positivity checks and is flagged as "sampled only".
+Each check stacks its inputs and times in as few core calls as the law
+allows (one per distinct s).  Witnesses of the worst violations
 are recorded only above a roundoff floor that grows with kappa(W) on the
 eigenbasis path.
 """
@@ -59,6 +61,7 @@ from .algebra import (
     AlgebraMismatchError,
     Operator,
     TracialAlgebra,
+    min_eig,
     op_norms,
     pnorms,
     normalized_draws,
@@ -136,8 +139,6 @@ class Semigroup:
     unitary, overrides ``_stack``.
     """
 
-    variant: str = "abstract"
-    cp_by_construction: bool = False
     # achieved-error inputs of a basis that is not unitary (GeneratorExp):
     # kappa(W), the backward error of its decomposition and the path that ran
     condition: float | None = None
@@ -258,18 +259,12 @@ class Semigroup:
 
 
 class Identity(Semigroup):
-    variant = "identity"
-    cp_by_construction = True
-
     def __init__(self, algebra: TracialAlgebra):
         super().__init__(algebra, [(None, 0.0)] * algebra.n_blocks)
 
 
 class ScalarDecay(Semigroup):
     """a_t(x) = exp(-rate t) x with rate >= 0 (units 1/time)."""
-
-    variant = "scalar_decay"
-    cp_by_construction = True
 
     def __init__(self, algebra: TracialAlgebra, rate: float):
         if rate < 0:
@@ -283,9 +278,6 @@ class UnitaryFlow(Semigroup):
 
     With H = V diag(w) V* per block, Lambda_jk = i (w_j - w_k).
     """
-
-    variant = "unitary_flow"
-    cp_by_construction = True
 
     def __init__(self, algebra: TracialAlgebra, hamiltonian: Operator):
         if hamiltonian.algebra != algebra:
@@ -307,9 +299,6 @@ class SchurDecay(Semigroup):
     diagonal allowed).  Whether S(t) is positive semidefinite is a property of
     the data; the validator decides it from the sampled eigenvalues of S(t).
     """
-
-    variant = "schur_decay"
-    cp_by_construction = True
 
     def __init__(self, algebra: TracialAlgebra, rates: Sequence[np.ndarray]):
         if len(rates) != algebra.n_blocks:
@@ -347,9 +336,6 @@ class GeneratorExp(Semigroup):
     A t or T at which the eigen path leaves the float range (roundoff can
     leave real parts of mu just above 0) raises ``ConfigError``.
     """
-
-    variant = "generator_exp"
-    cp_by_construction = False
 
     def __init__(self, algebra: TracialAlgebra, matrix: np.ndarray):
         super().__init__(algebra)
@@ -495,16 +481,11 @@ def choi_min_eig(sg: Semigroup, t: float) -> float:
     if t < 0:
         raise ValueError("negative times are not in the semigroup domain")
     blocks = sg.algebra.blocks
-    if sg.modes:
-        mats = [
-            np.broadcast_to(np.exp(t * np.asarray(lam)), (n, n))
-            for n, (_, lam) in zip(blocks, sg.modes)
-        ]
-        vals = [0.0] if len(blocks) > 1 or max(blocks) > 1 else []
-    else:
-        mats = [c for _, _, c in choi_blocks(sg, t)]
-        vals = []
-    return min(vals + [float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]) for m in mats])
+    if not sg.modes:
+        return float(min_eig([c for _, _, c in choi_blocks(sg, t)]))
+    mats = [np.exp(t * np.asarray(lam)) for _, lam in sg.modes]
+    low = float(min_eig([np.broadcast_to(m, (n, n)) for n, m in zip(blocks, mats)]))
+    return min(0.0, low) if len(blocks) > 1 or max(blocks) > 1 else low
 
 
 # ---------------------------------------------------------------------------
@@ -604,15 +585,17 @@ def validate_absolute_contraction(
     """Check positivity, subunitality and trace non-increase on sampled times.
 
     Never raises on a failing map; the report carries the worst witness.  For
-    variants that are completely positive by construction the Choi test is a
-    certificate; otherwise a failing Choi test downgrades the positivity
-    claim to "sampled only".  Twenty random positive inputs are sampled; the
-    Choi test runs at the first six positive times and the continuity table
-    uses the 2-norm.  The identity and the positives go through the core in
-    one call at all times, and their spectra, self-adjoint defects and traces
-    come from batched eigvalsh and ``algebra.traces``.  The positivity
-    violation is relative to the norm 1 that ``normalized_draws`` gave each
-    positive (1e-300 for a zero draw).
+    a semigroup with modes the Choi test decides positivity exactly (a_t is
+    positive exactly when herm exp(t Lambda) >= 0, exactly when it is
+    completely positive), so a failing test fails the report; without modes
+    a failing Choi test downgrades the positivity claim to "sampled only".
+    Twenty random positive inputs are sampled; the Choi test runs at the
+    first six positive times and the continuity table uses the 2-norm.  The
+    identity and the positives go through the core in one call at all times,
+    and their spectra, self-adjoint defects and traces come from batched
+    eigvalsh and ``algebra.traces``.  The positivity violation is relative to
+    the norm 1 that ``normalized_draws`` gave each positive (1e-300 for a
+    zero draw).
     """
     ts = [float(t) for t in t_samples]
     if any(t < 0 for t in ts):
@@ -686,10 +669,10 @@ def validate_absolute_contraction(
     cont = continuity_modulus(sg, Operator(alg, [a[3] for a in probes]), 2.0, ts)
 
     choi_ok = choi_min is None or choi_min >= -CONTRACTION_TOL
-    sampled_only = not choi_ok and not sg.cp_by_construction
+    sampled_only = not choi_ok and not sg.modes
     worst_violation = max(max_pos, max_unital, max_trace)
     passed = worst_violation <= CONTRACTION_TOL and law <= LAW_TOL and (choi_ok or sampled_only)
-    if sg.cp_by_construction and not choi_ok:  # fails: a Choi test is its certificate
+    if sg.modes and not choi_ok:  # fails: with modes the Choi test is exact
         worst["choi_min"] = choi_min
 
     return ValidationReport(

@@ -8,8 +8,9 @@ of a spectral resolution, the order of two projections, the matrix of a
 linear map on the vectorized algebra, one matrix unit at a time, random
 inputs drawn and normalized one operator at a time through
 :class:`Operator` arithmetic, and the sampled checks and law residual of a
-validation, one time and one (t, s) pair at a time, and a run's plot files
-read back from the tables and certificates on disk.
+validation, one time and one (t, s) pair at a time, a run's plot files
+read back from the tables and certificates on disk, and the heat flow on the
+group algebra of a dihedral group, built from its irreducible representations.
 """
 from __future__ import annotations
 
@@ -190,3 +191,52 @@ def plot_files_from_disk(report: RunReport) -> dict[str, bytes]:
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     files["certificates_summary.json"] = text.encode("utf-8")
     return files
+
+
+def dihedral_flow(n: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The heat flow lambda_g -> exp(-t psi(g)) lambda_g on the group von
+    Neumann algebra L(D_N) of the dihedral group of order 2N, for
+    psi(g) = ||e_1 - rho(g) e_1||^2 with rho the natural 2-dimensional
+    representation: psi is conditionally negative definite with psi(e) = 0,
+    so the flow is a unital, trace-preserving CP semigroup (Schoenberg).
+
+    L(D_N) is the direct sum over the irreducible representations pi of
+    M_{d_pi} with trace weights d_pi / 2N: the one-dimensional characters
+    (two for odd N, four for even N), then the 2x2 rotations and reflections
+    rho_j(r^k) = R(2 pi j k / N), rho_j(s r^k) = diag(1, -1) R(2 pi j k / N)
+    for 0 < j < N/2.  Group elements are ordered r^0..r^{N-1}, s r^0..s r^{N-1}.
+    Column g of F is vec lambda_g; by Plancherel, F^-1 = F* D with D the
+    trace weight of every vec entry, and the generator is
+    L = F diag(-psi) F^-1.  Returns (config, F, psi): config holds the
+    ``blocks``, ``weights`` and ``generator_exp`` ``semigroup`` entries of a
+    run config.
+    """
+    theta = 2.0 * math.pi * np.arange(n) / n
+    flip = np.array([1.0, -1.0])
+    # characters at r^k and s r^k: trivial, sign, and for even N (-1)^k twice
+    chars = [(np.ones(n), np.ones(n)), (np.ones(n), -np.ones(n))]
+    if n % 2 == 0:
+        alt = (-1.0) ** np.arange(n)
+        chars += [(alt, alt), (alt, -alt)]
+    blocks = [np.concatenate(c)[:, None, None] for c in chars]
+    for j in range(1, (n - 1) // 2 + 1):
+        c, s = np.cos(j * theta), np.sin(j * theta)
+        rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        blocks.append(np.concatenate([rot, flip[None, :, None] * rot]))
+    dims = [b.shape[-1] for b in blocks]
+    weights = [d / (2.0 * n) for d in dims]
+    f = np.concatenate([b.reshape(2 * n, -1) for b in blocks], axis=1).T
+    rho = blocks[len(chars)]  # rho_1, the natural representation
+    psi = np.sum((np.array([1.0, 0.0]) - rho[:, :, 0]) ** 2, axis=1)
+    scale = np.repeat(weights, [d * d for d in dims])
+    gen = (f * -psi) @ (f.T * scale)
+    config = {
+        "blocks": dims,
+        "weights": weights,
+        "semigroup": {
+            "variant": "generator_exp",
+            "matrix": {"blocks": [{"dim": 2 * n, "re": gen.tolist(),
+                                   "im": np.zeros_like(gen).tolist()}]},
+        },
+    }
+    return config, f, psi

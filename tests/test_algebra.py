@@ -297,6 +297,19 @@ def _range_projection(alg, bases):
     return Projection(Operator(alg, [b @ np.linalg.pinv(b) for b in bases]))
 
 
+def test_hand_built_projections_get_the_exact_count_as_cotrace(rng):
+    # b pinv(b) is a projection only to roundoff, so its trace is not an
+    # integer; its co-trace is still the weighted count of dropped dimensions
+    alg = TracialAlgebra((3, 4), (0.7, 0.3))
+    for _ in range(200):
+        ranks = [int(rng.integers(1, n + 1)) for n in alg.blocks]
+        bases = [rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+                 for n, r in zip(alg.blocks, ranks)]
+        p = _range_projection(alg, bases)
+        assert p.ranks() == tuple(ranks)
+        assert p.cotrace == sum(c * (n - r) for c, n, r in zip(alg.weights, alg.blocks, ranks))
+
+
 def test_meet_all_recovers_planted_intersection(rng):
     alg = TracialAlgebra((4, 6), (1.0, 0.5))
     for _ in range(8):

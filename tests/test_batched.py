@@ -236,10 +236,10 @@ def reference_validation(sg, t_samples, tol=1e-8, law_tol=1e-9, rng=None):
     probe = random_self_adjoint(alg, rng)
     cont = [(s, pnorm(alg, sg.apply(s, probe) - probe, 2.0)) for s in ts]
     choi_ok = choi_min >= -tol
-    sampled_only = not choi_ok and not sg.cp_by_construction
+    sampled_only = not choi_ok and not sg.modes
     passed = max(max_pos, max_unital, max_trace) <= tol and law <= law_tol
     passed = passed and (choi_ok or sampled_only)
-    if sg.cp_by_construction and not choi_ok:
+    if sg.modes and not choi_ok:
         passed = False
         worst["choi_min"] = choi_min
     return {

@@ -283,6 +283,31 @@ def test_cli_nested_config_typos_exit_two_naming_the_key(tmp_path, capsys, bad, 
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"semigroup": {"variant": "scalar_decay", "rates": 2.0}},
+        {"blocks": [64], "weights": [1.0], "semigroup": {"variant": "generator_exp"}},
+        {"blocks": [1, 1], "weights": [1.0, 0.5], "semigroup": {
+            "variant": "generator_exp",
+            "matrix": {"blocks": [{"dim": 2, "re": [[-0.5, 0.5], [1.0, -1.0]],
+                                   "im": [[0, 0], [0, 0]]}]},
+            "lindblad": {"jumps": 3}}},
+        {"weight": {"sup_bnd": 0.9}},
+    ],
+    ids=["nested_typo", "generator_cap", "matrix_lindblad", "weight_typo"],
+)
+def test_cli_semigroup_or_weight_refusal_leaves_no_output_directory(tmp_path, capsys, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg_path), "--suite", "validate-semigroup",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_config_loaders_take_every_key_they_read():
     alg = TracialAlgebra((2, 3), (1.0, 0.5))
     rng = np.random.default_rng(4)
@@ -508,6 +533,23 @@ def test_cli_transfer_premise_failure_writes_a_cert_and_keeps_lp_limit(tmp_path,
     failure = report["certificates"]["weighted_transfer_failure"]
     assert "perturbation premise fails" in json.loads((out / failure).read_text())["error"]
     assert "weighted_transfer" not in report["certificates"]
+
+
+def test_cli_large_weight_keeps_its_exact_identities(tmp_path, capsys):
+    # sup |b| = 1e6: the conjugation and decomposition gaps are roundoff of
+    # averages of that size, and are held relative to it; the checks that
+    # need sup |b| <= 1 fail
+    weight = {"trig": [{"kappa_re": 1e6, "theta": 0.3}]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg = {"weight": weight, "n_random": 1, "weighted_cases": 2, "T_n": 6}
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg_path), "--suite", "weighted-avg", "--out", str(out)])
+    assert code == 1
+    passed = json.loads((out / "report.json").read_text())["passed"]
+    assert passed["weighted-avg:conjugation"] and passed["weighted-avg:decomposition"]
+    failed = sorted(k for k, v in passed.items() if not v)
+    assert failed == [f"weighted-avg:{k}" for k in ("domination", "lp_limit", "transfer")]
 
 
 def test_cli_banach_check_at_small_epsilon_assembles(tmp_path, capsys):

@@ -6,9 +6,13 @@ same semigroup, and, for the four fixed-basis variants, the augmented
 matrix exponential of a ``GeneratorExp`` built from the variant's generator,
 which shares no code with their evaluation core.  The averages of the
 residuals that declare their trigonometric terms (``cos`` and ``constant``)
-are held to the same quadrature oracle.
+are held to the same quadrature oracle.  On the group algebras of dihedral
+groups the heat flows have their spectrum from the group: the means and
+images of their ``generator_exp`` form are held to F diag(phi1(-T psi)) F^-1
+and F diag(exp(-t psi)) F^-1, from the irreducible representations alone.
 """
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -32,15 +36,20 @@ from ncerg import (
     weighted_average,
 )
 from ncerg import semigroups
-from ncerg.algebra import random_operator, stack_blocks
+from ncerg.algebra import random_operator, random_operators, stack_blocks, unvecs, vecs
 from ncerg.averaging import (
     _residual_average,
     double_average_windows,
     integrate_flow,
     residual_from_config,
 )
-from ncerg.semigroups import lindblad_generator, phi1
-from oracles import generator_from_map
+from ncerg.semigroups import (
+    lindblad_generator,
+    phi1,
+    semigroup_from_config,
+    validate_absolute_contraction,
+)
+from oracles import dihedral_flow, generator_from_map
 
 ORACLE = 1e-13  # rtol of the quadrature oracle, tighter than the library's
 REL = 1e-12
@@ -243,3 +252,45 @@ def test_residual_average_matches_quadrature(spec, alg, rng, monkeypatch):
                     sg, x, 0.0, T, weight=part.residual, rtol=ORACLE, kinks=part.residual.kinks(T)
                 )
                 assert_close(_residual_average(sg, part, x, T), quad.value / T, x)
+
+
+def dihedral(n):
+    cfg, f, psi = dihedral_flow(n)
+    alg = TracialAlgebra(cfg["blocks"], cfg["weights"])
+    return alg, semigroup_from_config(alg, cfg["semigroup"]), f, psi
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_dihedral_blocks_multiply_as_the_group(n):
+    # column n f + a of F is lambda_g for g = s^f r^a, and r^a s = s r^-a
+    # gives (s^f r^a)(s^h r^b) = s^(f + h) r^((-1)^h a + b)
+    alg, _, f, psi = dihedral(n)
+    lam = unvecs(alg, f.T)
+    for (f1, a), (f2, b) in itertools.product(np.ndindex(2, n), repeat=2):
+        gh = n * (f1 ^ f2) + (b - a if f2 else b + a) % n
+        for x in lam:
+            np.testing.assert_allclose(x[n * f1 + a] @ x[n * f2 + b], x[gh], atol=1e-14)
+    assert psi[0] == 0.0 and np.all(psi >= 0.0)
+    assert alg.vec_dim == 2 * n and sum(alg.blocks) == n + 2 - n % 2
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_dihedral_flow_matches_its_group_spectrum(n):
+    alg, sg, f, psi = dihedral(n)
+    xs = random_operators(alg, np.random.default_rng(n), 3)
+    cols = np.linalg.solve(f, vecs(xs).T)  # the coefficients of x in the lambda_g
+    ts, Ts = np.array([0.0, 1e-3, 0.3, 2.0, 10.0]), np.array([1e-4, 0.5, 1.0, 7.5])
+    for got, mult in (
+        (sg.propagate_batch(ts, xs), np.exp(-np.outer(ts, psi))),
+        (sg.mean_batch(Ts, xs), phi1(-np.outer(Ts, psi))),
+    ):
+        want = np.einsum("dg,mg,gk->mkd", f, mult, cols)
+        assert np.abs(vecs(got) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_dihedral_flow_validates_as_an_absolute_contraction(n):
+    _, sg, _, _ = dihedral(n)
+    report = validate_absolute_contraction(sg, np.geomspace(1e-4, 10.0, 10))
+    assert report.passed and not report.sampled_only
+    assert report.choi_min >= -1e-8
