@@ -1,8 +1,10 @@
 """Experiment runner: named suites, machine-readable reports, plot data.
 
-A run executes one suite against a configured algebra / semigroup / weight,
-writing CSV tables to ``<out>/tables``, certificate JSON files to
-``<out>/certs`` and a ``report.json`` index.  Reports contain no timestamps,
+A run executes one suite against a configured algebra / semigroup / weight.
+The suites keep their table rows and certificate payloads; after the last
+one returns, the run writes CSV tables to ``<out>/tables``, certificate JSON
+files to ``<out>/certs`` and a ``report.json`` index, so a refused run leaves
+no tree.  Reports contain no timestamps,
 no absolute paths and no wall times, so runs with the same configuration,
 seed and BLAS thread count produce byte-identical output trees.  The thread
 count matters for ``generator_exp``: ``np.linalg.eig`` of its generator may
@@ -255,12 +257,13 @@ class ExperimentConfig:
 
 @dataclass
 class RunReport:
-    """Index of what a run produced.  Serialized without wall time or paths
+    """Index of what a run wrote.  Serialized without wall time or paths
     outside the output directory, so equal configurations give equal bytes.
 
-    ``rows`` holds each table's rows as the strings written to its CSV file,
-    and ``summaries`` each certificate's ``_SUMMARY_KEYS`` entries; the plot
-    files are derived from them (:func:`emit_plot_data`).
+    ``tables`` and ``certificates`` map each name to its file, relative to
+    ``outdir``.  ``rows`` holds each table's rows as the strings written to
+    its CSV file, and ``summaries`` each certificate's ``_SUMMARY_KEYS``
+    entries; the plot files are derived from them (:func:`emit_plot_data`).
     """
 
     experiment: str
@@ -285,6 +288,13 @@ class RunReport:
             "certificates": self.certificates,
             "config": self.config,
         }
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -356,11 +366,11 @@ def _fmt(value) -> str:
 
 
 class _Env:
-    """Per-run context shared by suite implementations."""
+    """Per-run context shared by suite implementations; it keeps their
+    checks, table rows and certificate payloads for :func:`run` to write."""
 
-    def __init__(self, cfg: ExperimentConfig, outdir: Path):
+    def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.outdir = outdir
         self.alg = TracialAlgebra(cfg.blocks, cfg.weights)
         rng0 = np.random.default_rng([cfg.seed, 0])
         try:
@@ -371,29 +381,17 @@ class _Env:
         except (ValueError, TypeError, KeyError, AttributeError) as exc:
             raise ConfigError(f"bad semigroup or weight config: {exc}") from exc
         self.passed: dict[str, bool] = {}
-        self.tables: dict[str, str] = {}
         self.rows: dict[str, list[list[str]]] = {}
-        self.certs: dict[str, str] = {}
-        self.summaries: dict[str, dict] = {}
+        self.payloads: dict[str, dict] = {}
 
     def rng(self, purpose: int) -> np.random.Generator:
         return np.random.default_rng([self.cfg.seed, purpose])
 
     def write_table(self, name: str, rows) -> None:
-        rel = f"tables/{name}.csv"
-        text = [[v if isinstance(v, str) else _fmt(v) for v in row] for row in rows]
-        with open(self.outdir / rel, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_TABLES[name])
-            writer.writerows(text)
-        self.tables[name] = rel
-        self.rows[name] = text
+        self.rows[name] = [[v if isinstance(v, str) else _fmt(v) for v in row] for row in rows]
 
     def write_cert(self, name: str, payload: dict) -> None:
-        rel = f"certs/{name}.json"
-        _write_json(self.outdir / rel, payload)
-        self.certs[name] = rel
-        self.summaries[name] = {k: payload[k] for k in _SUMMARY_KEYS if k in payload}
+        self.payloads[name] = payload
 
 
 # ---------------------------------------------------------------------------
@@ -657,47 +655,50 @@ _SUITES: dict[str, Callable[[_Env], None]] = {
 
 
 def run(config: ExperimentConfig, suite: str, outdir: str | Path) -> RunReport:
-    """Execute a named suite; writes tables, certificates and report.json into
-    ``outdir``, which must be new or empty (``ConfigError`` otherwise), so no
-    file of an earlier run is left in the tree.  A semigroup or weight config
-    is refused before any directory is made."""
+    """Execute a named suite, then write its tables, certificates and
+    report.json into ``outdir``, which must be new or empty and below a
+    directory (``ConfigError`` before the suites otherwise).  Nothing is
+    written before every suite has returned: where a suite raises, no output
+    directory is left, and an existing empty one stays empty."""
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     out = Path(outdir)
     try:
         if out.is_dir() and any(out.iterdir()):
             raise ConfigError(f"output directory {out} is not empty")
-        env = _Env(config, out)
-        (out / "tables").mkdir(parents=True, exist_ok=True)
-        (out / "certs").mkdir(parents=True, exist_ok=True)
+        # the nearest existing path up from out must be a directory
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise ConfigError(f"cannot make output directory {out}: Not a directory")
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
+    env = _Env(config)
     start = time.perf_counter()
-    if suite == "full":
-        for name in _SUITE_ORDER:
-            _SUITES[name](env)
-    else:
-        _SUITES[suite](env)
+    for name in _SUITE_ORDER if suite == "full" else (suite,):
+        _SUITES[name](env)
     wall = time.perf_counter() - start
+    try:
+        (out / "tables").mkdir(parents=True, exist_ok=True)
+        (out / "certs").mkdir(exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
+    tables = {name: f"tables/{name}.csv" for name in env.rows}
+    certificates = {name: f"certs/{name}.json" for name in env.payloads}
+    for name, rel in tables.items():
+        _write_csv(out / rel, _TABLES[name], env.rows[name])
+    for name, rel in certificates.items():
+        _write_json(out / rel, env.payloads[name])
     report = RunReport(
         experiment=suite,
         passed=env.passed,
-        tables=env.tables,
-        certificates=env.certs,
+        tables=tables,
+        certificates=certificates,
         wall_time_s=wall,
         outdir=out,
         config=config.to_dict(),
         rows=env.rows,
-        summaries=env.summaries,
+        summaries={n: {k: p[k] for k in _SUMMARY_KEYS if k in p} for n, p in env.payloads.items()},
     )
     _write_json(out / "report.json", report.to_json_dict())
-    missing = [
-        rel
-        for rel in list(report.tables.values()) + list(report.certificates.values())
-        if not (out / rel).is_file()
-    ]
-    if missing:  # pragma: no cover - internal invariant
-        raise RuntimeError(f"report references missing files: {missing}")
     return report
 
 
@@ -743,10 +744,7 @@ def emit_plot_data(report: RunReport) -> dict[str, str]:
         ("plot_decay.csv", ["table", "T", "value"], decay_rows),
         ("plot_bounds.csv", ["table", "T", "achieved", "bound", "slack"], bound_rows),
     ):
-        with open(plots / fname, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_csv(plots / fname, header, rows)
         written[fname] = f"plots/{fname}"
 
     summary = {name: report.summaries[name] for name in report.certificates}

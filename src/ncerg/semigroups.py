@@ -333,8 +333,8 @@ class GeneratorExp(Semigroup):
     L) ``path`` is "dense": a_t is expm(tL), and the mean at T is the top-right
     block of expm([[T (L + s), X], [0, 0]]), phi1(T (L + s)) X (Van Loan 1978),
     one expm per T for shared lengths and shift and one per T and input else.
-    A t or T at which the eigen path leaves the float range (roundoff can
-    leave real parts of mu just above 0) raises ``ConfigError``.
+    A t or T at which either path leaves the float range (roundoff can
+    leave real parts of mu just above 0, expm can turn NaN) raises ``ConfigError``.
     """
 
     def __init__(self, algebra: TracialAlgebra, matrix: np.ndarray):
@@ -376,14 +376,8 @@ class GeneratorExp(Semigroup):
         if self.path == "eigen":
             w, mu, w_inv = self._eig
             ss = None if s is None else s[None, None, :]
-            # refused before any decomposition of the result
             with np.errstate(over="ignore", invalid="ignore"):
                 out = w @ (_multiplier(ts[:, None, :], mu[:, None], ss) * (w_inv @ cols))
-            if not np.isfinite(out).all():
-                raise ConfigError(
-                    f"generator_exp leaves the float range at t up to {ts.max():g}: "
-                    f"the eigenvalues of L reach real part {mu.real.max():.3g}"
-                )
         elif s is None:
             out = np.array([self.propagator(t) @ cols for t in ts[:, 0]])
             out = out.reshape(len(ts), *cols.shape)  # (0, d, k) for no times
@@ -400,6 +394,11 @@ class GeneratorExp(Semigroup):
                 zero = np.zeros((x.shape[1], d + x.shape[1]))
                 for q, t in enumerate(ts[:, g][:, 0]):
                     out[q, :, g] = _expm(np.block([[t * gen, x], [zero]]))[:d, d:]
+        if not np.isfinite(out).all():  # refused before any decomposition of the result
+            raise ConfigError(
+                f"generator_exp leaves the float range at t up to {ts.max():g} on its {self.path} "
+                f"path (the eigenvalues of L reach real part {self._eig[1].real.max():.3g})"
+            )
         return unvecs(self.algebra, out.swapaxes(1, 2))
 
 

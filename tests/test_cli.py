@@ -115,10 +115,23 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 def test_table_headers_match_published_schema(tmp_path):
     cfg = ExperimentConfig.from_dict(SMALL)
     report = run(cfg, "full", tmp_path / "out")
-    published = build_schemas()["tables"]
+    schemas = build_schemas()
+    published = schemas["tables"]
     for name, rel in report.tables.items():
         header = (tmp_path / "out" / rel).read_text().splitlines()[0].split(",")
         assert header == published[name], name
+    # the declared keys of report.json and of every projection certificate
+    keys = sorted(json.loads((tmp_path / "out" / "report.json").read_text()))
+    assert keys == sorted(schemas["report.json"]["keys"])
+    projections = [
+        name for name in report.certificates
+        if name.startswith("maximal_eps")
+        or name in ("local_avg_cauchy", "local_avg_window", "weighted_transfer")
+    ]
+    assert len(projections) == len(cfg.maximal_epsilons) + 3
+    for name in projections:
+        cert = json.loads((tmp_path / "out" / report.certificates[name]).read_text())
+        assert sorted(cert) == sorted(schemas["certificate_json"]["keys"]), name
 
 
 def test_cli_bad_config_exit_two(tmp_path):
@@ -363,9 +376,11 @@ def test_cli_refuses_an_out_that_holds_entries(tmp_path, capsys):
 def test_cli_unconverged_quadrature_exits_two(tmp_path, capsys, monkeypatch):
     # without a doubling there is no error estimate, so nothing converges
     monkeypatch.setattr(averaging, "MAX_REFINEMENTS", 0)
-    code = main(["run", "--suite", "weighted-avg", "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main(["run", "--suite", "weighted-avg", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: quadrature did not converge")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("p", [250, 300])
@@ -374,12 +389,12 @@ def test_cli_large_p_exits_two_naming_p(tmp_path, capsys, p):
     # error line that names p, not a traceback
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"p": p}))
-    code = main(
-        ["run", "--config", str(cfg_path), "--suite", "full", "--out", str(tmp_path / "o")]
-    )
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg_path), "--suite", "full", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: p={p} is too large") and err.count("\n") == 1
+    assert not out.exists()
 
 
 TINY = {"n_random": 1, "weighted_cases": 2, "T_n": 6}
@@ -408,21 +423,43 @@ TINY = {"n_random": 1, "weighted_cases": 2, "T_n": 6}
             {**TINY, "semigroup": {"variant": "generator_exp"}, "T_hi": 1e300},
             "generator_exp leaves the float range at t up to 1e+300",
         ),
+        # expm(T L) of a defective L (W singular, the dense path) turns NaN
+        (
+            "maximal",
+            {**TINY, "blocks": [1, 1], "weights": [1.0, 0.5], "T_hi": 1e40, "semigroup": {
+                "variant": "generator_exp",
+                "matrix": {"blocks": [{"dim": 2, "re": [[-1, 1], [0, -1]],
+                                       "im": [[0, 0], [0, 0]]}]}}},
+            "generator_exp leaves the float range at t up to 1e+40",
+        ),
+        # the sin(1/t) residual's scalar quadrature does not converge, inside
+        # weighted-avg after three suites of a full run
+        (
+            "full",
+            {**TINY, "weight": {"trig": [{"kappa_re": 0.4, "theta": 0.15}],
+                                "residual": {"name": "sin_inv_t", "amplitude": 0.01}}},
+            "quadrature did not converge",
+        ),
     ],
-    ids=["alpha_huge", "alpha_tiny", "kappa_huge", "T_hi_huge"],
+    ids=["alpha_huge", "alpha_tiny", "kappa_huge", "T_hi_huge", "dense_T_hi_huge", "sin_inv_t"],
 )
 def test_cli_out_of_range_configs_exit_two_naming_the_cause(tmp_path, capsys, suite, cfg, message):
-    # one error line, raised before any operation that warns: no traceback
-    # and no warning
+    # one error line, raised before any operation that warns: no traceback,
+    # no warning and no output directory, so a second run into the same
+    # --out meets the same error
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(
-            ["run", "--config", str(cfg_path), "--suite", suite, "--out", str(tmp_path / "o")]
-        )
-    out, err = capsys.readouterr()
-    assert code == 2, out
+    out = tmp_path / "o"
+    errs = []
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(cfg_path), "--suite", suite, "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == 2, stdout
+        assert not out.exists()
+        errs.append(err)
+    assert errs[0] == errs[1]
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 

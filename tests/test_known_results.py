@@ -161,7 +161,7 @@ def test_maximal_suite_sends_no_zero_matrix_to_svd(tmp_path, monkeypatch):
     assert seen and all(np.any(a) for _, a in seen)
 
     # the achieved bounds are those of the unmasked compressions, bit for bit
-    env = _Env(cfg, tmp_path)
+    env = _Env(cfg)
     rng = env.rng(4)
     xs = [random_self_adjoint(env.alg, rng, norm=1.0) for _ in range(cfg.n_random)]
     params = [MaximalParams(C=cfg.C, p=cfg.p, epsilon=eps) for eps in cfg.maximal_epsilons]
@@ -558,7 +558,7 @@ def test_local_avg_propagates_each_distinct_sample_time_once(tmp_path, monkeypat
     assert [len(ts) for ts in calls] == [112] and len(np.unique(calls[0])) == 112
 
     # the tables of all 208 sample times, one SVD each
-    env = _Env(cfg, tmp_path)
+    env = _Env(cfg)
     x = random_self_adjoint(env.alg, env.rng(2), norm=1.0)
     Ts = [2.0**-k for k in range(cfg.dyadic_exp_max + 1)]
     times = np.outer(Ts, np.linspace(1.0 / 16.0, 1.0, 16)).ravel()

@@ -622,7 +622,7 @@ def test_weighted_table_matches_per_case_check(tmp_path, variant):
     run(cfg, "weighted-avg", tmp_path)
     with open(tmp_path / "tables" / "weighted_avg.csv", newline="") as fh:
         got = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
-    env = _Env(cfg, tmp_path)
+    env = _Env(cfg)
     rng = env.rng(5)
     T_list = np.geomspace(1e-3, 1.0, 12)
     want = []
@@ -681,7 +681,7 @@ def test_sandwich_table_matches_per_case_check(tmp_path, variant):
     run(cfg, "sandwich", tmp_path)
     with open(tmp_path / "tables" / "sandwich.csv", newline="") as fh:
         got = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
-    env = _Env(cfg, tmp_path)
+    env = _Env(cfg)
     rng = env.rng(3)
     xs = [random_positive(env.alg, rng, norm=1.0) for _ in range(cfg.n_random)]
     grid = cfg.sandwich_grid
