@@ -331,16 +331,23 @@ def traces(alg: TracialAlgebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
     return sum(c * np.trace(a, axis1=-2, axis2=-1) for c, a in zip(alg.weights, stacks))
 
 
-def pnorm(alg: TracialAlgebra, x: Operator, p: float) -> float:
-    """p-norm ``tau(|x|^p)^(1/p)``; ``p = inf`` gives the operator norm.
+def pnorm(
+    alg: TracialAlgebra, x: Operator | Sequence[np.ndarray], p: float
+) -> float | list[float]:
+    """p-norm ``tau(|x|^p)^(1/p)`` of ``x``, or the list of those of every
+    member of per-block (m, n, n) stacks; ``p = inf`` gives the operator norm.
 
-    Computed from singular values, with each block's contribution weighted by
-    its trace weight.  ``p < 1`` is rejected.
+    Computed by :func:`pnorms` from singular values, one batched SVD per
+    block, with each block's contribution weighted by its trace weight.
+    ``p < 1`` is rejected.
     """
-    if x.algebra != alg:
+    one = isinstance(x, Operator)
+    if one and x.algebra != alg:
         raise AlgebraMismatchError("operator does not belong to this algebra")
-    svals = [np.linalg.svd(a, compute_uv=False)[None] for a in x.blocks]
-    return pnorms(alg, svals, p)[0]
+    blocks = getattr(x, "blocks", x)
+    svals = [np.linalg.svd(a, compute_uv=False).reshape(-1, a.shape[-1]) for a in blocks]
+    norms = pnorms(alg, svals, p)
+    return norms[0] if one else norms
 
 
 def pnorms(alg: TracialAlgebra, svals: Sequence[np.ndarray], p: float) -> list[float]:

@@ -19,7 +19,7 @@ row of the ledger comes from the stacks through one function, ``_norm_rows``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -235,12 +235,7 @@ class StepRecord:
         return self.achieved <= self.claimed
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claimed": self.claimed,
-            "achieved": self.achieved,
-            "witness": self.witness,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

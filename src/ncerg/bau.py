@@ -36,7 +36,6 @@ from .algebra import (
     op_norms,
     operator_to_dict,
     pnorm,
-    pnorms,
     power_traces,
     proj_meet,
     spectral_projection,
@@ -90,6 +89,10 @@ class ProjectionCertificate:
     flags: tuple[str, ...] = ()
     decay: tuple[tuple[float, float], ...] | None = None
 
+    # the keys of a certificate file (``to_json_dict``)
+    JSON_KEYS = ("cotrace", "epsilon", "achieved_bound", "family", "grid", "params", "flags",
+                 "decay", "projection")
+
     @property
     def cotrace(self) -> float:
         return self.projection.cotrace
@@ -99,17 +102,9 @@ class ProjectionCertificate:
         return not self.flags
 
     def to_json_dict(self) -> dict:
-        return {
-            "cotrace": self.cotrace,
-            "epsilon": self.epsilon,
-            "achieved_bound": self.achieved_bound,
-            "family": self.family,
-            "grid": self.grid,
-            "params": self.params,
-            "flags": self.flags,
-            "decay": self.decay,
-            "projection": operator_to_dict(self.projection.op),
-        }
+        out = {key: getattr(self, key) for key in self.JSON_KEYS}
+        out["projection"] = operator_to_dict(self.projection.op)
+        return out
 
 
 @dataclass(frozen=True)
@@ -253,7 +248,7 @@ def maximal_certificates(
     mags = SpectralResolution(alg, tuple(np.abs(w) for w in res.eigenvalues), res.eigenvectors)
     p = params[0].p
     power_trace = power_traces(alg, mags.eigenvalues, p)
-    xnorms = pnorms(alg, [np.linalg.svd(a, compute_uv=False) for a in xs], p)
+    xnorms = pnorm(alg, xs, p)
     certs: list[list[ProjectionCertificate]] = [[] for _ in xnorms]
     for q in params:
         eps = q.epsilon
@@ -616,8 +611,7 @@ def lp_limit_check(
     if any(t2 >= t1 for t1, t2 in zip(grid, grid[1:])):
         raise ValueError("family grid must be strictly decreasing")
     alg = limit.algebra
-    svals = [np.linalg.svd(a, compute_uv=False) for a in stack_blocks([y for _, y in family])]
-    table = tuple(zip(grid, pnorms(alg, svals, p)))
+    table = tuple(zip(grid, pnorm(alg, stack_blocks([y for _, y in family]), p)))
     liminf = min(v for _, v in grid_tail(table))
     limit_norm = pnorm(alg, limit, p)
     return LpLimitReport(

@@ -66,6 +66,7 @@ from .banach import (
 from .bau import (
     BOUND_SLACK,
     MaximalParams,
+    ProjectionCertificate,
     ScheduleExhaustedError,
     TransferPremiseError,
     _cauchy_certify,
@@ -88,28 +89,18 @@ __all__ = [
     "SUITE_NAMES",
 ]
 
-SUITE_NAMES = (
-    "validate-semigroup",
-    "local-avg",
-    "sandwich",
-    "maximal",
-    "weighted-avg",
-    "besicovitch",
-    "banach-check",
-    "full",
-)
-
-_SUITE_ORDER = SUITE_NAMES[:-1]
+# the leading columns of every sweep table: achieved norm against its bound over T
+_SWEEP = ("T", "norm_p", "bound", "slack")
 
 # the columns of every CSV table a suite writes, by table name
 _TABLES = {
     "validate_semigroup_violations": ("kind", "t", "value"),
     "validate_semigroup_continuity": ("s", "modulus"),
-    "local_avg_p1": ("T", "norm_p", "bound", "slack"),
-    "local_avg_p2": ("T", "norm_p", "bound", "slack"),
+    "local_avg_p1": _SWEEP,
+    "local_avg_p2": _SWEEP,
     "sandwich": ("case", "a", "b", "lower_slack", "upper_slack"),
     "maximal": ("epsilon", "case", "cotrace", "achieved_bound", "cotrace_cap", "empirical_C"),
-    "weighted_avg": ("T", "norm_p", "bound", "slack", "quad_error"),
+    "weighted_avg": (*_SWEEP, "quad_error"),
     "besicovitch": ("T", "local_mean_gap", "quad_error"),
     "banach_steps": ("step", "witness", "claimed", "achieved"),
 }
@@ -276,18 +267,15 @@ class RunReport:
     rows: dict[str, list[list[str]]]
     summaries: dict[str, dict]
 
+    # the keys of report.json
+    JSON_KEYS = ("experiment", "passed", "tables", "certificates", "config")
+
     @property
     def ok(self) -> bool:
         return all(self.passed.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "passed": self.passed,
-            "tables": self.tables,
-            "certificates": self.certificates,
-            "config": self.config,
-        }
+        return {key: getattr(self, key) for key in self.JSON_KEYS}
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -653,6 +641,8 @@ _SUITES: dict[str, Callable[[_Env], None]] = {
     "banach-check": _suite_banach,
 }
 
+SUITE_NAMES = (*_SUITES, "full")
+
 
 def run(config: ExperimentConfig, suite: str, outdir: str | Path) -> RunReport:
     """Execute a named suite, then write its tables, certificates and
@@ -673,7 +663,7 @@ def run(config: ExperimentConfig, suite: str, outdir: str | Path) -> RunReport:
         raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
     env = _Env(config)
     start = time.perf_counter()
-    for name in _SUITE_ORDER if suite == "full" else (suite,):
+    for name in _SUITES if suite == "full" else (suite,):
         _SUITES[name](env)
     wall = time.perf_counter() - start
     try:
@@ -734,25 +724,17 @@ def emit_plot_data(report: RunReport) -> dict[str, str]:
     bound_rows = []
     for name in sorted(report.tables):
         header, rows = _TABLES[name], report.rows[name]
-        if header[:4] == ("T", "norm_p", "bound", "slack"):
+        if header[:4] == _SWEEP:
             bound_rows += [(name, *row[:4]) for row in rows]
             decay_rows += [(name, *row[:2]) for row in rows]
         elif len(header) == 2 or header[2:] == ("quad_error",):
             decay_rows += [(name, *row[:2]) for row in rows]
-    written = {}
-    for fname, header, rows in (
-        ("plot_decay.csv", ["table", "T", "value"], decay_rows),
-        ("plot_bounds.csv", ["table", "T", "achieved", "bound", "slack"], bound_rows),
-    ):
-        _write_csv(plots / fname, header, rows)
-        written[fname] = f"plots/{fname}"
-
+    for fname, rows in (("plot_decay.csv", decay_rows), ("plot_bounds.csv", bound_rows)):
+        _write_csv(plots / fname, _PLOT_SCHEMA[fname]["columns"], rows)
     summary = {name: report.summaries[name] for name in report.certificates}
     _write_json(plots / "certificates_summary.json", summary)
-    written["certificates_summary.json"] = "plots/certificates_summary.json"
     _write_json(plots / "SCHEMA.json", _PLOT_SCHEMA)
-    written["SCHEMA.json"] = "plots/SCHEMA.json"
-    return written
+    return {fname: f"plots/{fname}" for fname in (*_PLOT_SCHEMA, "SCHEMA.json")}
 
 
 def build_schemas() -> dict:
@@ -763,23 +745,11 @@ def build_schemas() -> dict:
             "notes": "JSON object; unknown keys rejected; flags override file values",
         },
         "report.json": {
-            "keys": ["experiment", "passed", "tables", "certificates", "config"],
+            "keys": list(RunReport.JSON_KEYS),
             "determinism": "no timestamps, wall times or absolute paths",
         },
-        "sweep_csv": {"columns": ["T", "norm_p", "bound", "slack"]},
+        "sweep_csv": {"columns": list(_SWEEP)},
         "tables": {name: list(cols) for name, cols in _TABLES.items()},
-        "certificate_json": {
-            "keys": [
-                "cotrace",
-                "epsilon",
-                "achieved_bound",
-                "family",
-                "grid",
-                "params",
-                "flags",
-                "decay",
-                "projection",
-            ]
-        },
+        "certificate_json": {"keys": list(ProjectionCertificate.JSON_KEYS)},
         "plots": _PLOT_SCHEMA,
     }

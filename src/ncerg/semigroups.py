@@ -63,7 +63,7 @@ from .algebra import (
     TracialAlgebra,
     min_eig,
     op_norms,
-    pnorms,
+    pnorm,
     normalized_draws,
     random_operators,
     random_self_adjoint,
@@ -367,9 +367,20 @@ class GeneratorExp(Semigroup):
         if t == 0:
             return np.eye(self.algebra.vec_dim, dtype=complex)
         if self.path == "dense":
-            return _expm(t * self.matrix)
+            return self._finite(_expm(t * self.matrix), t)
         w, mu, w_inv = self._eig
-        return (w * np.exp(t * mu)) @ w_inv
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._finite((w * np.exp(t * mu)) @ w_inv, t)
+
+    def _finite(self, out: np.ndarray, ts) -> np.ndarray:
+        """``out``, a result of a_t at the times ``ts``, refused with
+        ``ConfigError`` unless finite (before any decomposition of it)."""
+        if not np.isfinite(out).all():
+            raise ConfigError(
+                f"generator_exp leaves the float range at t up to {np.max(ts):g} on its {self.path} "
+                f"path (the eigenvalues of L reach real part {self._eig[1].real.max():.3g})"
+            )
+        return out
 
     def _stack(self, ts, xs, s=None):
         cols = vecs(xs).T  # column c is vec of input c
@@ -394,12 +405,7 @@ class GeneratorExp(Semigroup):
                 zero = np.zeros((x.shape[1], d + x.shape[1]))
                 for q, t in enumerate(ts[:, g][:, 0]):
                     out[q, :, g] = _expm(np.block([[t * gen, x], [zero]]))[:d, d:]
-        if not np.isfinite(out).all():  # refused before any decomposition of the result
-            raise ConfigError(
-                f"generator_exp leaves the float range at t up to {ts.max():g} on its {self.path} "
-                f"path (the eigenvalues of L reach real part {self._eig[1].real.max():.3g})"
-            )
-        return unvecs(self.algebra, out.swapaxes(1, 2))
+        return unvecs(self.algebra, self._finite(out, ts).swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +536,7 @@ def continuity_modulus(
     """
     grid = [float(s) for s in s_grid]
     stacks = sg.propagate_stack(np.array(grid), x)
-    svals = [np.linalg.svd(st - a, compute_uv=False) for st, a in zip(stacks, x.blocks)]
-    return tuple(zip(grid, pnorms(sg.algebra, svals, p)))
+    return tuple(zip(grid, pnorm(sg.algebra, [st - a for st, a in zip(stacks, x.blocks)], p)))
 
 
 def semigroup_law_residual(

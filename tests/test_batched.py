@@ -9,6 +9,7 @@ oracle here is built one input at a time from ``apply``, ``min_eig``,
 ``choi_blocks``.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from ncerg.algebra import (
     stack_blocks,
 )
 from ncerg.bau import _pair_table
+from ncerg.config import ConfigError
 from ncerg.semigroups import EIGEN_TOL, choi_blocks, choi_min_eig, phi1
 from oracles import (
     compressed_norm,
@@ -575,6 +577,30 @@ def test_generator_propagator_matches_expm_on_both_paths():
         for t in (0.0, 1e-9, 0.3, 2.5):
             assert rel_gap(sg.propagator(t), scipy.linalg.expm(t * sg.matrix)) <= 1e-12, (path, t)
         assert np.array_equal(sg.propagator(0.0), np.eye(sg.algebra.vec_dim))
+
+
+@pytest.mark.parametrize(
+    "blocks, spec, t, path",
+    [
+        # expm(tL) of a defective L (W singular) turns NaN
+        ((1, 1), {"matrix": {"blocks": [{"dim": 2, "re": [[-1, 1], [0, -1]],
+                                         "im": [[0, 0], [0, 0]]}]}}, 1e40, "dense"),
+        # exp(t mu) overflows where roundoff leaves Re mu above 0
+        ((2, 4), {}, 1e300, "eigen"),
+    ],
+    ids=["dense", "eigen"],
+)
+def test_propagator_refuses_to_leave_the_float_range(blocks, spec, t, path):
+    # the refusal of the stacked core, without a warning, and a finite
+    # propagator at t = 10
+    alg = TracialAlgebra(blocks, (1.0, 0.5))
+    rng = np.random.default_rng([ExperimentConfig().seed, 0])
+    sg = semigroup_from_config(alg, {"variant": "generator_exp", **spec}, rng)
+    assert sg.path == path
+    assert np.isfinite(sg.propagator(10.0)).all()
+    message = f"generator_exp leaves the float range at t up to {t:g} on its {path} path"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        sg.propagator(t)
 
 
 def test_law_and_continuity_match_per_probe_loops():

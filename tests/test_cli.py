@@ -120,6 +120,17 @@ def test_table_headers_match_published_schema(tmp_path):
     for name, rel in report.tables.items():
         header = (tmp_path / "out" / rel).read_text().splitlines()[0].split(",")
         assert header == published[name], name
+    # the sweep tables lead with the published sweep columns
+    sweep = schemas["sweep_csv"]["columns"]
+    for name in ("local_avg_p1", "local_avg_p2", "weighted_avg"):
+        assert published[name][: len(sweep)] == sweep, name
+    # and every plot CSV has its published columns
+    written = emit_plot_data(report)
+    plots = {f: v for f, v in schemas["plots"].items() if f.endswith(".csv")}
+    assert len(plots) == 2
+    for fname, spec in plots.items():
+        header = (tmp_path / "out" / written[fname]).read_text().splitlines()[0].split(",")
+        assert header == spec["columns"], fname
     # the declared keys of report.json and of every projection certificate
     keys = sorted(json.loads((tmp_path / "out" / "report.json").read_text()))
     assert keys == sorted(schemas["report.json"]["keys"])

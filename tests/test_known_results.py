@@ -728,6 +728,24 @@ def test_pnorms_keep_the_bits_of_the_unscaled_sum(p):
     assert pnorms(one, [svals], p) == [root(float(np.sum(svals**p)))]
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+def test_pnorm_of_stacks_is_each_members_pnorm(p):
+    # one norm per member of per-block (m, n, n) stacks, bit for bit the
+    # pnorm of that member alone, at 2^600 and 2^-600 too
+    rng = np.random.default_rng(99)
+    stacks = [
+        rng.standard_normal((9, n, n)) + 1j * rng.standard_normal((9, n, n)) for n in ALG.blocks
+    ]
+    for a in stacks:
+        a[:3] *= 2.0**600
+        a[3:6] *= 2.0**-600
+    stacks[0][4] = 0.0  # a member zero in one block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pnorm(ALG, stacks, p)
+    assert got == [pnorm(ALG, Operator(ALG, [a[i] for a in stacks]), p) for i in range(9)]
+
+
 def decimal_pnorm(weights, rows, p):
     """tau(|y|^p)^(1/p) of one member, its values ``rows`` per block, in
     40-digit decimal arithmetic, which neither overflows nor underflows."""
