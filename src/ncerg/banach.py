@@ -5,16 +5,17 @@ maximal-inequality oracle, the engine builds one projection f under which all
 pairwise map differences on x are uniformly small, by the standard route:
 approximants x_n with geometrically shrinking gaps, one oracle projection per
 approximant, a meet p, a dense-set Cauchy certificate q for a well-chosen
-approximant, and f = p ^ q with a three-way bound split.  Every intermediate
-bound is recorded and can be replayed; the engine only ever touches pairwise
-differences a_m(x) - a_n(x), never a limit object.
+approximant, and f = p ^ q with a three-way bound split.  The engine only
+ever touches pairwise differences a_m(x) - a_n(x), never a limit object.
 
 A map family evaluates on one operator to a per-block stack (m, n, n) over
 its labels, ``MapFamily.images``: for Cesaro averages one closed-form
 ``mean_batch`` call.  The assembly evaluates each input once and hands the
-images to the oracle and the dense certifier, which take ``(y, eps, images)``;
-its replay evaluates again, as the independent check.  Every compressed-norm
-row of the ledger comes from the stacks through one function, ``_norm_rows``.
+images to the oracle and the dense certifier, which take ``(y, eps, images)``.
+Every bound enters the ledger through one recorder, which raises at the first
+failed row; a compressed-norm step is recorded once, as a :class:`NormStep`,
+and its rows come from ``_norm_rows``.  The replay re-runs the recorded steps
+on fresh images as the independent check, and fails when it re-ran nothing.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ __all__ = [
     "ApproximationScheme",
     "ConditionOneOracle",
     "MapFamily",
+    "NormStep",
     "StepRecord",
     "AssemblyCertificate",
     "AssemblyError",
@@ -56,6 +58,7 @@ __all__ = [
 ]
 
 ORACLE_SLACK = 1e-12  # absolute slack of an oracle certificate over its two caps
+REPLAY_TOL = 1e-10  # largest deviation of a replayed compressed-norm row from its record
 K_CAP = 2**40  # largest k of the window 1/k that scheme_from_semigroup doubles up to
 Images = list[np.ndarray]  # a map family on one input: per-block (m, n, n) stacks
 
@@ -102,15 +105,14 @@ class OracleContractError(RuntimeError):
 
 
 class AssemblyError(RuntimeError):
-    def __init__(self, step: str, witness, achieved: float, claimed: float):
+    def __init__(self, row: StepRecord):
         super().__init__(
-            f"assembly step {step!r} failed at witness {witness}: "
-            f"achieved {achieved:.3e}, claimed {claimed:.3e}"
+            f"assembly step {row.name!r} failed at witness {row.witness}: "
+            f"achieved {row.achieved:.3e}, claimed {row.claimed:.3e}"
         )
-        self.step = step
-        self.witness = witness
-        self.achieved = achieved
-        self.claimed = claimed
+        self.step, self.witness, self.achieved, self.claimed = (
+            row.name, row.witness, row.achieved, row.claimed
+        )
 
 
 @dataclass(frozen=True)
@@ -234,14 +236,31 @@ class StepRecord:
     def ok(self) -> bool:
         return self.achieved <= self.claimed
 
+    @property
+    def key(self) -> str:
+        return f"{self.name}{self.witness or ''}"
+
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+@dataclass(frozen=True)
+class NormStep:
+    """One compressed-norm step of the ledger: ``projection`` compresses the
+    images of ``input``, each row held to ``claimed`` (rows: ``_norm_rows``)."""
+
+    name: str
+    claimed: float
+    projection: Projection
+    input: Operator
+    n: int | None = None
+    start: int = 0
+
+
 @dataclass
 class AssemblyCertificate:
-    """Full trace of an extension run: projections, indices, bound ledger;
-    its co-trace is that of the final projection."""
+    """Full trace of an extension run: projections, indices, bound ledger
+    and its recorded compressed-norm steps; the co-trace is f's."""
 
     projection: Projection
     epsilon: float
@@ -254,76 +273,53 @@ class AssemblyCertificate:
     approximant_projs: tuple[Projection, ...] = field(repr=False, default=())
     dense_cert: ProjectionCertificate | None = field(repr=False, default=None)
     meet_proj: Projection | None = field(repr=False, default=None)
+    norm_steps: list[NormStep] = field(repr=False, default_factory=list)
 
     @property
     def cotrace(self) -> float:
         return self.projection.cotrace
 
     def to_json_dict(self) -> dict:
-        return {
-            "cotrace": self.cotrace,
-            "epsilon": self.epsilon,
-            "C": self.C,
-            "n0": self.n0,
-            "N0_index": self.N0_index,
-            "budget_spent": self.budget_spent,
-            "steps": [s.to_json_dict() for s in self.steps],
-        }
+        keys = ("cotrace", "epsilon", "C", "n0", "N0_index", "budget_spent")
+        steps = [s.to_json_dict() for s in self.steps]
+        return {k: getattr(self, k) for k in keys} | {"steps": steps}
 
     def replay(self, maps: MapFamily, x: Operator) -> dict[str, float]:
-        """Recompute every recorded bound; returns the deviations by step."""
-        eps, N0, x_n0 = self.epsilon, self.N0_index, self.approximants[self.n0 - 1]
-        uniform = [maps.images(x_n - x) for x_n in self.approximants]
-        checks = [
-            ("uniform_control", eps / 2.0 ** (n + 1), p_n, ys, n, 0)
-            for n, (ys, p_n) in enumerate(zip(uniform, self.approximant_projs), 1)
-        ]
-        checks += [
-            ("approximant_choice", eps / 3.0, self.meet_proj, uniform[self.n0 - 1], self.n0, 0),
-            ("dense_cauchy", eps / 3.0, self.dense_cert.projection, maps.images(x_n0), None, N0),
-            ("final_bound", eps, self.projection, maps.images(x), None, N0),
-        ]
-        fresh = {
-            (r.name, r.witness): r.achieved
-            for name, claimed, e, ys, n, start in checks
-            for r in _norm_rows(name, claimed, e, ys, n, start)
-        }
+        """Re-run every recorded compressed-norm step of the assembly of x (the
+        same object), each distinct input evaluated once; returns each row's
+        deviation from the ledger by ``StepRecord.key`` (inf if it lacks one)."""
+        if all(s.input is not x for s in self.norm_steps):
+            raise ValueError("replay takes the operator the certificate was assembled on")
+        inputs = {id(s.input): s.input for s in self.norm_steps}
+        images = {key: maps.images(y) for key, y in inputs.items()}
+        recorded = {s.key: s.achieved for s in self.steps}
         return {
-            f"{s.name}{s.witness or ''}": abs(fresh[s.name, s.witness] - s.achieved)
-            for s in self.steps
-            if (s.name, s.witness) in fresh
+            r.key: abs(r.achieved - recorded.get(r.key, math.inf))
+            for s in self.norm_steps
+            for r in _norm_rows(s, images[id(s.input)])
         }
 
+    def replay_passes(self, devs: dict[str, float]) -> bool:
+        """Whether ``devs`` from :meth:`replay` holds every compressed-norm row
+        of the ledger, at least one, each within ``REPLAY_TOL``."""
+        names = {s.name for s in self.norm_steps}
+        rows = {s.key for s in self.steps if s.name in names}
+        return bool(rows) and rows <= devs.keys() and all(d <= REPLAY_TOL for d in devs.values())
 
-def _norm_rows(
-    step: str,
-    claimed: float,
-    e: Projection,
-    values: Sequence[np.ndarray],
-    n: int | None = None,
-    start: int = 0,
-    check: bool = False,
-) -> list[StepRecord]:
-    """Ledger rows of one compressed-norm step over a stacked family a_m(y).
 
-    With ``n`` given, one row per map: ||e a_m(y) e|| with witness (n, m).
-    Otherwise one row per pair start <= i < j: ||e (a_i(y) - a_j(y)) e||
-    with witness (i, j).  The norms come from one stacked table; with
-    ``check`` the first row above ``claimed`` raises :class:`AssemblyError`.
-    """
-    if n is None:
-        values = [a[start:] for a in values]
+def _norm_rows(step: NormStep, values: Images) -> list[StepRecord]:
+    """Ledger rows of one compressed-norm step over the stacked images a_m(y)
+    of its input: with ``step.n`` given, ||e a_m(y) e|| with witness (n, m);
+    otherwise ||e (a_i(y) - a_j(y)) e|| with witness (i, j), start <= i < j."""
+    if step.n is None:
+        values = [a[step.start:] for a in values]
         rows, cols = np.triu_indices(len(values[0]), 1)
-        witnesses = list(zip((rows + start).tolist(), (cols + start).tolist()))
+        witnesses = zip((rows + step.start).tolist(), (cols + step.start).tolist())
         values = pair_differences(values)
     else:
-        witnesses = [(n, m) for m in range(len(values[0]))]
-    records = []
-    for witness, value in zip(witnesses, compressed_norms(e, values).tolist()):
-        records.append(StepRecord(step, claimed, value, witness))
-        if check and not records[-1].ok:
-            raise AssemblyError(step, witness, value, claimed)
-    return records
+        witnesses = ((step.n, m) for m in range(len(values[0])))
+    norms = compressed_norms(step.projection, values).tolist()
+    return [StepRecord(step.name, step.claimed, v, w) for w, v in zip(witnesses, norms)]
 
 
 def assemble_certificate(
@@ -349,63 +345,62 @@ def assemble_certificate(
        differences of a_m(x) below eps on the grid tail.
 
     Each input (x_n - x, x_{n0} and x) is evaluated once, and the oracle and
-    the certifier read those images.  Any failed bound raises
-    :class:`AssemblyError` naming the step and the witness index.
+    the certifier read those images.  Every row goes through one recorder,
+    and the first failed bound raises :class:`AssemblyError` naming the step
+    and the witness index.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     if n_approx < 1:
         raise ValueError("need at least one approximant")
     steps: list[StepRecord] = []
+    norm_steps: list[NormStep] = []
+
+    def record(step: StepRecord | NormStep, images: Images | None = None) -> None:
+        """Append a row, or a compressed-norm step and its rows over ``images``."""
+        if images is not None:
+            norm_steps.append(step)
+        for row in [step] if images is None else _norm_rows(step, images):
+            steps.append(row)
+            if not row.ok:
+                raise AssemblyError(row)
 
     approximants: list[Operator] = []
-    projs: list[Projection] = []
     certs: list[ProjectionCertificate] = []
-    images: list[Images] = []  # a_m(x_n - x), stacked, per approximant
     make = scheme.maker(x)
     for n in range(1, n_approx + 1):
         x_n, gap = make(n, eps)
         approximants.append(x_n)
-        steps.append(StepRecord("approximant_gap", scheme.gap_bound(n, eps), gap, (n,)))
-        images.append(maps.images(x_n - x))
-        cert_n = oracle(x_n - x, eps / 2.0 ** (n + 1), images[-1])
-        projs.append(cert_n.projection)
-        certs.append(cert_n)
-        claimed = eps / 2.0 ** (n + 1)
-        steps += _norm_rows("uniform_control", claimed, projs[-1], images[-1], n, check=True)
+        record(StepRecord("approximant_gap", scheme.gap_bound(n, eps), gap, (n,)))
+        y, claimed = x_n - x, eps / 2.0 ** (n + 1)
+        images = maps.images(y)
+        certs.append(oracle(y, claimed, images))
+        record(NormStep("uniform_control", claimed, certs[-1].projection, y, n), images)
+        if n == 1:
+            y1, images1 = y, images
 
+    projs = [c.projection for c in certs]
     p_meet = meet_all(projs)
-    p_budget = oracle.C * eps / 2.0
-    steps.append(StepRecord("meet_budget", p_budget, p_meet.cotrace, None))
-    if p_meet.cotrace > p_budget:
-        raise AssemblyError("meet_budget", None, p_meet.cotrace, p_budget)
+    record(StepRecord("meet_budget", oracle.C * eps / 2.0, p_meet.cotrace))
 
     # p <= p_1, so uniform control at n = 1 already puts every row of the
     # first approximant under p below eps/4 < eps/3: n0 = 1.
-    steps += _norm_rows("approximant_choice", eps / 3.0, p_meet, images[0], 1, check=True)
+    record(NormStep("approximant_choice", eps / 3.0, p_meet, y1, 1), images1)
 
-    x_n0, images_n0 = approximants[0], maps.images(approximants[0])
-    dense_cert = certifier(x_n0, eps / 2.0, images_n0)
-    steps.append(StepRecord("dense_budget", eps / 2.0, dense_cert.cotrace, None))
-    if dense_cert.cotrace > eps / 2.0:
-        raise AssemblyError("dense_budget", None, dense_cert.cotrace, eps / 2.0)
+    x_n0 = approximants[0]
+    images = maps.images(x_n0)
+    dense_cert = certifier(x_n0, eps / 2.0, images)
+    record(StepRecord("dense_budget", eps / 2.0, dense_cert.cotrace))
     N0 = first_index_below(dense_cert, eps / 3.0)
     if N0 is None:
         worst = dense_cert.decay[0][1] if dense_cert.decay else math.inf
-        raise AssemblyError("dense_cauchy", None, worst, eps / 3.0)
-    steps += _norm_rows(
-        "dense_cauchy", eps / 3.0, dense_cert.projection, images_n0, start=N0, check=True
-    )
+        raise AssemblyError(StepRecord("dense_cauchy", eps / 3.0, worst))
+    record(NormStep("dense_cauchy", eps / 3.0, dense_cert.projection, x_n0, start=N0), images)
 
     f = proj_meet(p_meet, dense_cert.projection)
-    f_budget = eps * (oracle.C + 1.0) / 2.0
-    steps.append(StepRecord("final_budget", f_budget, f.cotrace, None))
-    if f.cotrace > f_budget:
-        raise AssemblyError("final_budget", None, f.cotrace, f_budget)
+    record(StepRecord("final_budget", eps * (oracle.C + 1.0) / 2.0, f.cotrace))
+    record(NormStep("final_bound", eps, f, x, start=N0), maps.images(x))
 
-    steps += _norm_rows("final_bound", eps, f, maps.images(x), start=N0, check=True)
-
-    budget_spent = sum(c.cotrace for c in certs) + dense_cert.cotrace
     return AssemblyCertificate(
         projection=f,
         epsilon=eps,
@@ -413,11 +408,12 @@ def assemble_certificate(
         n0=1,
         N0_index=N0,
         steps=steps,
-        budget_spent=budget_spent,
+        budget_spent=sum(c.cotrace for c in certs) + dense_cert.cotrace,
         approximants=tuple(approximants),
         approximant_projs=tuple(projs),
         dense_cert=dense_cert,
         meet_proj=p_meet,
+        norm_steps=norm_steps,
     )
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,14 @@ from ncerg import (
     random_self_adjoint,
     scheme_from_semigroup,
 )
-from ncerg.banach import OracleContractError, SchemeError
+from ncerg.banach import (
+    AssemblyCertificate,
+    NormStep,
+    OracleContractError,
+    SchemeError,
+    _norm_rows,
+)
+from ncerg.cli import main
 from ncerg.semigroups import lindblad_generator, GeneratorExp
 
 
@@ -190,3 +199,63 @@ def test_assembly_failure_names_step(alg, rng):
     with pytest.raises(AssemblyError) as err:
         assemble_certificate(maps, x, 0.5, scheme, oracle, bad_certifier, n_approx=2)
     assert err.value.step == "dense_budget"
+
+
+# ---------------------------------------------------------------------------
+# the recorded ledger and its replay
+# ---------------------------------------------------------------------------
+
+def assembled(alg, rng):
+    sg = ScalarDecay(alg, 1.0)
+    maps, oracle, scheme, certifier = build_pipeline(sg, [2.0**-k for k in range(1, 7)])
+    x = random_self_adjoint(alg, rng, norm=1.0)
+    return maps, x, assemble_certificate(maps, x, 0.5, scheme, oracle, certifier, n_approx=3)
+
+
+def test_recorded_steps_give_the_ledgers_norm_rows_in_order(alg, rng):
+    maps, x, asm = assembled(alg, rng)
+    assert [s.name for s in asm.norm_steps] == [
+        "uniform_control", "uniform_control", "uniform_control",
+        "approximant_choice", "dense_cauchy", "final_bound",
+    ]
+    names = {s.name for s in asm.norm_steps}
+    ledger = [s for s in asm.steps if s.name in names]
+    rerun = [r for s in asm.norm_steps for r in _norm_rows(s, maps.images(s.input))]
+    assert ledger == rerun
+
+
+def test_replay_reruns_a_step_appended_to_the_record(alg, rng):
+    maps, x, asm = assembled(alg, rng)
+    final = asm.norm_steps[-1]
+    again = NormStep("final_from_0", final.claimed, final.projection, x, start=0)
+    asm.norm_steps.append(again)
+    devs = asm.replay(maps, x)
+    new = [k for k in devs if k.startswith("final_from_0")]
+    m = len(maps.labels)
+    assert len(new) == m * (m - 1) // 2
+    # rows the ledger lacks deviate by inf, so the replay fails
+    assert all(devs[k] == math.inf for k in new) and not asm.replay_passes(devs)
+    asm.steps += _norm_rows(again, maps.images(x))
+    devs = asm.replay(maps, x)
+    assert max(devs[k] for k in new) == 0.0 and asm.replay_passes(devs)
+    with pytest.raises(ValueError):
+        asm.replay(maps, x + 0.0 * x)  # another operator, even an equal one
+
+
+@pytest.mark.parametrize("spoil", ["empty", "one_missing", "last_nan"])
+def test_banach_check_fails_a_spoiled_replay(tmp_path, capsys, monkeypatch, spoil):
+    replay = AssemblyCertificate.replay
+
+    def spoiled(asm, maps, x):
+        devs = replay(asm, maps, x)
+        if spoil == "last_nan":
+            return devs | {list(devs)[-1]: math.nan}
+        return {} if spoil == "empty" else dict(list(devs.items())[1:])
+
+    monkeypatch.setattr(AssemblyCertificate, "replay", spoiled)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_random": 2, "weighted_cases": 2, "T_n": 6}')
+    code = main(["run", "--config", str(cfg), "--suite", "banach-check", "--out", str(tmp_path / "o")])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FAIL banach-check:replay" in out and "PASS banach-check:assembled" in out
