@@ -59,6 +59,7 @@ __all__ = [
     "op_norms",
     "min_eig",
     "hermitian_defects",
+    "hermitian_part",
     "screened_norms",
     "random_operator",
     "random_operators",
@@ -198,9 +199,7 @@ class Operator:
 
     def herm(self) -> "Operator":
         """Hermitian part (x + x*)/2."""
-        return Operator(
-            self.algebra, [(a + a.conj().T) / 2.0 for a in self.blocks]
-        )
+        return Operator(self.algebra, [hermitian_part(a) for a in self.blocks])
 
     # -- predicates and scalars -------------------------------------------
     def norm_inf(self) -> float:
@@ -246,8 +245,8 @@ def op_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
 def min_eig(x: Operator | Sequence[np.ndarray]) -> float | np.ndarray:
     """Minimum eigenvalue of the hermitian part over all blocks: of ``x``, or of
     every member of a per-block stacked family (one batched eigvalsh per block)."""
-    herm = [(a + a.conj().swapaxes(-1, -2)) / 2.0 for a in getattr(x, "blocks", x)]
-    low = np.min([np.linalg.eigvalsh(h)[..., 0] for h in herm], axis=0)
+    stacks = getattr(x, "blocks", x)
+    low = np.min([np.linalg.eigvalsh(hermitian_part(a))[..., 0] for a in stacks], axis=0)
     return float(low) if isinstance(x, Operator) else low
 
 
@@ -469,8 +468,16 @@ def spectral_resolution(
             f"operator is not self-adjoint within tolerance "
             f"({defect[i]:.3e} > {bound[i]:.3e})"
         )
-    ws, vs = zip(*(np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0) for a in stacks))
+    ws, vs = zip(*(np.linalg.eigh(hermitian_part(a)) for a in stacks))
     return SpectralResolution(alg, ws, vs)
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a*) / 2 of every member of a (..., n, n) array, halved in place
+    (one temporary fewer, the same bits)."""
+    h = a + a.conj().swapaxes(-1, -2)
+    h /= 2.0
+    return h
 
 
 class Projection:
@@ -547,8 +554,14 @@ def spectral_projection(res: SpectralResolution, level: float | Sequence[float])
     leading axes, member i cut at ``level[..., i]`` (or a shared level).
     """
     drops = res._drops(level)
-    rows = [(v * d[..., None, :]).conj().swapaxes(-1, -2) for v, d in zip(res.eigenvectors, drops)]
-    return meet_complements(res.algebra, [r[None] for r in rows] if drops[0].ndim == 1 else rows)
+
+    def rows():  # block by block, C-contiguous, so the meet reads each without a copy
+        for v, d in zip(res.eigenvectors, drops):
+            r = np.multiply(v.swapaxes(-1, -2), d[..., None], order="C")
+            np.conjugate(r, out=r)
+            yield r[None] if d.ndim == 1 else r
+
+    return meet_complements(res.algebra, rows())
 
 
 def proj_meet(p: Projection, q: Projection) -> Projection:
@@ -573,7 +586,7 @@ def meet_all(projections: Iterable[Projection]) -> Projection:
 
 
 def meet_complements(
-    alg: TracialAlgebra, stacks: Sequence[np.ndarray]
+    alg: TracialAlgebra, stacks: Iterable[np.ndarray]
 ) -> Projection | list[Projection]:
     """Meet of projections given per block as stacks ``(m, n, n)`` of their
     complements, or of any matrices with the same null spaces; with more
@@ -584,22 +597,29 @@ def meet_complements(
     The meet is the null space of one SVD of the ``(m n, n)`` stack (Bjorck
     and Golub 1973); singular values below ``MEET_RANK_TOL * n`` count as
     zero, a cutoff that separates it from roundoff and can widen for
-    ill-conditioning.  Zero complements (identity members) leave the null
-    space unchanged, and a case whose complements in a block are all zero
-    meets to the identity there exactly, without an SVD.  A member whose
-    complement is the whole block (rows of full rank n) leaves no null
-    space, so its case meets to exactly 0 there, with co-trace c_i n_i.
+    ill-conditioning.  A tall stack (m >= 2) goes to the SVD as its R
+    factor, ``np.linalg.qr(..., mode="r")``: LAPACK's gesdd takes the same
+    QR first on such a stack, so s and vh keep their bits, and the
+    ``(m n, n)`` left vectors are never formed.  Zero complements (identity
+    members) leave the null space unchanged, and a case whose complements in
+    a block are all zero meets to the identity there exactly, without an
+    SVD.  A member whose complement is the whole block (rows of full rank n)
+    leaves no null space, so its case meets to exactly 0 there, with
+    co-trace c_i n_i.
     """
-    lead = stacks[0].shape[:-3]
     blocks, dropped = [], []
     for n, comp in zip(alg.blocks, stacks):
+        lead = comp.shape[:-3]
         comp = comp.reshape(math.prod(lead), *comp.shape[-3:])  # m may be 0
         cut = np.any(comp, axis=(1, 2, 3))
         e = np.zeros((len(comp), n, n), dtype=complex)
         e[~cut] = np.eye(n)
         nullity = np.full(len(comp), n)
         if cut.any():
-            _, s, vh = np.linalg.svd(comp[cut].reshape(int(cut.sum()), -1, n), full_matrices=False)
+            a = (comp if cut.all() else comp[cut]).reshape(int(cut.sum()), -1, n)
+            if a.shape[1] > n:
+                a = np.linalg.qr(a, mode="r")
+            _, s, vh = np.linalg.svd(a, full_matrices=False)
             null = s <= MEET_RANK_TOL * n
             basis = vh.conj().swapaxes(1, 2) * null[:, None, :]
             # + 0.0 gives the masked columns' -0.0 entries the sign of an empty sum

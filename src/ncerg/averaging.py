@@ -116,8 +116,16 @@ class QuadratureResult:
     refinements: int
 
 
-# the 8-point Gauss-Legendre rule of every panel
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+# the 8-point Gauss-Legendre rule of every panel: the bits of
+# np.polynomial.legendre.leggauss(8), as a table so that no run loads numpy.polynomial
+_GL_X = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_GL_W = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
 
 
 def _panel_points(pieces: Sequence[float], level: int):

@@ -33,6 +33,7 @@ from .algebra import (
     TracialAlgebra,
     abs_value,
     hermitian_defects,
+    hermitian_part,
     op_norms,
     operator_to_dict,
     pnorm,
@@ -237,11 +238,10 @@ def maximal_certificates(
     if any(T <= 0 for T in grid):
         raise ValueError("T grid must be positive")
     alg = sg.algebra
+    means = sg.mean_batch(grid, xs) if means is None else list(means)
     ys = []  # case-major (k, m, n, n) per block, symmetrised
-    for y in sg.mean_batch(grid, xs) if means is None else means:
-        y = y.swapaxes(0, 1)
-        ys.append(y + y.conj().swapaxes(2, 3))
-        ys[-1] /= 2.0
+    while means:  # each block's means are let go once symmetrised
+        ys.append(hermitian_part(means.pop(0).swapaxes(0, 1)))
 
     res = spectral_resolution(ys, alg=alg)
     # |y_T| has the eigenvalues |w| of y_T on the same eigenvectors
@@ -257,9 +257,11 @@ def maximal_certificates(
         meets = stack_blocks([e.op for e in es])
         live = np.any([np.any(E, axis=(1, 2)) for E in meets], axis=0)
         achieved = np.zeros(len(es))
-        achieved[live] = op_norms(
-            [E[live, None] @ y[live] @ E[live, None] for E, y in zip(meets, ys)]
-        ).max(axis=1)
+        if live.any():
+            live = slice(None) if live.all() else live  # no copies when all are live
+            achieved[live] = op_norms(
+                [E[live, None] @ y[live] @ E[live, None] for E, y in zip(meets, ys)]
+            ).max(axis=1)
         for case, (e, xnorm) in enumerate(zip(es, xnorms)):
             try:  # a Python float power raises on overflow
                 scale, ratio = eps ** (-p), (xnorm / eps) ** p
@@ -351,7 +353,7 @@ def double_average_certificate(
     flags = []
 
     def cut_windows(windows, tag):
-        sym = [(h + h.conj().swapaxes(1, 2)) / 2.0 for h in windows]
+        sym = [hermitian_part(h) for h in windows]
         spectra = [np.linalg.eigvalsh(h) for h in sym]
         powers = power_traces(alg, [np.clip(w, 0.0, None) for w in spectra], p)
         picks, idx = [], 0

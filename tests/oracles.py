@@ -7,7 +7,8 @@ Cauchy or transferred certificate), the reconstruction and orthonormality
 of a spectral resolution, the order of two projections, the matrix of a
 linear map on the vectorized algebra, one matrix unit at a time, random
 inputs drawn and normalized one operator at a time through
-:class:`Operator` arithmetic, and the sampled checks and law residual of a
+:class:`Operator` arithmetic, a meet from one SVD of the whole stack of
+complements, and the sampled checks and law residual of a
 validation, one time and one (t, s) pair at a time, a run's plot files
 read back from the tables and certificates on disk, and the heat flow on the
 group algebra of a dihedral group, built from its irreducible representations.
@@ -23,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ncerg.algebra import (
+    MEET_RANK_TOL,
     PROJECTION_TOL,
     Operator,
     Projection,
@@ -74,6 +76,28 @@ def gram_residual(res: SpectralResolution) -> float:
 def leq(p: Projection, q: Projection, tol: float = PROJECTION_TOL) -> bool:
     """True when ``p`` is dominated by ``q`` (q p = p)."""
     return (q.op @ p.op - p.op).norm_inf() <= tol
+
+
+def tall_svd_meet(
+    alg: TracialAlgebra, comps: Sequence[np.ndarray]
+) -> tuple[list[np.ndarray], list[int], float]:
+    """The meet of one case from its members' complements, (m, n, n) per
+    block, by one SVD of the whole (m n, n) stack with its left vectors, the
+    rank rule of :func:`meet_complements`; a block whose complements are all
+    0 meets to the identity exactly.  Returns (blocks, nullities, co-trace)."""
+    blocks, nullities = [], []
+    for n, a in zip(alg.blocks, comps):
+        if not np.any(a):
+            blocks.append(np.eye(n, dtype=complex))
+            nullities.append(n)
+            continue
+        _, s, vh = np.linalg.svd(a.reshape(-1, n), full_matrices=False)
+        null = s <= MEET_RANK_TOL * n
+        basis = vh.conj().T * null
+        blocks.append(basis @ basis.conj().T + 0.0)
+        nullities.append(int(null.sum()))
+    cotrace = sum(c * (n - k) for c, n, k in zip(alg.weights, alg.blocks, nullities))
+    return blocks, nullities, cotrace
 
 
 def generator_from_map(

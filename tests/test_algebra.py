@@ -23,8 +23,8 @@ from ncerg import (
     spectral_resolution,
     trace,
 )
-from ncerg.algebra import traces, unvec, unvecs, vec, vecs
-from oracles import gram_residual, leq, reconstruction_residual
+from ncerg.algebra import meet_complements, traces, unvec, unvecs, vec, vecs
+from oracles import gram_residual, leq, reconstruction_residual, tall_svd_meet
 
 
 def diag_op(alg, *entries):
@@ -343,6 +343,85 @@ def test_proj_meet_cotrace_subadditive(alg, rng):
         q = random_projection(alg, rng)
         m = proj_meet(p, q)
         assert m.cotrace <= p.cotrace + q.cotrace + 1e-9
+
+
+def _member_complements(kind, n, m, rng):
+    """(m, n, n) complements of one case in a block of dimension n."""
+    q = _random_unitary(n, rng)
+    if kind == "full_rank":
+        return rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    if kind == "zero":
+        return np.zeros((m, n, n), dtype=complex)
+    if kind == "nearly_equal":
+        # ranges span(s, u_j), u_j at an angle 0, 1e-10 or 1e-6 from u: below
+        # and above the singular-value cutoff
+        angles = [(0.0, 1e-10, 1e-6)[j % 3] for j in range(m)]
+        if n == 1:
+            return np.array([[[a]] for a in angles], dtype=complex)
+        s, u, u2 = q[:, :n - 2], q[:, n - 2], q[:, n - 1]
+        bases = [np.column_stack([s, math.cos(a) * u + math.sin(a) * u2]) for a in angles]
+        return np.stack([np.eye(n) - b @ np.linalg.pinv(b) for b in bases])
+    # rank deficient: random rows on the complement of a planted span and a
+    # random extra direction per member (none in a 1x1 block, which it would
+    # fill); with "some_zero" every other member is 0
+    planted = q[:, : n // 2]
+    comps = []
+    for j in range(m):
+        d = int(n > 1)
+        extra = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        b = np.column_stack([planted, extra])
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        keep = kind == "rank_deficient" or j % 2
+        comps.append(g @ (np.eye(n) - b @ np.linalg.pinv(b)) if keep else np.zeros((n, n)))
+    return np.stack(comps)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_meets_through_the_r_factor_match_the_tall_svd(m, monkeypatch):
+    # every case of a stacked meet equals one SVD of its whole (m n, n) stack
+    # bit for bit (projection blocks, ranks and co-trace), in a call where
+    # some cases are uncut in a block or everywhere and in one where every
+    # case is cut everywhere; every SVD the meets take is of a square R
+    alg = TracialAlgebra((1, 3, 5), (1.0, 0.5, 0.25))
+    rng = np.random.default_rng(70 + m)
+    cases = [
+        ("full_rank",) * 3,
+        ("rank_deficient",) * 3,
+        ("nearly_equal",) * 3,
+        ("some_zero",) * 3,
+        ("zero", "rank_deficient", "full_rank"),
+        ("nearly_equal", "zero", "some_zero"),
+        ("zero",) * 3,
+    ]
+    stacks = [
+        np.stack([_member_complements(kinds[i], n, m, rng) for kinds in cases])
+        for i, n in enumerate(alg.blocks)
+    ]
+    shapes = []
+    svd = np.linalg.svd
+
+    def record(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", record)
+    all_cut = [i for i in range(len(cases)) if all(np.any(a[i]) for a in stacks)]
+    partly = meet_complements(alg, stacks)
+    cut = meet_complements(alg, [a[all_cut] for a in stacks])
+    monkeypatch.undo()
+    assert shapes and all(r == c for r, c in shapes)
+    assert all_cut == [0, 1, 2, 3]
+    for got, i in [*zip(partly, range(len(cases))), *zip(cut, all_cut)]:
+        blocks, nullities, cotrace = tall_svd_meet(alg, [a[i] for a in stacks])
+        assert got.cotrace == cotrace and got.ranks() == tuple(nullities), i
+        for a, b in zip(got.op.blocks, blocks):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), i
+    # full rank meets to 0, the planted span survives, the nearly equal
+    # ranges keep u only at angles within the cutoff, and an all-zero case
+    # is the identity
+    assert partly[0].ranks() == (0, 0, 0) and partly[-1].ranks() == alg.blocks
+    assert partly[1].ranks() == (0, 1, 2)
+    assert partly[2].ranks()[1:] == ((2, 4) if m == 2 else (1, 3))
 
 
 # ---------------------------------------------------------------------------

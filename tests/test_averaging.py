@@ -262,6 +262,12 @@ def test_besicovitch_error_zero_for_pure_polynomial():
     assert all(v < 1e-12 for _, v in table.rows)
 
 
+def test_gauss_legendre_table_has_the_bits_of_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    for got, want in ((averaging._GL_X, nodes), (averaging._GL_W, weights)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_integrate_scalar_converges_on_zero_integral():
     value, err = integrate_scalar(lambda ts: np.cos(2.0 * math.pi * ts), 0.0, 1.0)
     assert abs(value) < 1e-15

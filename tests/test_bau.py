@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -268,6 +269,56 @@ def test_maximal_certificates_name_empty_inputs(alg, rng, inputs, grid, match):
     params = [MaximalParams(1.0, 1.0, 0.3)]
     with pytest.raises(ValueError, match=match):
         maximal_certificates(Identity(alg), stack_blocks(xs), params, grid)
+
+
+def _maximal_blocks_8_16():
+    # blocks (8,16), 4 inputs of norm 0.6 and a 24-point grid: at eps 0.5
+    # two cases keep a meet that is not 0, at 0.2 and 0.1 none does
+    alg = TracialAlgebra((8, 16), (1.0, 0.5))
+    rng = np.random.default_rng(5)
+    sg = UnitaryFlow(alg, random_self_adjoint(alg, rng, norm=1.0))
+    xs = stack_blocks([random_self_adjoint(alg, rng, norm=0.6) for _ in range(4)])
+    params = [MaximalParams(1.0, 2.0, eps) for eps in (0.5, 0.2, 0.1)]
+    return sg, xs, params, np.geomspace(1e-3, 2.0, 24)
+
+
+def test_maximal_certificates_hold_at_most_four_and_a_half_stacks():
+    # the working set of the maximal pass, in units of one case-major
+    # (k, m, n, n) stack summed over blocks: the averages, their eigenvectors,
+    # and one block's meet rows and the copy its R factor is taken from
+    sg, xs, params, grid = _maximal_blocks_8_16()
+    stack = sum(16 * len(xs[0]) * len(grid) * n * n for n in sg.algebra.blocks)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        maximal_certificates(sg, xs, params, grid)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4.5 * stack, peak / stack
+
+
+def test_maximal_certificates_send_no_empty_stack_to_lapack(monkeypatch):
+    # an epsilon at which no case keeps a meet forms no product and takes no
+    # SVD; its achieved bounds stay 0
+    sg, xs, params, grid = _maximal_blocks_8_16()
+    sizes = []
+    svd = np.linalg.svd
+
+    def record(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", record)
+    certs = maximal_certificates(sg, xs, params, grid)
+    monkeypatch.undo()
+    assert sizes and 0 not in sizes
+    bounds = np.array([[c.achieved_bound for c in cs] for cs in certs])
+    assert (bounds[:, 0] > 0).sum() == 2 and not bounds[:, 1:].any()
 
 
 # ---------------------------------------------------------------------------

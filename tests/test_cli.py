@@ -648,6 +648,25 @@ def test_generator_exp_full_run_leaves_scipy_linalg_unloaded(tmp_path):
     assert status == "0 False", modules
 
 
+def test_import_and_full_run_leave_numpy_polynomial_unloaded(tmp_path):
+    # the Gauss-Legendre rule is a table: neither the import nor a run loads
+    # numpy.polynomial, which would stay resident for the whole run
+    src = Path(__file__).resolve().parents[1] / "src"
+    (tmp_path / "cfg.json").write_text(json.dumps({"n_random": 2, "weighted_cases": 4, "T_n": 12}))
+    probe = (
+        "import sys, ncerg, ncerg.cli\n"
+        "imported = 'numpy.polynomial' in sys.modules\n"
+        f"code = ncerg.cli.main(['run', '--config', {str(tmp_path / 'cfg.json')!r}, "
+        f"'--suite', 'full', '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(imported, code, 'numpy.polynomial' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False 0 False"
+
+
 @pytest.mark.parametrize(
     "blocks, n_random, path",
     [((2, 4), 20, None), ((3, 6), 4, "eigen"), ((8, 16), 2, "eigen")],
