@@ -77,7 +77,12 @@ from .bau import (
     perturbation_transfer,
 )
 from .config import ConfigError
-from .semigroups import Semigroup, semigroup_from_config, validate_absolute_contraction
+from .semigroups import (
+    Semigroup,
+    semigroup_from_config,
+    time_slabs,
+    validate_absolute_contraction,
+)
 
 __all__ = [
     "ConfigError",
@@ -409,12 +414,19 @@ def _suite_local_avg(env: _Env) -> None:
     means = [y[:, 0] for y in sg.mean_batch(Ts, stack_blocks([x]))]
     # singular values of y_T - x, and of a_s(x) - x at 16 sample times s in
     # (0, T] for every T, shared by both p: the dyadic T make many sample
-    # times coincide, and each distinct one goes through one core call once
+    # times coincide, and each distinct one goes through the core once, in
+    # the slabs of time_slabs
     samples = np.outer(Ts, np.linspace(1.0 / 16.0, 1.0, 16))
     times, at = np.unique(samples.ravel(), return_inverse=True)
     errs = [np.linalg.svd(y - a, compute_uv=False) for y, a in zip(means, x.blocks)]
-    shifts = sg.propagate_stack(times, x)
-    shifts = [np.linalg.svd(st - a, compute_uv=False) for st, a in zip(shifts, x.blocks)]
+    slabs = [
+        [
+            np.linalg.svd(st - a, compute_uv=False)
+            for st, a in zip(sg.propagate_stack(times[cut], x), x.blocks)
+        ]
+        for cut in time_slabs(len(times), 1, alg.blocks)
+    ]
+    shifts = [np.concatenate(sv) for sv in zip(*slabs)]
 
     for p in (1.0, 2.0):
         err = np.array(pnorms(alg, errs, p))

@@ -44,10 +44,13 @@ of ``choi_blocks`` off the columns of its d x d ``propagator``.  With modes
 the Choi test is exact, as a_t is positive exactly when it is completely
 positive, so a failing test fails the report; a map without modes that fails
 it falls back to sampled positivity checks and is flagged as "sampled only".
-Each check stacks its inputs and times in as few core calls as the law
-allows (one per distinct s).  Witnesses of the worst violations
-are recorded only above a roundoff floor that grows with kappa(W) on the
-eigenbasis path.
+Each check stacks its inputs, and the time-grid passes (the sampled checks
+of the validation and local-avg's shift samples) walk their grid in slabs
+from :func:`time_slabs`: consecutive times whose largest per-block image
+stack (len, k, n, n) stays within ``SLAB_BYTES``, at least one time each.
+The law check takes one distinct s at a time.  Witnesses of the worst
+violations are recorded only above a roundoff floor that grows with kappa(W)
+on the eigenbasis path.
 """
 from __future__ import annotations
 
@@ -90,6 +93,7 @@ __all__ = [
     "choi_min_eig",
     "lindblad_generator",
     "semigroup_from_config",
+    "time_slabs",
 ]
 
 CONTRACTION_TOL = 1e-8  # cap on positivity, unitality and trace violations and on -choi_min
@@ -97,6 +101,16 @@ LAW_TOL = 1e-9  # cap on the relative semigroup-law residual ||a_t a_s - a_{t+s}
 MAX_JUMPS = 1000  # most jump operators a random Lindblad generator may draw
 MAX_GENERATOR_DIM = 1280  # largest vectorized dimension sum n_i^2 a GeneratorExp may take
 EIGEN_TOL = 1e-10  # cap on kappa(W) * max(backward error, eps) for GeneratorExp's eigenbasis path
+SLAB_BYTES = 1 << 18  # cap on the largest per-block image stack of one time slab
+
+
+def time_slabs(m: int, k: int, blocks: Sequence[int]) -> list[slice]:
+    """Consecutive slices of a grid of ``m`` times for ``k`` inputs, each as
+    long as ``SLAB_BYTES`` allows for the (len, k, n, n) complex images of
+    the largest block, and at least one time long.  An empty grid is one
+    empty slice, so a pass over it still makes its one call."""
+    step = max(1, SLAB_BYTES // (16 * k * max(blocks) ** 2))
+    return [slice(i, i + step) for i in range(0, max(m, 1), step)]
 
 
 def phi1(z: np.ndarray | complex) -> np.ndarray:
@@ -390,8 +404,8 @@ class GeneratorExp(Semigroup):
             with np.errstate(over="ignore", invalid="ignore"):
                 out = w @ (_multiplier(ts[:, None, :], mu[:, None], ss) * (w_inv @ cols))
         elif s is None:
-            out = np.array([self.propagator(t) @ cols for t in ts[:, 0]])
-            out = out.reshape(len(ts), *cols.shape)  # (0, d, k) for no times
+            out = np.array([self.propagator(t) @ cols for t in ts[:, 0]], dtype=complex)
+            out = out.reshape(len(ts), *cols.shape)  # (0, d, k) complex for no times
         else:
             # one augmented expm per length for shared lengths and shift, else
             # one per length and input
@@ -543,7 +557,8 @@ def semigroup_law_residual(
     sg: Semigroup, t: float, s: float, probes: Sequence[Operator]
 ) -> float:
     """max over probes of ||a_t(a_s(x)) - a_{t+s}(x)|| / ||x||, all probes
-    stacked into one core call at (s, t + s) and one at t."""
+    stacked into one core call at (s, t + s) and one at t (the one-pair case
+    of the validation's law check)."""
     if t < 0 or s < 0:
         raise ValueError("law residual needs t, s >= 0")
     if not probes:
@@ -553,20 +568,21 @@ def semigroup_law_residual(
 
 def _law_residual(sg: Semigroup, pairs, xs: list[np.ndarray]) -> float:
     """:func:`semigroup_law_residual` maximized over ``pairs`` (t, s), for
-    probes stacked as ``xs``: one core call gives every a_s(x) and
-    a_{t+s}(x), one per distinct s gives a_t(a_s(x)) at all its t (so each
-    call keeps the probes as its inputs), and one norm takes all the gaps."""
+    probes stacked as ``xs``, one distinct s at a time: one core call gives
+    a_s(x) and a_{t+s}(x) at that s's t, one more a_t(a_s(x)) (so each call
+    keeps the probes as its inputs), and one norm takes that s's gaps."""
     t, s = np.array(pairs, dtype=float).reshape(-1, 2).T
-    both = sg.propagate_batch(np.concatenate([s, t + s]), xs)
-    gaps = [np.empty_like(y[len(t):]) for y in both]
+    scale = np.maximum(op_norms(xs), 1e-300)
+    worst = []
     # dict.fromkeys, not np.unique: its first call imports numpy.ma, and
     # doing that here raised the peak memory of a run
-    for at in (np.flatnonzero(s == v) for v in dict.fromkeys(s.tolist())):
-        lhs = sg.propagate_batch(t[at], [y[at[0]] for y in both])
-        for g, a, y in zip(gaps, lhs, both):
-            g[at] = a - y[len(t) + at]
-    scale = np.maximum(op_norms(xs), 1e-300)
-    return float(np.max(op_norms(gaps) / scale, initial=0.0))
+    for v in dict.fromkeys(s.tolist()):
+        tv = t[s == v]
+        both = sg.propagate_batch(np.concatenate([[v], tv + v]), xs)
+        lhs = sg.propagate_batch(tv, [y[0] for y in both])
+        gaps = op_norms([a - y[1:] for a, y in zip(lhs, both)])
+        worst.append(np.max(gaps / scale, initial=0.0))
+    return float(np.max(worst, initial=0.0))
 
 
 def _witness(values: np.ndarray, floors) -> tuple[int, ...] | None:
@@ -595,11 +611,11 @@ def validate_absolute_contraction(
     a failing Choi test downgrades the positivity claim to "sampled only".
     Twenty random positive inputs are sampled; the Choi test runs at the
     first six positive times and the continuity table uses the 2-norm.  The
-    identity and the positives go through the core in one call at all times,
-    and their spectra, self-adjoint defects and traces come from batched
-    eigvalsh and ``algebra.traces``.  The positivity violation is relative to
-    the norm 1 that ``normalized_draws`` gave each positive (1e-300 for a
-    zero draw).
+    identity and the positives go through the core in one call per slab of
+    :func:`time_slabs`, and their spectra, self-adjoint defects and traces
+    come from batched eigvalsh and ``algebra.traces`` on that slab's images.
+    The positivity violation is relative to the norm 1 that
+    ``normalized_draws`` gave each positive (1e-300 for a zero draw).
     """
     ts = [float(t) for t in t_samples]
     if any(t < 0 for t in ts):
@@ -614,27 +630,38 @@ def validate_absolute_contraction(
     # normalized_draws scaled every positive to norm 1; a zero draw stays 0
     scales = np.where(np.any([a.any(axis=(1, 2)) for a in positives], axis=0), 1.0, 1e-300)
     traces_in = traces(alg, positives).real
+    del positives  # the inputs hold them
 
     # unitality (per t), positivity relative to the input's norm and trace
-    # excess (per t and sample), each clamped at 0
-    images = sg.propagate_batch(np.array(ts), inputs)
-    texc = np.maximum(traces(alg, [y[:, 1:] for y in images]).real - traces_in, 0.0)
-    # per block, in one scratch array so no step holds more than the core
-    # did: ||y - y*|| as the largest |eigenvalue| of the exactly Hermitian
-    # -i(y - y*), then herm(a_t(1) - 1) at input 0, herm(a_t(x_k)) after
-    defects, spectra = [], []
-    for y, a in zip(images, inputs):
-        adj = np.conj(y.swapaxes(-1, -2), order="C")
-        skew = np.multiply(np.subtract(y, adj, out=adj), -1j, out=adj)
-        defects.append(np.abs(np.linalg.eigvalsh(skew)[..., [0, -1]]).max(axis=-1))
-        y[:, 0] -= a[0]
-        np.conj(y.swapaxes(-1, -2), out=adj)
-        spectra.append(np.linalg.eigvalsh(np.divide(np.add(y, adj, out=adj), 2.0, out=adj)))
-    del images, y, adj  # before the law check builds its own stacks
-    defects = np.max(defects, axis=0)
-    unital = np.maximum(0.0, np.max([w[:, 0, -1] for w in spectra], axis=0)) + defects[:, 0]
-    mins = np.min([w[:, 1:, 0] for w in spectra], axis=0)
-    pos = np.maximum(np.maximum(-mins, defects[:, 1:]) / scales, 0.0)
+    # excess (per t and sample), each clamped at 0, one time slab at a time
+    grid = np.array(ts, dtype=float)
+    unital, pos, texc = [], [], []
+    for cut in time_slabs(len(ts), len(inputs[0]), alg.blocks):
+        images = sg.propagate_batch(grid[cut], inputs)
+        texc.append(np.maximum(traces(alg, [y[:, 1:] for y in images]).real - traces_in, 0.0))
+        # per block, in one scratch array so no step holds more than the core
+        # did: ||y - y*|| as the largest |eigenvalue| of the exactly Hermitian
+        # -i(y - y*), then herm(a_t(1) - 1) at input 0, herm(a_t(x_k)) after;
+        # y* is copied, then conjugated in place, as a ufunc reading the
+        # transposed y would take a buffer besides
+        defects, tops, mins = [], [], []
+        for y, a in zip(images, inputs):
+            adj = y.swapaxes(-1, -2).copy()
+            np.conj(adj, out=adj)
+            np.multiply(np.subtract(y, adj, out=adj), -1j, out=adj)
+            defects.append(np.abs(np.linalg.eigvalsh(adj)[..., [0, -1]]).max(axis=-1))
+            y[:, 0] -= a[0]
+            np.copyto(adj, y.swapaxes(-1, -2))
+            np.conj(adj, out=adj)
+            w = np.linalg.eigvalsh(np.divide(np.add(y, adj, out=adj), 2.0, out=adj))
+            tops.append(w[:, 0, -1])
+            mins.append(w[:, 1:, 0])
+            del adj  # before the next block's scratch
+        del images, y  # before the next slab's images
+        defects = np.max(defects, axis=0)
+        unital.append(np.maximum(0.0, np.max(tops, axis=0)) + defects[:, 0])
+        pos.append(np.maximum(np.maximum(-np.min(mins, axis=0), defects[:, 1:]) / scales, 0.0))
+    unital, pos, texc = (np.concatenate(a) for a in (unital, pos, texc))
     max_unital, max_pos, max_trace = (float(a.max(initial=0.0)) for a in (unital, pos, texc))
     rows = np.column_stack(
         [ts, pos.max(axis=1, initial=0.0), unital, texc.max(axis=1, initial=0.0)]

@@ -8,10 +8,12 @@ of a spectral resolution, the order of two projections, the matrix of a
 linear map on the vectorized algebra, one matrix unit at a time, random
 inputs drawn and normalized one operator at a time through
 :class:`Operator` arithmetic, a meet from one SVD of the whole stack of
-complements, and the sampled checks and law residual of a
-validation, one time and one (t, s) pair at a time, a run's plot files
-read back from the tables and certificates on disk, and the heat flow on the
-group algebra of a dihedral group, built from its irreducible representations.
+complements, the sampled checks and law residual of a validation, one
+time and one (t, s) pair at a time, a validation's whole report with its
+sampled checks over the whole time grid in one core call, a run's plot
+files read back from the tables and certificates on disk, and the heat flow
+on the group algebra of a dihedral group, built from its irreducible
+representations.
 """
 from __future__ import annotations
 
@@ -30,14 +32,24 @@ from ncerg.algebra import (
     Projection,
     SpectralResolution,
     TracialAlgebra,
+    normalized_draws,
     op_norms,
+    random_operators,
     traces,
     unvecs,
     vec,
 )
 from ncerg.bau import ProjectionCertificate
 from ncerg.experiments import _SUMMARY_KEYS, RunReport
-from ncerg.semigroups import Semigroup
+from ncerg.semigroups import (
+    CONTRACTION_TOL,
+    LAW_TOL,
+    Semigroup,
+    ValidationReport,
+    _witness,
+    choi_min_eig,
+    continuity_modulus,
+)
 
 
 def compressed_norm(e: Projection, y: Operator) -> float:
@@ -174,6 +186,82 @@ def law_residual_per_pair(
         gaps = op_norms([a[0] - y[1] for a, y in zip(lhs, both)])
         worst = max(worst, float(np.max(gaps / scale, initial=0.0)))
     return worst
+
+
+def whole_grid_validation(
+    sg: Semigroup, t_samples: Sequence[float], rng: np.random.Generator
+) -> ValidationReport:
+    """The report of ``validate_absolute_contraction`` with its sampled
+    checks over the whole time grid in one core call and one scratch stack
+    per block, and its law residual from :func:`law_residual_per_pair`; the
+    draws, Choi test, continuity table and witness rule as the library's."""
+    ts = [float(t) for t in t_samples]
+    alg = sg.algebra
+    positives = normalized_draws(random_operators(alg, rng, 20), True)
+    inputs = [
+        np.concatenate([np.eye(n, dtype=complex)[None], a]) for n, a in zip(alg.blocks, positives)
+    ]
+    scales = np.where(np.any([a.any(axis=(1, 2)) for a in positives], axis=0), 1.0, 1e-300)
+    traces_in = traces(alg, positives).real
+    images = sg.propagate_batch(np.array(ts), inputs)
+    texc = np.maximum(traces(alg, [y[:, 1:] for y in images]).real - traces_in, 0.0)
+    defects, spectra = [], []
+    for y, a in zip(images, inputs):
+        adj = np.conj(y.swapaxes(-1, -2), order="C")
+        skew = np.multiply(np.subtract(y, adj, out=adj), -1j, out=adj)
+        defects.append(np.abs(np.linalg.eigvalsh(skew)[..., [0, -1]]).max(axis=-1))
+        y[:, 0] -= a[0]
+        np.conj(y.swapaxes(-1, -2), out=adj)
+        spectra.append(np.linalg.eigvalsh(np.divide(np.add(y, adj, out=adj), 2.0, out=adj)))
+    defects = np.max(defects, axis=0)
+    unital = np.maximum(0.0, np.max([w[:, 0, -1] for w in spectra], axis=0)) + defects[:, 0]
+    mins = np.min([w[:, 1:, 0] for w in spectra], axis=0)
+    pos = np.maximum(np.maximum(-mins, defects[:, 1:]) / scales, 0.0)
+    max_unital, max_pos, max_trace = (float(a.max(initial=0.0)) for a in (unital, pos, texc))
+    rows = np.column_stack(
+        [ts, pos.max(axis=1, initial=0.0), unital, texc.max(axis=1, initial=0.0)]
+    )
+    floor = 16 * np.finfo(float).eps * (sg.condition if sg.path == "eigen" else 1.0)
+    worst: dict = {}
+    for name, values, floors in (
+        ("unitality", unital, floor),
+        ("positivity", pos, floor),
+        ("trace", texc, floor * traces_in),
+    ):
+        at = _witness(values, floors)
+        if at is not None:
+            worst[f"{name}_t"] = ts[at[0]]
+            if values.ndim == 2:
+                worst[f"{name}_sample"] = at[1]
+    choi_ts = [t for t in ts if t > 0][:6]
+    choi_min = min(choi_min_eig(sg, t) for t in choi_ts) if choi_ts else None
+    sub = ts[:5]
+    pairs = [(t, s) for i, t in enumerate(sub) for s in sub[i:]]
+    probes = normalized_draws(random_operators(alg, rng, 4), False)
+    law = law_residual_per_pair(sg, pairs, [a[:3] for a in probes])
+    cont = continuity_modulus(sg, Operator(alg, [a[3] for a in probes]), 2.0, ts)
+    choi_ok = choi_min is None or choi_min >= -CONTRACTION_TOL
+    sampled_only = not choi_ok and not sg.modes
+    passed = max(max_pos, max_unital, max_trace) <= CONTRACTION_TOL and law <= LAW_TOL
+    passed = passed and (choi_ok or sampled_only)
+    if sg.modes and not choi_ok:
+        worst["choi_min"] = choi_min
+    return ValidationReport(
+        t_samples=tuple(ts),
+        max_positivity_violation=max_pos,
+        max_unitality_excess=max_unital,
+        max_trace_excess=max_trace,
+        law_residual=law,
+        continuity=cont,
+        choi_min=choi_min,
+        sampled_only=sampled_only,
+        passed=passed,
+        per_t=tuple(map(tuple, rows.tolist())),
+        worst=worst,
+        eigen_condition=sg.condition,
+        eigen_backward_error=sg.backward_error,
+        generator_path=sg.path,
+    )
 
 
 def plot_files_from_disk(report: RunReport) -> dict[str, bytes]:

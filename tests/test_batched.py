@@ -10,6 +10,7 @@ oracle here is built one input at a time from ``apply``, ``min_eig``,
 """
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ from oracles import (
     generator_from_map,
     law_residual_per_pair,
     sampled_violations,
+    whole_grid_validation,
 )
 
 # unequal blocks, so a swapped block index or a transposed Choi layout shows
@@ -321,9 +323,10 @@ def test_stacked_validation_matches_per_t_and_per_pair_loops(name, monkeypatch):
     monkeypatch.setattr(type(sg), "_stack", lambda self, *a: calls.append(1) or stack(self, *a))
     report = validate_absolute_contraction(sg, ts, rng=np.random.default_rng(31))
     monkeypatch.undo()
-    # the sampled checks at all t; the law probes at every s and t + s, then
-    # once per s of the first five times; the continuity grid
-    assert len(calls) == 1 + 1 + 5 + 1
+    # the sampled checks at all t (one slab); the law probes at s and its
+    # t + s, then a_t(a_s(x)), for each s of the first five times; the
+    # continuity grid
+    assert len(calls) == 1 + 2 * 5 + 1
 
     rng = np.random.default_rng(31)  # the draws of the validation, in order
     positives = normalized_draws(random_operators(ALG, rng, 20), True)
@@ -335,6 +338,92 @@ def test_stacked_validation_matches_per_t_and_per_pair_loops(name, monkeypatch):
     assert maxima == (unital.max(), pos.max(), texc.max())
     pairs = [(t, s) for i, t in enumerate(ts[:5]) for s in ts[i:5]]
     assert report.law_residual == law_residual_per_pair(sg, pairs, [a[:3] for a in probes])
+
+
+def slab_flows():
+    """The variants of ``all_variants`` (generator_exp on its eigenbasis
+    path), and generator_exp on the dense path: the defective generator
+    [[-1, 1], [0, -1]] on blocks (1,1)."""
+    flows = all_variants(ALG, np.random.default_rng(33))
+    flows["generator_exp_dense"] = GeneratorExp(
+        TracialAlgebra((1, 1), (1.0, 0.5)), np.array([[-1.0, 1.0], [0.0, -1.0]])
+    )
+    assert flows["generator_exp"].path == "eigen" and flows["generator_exp_dense"].path == "dense"
+    return flows
+
+
+SLAB_FLOWS = sorted(slab_flows())
+SLAB_TS = [0.0, 1e-3, 0.2, 1.0, 3.0, 7.5, 9.0]
+
+
+@pytest.mark.parametrize("per_slab, lengths", [(1, [1] * 7), (3, [3, 3, 1])], ids=["one", "three"])
+@pytest.mark.parametrize("name", SLAB_FLOWS)
+def test_sliced_validation_equals_the_whole_grid_pass(name, per_slab, lengths, monkeypatch):
+    # a budget one byte short of per_slab + 1 times of the 21 inputs'
+    # largest block: slabs of one time each, or of three with a partial last
+    sg = slab_flows()[name]
+    want = whole_grid_validation(sg, SLAB_TS, np.random.default_rng(34)).to_json_dict()
+    n = max(sg.algebra.blocks)
+    monkeypatch.setattr(semigroups, "SLAB_BYTES", (per_slab + 1) * 16 * 21 * n * n - 1)
+    slabs = []
+    batch = sg.propagate_batch
+
+    def record(ts, xs):  # the times of each call on the 21 sampled inputs
+        if len(xs[0]) == 21:
+            slabs.append(len(ts))
+        return batch(ts, xs)
+
+    monkeypatch.setattr(sg, "propagate_batch", record)
+    got = validate_absolute_contraction(sg, SLAB_TS, rng=np.random.default_rng(34))
+    assert slabs == lengths
+    assert got.to_json_dict() == want
+
+
+@pytest.mark.parametrize("ts", [[], [0.0], [0.5]], ids=["empty", "zero", "half"])
+def test_validation_on_edge_grids_equals_the_whole_grid_pass(ts):
+    for name, sg in slab_flows().items():
+        got = validate_absolute_contraction(sg, ts, rng=np.random.default_rng(35))
+        want = whole_grid_validation(sg, ts, np.random.default_rng(35))
+        assert got.to_json_dict() == want.to_json_dict(), name
+        if not ts:
+            assert got.passed and got.per_t == () and got.continuity == (), name
+
+
+def test_law_residual_per_s_equals_the_per_pair_loop():
+    # repeated s, s = 0 and t = 0, in an order that visits an s again later
+    pairs = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.5), (0.4, 0.5), (0.5, 0.3), (1.1, 0.5), (0.0, 1.1),
+             (2.0, 0.3), (0.7, 0.0)]
+    rng = np.random.default_rng(36)
+    residuals = []
+    for name, sg in slab_flows().items():
+        xs = normalized_draws(random_operators(sg.algebra, rng, 3), False)
+        got = semigroups._law_residual(sg, pairs, xs)
+        assert got == law_residual_per_pair(sg, pairs, xs), name
+        residuals.append(got)
+    assert max(residuals) > 0.0
+
+
+def test_validation_peak_memory_stays_below_the_whole_image_set():
+    # at blocks (8,16) a 10-point grid is four slabs; the whole-grid pass
+    # peaked at about 2.3 image sets (10 times, 21 inputs, every block)
+    alg = TracialAlgebra((8, 16), (1.0, 0.5))
+    sg = UnitaryFlow(alg, random_self_adjoint(alg, np.random.default_rng(37), norm=1.0))
+    ts = np.geomspace(1e-4, 10.0, 10)
+    assert len(semigroups.time_slabs(len(ts), 21, alg.blocks)) == 4
+    images = sum(16 * 21 * len(ts) * n * n for n in alg.blocks)
+    validate_absolute_contraction(sg, ts, rng=np.random.default_rng(1))  # imports and caches
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        validate_absolute_contraction(sg, ts, rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 0.75 * images, peak / images
 
 
 @pytest.mark.parametrize("name", sorted(all_variants(ALG, np.random.default_rng(0))))

@@ -620,8 +620,10 @@ def test_validation_law_residual_is_the_max_of_per_pair_residuals(monkeypatch):
     sub = ts[:5]
     pairs = [(t, s) for i, t in enumerate(sub) for s in sub[i:]]
     assert report.law_residual == max(semigroup_law_residual(sg, t, s, probes) for t, s in pairs)
-    # one norm of the probes, and one of all the law gaps, stacked over pairs
-    assert calls.count(len(probes)) == 1 and calls.count(len(pairs)) == 1
+    # one norm of the probes, then one of each distinct s's law gaps, stacked
+    # over its pairs
+    per_s = [sum(s == v for _, s in pairs) for v in sub]
+    assert calls == [len(probes), *per_s]
 
 
 def test_continuity_modulus_runs_once_per_assembled_input(alg6, monkeypatch):
